@@ -12,15 +12,15 @@ from .embedding import (EmbeddingConfig, MIN_EMBEDDED_ROWS, SelectionStep,
                         SelectionTrace, max_statistic_test, optimize_past_state)
 from .experiment import (ContrastResult, LagHistogram, ParticipantComparison,
                          RunConfig, TrialResult, analyze_trial,
-                         compare_conditions, equalize_samples, lag_histogram,
-                         parse_run_config, union_past_state)
+                         compare_conditions, contrast_conditions,
+                         equalize_samples, lag_histogram, parse_run_config,
+                         union_past_state)
 from .gaze import (AOIRegion, Fixation, GazeSample, PipelineParams,
                    ScanpathRecord, Trial, build_scanpath,
                    detect_fixations_idt, filter_fixations, filter_gaze,
-                   load_aois, map_to_aoi, read_gaze_csv)
+                   load_aois, map_to_aoi, read_gaze_csv, trial_fixations)
 from .infocore import (ContingencyTable, InfoEstimate,
-                       active_information_storage, bias_correction,
-                       conditional_entropy, conditional_mutual_information,
+                       active_information_storage, conditional_entropy, conditional_mutual_information,
                        empirical_distribution, entropy,
                        gaze_transition_entropy, local_ais, mutual_information,
                        table_from_series)
@@ -40,8 +40,8 @@ __all__ = [
     "PermutationTestResult", "PipelineParams", "RunConfig", "ScanpathRecord",
     "SelectionStep", "SelectionTrace", "StateVectorSeries", "SymbolSequence",
     "Trial", "TrialResult", "active_information_storage", "analytic_ais",
-    "analytic_entropy", "analytic_gte", "analyze_trial", "bias_correction",
-    "build_scanpath", "compare_conditions", "conditional_entropy",
+    "analytic_entropy", "analytic_gte", "analyze_trial", "build_scanpath",
+    "compare_conditions", "conditional_entropy", "contrast_conditions",
     "conditional_mutual_information", "cycle_spec", "derive_rng",
     "derive_seed", "detect_fixations_idt", "embed", "empirical_distribution",
     "entropy", "equalize_samples", "filter_fixations", "filter_gaze",
@@ -50,5 +50,5 @@ __all__ = [
     "local_ais", "map_to_aoi", "max_statistic_test", "mutual_information",
     "optimize_past_state", "parse_run_config", "persistence_spec",
     "read_gaze_csv", "stationary_distribution", "table_from_series",
-    "test_final_ais", "uniform_iid_spec", "union_past_state",
+    "test_final_ais", "trial_fixations", "uniform_iid_spec", "union_past_state",
 ]

@@ -1,9 +1,10 @@
 """Batch command-line interface.
 
 Subcommands: fixations, scanpath, ais, compare, simulate, validate. Every
-subcommand is deterministic given its inputs and --seed; reruns produce
-byte-identical files (outputs carry no timestamps), and --jobs only bounds
-concurrency without affecting results.
+subcommand runs on one thread and is deterministic given its inputs and
+--seed; reruns produce byte-identical files (outputs carry no timestamps).
+`ais` selects each trial's past state once; `compare` contrasts those
+recorded selections and never selects again.
 """
 
 import argparse
@@ -15,13 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiment import (RunConfig, analyze_trial, compare_conditions,
-                         lag_histogram, parse_run_config)
-from .gaze import (PipelineParams, ScanpathRecord, build_scanpath,
-                   detect_fixations_idt, filter_gaze, load_aois, read_gaze_csv)
+from .experiment import (RunConfig, TrialResult, analyze_trial,
+                         contrast_conditions, lag_histogram, parse_run_config)
+from .gaze import (PipelineParams, ScanpathRecord, build_scanpath, load_aois,
+                   read_gaze_csv, trial_fixations)
 from .markov import analytic_ais, analytic_entropy, analytic_gte, generate, \
     load_markov_spec
-from .rng import derive_seed, indexed_map
+from .rng import derive_seed
 from .validate import run_all
 
 SCHEMA_VERSION = 1
@@ -84,7 +85,7 @@ def _pipeline_params(args, collapse=False) -> PipelineParams:
         min_confidence=args.min_confidence,
         dispersion_threshold=args.dispersion,
         min_duration_ms=args.min_duration,
-        max_duration_ms=getattr(args, "max_duration", 1500.0),
+        max_duration_ms=args.max_duration,
         collapse_repeats=collapse,
     )
 
@@ -95,10 +96,10 @@ def _pipeline_params(args, collapse=False) -> PipelineParams:
 
 def cmd_fixations(args) -> int:
     trials = read_gaze_csv(args.input)
+    params = _pipeline_params(args)
     rows = []
     for trial in trials:
-        kept = filter_gaze(trial.samples, args.min_confidence)
-        for fix in detect_fixations_idt(kept, args.dispersion, args.min_duration):
+        for fix in trial_fixations(trial.samples, params):
             rows.append((trial.trial_id, fix.start_time, fix.duration,
                          fix.centroid_x, fix.centroid_y))
     out = Path(args.out)
@@ -138,21 +139,15 @@ def cmd_ais(args) -> int:
     ecfg = cfg.embedding_config()
     records = _load_scanpath_records(args.input)
     records.sort(key=lambda r: (r.participant_id, r.trial_id))
-
-    def analyze(i):
-        rec = records[i]
-        return analyze_trial(
+    out_results = []
+    for rec in records:
+        entry = analyze_trial(
             rec.sequence, ecfg,
             trial_id=rec.trial_id, participant_id=rec.participant_id,
             condition=rec.condition,
             seed=derive_seed(cfg.seed, "trial", rec.participant_id,
                              rec.condition, rec.trial_id),
-        )
-
-    results = indexed_map(analyze, len(records), args.jobs)
-    out_results = []
-    for rec, res in zip(records, results):
-        entry = res.to_dict()
+        ).to_dict()
         entry["symbols"] = [int(s) for s in rec.symbols]
         entry["alphabet_size"] = int(rec.alphabet_size)
         out_results.append(entry)
@@ -166,39 +161,50 @@ def cmd_ais(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = _run_config(args)
-    ecfg = cfg.embedding_config()
+def _load_ais_results(paths):
+    """Records and trial results from `ais` files, plus their shared config."""
+    config = None
     by_participant = {}
-    for path in args.inputs:
+    for path in paths:
         doc = _load_json(path)
+        if config is None:
+            config, config_path = doc["config"], path
+        elif doc["config"] != config:
+            raise ValueError(f"{path}: `ais` config {doc['config']} differs "
+                             f"from {config_path}: {config}")
         for entry in doc["results"]:
             if entry.get("symbols") is None:
                 raise ValueError(
                     f"{path}: results lack trial symbols; rerun `ais` to "
                     f"produce comparable input"
                 )
-            rec = ScanpathRecord(
-                trial_id=str(entry["trial_id"]),
-                participant_id=str(entry["participant_id"]),
-                condition=str(entry["condition"]),
-                symbols=np.asarray(entry["symbols"], dtype=np.int64),
-                alphabet_size=int(entry["alphabet_size"]),
-            )
-            by_participant.setdefault(rec.participant_id, []).append(rec)
+            rec = ScanpathRecord.from_dict(entry)
+            by_participant.setdefault(rec.participant_id, []).append(
+                (rec, TrialResult.from_dict(entry)))
+    return by_participant, config
 
-    participant_ids = sorted(by_participant)
 
-    def compare(i):
-        pid = participant_ids[i]
-        records = sorted(by_participant[pid],
-                         key=lambda r: (r.condition, r.trial_id))
-        return compare_conditions(
-            records, ecfg, n_perm=cfg.n_perm_comparison, tail=cfg.tail,
+def cmd_compare(args) -> int:
+    cfg = _run_config(args)
+    by_participant, recorded = _load_ais_results(args.inputs)
+    # Selection settings come from `ais`; flags may only repeat them.
+    for flag, key in (("kmax", "k_max"), ("alpha", "alpha"),
+                      ("nperm", "n_perm_selection")):
+        given = getattr(args, flag)
+        if given is not None and given != recorded[key]:
+            raise ValueError(f"--{flag} {given} conflicts with {key} = "
+                             f"{recorded[key]} recorded by `ais`")
+        setattr(cfg, key, recorded[key])
+
+    comparisons = []
+    for pid in sorted(by_participant):
+        pairs = sorted(by_participant[pid],
+                       key=lambda pair: (pair[0].condition, pair[0].trial_id))
+        comparisons.append(contrast_conditions(
+            [rec for rec, _ in pairs], [res for _, res in pairs], cfg.k_max,
+            n_perm=cfg.n_perm_comparison, tail=cfg.tail,
             seed=derive_seed(cfg.seed, "participant", pid),
-        )
-
-    comparisons = indexed_map(compare, len(participant_ids), args.jobs)
+        ))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -294,8 +300,6 @@ def cmd_validate(args) -> int:
 def _add_common(sub, out_required=True):
     sub.add_argument("--config", help="run configuration file (key = value lines)")
     sub.add_argument("--seed", type=int, help="master seed for all randomness")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="max concurrent workers (results are identical for any value)")
     if out_required:
         sub.add_argument("--out", required=True, help="output path")
 
@@ -307,6 +311,8 @@ def _add_pipeline_flags(sub):
                      help="IDT dispersion threshold in pixels")
     sub.add_argument("--min-duration", type=float, default=100.0,
                      dest="min_duration", help="minimum fixation duration (ms)")
+    sub.add_argument("--max-duration", type=float, default=1500.0,
+                     dest="max_duration", help="maximum fixation duration (ms)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aois", required=True, help="AOI definitions JSON")
     _add_common(p)
     _add_pipeline_flags(p)
-    p.add_argument("--max-duration", type=float, default=1500.0,
-                   dest="max_duration", help="maximum fixation duration (ms)")
     p.add_argument("--collapse-repeats", action="store_true",
                    dest="collapse_repeats",
                    help="collapse consecutive identical AOI symbols")
@@ -346,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("compare", help="per-participant condition contrasts")
     p.add_argument("inputs", nargs="+", help="results JSON files from `ais`")
     _add_common(p)
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--nperm", type=int, help="selection surrogate count")
+    p.add_argument("--kmax", type=int, help="must match the `ais` run")
+    p.add_argument("--alpha", type=float, help="must match the `ais` run")
+    p.add_argument("--nperm", type=int, help="must match the `ais` run")
     p.add_argument("--nperm-comparison", type=int, dest="nperm_comparison",
                    help="surrogate count for the condition contrasts")
     p.add_argument("--tail", choices=("two_sided", "greater", "less"))

@@ -22,7 +22,7 @@ from typing import List
 import numpy as np
 
 from .infocore import _entropy_from_codes
-from .rng import derive_rng, derive_seed, indexed_map
+from .rng import derive_rng, derive_seed
 from .sequences import PastState, StateVectorSeries, SymbolSequence, embed
 
 MIN_EMBEDDED_ROWS = 10
@@ -106,7 +106,7 @@ def _candidate_cmis(t, cols, candidates, sel_code, sel_size, m):
 
 
 def max_statistic_test(observed_max_cmi: float, candidates, series: StateVectorSeries,
-                       n_perm: int, seed: int, selected=(), n_jobs: int = 1) -> float:
+                       n_perm: int, seed: int, selected=()) -> float:
     """One-sided surrogate p-value for the maximal candidate CMI.
 
     Each surrogate permutes the target column (past vectors fixed, so the
@@ -114,8 +114,8 @@ def max_statistic_test(observed_max_cmi: float, candidates, series: StateVectorS
     of every remaining candidate given the selected set, and records the
     maximum. p = (1 + #{surrogate max >= observed}) / (n_perm + 1).
 
-    Per-surrogate generators are derived from (seed, index), so results are
-    bit-identical for any n_jobs.
+    Surrogate i draws its permutation from a generator derived from
+    (seed, i), so the p-value is a pure function of its arguments.
     """
     if n_perm < 1:
         raise ValueError("n_perm must be >= 1")
@@ -135,7 +135,8 @@ def max_statistic_test(observed_max_cmi: float, candidates, series: StateVectorS
     h_cs = {lag: _entropy_from_codes(code) for lag, code in cand_codes.items()}
     m_sel = m * sel_size
 
-    def surrogate_max(i):
+    exceed = 0
+    for i in range(n_perm):
         rng = derive_rng(seed, "max-stat-surrogate", i)
         tp = t[rng.permutation(t.size)]
         h_tps = _entropy_from_codes(tp * sel_size + sel_code)
@@ -144,15 +145,11 @@ def max_statistic_test(observed_max_cmi: float, candidates, series: StateVectorS
             cmi = h_tps + h_cs[lag] - _entropy_from_codes(tp * m_sel + cand_codes[lag]) - h_s
             if cmi > best:
                 best = cmi
-        return best
-
-    maxima = indexed_map(surrogate_max, n_perm, n_jobs)
-    exceed = sum(1 for v in maxima if v >= observed_max_cmi)
+        exceed += best >= observed_max_cmi
     return (1.0 + exceed) / (n_perm + 1.0)
 
 
-def optimize_past_state(seq: SymbolSequence, cfg: EmbeddingConfig,
-                        n_jobs: int = 1):
+def optimize_past_state(seq: SymbolSequence, cfg: EmbeddingConfig):
     """Greedy forward selection of the past state of a sequence.
 
     Returns (PastState, SelectionTrace). The selected lag set may be empty
@@ -188,7 +185,6 @@ def optimize_past_state(seq: SymbolSequence, cfg: EmbeddingConfig,
             n_perm=cfg.n_perm,
             seed=derive_seed(cfg.seed, "max-stat", iteration),
             selected=tuple(selected),
-            n_jobs=n_jobs,
         )
         accepted = p <= cfg.alpha
         trace.steps.append(SelectionStep(

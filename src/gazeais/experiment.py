@@ -1,12 +1,14 @@
 """End-to-end analysis protocol over trial scanpaths.
 
-Per trial: optimize the past state, estimate bias-corrected AIS and the
-next-symbol entropy H(X_t), normalize, and test final AIS significance.
-Per participant: pool the selected lags into a union past state, equalize
-trial lengths by discarding symbols from the beginning, re-estimate every
-trial with the shared past state and sample count (holding estimation bias
-constant across groups), and contrast the two conditions with independent
-samples permutation tests on AIS, entropy, and normalized AIS.
+Per trial (`analyze_trial`): optimize the past state, estimate
+bias-corrected AIS and the next-symbol entropy H(X_t), normalize, and test
+final AIS significance. Per participant (`contrast_conditions`): pool the
+trials' selected lags into a union past state, equalize trial lengths by
+discarding symbols from the beginning, re-estimate every trial with the
+shared past state and sample count (holding estimation bias constant
+across groups), and contrast the two conditions with independent samples
+permutation tests on AIS, entropy, and normalized AIS. `compare_conditions`
+runs both steps; each trial's past state is selected exactly once.
 """
 
 import logging
@@ -113,6 +115,19 @@ class TrialResult:
             "ais_p_value": self.ais_p_value,
         }
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "TrialResult":
+        """Inverse of `to_dict`; the selection trace is not serialized."""
+        plain = ("trial_id", "participant_id", "condition", "sample_count",
+                 "skipped", "skip_reason", "normalized_ais",
+                 "normalized_clamped", "ais_p_value")
+        estimates = {k: None if doc[k] is None else InfoEstimate(**doc[k])
+                     for k in ("ais", "entropy_next")}
+        lags = doc["selected_lags"]
+        return cls(**{k: doc[k] for k in plain}, **estimates,
+                   selected_lags=None if lags is None
+                   else PastState(lags, doc["k_max"]))
+
 
 @dataclass
 class ContrastResult:
@@ -192,7 +207,7 @@ def _normalize(ais_est, entropy_est):
 def analyze_trial(scanpath: SymbolSequence, cfg: EmbeddingConfig, *,
                   trial_id: str = "", participant_id: str = "",
                   condition: str = "", n_perm_final: Optional[int] = None,
-                  seed: Optional[int] = None, n_jobs: int = 1,
+                  seed: Optional[int] = None,
                   occupancy: str = "observed") -> TrialResult:
     """Optimize the past state of one trial and estimate its AIS.
 
@@ -209,15 +224,14 @@ def analyze_trial(scanpath: SymbolSequence, cfg: EmbeddingConfig, *,
                          f"need at least {MIN_EMBEDDED_ROWS}"),
         )
     local_cfg = replace(cfg, seed=seed)
-    lags, trace = optimize_past_state(scanpath, local_cfg, n_jobs=n_jobs)
+    lags, trace = optimize_past_state(scanpath, local_cfg)
     entropy_next = _entropy_next(scanpath, cfg.k_max, occupancy)
     if lags:
         ais = active_information_storage(scanpath, lags, cfg.k_max,
                                          occupancy=occupancy)
         series = embed(scanpath, lags, cfg.k_max)
         test = test_final_ais(series, n_perm_final or cfg.n_perm,
-                              seed=derive_seed(seed, "final-ais"),
-                              n_jobs=n_jobs)
+                              seed=derive_seed(seed, "final-ais"))
         p_value = test.p_value
     else:
         ais = InfoEstimate(0.0, 0.0, 0.0, n, kind="active_information_storage")
@@ -281,34 +295,51 @@ def _mean_sem(values):
 
 def compare_conditions(records: Sequence[ScanpathRecord], cfg: EmbeddingConfig,
                        n_perm: int = 5000, tail: str = "two_sided",
-                       seed: Optional[int] = None, n_jobs: int = 1,
+                       seed: Optional[int] = None,
                        occupancy: str = "observed") -> ParticipantComparison:
-    """Contrast one participant's two conditions on equalized estimates.
+    """`analyze_trial` on every record, then `contrast_conditions`.
 
-    Per-trial past states are optimized first; all trials are then
-    re-estimated with the union past state on length-equalized scanpaths,
-    so every value entering a contrast shares the same sample count and
-    past-state dimensionality. Trials with H(X_t) = 0 are excluded from the
-    normalized-AIS contrast only.
+    Each trial is analysed once, seeded by (seed, "trial", condition, id).
     """
-    if not records:
-        raise ValueError("need at least one trial record")
-    participants = sorted({r.participant_id for r in records})
-    if len(participants) > 1:
-        raise ValueError(f"records span multiple participants: {participants}")
-    participant_id = participants[0]
     seed = cfg.seed if seed is None else seed
-
     results = [
         analyze_trial(
             rec.sequence, cfg,
             trial_id=rec.trial_id, participant_id=rec.participant_id,
             condition=rec.condition,
             seed=derive_seed(seed, "trial", rec.condition, rec.trial_id),
-            n_jobs=n_jobs, occupancy=occupancy,
+            occupancy=occupancy,
         )
         for rec in records
     ]
+    return contrast_conditions(records, results, cfg.k_max, n_perm=n_perm,
+                               tail=tail, seed=seed, occupancy=occupancy)
+
+
+def contrast_conditions(records: Sequence[ScanpathRecord],
+                        results: Sequence[TrialResult], k_max: int,
+                        n_perm: int = 5000, tail: str = "two_sided",
+                        seed: int = 0,
+                        occupancy: str = "observed") -> ParticipantComparison:
+    """Contrast one participant's two conditions on equalized estimates.
+
+    `results[i]` is the per-trial analysis of `records[i]`. All trials are
+    re-estimated with the union of their selected past states on
+    length-equalized scanpaths, so every value entering a contrast shares
+    the same sample count and past-state dimensionality. Skipped trials are
+    left out; trials with H(X_t) = 0 are excluded from the normalized-AIS
+    contrast only.
+    """
+    if not records:
+        raise ValueError("need at least one trial record")
+    if len(results) != len(records):
+        raise ValueError(f"{len(results)} trial result(s) for "
+                         f"{len(records)} trial record(s)")
+    participants = sorted({r.participant_id for r in records})
+    if len(participants) > 1:
+        raise ValueError(f"records span multiple participants: {participants}")
+    participant_id = participants[0]
+
     analyzable = [(rec, res) for rec, res in zip(records, results)
                   if not res.skipped]
     for rec, res in zip(records, results):
@@ -328,10 +359,10 @@ def compare_conditions(records: Sequence[ScanpathRecord], cfg: EmbeddingConfig,
                 f"condition {c!r} has {counts[c]} analyzable trial(s); need >= 2"
             )
 
-    union = union_past_state([res for _, res in analyzable], k_max=cfg.k_max)
+    union = union_past_state([res for _, res in analyzable], k_max=k_max)
     eq_seqs = equalize_samples([rec.sequence for rec, _ in analyzable])
     eq_length = len(eq_seqs[0])
-    eq_rows = eq_length - cfg.k_max
+    eq_rows = eq_length - k_max
     if eq_rows < MIN_EMBEDDED_ROWS:
         # Cannot happen when every analyzable trial met the minimum, since
         # the equalized length is the minimum over those trials.
@@ -340,9 +371,9 @@ def compare_conditions(records: Sequence[ScanpathRecord], cfg: EmbeddingConfig,
     values = {m: {c: [] for c in conditions} for m in MEASURES}
     excluded_normalized = {c: 0 for c in conditions}
     for (rec, _), seq in zip(analyzable, eq_seqs):
-        h_est = _entropy_next(seq, cfg.k_max, occupancy)
+        h_est = _entropy_next(seq, k_max, occupancy)
         if union:
-            ais_est = active_information_storage(seq, union, cfg.k_max,
+            ais_est = active_information_storage(seq, union, k_max,
                                                  occupancy=occupancy)
         else:
             ais_est = InfoEstimate(0.0, 0.0, 0.0, eq_rows,
@@ -372,7 +403,7 @@ def compare_conditions(records: Sequence[ScanpathRecord], cfg: EmbeddingConfig,
         if group_a and group_b:
             test = independent_samples_permutation_test(
                 group_a, group_b, n_perm=n_perm, tail=tail,
-                seed=derive_seed(seed, "contrast", measure), n_jobs=n_jobs,
+                seed=derive_seed(seed, "contrast", measure),
             )
             diff = test.observed_statistic
             if diff > 0:
@@ -405,7 +436,7 @@ def compare_conditions(records: Sequence[ScanpathRecord], cfg: EmbeddingConfig,
         n_perm=n_perm,
         tail=tail,
         seed=seed,
-        trial_results=results,
+        trial_results=list(results),
     )
 
 

@@ -12,6 +12,7 @@ cleanly, and overlaps are resolved by explicit priority.
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -180,6 +181,15 @@ def filter_fixations(fixations, max_duration: float = 1500.0) -> List[Fixation]:
     return [f for f in fixations if f.duration <= max_duration]
 
 
+def trial_fixations(samples, params: PipelineParams = PipelineParams()
+                    ) -> List[Fixation]:
+    """Confidence filter, IDT detection and maximum-duration filter."""
+    kept = filter_gaze(samples, params.min_confidence)
+    fixations = detect_fixations_idt(kept, params.dispersion_threshold,
+                                     params.min_duration_ms)
+    return filter_fixations(fixations, params.max_duration_ms)
+
+
 def map_to_aoi(fix: Fixation, aois) -> Optional[int]:
     """AOI id containing the fixation centroid, or None (fixation dropped).
 
@@ -214,13 +224,9 @@ def build_scanpath(trial: Trial, aois, params: PipelineParams = PipelineParams()
     ids = sorted(a.id for a in aois)
     if ids != list(range(len(aois))):
         raise ValueError("AOI ids must be exactly 0..n-1 to serve as symbols")
-    kept = filter_gaze(trial.samples, params.min_confidence)
-    fixations = detect_fixations_idt(kept, params.dispersion_threshold,
-                                     params.min_duration_ms)
-    fixations = filter_fixations(fixations, params.max_duration_ms)
     symbols = []
     dropped = 0
-    for fix in fixations:
+    for fix in trial_fixations(trial.samples, params):
         sym = map_to_aoi(fix, aois)
         if sym is None:
             dropped += 1
@@ -254,7 +260,8 @@ def read_gaze_csv(path) -> List[Trial]:
     """Parse a gaze CSV (one row per sample) into trials.
 
     Rows are grouped by (participant_id, trial_id); the returned list is
-    sorted by those keys. Malformed rows raise with their line number.
+    sorted by those keys. Malformed rows, including a non-finite
+    timestamp, raise with their line number.
     """
     groups = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -273,6 +280,9 @@ def read_gaze_csv(path) -> List[Trial]:
                 )
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"gaze CSV line {line_no}: {exc}") from None
+            if not math.isfinite(sample.timestamp):
+                raise ValueError(f"gaze CSV line {line_no}: non-finite "
+                                 f"timestamp {row['timestamp']!r}")
             key = (str(row["participant_id"]), str(row["trial_id"]))
             entry = groups.setdefault(key, {"condition": str(row["condition"]),
                                             "samples": []})

@@ -285,33 +285,6 @@ def conditional_mutual_information(table, axes_a, axes_b, cond_axes=(),
                         kind="conditional_mutual_information")
 
 
-def bias_correction(table, kind, axes_a=None, axes_b=None,
-                    occupancy="observed") -> float:
-    """Additive Miller-Madow correction term, in bits.
-
-    kind="entropy": (R - 1) / (2 N ln 2) over `axes_a` (default: all axes).
-    kind="mi": -(R_AB - R_A - R_B + 1) / (2 N ln 2), the combination of the
-    three per-marginal entropy corrections of I = H(A) + H(B) - H(A,B).
-    The returned value is meant to be *added* to the plug-in estimate.
-    """
-    if kind == "entropy":
-        axes = tuple(range(table.n_axes)) if axes_a is None else \
-            _check_axes(table, axes_a, "bias_correction")
-        return _entropy_correction(table, axes, occupancy)
-    if kind == "mi":
-        if axes_a is None or axes_b is None:
-            raise ValueError("mi correction needs axes_a and axes_b")
-        axes_a = _check_axes(table, axes_a, "bias_correction A")
-        axes_b = _check_axes(table, axes_b, "bias_correction B")
-        if set(axes_a) & set(axes_b):
-            raise ValueError("axis sets must be disjoint")
-        joint = tuple(sorted(axes_a + axes_b))
-        return (_entropy_correction(table, axes_a, occupancy)
-                + _entropy_correction(table, axes_b, occupancy)
-                - _entropy_correction(table, joint, occupancy))
-    raise ValueError(f"unknown correction kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # sequence operations
 # ---------------------------------------------------------------------------

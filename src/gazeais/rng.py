@@ -1,13 +1,12 @@
-"""Deterministic seed derivation and order-stable parallel mapping.
+"""Deterministic seed derivation.
 
 All randomness in the package flows from integer master seeds. Sub-streams
 are derived from (seed, key...) tuples so that per-surrogate or per-trial
-work is a pure function of its own keys: evaluating it sequentially, in a
-thread pool, or in any order gives bit-identical results.
+work is a pure function of its own keys: reruns give bit-identical
+results, whatever order the work is evaluated in.
 """
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,15 +36,3 @@ def derive_seed(*keys) -> int:
     ss = np.random.SeedSequence([_as_entropy(k) for k in keys])
     return int(ss.generate_state(1, np.uint64)[0])
 
-
-def indexed_map(fn, n, n_jobs=1):
-    """Evaluate [fn(0), ..., fn(n-1)], optionally in a thread pool.
-
-    Results are returned in index order; fn must depend only on its index
-    (plus closed-over read-only state), which makes the output independent
-    of n_jobs.
-    """
-    if n_jobs is None or n_jobs <= 1 or n < 2:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(fn, range(n)))

@@ -84,14 +84,6 @@ class StateVectorSeries:
     def n_rows(self) -> int:
         return int(self.targets.size)
 
-    @property
-    def rows(self):
-        """Rows as (target, past tuple) pairs, mainly for inspection/tests."""
-        return [
-            (int(t), tuple(int(v) for v in p))
-            for t, p in zip(self.targets, self.pasts)
-        ]
-
 
 def _as_lag_tuple(lags: Union[PastState, Iterable[int]]) -> tuple:
     if isinstance(lags, PastState):

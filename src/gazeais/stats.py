@@ -1,11 +1,16 @@
-"""Permutation-testing machinery: final AIS significance and group contrasts."""
+"""Permutation-testing machinery: final AIS significance and group contrasts.
+
+Surrogates run one after another on the calling thread. Surrogate i draws
+its permutation from a generator derived from (seed, tag, i), so every
+p-value is a pure function of the test's arguments.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .infocore import _encode_columns, _entropy_from_codes
-from .rng import derive_rng, indexed_map
+from .rng import derive_rng
 from .sequences import StateVectorSeries
 
 TAILS = ("greater", "less", "two_sided")
@@ -20,8 +25,8 @@ class PermutationTestResult:
     seed: int
 
 
-def test_final_ais(series: StateVectorSeries, n_perm: int = 200, seed: int = 0,
-                   n_jobs: int = 1) -> PermutationTestResult:
+def test_final_ais(series: StateVectorSeries, n_perm: int = 200,
+                   seed: int = 0) -> PermutationTestResult:
     """One-sided permutation test of the plug-in AIS of an embedded series.
 
     The observed statistic is MI(target; past vector); surrogates permute
@@ -41,20 +46,18 @@ def test_final_ais(series: StateVectorSeries, n_perm: int = 200, seed: int = 0,
     h_p = _entropy_from_codes(p_code)
     observed = h_t + h_p - _entropy_from_codes(t * p_size + p_code)
 
-    def surrogate_mi(i):
+    exceed = 0
+    for i in range(n_perm):
         rng = derive_rng(seed, "final-ais-surrogate", i)
         tp = t[rng.permutation(t.size)]
-        return h_t + h_p - _entropy_from_codes(tp * p_size + p_code)
-
-    values = indexed_map(surrogate_mi, n_perm, n_jobs)
-    exceed = sum(1 for v in values if v >= observed)
+        exceed += h_t + h_p - _entropy_from_codes(tp * p_size + p_code) >= observed
     p = (1.0 + exceed) / (n_perm + 1.0)
     return PermutationTestResult(float(observed), float(p), n_perm, "greater", seed)
 
 
 def independent_samples_permutation_test(group_a, group_b, n_perm: int = 5000,
-                                         tail: str = "two_sided", seed: int = 0,
-                                         n_jobs: int = 1) -> PermutationTestResult:
+                                         tail: str = "two_sided",
+                                         seed: int = 0) -> PermutationTestResult:
     """Permutation test for a difference in group means.
 
     Statistic: mean(a) - mean(b). Surrogates reassign the pooled values to
@@ -83,14 +86,13 @@ def independent_samples_permutation_test(group_a, group_b, n_perm: int = 5000,
     k = min(a.size, b.size) if tail == "two_sided" else a.size
     threshold = abs(observed) if tail == "two_sided" else observed
 
-    def surrogate_stat(i):
+    values = []
+    for i in range(n_perm):
         rng = derive_rng(seed, "ind-samples-surrogate", i)
         perm = rng.permutation(n)
         s = pooled[np.sort(perm[:k])]
         rest = pooled[np.sort(perm[k:])]
-        return float(s.mean() - rest.mean())
-
-    values = indexed_map(surrogate_stat, n_perm, n_jobs)
+        values.append(float(s.mean() - rest.mean()))
     if tail == "two_sided":
         exceed = sum(1 for v in values if abs(v) >= threshold)
     elif tail == "greater":

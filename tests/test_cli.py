@@ -3,6 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import gazeais.cli
+import gazeais.experiment
+from gazeais import derive_seed, generate, persistence_spec
 from gazeais.cli import main
 
 GAZE_HEADER = "trial_id,participant_id,condition,timestamp,x,y,confidence\n"
@@ -16,11 +19,11 @@ AOIS_JSON = [
 
 
 def write_planted_gaze(path, centers, trial_id="t0", participant="p0",
-                       condition="TC"):
+                       condition="TC", dwells=None):
     rows = [GAZE_HEADER]
     t = 0.0
     for i, (x, y) in enumerate(centers):
-        for _ in range(25):
+        for _ in range(dwells[i] if dwells else 25):
             rows.append(f"{trial_id},{participant},{condition},{t:.6f},{x},{y},1.0\n")
             t += 1 / 120.0
         if i + 1 < len(centers):
@@ -73,6 +76,33 @@ class TestFixationsCommand:
         gaze.write_text(GAZE_HEADER + "t0,p0,TC,zero,1,1,1.0\n")
         assert main(["fixations", str(gaze), "--out", str(tmp_path / "f.csv")]) != 0
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_timestamp_exit_2(self, tmp_path, capsys, value):
+        gaze = tmp_path / "gaze.csv"
+        gaze.write_text(GAZE_HEADER + "t0,p0,TC,0.0,1,1,1.0\n"
+                        f"t0,p0,TC,{value},1,1,1.0\n")
+        assert main(["fixations", str(gaze), "--out", str(tmp_path / "f.csv")]) == 2
+        assert "line 3" in capsys.readouterr().err
+
+    def test_max_duration_matches_scanpath(self, tmp_path):
+        # A 2000 ms dwell in the left target box, then a 200 ms one in the
+        # right half: both commands drop the first and keep the second.
+        gaze = tmp_path / "gaze.csv"
+        write_planted_gaze(gaze, [(400, 500), (1700, 300)], dwells=(241, 25))
+        aois = tmp_path / "aois.json"
+        aois.write_text(json.dumps(AOIS_JSON))
+        fix, scan = tmp_path / "fix.csv", tmp_path / "scan.json"
+        assert main(["fixations", str(gaze), "--out", str(fix)]) == 0
+        assert main(["scanpath", str(gaze), "--aois", str(aois),
+                     "--out", str(scan)]) == 0
+        rows = fix.read_text().strip().splitlines()[1:]
+        assert len(rows) == 1
+        assert float(rows[0].split(",")[3]) == pytest.approx(1700.0, abs=1.0)
+        assert json.loads(scan.read_text())["trials"][0]["symbols"] == [1]
+        assert main(["fixations", str(gaze), "--max-duration", "2500",
+                     "--out", str(fix)]) == 0
+        assert len(fix.read_text().strip().splitlines()) == 3
 
 
 class TestScanpathCommand:
@@ -217,6 +247,80 @@ class TestCompareCommand:
         assert len(summary) == 3  # header + one row per condition
         hist = (out / "lag_histogram.csv").read_text().splitlines()
         assert hist[0] == "lag,count"
+
+    FLAGS = ["--kmax", "5", "--nperm", "200", "--seed", "7"]
+
+    def _persistence_results(self, tmp_path):
+        # 2 x 20 weak-memory trials where selecting again under other seeds
+        # changes the lags of A/t000, A/t003 and B/t011.
+        trials = []
+        for cond in ("A", "B"):
+            for i in range(20):
+                seq = generate(persistence_spec(0.56), 300,
+                               seed=derive_seed(11, cond, i))
+                trials.append({"trial_id": f"t{i:03d}", "participant_id": "p0",
+                               "condition": cond,
+                               "symbols": seq.symbols.tolist(),
+                               "alphabet_size": 2})
+        scan = tmp_path / "scan.json"
+        scan.write_text(json.dumps({"schema_version": 1, "trials": trials}))
+        results = tmp_path / "results.json"
+        assert main(["ais", str(scan), *self.FLAGS, "--out", str(results)]) == 0
+        return results
+
+    def test_contrasts_recorded_selections(self, tmp_path):
+        results = self._persistence_results(tmp_path)
+        out = tmp_path / "cmp"
+        assert main(["compare", str(results), *self.FLAGS,
+                     "--nperm-comparison", "1000", "--out", str(out)]) == 0
+        recorded = json.loads(results.read_text())["results"]
+        doc = json.loads((out / "comparison.json").read_text())
+        for participant in doc["participants"]:
+            mine = [r for r in recorded
+                    if r["participant_id"] == participant["participant_id"]]
+            assert participant["union_lags"] == sorted(
+                {lag for r in mine for lag in r["selected_lags"] or ()})
+            expected = {
+                (r["condition"], r["trial_id"]):
+                    {k: v for k, v in r.items()
+                     if k not in ("symbols", "alphabet_size")}
+                for r in mine}
+            assert {(t["condition"], t["trial_id"]): t
+                    for t in participant["trials"]} == expected
+
+    def test_compare_never_selects(self, tmp_path, monkeypatch):
+        results = self._make_results(tmp_path, n_trials=3, length=120)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compare must not select past states")
+
+        monkeypatch.setattr(gazeais.cli, "analyze_trial", refuse)
+        monkeypatch.setattr(gazeais.experiment, "analyze_trial", refuse)
+        monkeypatch.setattr(gazeais.experiment, "optimize_past_state", refuse)
+        assert main(["compare", str(results), "--seed", "7",
+                     "--nperm-comparison", "200",
+                     "--out", str(tmp_path / "cmp")]) == 0
+
+    def test_flags_must_match_recorded_config(self, tmp_path, capsys):
+        results = self._make_results(tmp_path, n_trials=3, length=120)
+        out = str(tmp_path / "cmp")
+        common = ["compare", str(results), "--seed", "7",
+                  "--nperm-comparison", "200", "--out", out]
+        for flag, value in (("--kmax", "4"), ("--alpha", "0.01"),
+                            ("--nperm", "200")):
+            assert main(common + [flag, value]) == 2
+            assert "recorded by `ais`" in capsys.readouterr().err
+        assert main(common + ["--kmax", "5", "--alpha", "0.05",
+                              "--nperm", "100"]) == 0
+
+    def test_conflicting_input_configs(self, tmp_path, capsys):
+        results = self._make_results(tmp_path, n_trials=3, length=120)
+        other = tmp_path / "results_seed8.json"
+        assert main(["ais", str(tmp_path / "scan.json"), "--seed", "8",
+                     "--nperm", "100", "--out", str(other)]) == 0
+        assert main(["compare", str(results), str(other), "--seed", "7",
+                     "--out", str(tmp_path / "cmp")]) == 2
+        assert "differs" in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, tmp_path):
         results = self._make_results(tmp_path, n_trials=3, length=120)

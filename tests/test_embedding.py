@@ -55,11 +55,10 @@ class TestMaxStatisticTest:
         p = max_statistic_test(-1.0, (1, 2, 3), series, n_perm=99, seed=1)
         assert p == 1.0
 
-    def test_deterministic_and_parallel_identical(self, series):
-        p1 = max_statistic_test(0.01, (1, 2), series, 50, seed=4, n_jobs=1)
-        p2 = max_statistic_test(0.01, (1, 2), series, 50, seed=4, n_jobs=1)
-        p8 = max_statistic_test(0.01, (1, 2), series, 50, seed=4, n_jobs=8)
-        assert p1 == p2 == p8
+    def test_rerun_identical(self, series):
+        p1 = max_statistic_test(0.01, (1, 2), series, 50, seed=4)
+        p2 = max_statistic_test(0.01, (1, 2), series, 50, seed=4)
+        assert p1 == p2
 
     def test_unknown_lag_rejected(self, series):
         with pytest.raises(ValueError, match="not present"):

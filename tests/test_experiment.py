@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from gazeais import (EmbeddingConfig, PastState, ScanpathRecord,
                      SymbolSequence, analyze_trial, compare_conditions,
-                     cycle_spec, derive_seed, equalize_samples, generate,
+                     contrast_conditions, cycle_spec, derive_seed, equalize_samples, generate,
                      lag_histogram, parse_run_config, persistence_spec,
                      uniform_iid_spec, union_past_state)
 from gazeais.experiment import TrialResult
@@ -66,6 +68,20 @@ class TestAnalyzeTrial:
         res = analyze_trial(seq, cfg)
         assert res.entropy_next.plugin_value == 0.0
         assert res.normalized_ais is None
+
+
+class TestTrialResultRoundTrip:
+    @pytest.mark.parametrize("symbols", [
+        np.arange(160) % 4,             # analysed, lag 1 selected
+        [0, 1] * 6,                     # skipped: too short
+        np.zeros(100, dtype=int),       # analysed, no lag selected
+    ], ids=["analysed", "skipped", "no-lags"])
+    def test_from_dict_inverts_to_dict(self, symbols):
+        cfg = EmbeddingConfig(k_max=5, n_perm=100, seed=1)
+        res = analyze_trial(SymbolSequence(symbols, 4), cfg, trial_id="t",
+                            participant_id="p", condition="c")
+        doc = res.to_dict()
+        assert TrialResult.from_dict(doc).to_dict() == doc
 
 
 class TestUnionPastState:
@@ -182,6 +198,20 @@ class TestCompareConditions:
         cfg = EmbeddingConfig(k_max=5, n_perm=60, seed=17)
         with pytest.raises(ValueError, match="'A'"):
             compare_conditions(a + b, cfg, seed=17)
+
+    def test_contrast_uses_given_selections(self):
+        a = make_records(persistence_spec(0.9), "A", 3, 120, seed=21)
+        b = make_records(persistence_spec(0.9), "B", 3, 120, seed=22)
+        cfg = EmbeddingConfig(k_max=5, n_perm=60, seed=23)
+        comp = compare_conditions(a + b, cfg, n_perm=100, seed=23)
+        results = list(comp.trial_results)
+        again = contrast_conditions(a + b, results, 5, n_perm=100, seed=23)
+        assert again.to_dict() == comp.to_dict()
+        results[0] = replace(results[0], selected_lags=PastState((4,), 5))
+        planted = contrast_conditions(a + b, results, 5, n_perm=100, seed=23)
+        assert 4 in planted.union_lags.lags
+        with pytest.raises(ValueError, match="trial result"):
+            contrast_conditions(a + b, results[1:], 5, n_perm=100, seed=23)
 
     def test_mixed_participants_rejected(self):
         a = make_records(persistence_spec(0.8), "A", 2, 100, seed=18)

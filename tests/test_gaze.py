@@ -246,6 +246,17 @@ class TestGazeCsv:
         with pytest.raises(ValueError, match="confidence"):
             read_gaze_csv(path)
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_timestamp_reports_line(self, tmp_path, value):
+        path = tmp_path / "gaze.csv"
+        path.write_text(
+            "trial_id,participant_id,condition,timestamp,x,y,confidence\n"
+            "t1,p1,TC,0.0,10,20,1.0\n"
+            f"t1,p1,TC,{value},10,20,1.0\n"
+        )
+        with pytest.raises(ValueError, match="line 3: non-finite timestamp"):
+            read_gaze_csv(path)
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "gaze.csv"
         path.write_text(

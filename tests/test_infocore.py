@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from gazeais import (ContingencyTable, SymbolSequence,
-                     active_information_storage, bias_correction,
-                     conditional_entropy, conditional_mutual_information,
+                     active_information_storage, conditional_entropy, conditional_mutual_information,
                      empirical_distribution, entropy, gaze_transition_entropy,
                      local_ais, mutual_information, table_from_series, embed)
 
@@ -158,21 +157,21 @@ class TestConditionalMutualInformation:
 class TestBiasCorrection:
     def test_single_occupied_bin(self):
         table = ContingencyTable(np.array([5, 0, 0]))
-        assert bias_correction(table, "entropy") == 0.0
+        assert entropy(table).bias_correction == 0.0
 
     def test_uniform_binary_formula(self):
         table = ContingencyTable(np.array([1, 1]))
-        assert bias_correction(table, "entropy") == pytest.approx(1 / (4 * LN2), abs=TOL)
+        assert entropy(table).bias_correction == pytest.approx(1 / (4 * LN2), abs=TOL)
 
     def test_mi_combines_marginals(self):
         rng = np.random.default_rng(5)
         counts = rng.integers(0, 4, size=(3, 3))
         counts[1, 1] += 1
         table = ContingencyTable(counts)
-        c_a = bias_correction(table, "entropy", (0,))
-        c_b = bias_correction(table, "entropy", (1,))
-        c_ab = bias_correction(table, "entropy", (0, 1))
-        c_mi = bias_correction(table, "mi", (0,), (1,))
+        c_a = entropy(table, (0,)).bias_correction
+        c_b = entropy(table, (1,)).bias_correction
+        c_ab = entropy(table, (0, 1)).bias_correction
+        c_mi = mutual_information(table, (0,), (1,)).bias_correction
         assert c_mi == pytest.approx(c_a + c_b - c_ab, abs=TOL)
 
     def test_monte_carlo_improvement(self):
@@ -191,8 +190,8 @@ class TestBiasCorrection:
         rng = np.random.default_rng(4)
         draws = rng.integers(0, 6, size=25)
         table = empirical_distribution(draws[:, None], (6,))
-        observed = bias_correction(table, "entropy")
-        expected = bias_correction(table, "entropy", occupancy="expected")
+        observed = entropy(table).bias_correction
+        expected = entropy(table, occupancy="expected").bias_correction
         assert expected >= observed  # R-hat can only grow
 
 

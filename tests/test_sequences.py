@@ -50,13 +50,15 @@ class TestEmbed:
     def test_single_lag(self):
         seq = SymbolSequence([0, 1, 2, 3, 0], 4)
         series = embed(seq, (1,), 1)
-        assert series.rows == [(1, (0,)), (2, (1,)), (3, (2,)), (0, (3,))]
+        assert series.targets.tolist() == [1, 2, 3, 0]
+        assert series.pasts.tolist() == [[0], [1], [2], [3]]
         assert series.n_rows == 4
 
     def test_two_lags(self):
         seq = SymbolSequence([0, 1, 2, 3, 0], 4)
         series = embed(seq, (1, 2), 2)
-        assert series.rows == [(2, (1, 0)), (3, (2, 1)), (0, (3, 2))]
+        assert series.targets.tolist() == [2, 3, 0]
+        assert series.pasts.tolist() == [[1, 0], [2, 1], [3, 2]]
 
     def test_fixed_offset_row_count(self):
         # The offset, not the lag set, fixes the row count.
@@ -85,4 +87,5 @@ class TestEmbed:
     def test_accepts_past_state(self):
         seq = SymbolSequence([0, 1, 2, 3, 0, 1], 4)
         series = embed(seq, PastState((2,), 3), 3)
-        assert series.rows[0] == (3, (1,))
+        assert series.targets[0] == 3
+        assert series.pasts[0].tolist() == [1]

@@ -23,13 +23,13 @@ class TestFinalAis:
         assert result.observed_statistic == pytest.approx(0.0, abs=1e-12)
         assert result.p_value == 1.0
 
-    def test_determinism_and_jobs(self):
+    def test_rerun_identical(self):
         rng = np.random.default_rng(6)
         seq = SymbolSequence(rng.integers(0, 3, size=400), 3)
         series = embed(seq, (1, 2), 2)
-        r1 = final_ais_test(series, n_perm=80, seed=11, n_jobs=1)
-        r8 = final_ais_test(series, n_perm=80, seed=11, n_jobs=8)
-        assert r1 == r8
+        r1 = final_ais_test(series, n_perm=80, seed=11)
+        r2 = final_ais_test(series, n_perm=80, seed=11)
+        assert r1 == r2
 
     def test_calibration_on_iid(self):
         # One-sided test on memoryless data stays near its nominal level.
@@ -74,9 +74,7 @@ class TestIndependentSamples:
         b = rng.normal(size=12).tolist()
         r1 = independent_samples_permutation_test(a, b, 500, "two_sided", seed=5)
         r2 = independent_samples_permutation_test(a, b, 500, "two_sided", seed=5)
-        r8 = independent_samples_permutation_test(a, b, 500, "two_sided", seed=5,
-                                                  n_jobs=8)
-        assert r1 == r2 == r8
+        assert r1 == r2
 
     def test_exchangeability(self):
         # Swapping the groups flips the observed sign and leaves the
