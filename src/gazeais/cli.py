@@ -63,18 +63,11 @@ def _fmt(value) -> str:
 
 def _run_config(args) -> RunConfig:
     cfg = parse_run_config(args.config) if getattr(args, "config", None) else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "kmax", None) is not None:
-        cfg.k_max = args.kmax
-    if getattr(args, "alpha", None) is not None:
-        cfg.alpha = args.alpha
-    if getattr(args, "nperm", None) is not None:
-        cfg.n_perm_selection = args.nperm
-    if getattr(args, "nperm_comparison", None) is not None:
-        cfg.n_perm_comparison = args.nperm_comparison
-    if getattr(args, "tail", None) is not None:
-        cfg.tail = args.tail
+    for flag, key in (("seed", "seed"), ("kmax", "k_max"), ("alpha", "alpha"),
+                      ("nperm", "n_perm_selection"), ("tail", "tail"),
+                      ("nperm_comparison", "n_perm_comparison")):
+        if getattr(args, flag, None) is not None:
+            setattr(cfg, key, getattr(args, flag))
     if getattr(args, "collapse_repeats", False):
         cfg.collapse_repeats = True
     return cfg
@@ -165,6 +158,7 @@ def _load_ais_results(paths):
     """Records and trial results from `ais` files, plus their shared config."""
     config = None
     by_participant = {}
+    seen = {}
     for path in paths:
         doc = _load_json(path)
         if config is None:
@@ -179,6 +173,12 @@ def _load_ais_results(paths):
                     f"produce comparable input"
                 )
             rec = ScanpathRecord.from_dict(entry)
+            key = (rec.participant_id, rec.condition, rec.trial_id)
+            if key in seen:
+                raise ValueError(f"{path}: duplicate trial (participant, "
+                                 f"condition, trial) = {key}, first read "
+                                 f"from {seen[key]}")
+            seen[key] = path
             by_participant.setdefault(rec.participant_id, []).append(
                 (rec, TrialResult.from_dict(entry)))
     return by_participant, config

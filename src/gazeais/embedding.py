@@ -21,7 +21,7 @@ from typing import List
 
 import numpy as np
 
-from .infocore import _entropy_from_codes
+from .infocore import _cmi_rows
 from .rng import derive_rng, derive_seed
 from .sequences import PastState, StateVectorSeries, SymbolSequence, embed
 
@@ -77,32 +77,15 @@ class SelectionTrace:
     n_rows: int = 0
 
 
-def _series_columns(series: StateVectorSeries):
-    return {lag: series.pasts[:, j] for j, lag in enumerate(series.lags)}
+def _candidate_cmis(series: StateVectorSeries, candidates, selected=(),
+                    n_perm=0, rng=None) -> np.ndarray:
+    """Plug-in CMI(target; candidate | selected), one column per candidate.
 
-
-def _selected_code(cols, selected, m):
-    """Encode the selected lags' columns into one conditioning code."""
-    n = next(iter(cols.values())).size if cols else 0
-    code = np.zeros(n, dtype=np.int64)
-    size = 1
-    for lag in selected:
-        code = code * m + cols[lag]
-        size *= m
-    return code, size
-
-
-def _candidate_cmis(t, cols, candidates, sel_code, sel_size, m):
-    """Plug-in CMI(target; candidate | selected) for every candidate lag."""
-    h_s = _entropy_from_codes(sel_code)
-    h_ts = _entropy_from_codes(t * sel_size + sel_code)
-    out = {}
-    for lag in candidates:
-        cs = cols[lag] * sel_size + sel_code
-        h_cs = _entropy_from_codes(cs)
-        h_tcs = _entropy_from_codes(t * (m * sel_size) + cs)
-        out[lag] = h_ts + h_cs - h_tcs - h_s
-    return out
+    Row 0 is the observed target; rows 1..n_perm permute it (`_cmi_rows`).
+    """
+    cols = {lag: series.pasts[:, j] for j, lag in enumerate(series.lags)}
+    return _cmi_rows(series.targets, [cols[lag] for lag in selected],
+                     [(cols[lag],) for lag in candidates], n_perm, rng)
 
 
 def max_statistic_test(observed_max_cmi: float, candidates, series: StateVectorSeries,
@@ -114,38 +97,21 @@ def max_statistic_test(observed_max_cmi: float, candidates, series: StateVectorS
     of every remaining candidate given the selected set, and records the
     maximum. p = (1 + #{surrogate max >= observed}) / (n_perm + 1).
 
-    Surrogate i draws its permutation from a generator derived from
-    (seed, i), so the p-value is a pure function of its arguments.
+    Permutations come in order from one generator derived from (seed,
+    "max-stat-surrogate"), so p is a pure function of the arguments; an
+    observed value from `_candidate_cmis` ties its surrogates exactly.
     """
     if n_perm < 1:
         raise ValueError("n_perm must be >= 1")
     candidates = tuple(candidates)
     if not candidates:
         raise ValueError("need at least one candidate lag")
-    m = series.alphabet_size
-    cols = _series_columns(series)
     for lag in tuple(selected) + candidates:
-        if lag not in cols:
+        if lag not in series.lags:
             raise ValueError(f"lag {lag} not present in the embedded series")
-    t = series.targets
-    sel_code, sel_size = _selected_code(cols, tuple(selected), m)
-    # Static across surrogates: H(selected) and each H(candidate, selected).
-    h_s = _entropy_from_codes(sel_code)
-    cand_codes = {lag: cols[lag] * sel_size + sel_code for lag in candidates}
-    h_cs = {lag: _entropy_from_codes(code) for lag, code in cand_codes.items()}
-    m_sel = m * sel_size
-
-    exceed = 0
-    for i in range(n_perm):
-        rng = derive_rng(seed, "max-stat-surrogate", i)
-        tp = t[rng.permutation(t.size)]
-        h_tps = _entropy_from_codes(tp * sel_size + sel_code)
-        best = -np.inf
-        for lag in candidates:
-            cmi = h_tps + h_cs[lag] - _entropy_from_codes(tp * m_sel + cand_codes[lag]) - h_s
-            if cmi > best:
-                best = cmi
-        exceed += best >= observed_max_cmi
+    rows = _candidate_cmis(series, candidates, selected, n_perm,
+                           derive_rng(seed, "max-stat-surrogate"))
+    exceed = np.count_nonzero(rows[1:].max(axis=1) >= observed_max_cmi)
     return (1.0 + exceed) / (n_perm + 1.0)
 
 
@@ -164,22 +130,15 @@ def optimize_past_state(seq: SymbolSequence, cfg: EmbeddingConfig):
             f"at k_max={cfg.k_max}; need at least {MIN_EMBEDDED_ROWS}"
         )
     series = embed(seq, tuple(range(1, cfg.k_max + 1)), cfg.k_max)
-    m = series.alphabet_size
-    cols = _series_columns(series)
-    t = series.targets
 
     trace = SelectionTrace(n_rows=series.n_rows)
     selected: List[int] = []
     candidates = list(range(1, cfg.k_max + 1))
     for iteration in range(cfg.k_max):
-        sel_code, sel_size = _selected_code(cols, selected, m)
-        cmis = _candidate_cmis(t, cols, candidates, sel_code, sel_size, m)
+        cmis = dict(zip(candidates, _candidate_cmis(series, candidates, selected)[0]))
         # Ties go to the smaller lag; candidates stay sorted ascending.
-        chosen = candidates[0]
+        chosen = max(candidates, key=cmis.__getitem__)
         best = cmis[chosen]
-        for lag in candidates[1:]:
-            if cmis[lag] > best:
-                best, chosen = cmis[lag], lag
         p = max_statistic_test(
             best, candidates, series,
             n_perm=cfg.n_perm,

@@ -187,8 +187,7 @@ class ParticipantComparison:
 
 def _entropy_next(scanpath: SymbolSequence, k_max: int, occupancy) -> InfoEstimate:
     """Bias-corrected H(X_t) over the embedded target column."""
-    series = embed(scanpath, (), k_max)
-    return entropy(table_from_series(series), occupancy=occupancy)
+    return entropy(table_from_series(embed(scanpath, (), k_max)), occupancy=occupancy)
 
 
 def _normalize(ais_est, entropy_est):
@@ -229,10 +228,9 @@ def analyze_trial(scanpath: SymbolSequence, cfg: EmbeddingConfig, *,
     if lags:
         ais = active_information_storage(scanpath, lags, cfg.k_max,
                                          occupancy=occupancy)
-        series = embed(scanpath, lags, cfg.k_max)
-        test = test_final_ais(series, n_perm_final or cfg.n_perm,
-                              seed=derive_seed(seed, "final-ais"))
-        p_value = test.p_value
+        p_value = test_final_ais(embed(scanpath, lags, cfg.k_max),
+                                 n_perm_final or cfg.n_perm,
+                                 seed=derive_seed(seed, "final-ais")).p_value
     else:
         ais = InfoEstimate(0.0, 0.0, 0.0, n, kind="active_information_storage")
         p_value = 1.0
@@ -400,27 +398,23 @@ def contrast_conditions(records: Sequence[ScanpathRecord],
         mean_b, sem_b = _mean_sem(group_b)
         means[measure] = {cond_a: mean_a, cond_b: mean_b}
         sems[measure] = {cond_a: sem_a, cond_b: sem_b}
+        diff = p_value = direction = None
         if group_a and group_b:
             test = independent_samples_permutation_test(
                 group_a, group_b, n_perm=n_perm, tail=tail,
                 seed=derive_seed(seed, "contrast", measure),
             )
-            diff = test.observed_statistic
+            diff, p_value = test.observed_statistic, test.p_value
             if diff > 0:
                 direction = f"{cond_a}>{cond_b}"
             elif diff < 0:
                 direction = f"{cond_a}<{cond_b}"
             else:
                 direction = "equal"
-            contrasts[measure] = ContrastResult(
-                measure, cond_a, cond_b, len(group_a), len(group_b),
-                diff, test.p_value, direction,
-            )
-        else:
-            contrasts[measure] = ContrastResult(
-                measure, cond_a, cond_b, len(group_a), len(group_b),
-                None, None, None,
-            )
+        contrasts[measure] = ContrastResult(
+            measure, cond_a, cond_b, len(group_a), len(group_b),
+            diff, p_value, direction,
+        )
 
     return ParticipantComparison(
         participant_id=participant_id,

@@ -5,23 +5,27 @@ information, active information storage (AIS), local AIS, and gaze
 transition entropy (GTE), all in bits (log base 2), with small-sample bias
 correction of the Miller-Madow family.
 
-Every quantity for one computation is derived from a single shared
-contingency table, so the chain-rule identities
+Every quantity for one computation is derived from a single shared set of
+counts, so the chain-rule identities
 
     H(X|Y) = H(X,Y) - H(Y)
     I(X;Y) = H(X) + H(Y) - H(X,Y)
     I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C)
 
-hold exactly on plug-in values, not just asymptotically.
+hold exactly on plug-in values, not just asymptotically. AIS, local AIS
+and the permutation tests count rank-compressed state codes, not dense
+tables, so their memory grows with the rows, not as alphabet^(lags + 1).
 """
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .sequences import PastState, StateVectorSeries, SymbolSequence, embed
+from .sequences import StateVectorSeries, SymbolSequence, embed
 
 LN2 = math.log(2.0)
 
@@ -38,12 +42,10 @@ class ContingencyTable:
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts)
-        if not np.issubdtype(self.counts.dtype, np.integer):
-            if not np.all(self.counts == np.floor(self.counts)):
-                raise ValueError("cell counts must be integers")
-            self.counts = self.counts.astype(np.int64)
-        else:
-            self.counts = self.counts.astype(np.int64)
+        if (not np.issubdtype(self.counts.dtype, np.integer)
+                and not np.all(self.counts == np.floor(self.counts))):
+            raise ValueError("cell counts must be integers")
+        self.counts = self.counts.astype(np.int64)
         if self.counts.ndim < 1:
             raise ValueError("table needs at least one axis")
         if np.any(self.counts < 0):
@@ -118,13 +120,8 @@ def empirical_distribution(samples, dimensions) -> ContingencyTable:
 
 def table_from_series(series: StateVectorSeries) -> ContingencyTable:
     """Joint table over (target, past...) rows; axis 0 is the target."""
-    m = series.alphabet_size
-    dims = (m,) * (1 + len(series.lags))
-    cols = np.column_stack([series.targets, series.pasts]) if series.lags else \
-        series.targets[:, None]
-    flat = np.ravel_multi_index(tuple(cols.T), dims)
-    counts = np.bincount(flat, minlength=int(np.prod(dims))).reshape(dims)
-    return ContingencyTable(counts)
+    rows = np.column_stack([series.targets, series.pasts])
+    return empirical_distribution(rows, (series.alphabet_size,) * rows.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -149,39 +146,19 @@ def _plugin_entropy(counts: np.ndarray, total: int) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _entropy_from_codes(codes: np.ndarray) -> float:
-    """Plug-in entropy (bits) of integer-coded samples; hot-path variant."""
-    counts = np.bincount(codes)
-    nz = counts[counts > 0]
-    p = nz / float(codes.size)
-    return float(-(p * np.log2(p)).sum())
+def _occupied_bins(r_obs: int, n_cells: int, total: int, occupancy: str) -> float:
+    """Estimated number R of occupied bins for the bias correction.
 
-
-def _encode_columns(cols: np.ndarray, base: int) -> np.ndarray:
-    """Mixed-radix encode rows of `cols` (uniform base) into int64 codes."""
-    n = cols.shape[0]
-    code = np.zeros(n, dtype=np.int64)
-    for j in range(cols.shape[1]):
-        code = code * base + cols[:, j]
-    return code
-
-
-def _occupied_bins(marginal: np.ndarray, total: int, occupancy: str) -> float:
-    """Estimated number of occupied bins for the bias correction.
-
-    "observed" counts nonzero cells (Miller-Madow baseline). "expected"
-    solves for the bin count R whose expected occupancy after `total`
-    equiprobable draws matches the observed count, a Bayesian-style
-    refinement of the naive count.
+    "observed" counts the `r_obs` nonzero cells (Miller-Madow baseline).
+    "expected" solves for the R <= `n_cells` whose expected occupancy after
+    `total` equiprobable draws matches `r_obs`, a Bayesian-style refinement.
     """
-    r_obs = int(np.count_nonzero(marginal))
     if occupancy == "observed":
         return float(r_obs)
     if occupancy != "expected":
         raise ValueError(f"unknown occupancy estimator {occupancy!r}")
     if r_obs <= 1:
         return float(r_obs)
-    n_cells = int(marginal.size)
 
     def expected_occupied(r):
         return r * (1.0 - (1.0 - 1.0 / r) ** total)
@@ -198,11 +175,15 @@ def _occupied_bins(marginal: np.ndarray, total: int, occupancy: str) -> float:
     return 0.5 * (lo + hi)
 
 
-def _entropy_correction(table, axes, occupancy) -> float:
+def _correction(r_obs, n_cells, total, occupancy) -> float:
     """Miller-Madow additive term (R - 1) / (2 N ln 2) for one marginal."""
-    marginal = table.marginal(axes) if axes else np.asarray(table.total)
-    r_hat = _occupied_bins(np.atleast_1d(marginal), table.total, occupancy)
-    return (r_hat - 1.0) / (2.0 * table.total * LN2)
+    return (_occupied_bins(r_obs, n_cells, total, occupancy) - 1.0) / (2.0 * total * LN2)
+
+
+def _entropy_correction(table, axes, occupancy) -> float:
+    marginal = np.atleast_1d(table.marginal(axes) if axes else np.asarray(table.total))
+    return _correction(int(np.count_nonzero(marginal)), int(marginal.size),
+                       table.total, occupancy)
 
 
 # ---------------------------------------------------------------------------
@@ -286,28 +267,115 @@ def conditional_mutual_information(table, axes_a, axes_b, cond_axes=(),
 
 
 # ---------------------------------------------------------------------------
+# counting kernel
+# ---------------------------------------------------------------------------
+
+# Surrogates are evaluated in blocks of rows whose largest array holds at
+# most this many elements, which bounds memory for long sequences.
+SURROGATE_BLOCK_ELEMENTS = 1 << 15
+
+
+@functools.lru_cache(maxsize=16)
+def _clogc(n: int):
+    """(table, scale): c log2 c for counts c in [0, n], times `scale`, as int64.
+
+    `scale` is a power of two that keeps sums over n rows' counts (at most
+    n log2 n) exact, so equal count tables give equal sums in any order.
+    """
+    bound = n * max(1, math.ceil(math.log2(n)))
+    scale = 2.0 ** (61 - bound.bit_length())
+    c = np.arange(n + 1, dtype=np.float64)
+    return np.rint(c * np.log2(np.maximum(c, 1.0)) * scale).astype(np.int64), scale
+
+
+def _joint_ranks(code: np.ndarray, *columns) -> np.ndarray:
+    """Fold integer columns into `code`, most significant first, ranking after
+    each so codes stay below the row count and keep the tuples' order."""
+    for col in columns:
+        _, code = np.unique(code * (int(col.max()) + 1) + col,
+                            return_inverse=True)
+    return code
+
+
+def _permutation_blocks(rng, n: int, count: int, row_elements: int):
+    """`count` permutations of range(n) in (rows, n) blocks, drawn in row
+    order from `rng`, so the block size never changes a row's permutation."""
+    rows = max(1, SURROGATE_BLOCK_ELEMENTS // row_elements)
+    for start in range(0, count, rows):
+        yield np.array([rng.permutation(n)
+                        for _ in range(min(rows, count - start))])
+
+
+def _cmi_rows(target, cond, cands, n_perm=0, rng=None) -> np.ndarray:
+    """Plug-in CMI(target; cand | cond) under permutations of the target.
+
+    `cond` is a list of columns, `cands` a list of candidates, each a tuple
+    of columns. Returns shape (1 + n_perm, len(cands)): row 0 is the
+    unpermuted target, row i the i-th permutation drawn from `rng`. Equal
+    count tables give bit-equal values in every row.
+    """
+    n = target.size
+    _, t = np.unique(target, return_inverse=True)
+    s = _joint_ranks(np.zeros(n, dtype=np.int64), *cond)
+    groups = np.stack([s] + [_joint_ranks(s, *cols) for cols in cands])
+    width = int(groups.max()) + 1
+    cells = (int(t.max()) + 1) * width
+    clogc, scale = _clogc(n)
+    static = np.array([clogc[np.bincount(g)].sum() for g in groups])
+
+    joint, base = [], ()
+    for perms in itertools.chain([np.arange(n)[None]], _permutation_blocks(
+            rng, n, n_perm, len(groups) * max(n, cells))):
+        # One bincount per block: each (row, group) counts into its own slice.
+        rows = perms.shape[0]
+        if len(base) < rows:
+            base = groups + np.arange(rows * len(groups)).reshape(rows, -1, 1) * cells
+        codes = (t[perms] * width)[:, None, :] + base[:rows]
+        counts = np.bincount(codes.ravel(), minlength=rows * len(groups) * cells)
+        joint.append(clogc[counts.reshape(rows, -1, cells)].sum(axis=2))
+    joint = np.concatenate(joint)
+    # I(T; C | S) = H(T,S) + H(C,S) - H(T,C,S) - H(S), with
+    # H(X) = log2(n) - sum(c log2 c) / n over the counts of X.
+    return (joint[:, 1:] - joint[:, :1] - static[1:] + static[0]) / (scale * n)
+
+
+# ---------------------------------------------------------------------------
 # sequence operations
 # ---------------------------------------------------------------------------
+
+def _ais_codes(seq: SymbolSequence, lags, k_max_offset: int):
+    """Embedded (target, past, joint) codes; ranks keep the table's order."""
+    series = embed(seq, lags, k_max_offset)
+    if not series.lags:
+        raise ValueError("AIS needs a nonempty past state; "
+                         "with no memory the caller should report AIS = 0")
+    t = series.targets
+    past = _joint_ranks(np.zeros_like(t), *series.pasts.T)
+    return t, past, _joint_ranks(t, past), len(series.lags)
+
 
 def active_information_storage(seq: SymbolSequence, lags, k_max_offset: int,
                                occupancy="observed") -> InfoEstimate:
     """AIS: mutual information between the past state and the next value.
 
     The sequence is embedded at `k_max_offset` with the given lags; AIS is
-    the plug-in MI between the target column and all past columns of the
-    resulting joint table. Zero for memoryless processes, bounded above by
-    both H(next value) and H(past state).
+    the plug-in MI between the target and the past vector of the embedded
+    rows, equal to `mutual_information` on their joint table. Counts are
+    taken over the occupied states only, so memory grows with the rows,
+    not with the alphabet size to the power of the lag count. Zero for
+    memoryless processes, bounded above by both H(next value) and H(past
+    state).
     """
-    lag_t = lags.lags if isinstance(lags, PastState) else tuple(sorted({int(l) for l in lags}))
-    if not lag_t:
-        raise ValueError("AIS needs a nonempty past state; "
-                         "with no memory the caller should report AIS = 0")
-    series = embed(seq, lag_t, k_max_offset)
-    table = table_from_series(series)
-    past_axes = tuple(range(1, 1 + len(lag_t)))
-    est = mutual_information(table, (0,), past_axes, occupancy=occupancy)
-    return InfoEstimate(est.plugin_value, est.bias_correction,
-                        est.corrected_value, est.sample_count,
+    t, past, joint, d = _ais_codes(seq, lags, k_max_offset)
+    n, m = t.size, seq.alphabet_size
+    plugin = corr = 0.0
+    for codes, n_cells, sign in ((t, m, 1.0), (past, m ** d, 1.0),
+                                 (joint, m ** (d + 1), -1.0)):
+        counts = np.bincount(codes)
+        plugin += sign * _plugin_entropy(counts, n)
+        corr += sign * _correction(int(np.count_nonzero(counts)), n_cells, n,
+                                   occupancy)
+    return InfoEstimate(plugin, corr, plugin + corr, n,
                         kind="active_information_storage")
 
 
@@ -317,20 +385,9 @@ def local_ais(seq: SymbolSequence, lags, k_max_offset: int) -> np.ndarray:
     Uses plug-in probabilities from the embedded rows' own table, so the
     arithmetic mean of the local values equals the plug-in AIS.
     """
-    lag_t = lags.lags if isinstance(lags, PastState) else tuple(sorted({int(l) for l in lags}))
-    if not lag_t:
-        raise ValueError("local AIS needs a nonempty past state")
-    series = embed(seq, lag_t, k_max_offset)
-    m = series.alphabet_size
-    n = series.n_rows
-    t = series.targets
-    p_code = _encode_columns(series.pasts, m)
-    p_size = m ** len(lag_t)
-    tp_code = t * p_size + p_code
-    c_t = np.bincount(t, minlength=m)
-    c_p = np.bincount(p_code)
-    c_tp = np.bincount(tp_code)
-    return np.log2(c_tp[tp_code] * float(n) / (c_p[p_code] * c_t[t]))
+    t, past, joint, _ = _ais_codes(seq, lags, k_max_offset)
+    c_t, c_p, c_tp = (np.bincount(codes) for codes in (t, past, joint))
+    return np.log2(c_tp[joint] * float(t.size) / (c_p[past] * c_t[t]))
 
 
 def gaze_transition_entropy(seq: SymbolSequence, occupancy="observed") -> InfoEstimate:
@@ -341,9 +398,6 @@ def gaze_transition_entropy(seq: SymbolSequence, occupancy="observed") -> InfoEs
     """
     if len(seq) < 2:
         raise ValueError("GTE needs a sequence of length >= 2")
-    series = embed(seq, (1,), 1)
-    table = table_from_series(series)
+    table = table_from_series(embed(seq, (1,), 1))
     est = conditional_entropy(table, (0,), (1,), occupancy=occupancy)
-    return InfoEstimate(est.plugin_value, est.bias_correction,
-                        est.corrected_value, est.sample_count,
-                        kind="gaze_transition_entropy")
+    return replace(est, kind="gaze_transition_entropy")

@@ -1,9 +1,9 @@
 """Deterministic seed derivation.
 
 All randomness in the package flows from integer master seeds. Sub-streams
-are derived from (seed, key...) tuples so that per-surrogate or per-trial
-work is a pure function of its own keys: reruns give bit-identical
-results, whatever order the work is evaluated in.
+are derived from (seed, key...) tuples, one per trial and one per
+permutation test (which draws all its surrogates from it, in order), so
+reruns give bit-identical results, whatever order the work runs in.
 """
 
 import hashlib

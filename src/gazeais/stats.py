@@ -1,15 +1,16 @@
 """Permutation-testing machinery: final AIS significance and group contrasts.
 
-Surrogates run one after another on the calling thread. Surrogate i draws
-its permutation from a generator derived from (seed, tag, i), so every
-p-value is a pure function of the test's arguments.
+Each test derives one generator from (seed, tag) and draws its surrogates'
+permutations from it in order, evaluating them in blocks of rows; every
+p-value is a pure function of the test's arguments and does not depend on
+the block size.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .infocore import _encode_columns, _entropy_from_codes
+from .infocore import _cmi_rows, _permutation_blocks
 from .rng import derive_rng
 from .sequences import StateVectorSeries
 
@@ -38,21 +39,16 @@ def test_final_ais(series: StateVectorSeries, n_perm: int = 200,
         raise ValueError("n_perm must be >= 1")
     if series.n_rows < 1:
         raise ValueError("series must be nonempty")
-    m = series.alphabet_size
-    t = series.targets
-    p_code = _encode_columns(series.pasts, m)
-    p_size = m ** len(series.lags)
-    h_t = _entropy_from_codes(t)
-    h_p = _entropy_from_codes(p_code)
-    observed = h_t + h_p - _entropy_from_codes(t * p_size + p_code)
-
-    exceed = 0
-    for i in range(n_perm):
-        rng = derive_rng(seed, "final-ais-surrogate", i)
-        tp = t[rng.permutation(t.size)]
-        exceed += h_t + h_p - _entropy_from_codes(tp * p_size + p_code) >= observed
-    p = (1.0 + exceed) / (n_perm + 1.0)
+    rows = _cmi_rows(series.targets, [], [tuple(series.pasts.T)], n_perm,
+                     derive_rng(seed, "final-ais-surrogate"))[:, 0]
+    observed = rows[0]
+    p = (1.0 + np.count_nonzero(rows[1:] >= observed)) / (n_perm + 1.0)
     return PermutationTestResult(float(observed), float(p), n_perm, "greater", seed)
+
+
+def _mean_difference(first, second):
+    """Row-wise mean(first) - mean(second) of two 2-D arrays."""
+    return first.mean(axis=1) - second.mean(axis=1)
 
 
 def independent_samples_permutation_test(group_a, group_b, n_perm: int = 5000,
@@ -80,24 +76,19 @@ def independent_samples_permutation_test(group_a, group_b, n_perm: int = 5000,
     # Statistics are evaluated on ascending-sorted subsets, so any surrogate
     # that redraws the observed split reproduces the observed statistic bit
     # for bit and ties are counted exactly.
-    observed = float(np.sort(a).mean() - np.sort(b).mean())
+    observed = float(_mean_difference(np.sort(a)[None], np.sort(b)[None])[0])
     pooled = np.sort(np.concatenate([a, b]))
     n = pooled.size
     k = min(a.size, b.size) if tail == "two_sided" else a.size
     threshold = abs(observed) if tail == "two_sided" else observed
 
-    values = []
-    for i in range(n_perm):
-        rng = derive_rng(seed, "ind-samples-surrogate", i)
-        perm = rng.permutation(n)
-        s = pooled[np.sort(perm[:k])]
-        rest = pooled[np.sort(perm[k:])]
-        values.append(float(s.mean() - rest.mean()))
+    values = np.concatenate([
+        _mean_difference(pooled[np.sort(perms[:, :k], axis=1)],
+                         pooled[np.sort(perms[:, k:], axis=1)])
+        for perms in _permutation_blocks(
+            derive_rng(seed, "ind-samples-surrogate"), n, n_perm, n)])
     if tail == "two_sided":
-        exceed = sum(1 for v in values if abs(v) >= threshold)
-    elif tail == "greater":
-        exceed = sum(1 for v in values if v >= threshold)
-    else:
-        exceed = sum(1 for v in values if v <= threshold)
-    p = (1.0 + exceed) / (n_perm + 1.0)
+        values = np.abs(values)
+    p = (1.0 + np.count_nonzero(values <= threshold if tail == "less"
+                                else values >= threshold)) / (n_perm + 1.0)
     return PermutationTestResult(observed, float(p), n_perm, tail, seed)

@@ -251,8 +251,8 @@ class TestCompareCommand:
     FLAGS = ["--kmax", "5", "--nperm", "200", "--seed", "7"]
 
     def _persistence_results(self, tmp_path):
-        # 2 x 20 weak-memory trials where selecting again under other seeds
-        # changes the lags of A/t000, A/t003 and B/t011.
+        # 2 x 20 weak-memory trials, whose selections depend on the seeds
+        # they are selected with.
         trials = []
         for cond in ("A", "B"):
             for i in range(20):
@@ -321,6 +321,15 @@ class TestCompareCommand:
         assert main(["compare", str(results), str(other), "--seed", "7",
                      "--out", str(tmp_path / "cmp")]) == 2
         assert "differs" in capsys.readouterr().err
+
+    def test_duplicate_trials_rejected(self, tmp_path, capsys):
+        results = self._make_results(tmp_path, n_trials=3, length=120)
+        out = tmp_path / "cmp"
+        assert main(["compare", str(results), str(results), "--seed", "7",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "duplicate trial (participant, condition, trial) = ('p0', 'TC', " in err
+        assert not (out / "comparison.json").exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         results = self._make_results(tmp_path, n_trials=3, length=120)

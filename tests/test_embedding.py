@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from gazeais import (EmbeddingConfig, SymbolSequence,
                      generate, lagged_copy_spec, max_statistic_test,
                      optimize_past_state, persistence_spec,
                      table_from_series, uniform_iid_spec)
-from gazeais.embedding import _candidate_cmis, _selected_code, _series_columns
+from gazeais.embedding import _candidate_cmis
 
 
 class TestEmbeddingConfig:
@@ -31,9 +33,7 @@ class TestCandidateCmis:
         rng = np.random.default_rng(31)
         seq = SymbolSequence(rng.integers(0, 3, size=200), 3)
         series = embed(seq, (1, 2, 3), 3)
-        cols = _series_columns(series)
-        sel_code, sel_size = _selected_code(cols, (2,), 3)
-        cmis = _candidate_cmis(series.targets, cols, (1, 3), sel_code, sel_size, 3)
+        cmis = dict(zip((1, 3), _candidate_cmis(series, (1, 3), (2,))[0]))
         table = table_from_series(series)  # axes: target, lag1, lag2, lag3
         for lag, axis in ((1, 1), (3, 3)):
             ref = conditional_mutual_information(table, (0,), (axis,), (2,))
@@ -63,6 +63,28 @@ class TestMaxStatisticTest:
     def test_unknown_lag_rejected(self, series):
         with pytest.raises(ValueError, match="not present"):
             max_statistic_test(0.1, (9,), series, 10, seed=0)
+
+
+class TestLargeAlphabets:
+    def test_selection_memory_follows_rows(self):
+        # Dense tables over 16 symbols and lags 1..5 would hold 16^6 cells.
+        seq = SymbolSequence(np.random.default_rng(16).integers(0, 16, 300), 16)
+        series = embed(seq, range(1, 6), 5)
+        tracemalloc.start()
+        try:
+            optimize_past_state(seq, EmbeddingConfig(k_max=5, n_perm=200, seed=1))
+            max_statistic_test(0.1, (5,), series, 200, seed=1, selected=(1, 2, 3, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_selection_at_three_hundred_symbols(self):
+        # 300^5 joint cells: no dense table, and no int64 mixed-radix code.
+        seq = SymbolSequence(np.random.default_rng(300).integers(0, 300, 400), 300)
+        lags, trace = optimize_past_state(seq, EmbeddingConfig(k_max=4, n_perm=100, seed=1))
+        assert set(lags.lags) <= {1, 2, 3, 4}
+        assert all(np.isfinite(v) for v in trace.steps[0].cmi_values.values())
 
 
 class TestOptimizePastState:

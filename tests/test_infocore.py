@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ import pytest
 from gazeais import (ContingencyTable, SymbolSequence,
                      active_information_storage, conditional_entropy, conditional_mutual_information,
                      empirical_distribution, entropy, gaze_transition_entropy,
-                     local_ais, mutual_information, table_from_series, embed)
+                     independent_samples_permutation_test, local_ais,
+                     max_statistic_test, mutual_information, table_from_series, embed)
+from gazeais import infocore
+from gazeais import test_final_ais as final_ais_test
+from gazeais.embedding import _candidate_cmis
+from gazeais.infocore import _cmi_rows
+from gazeais.stats import TAILS
 
 LN2 = math.log(2.0)
 TOL = 1e-12
@@ -240,6 +247,123 @@ class TestLocalAis:
         values = local_ais(seq, (1,), 1)
         est = active_information_storage(seq, (1,), 1)
         assert np.mean(values) == pytest.approx(est.plugin_value, abs=TOL)
+
+
+class TestLargeAlphabets:
+    """AIS counts only occupied states, so memory follows the row count."""
+
+    def test_memory_stays_small_at_sixteen_symbols(self):
+        # A dense joint table over lags 1..5 would hold 16^6 cells.
+        seq = SymbolSequence(np.random.default_rng(16).integers(0, 16, 300), 16)
+        for estimate in (
+                lambda: active_information_storage(seq, range(1, 6), 5),
+                lambda: active_information_storage(seq, range(1, 6), 5,
+                                                   occupancy="expected"),
+                lambda: local_ais(seq, range(1, 6), 5)):
+            tracemalloc.start()
+            try:
+                estimate()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20
+
+    def test_state_codes_do_not_overflow(self):
+        # 300^5 joint cells: no dense table, and no int64 mixed-radix code.
+        seq = SymbolSequence(np.random.default_rng(300).integers(0, 300, 400), 300)
+        for occupancy in ("observed", "expected"):
+            est = active_information_storage(seq, (1, 2, 3, 4), 4,
+                                             occupancy=occupancy)
+            assert math.isfinite(est.corrected_value)
+        assert np.all(np.isfinite(local_ais(seq, (1, 2, 3, 4), 4)))
+
+    def test_equals_table_estimator_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            m = int(rng.integers(1, 6))
+            lags = tuple(sorted(rng.choice(np.arange(1, 5), size=int(rng.integers(1, 5)),
+                                           replace=False).tolist()))
+            k = max(lags) + int(rng.integers(0, 2))
+            weights = rng.dirichlet(np.full(m, 0.5))
+            seq = SymbolSequence(rng.choice(m, size=int(rng.integers(k + 1, 200)),
+                                            p=weights), m)
+            table = table_from_series(embed(seq, lags, k))
+            past_axes = tuple(range(1, 1 + len(lags)))
+            for occupancy in ("observed", "expected"):
+                ref = mutual_information(table, (0,), past_axes, occupancy=occupancy)
+                est = active_information_storage(seq, lags, k, occupancy=occupancy)
+                assert (est.plugin_value, est.bias_correction, est.corrected_value,
+                        est.sample_count) == (ref.plugin_value, ref.bias_correction,
+                                              ref.corrected_value, ref.sample_count)
+
+
+class TestSurrogateKernel:
+    """The permutation tests share one kernel; row 0 is the observed value."""
+
+    @pytest.fixture
+    def series(self):
+        from gazeais import generate, lagged_copy_spec
+        return embed(generate(lagged_copy_spec(2, 0.7), 400, seed=5),
+                     (1, 2, 3, 4), 4)
+
+    def test_constant_target_gives_p_one(self, series):
+        # Every surrogate of a constant target ties the observed value.
+        series.targets[:] = 0
+        observed = _candidate_cmis(series, (2, 3), (1,))[0].max()
+        assert max_statistic_test(observed, (2, 3), series, 50, seed=1,
+                                  selected=(1,)) == 1.0
+        assert final_ais_test(series, 50, seed=1).p_value == 1.0
+
+    def test_all_equal_groups_give_p_one(self):
+        for tail in ("two_sided", "greater", "less"):
+            result = independent_samples_permutation_test(
+                [0.3] * 5, [0.3] * 8, 300, tail, seed=2)
+            assert result.observed_statistic == 0.0 and result.p_value == 1.0
+
+    def _p_values(self, series):
+        """(p, n_perm) for each kind of permutation test."""
+        observed = _candidate_cmis(series, (1, 3, 4), (2,))[0].max()
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=9), rng.normal(0.5, 1.0, size=12)
+        return ([(max_statistic_test(observed, (1, 3, 4), series, n_perm,
+                                     seed=n_perm, selected=(2,)), n_perm)
+                 for n_perm in (19, 99, 200)]
+                + [(final_ais_test(series, n_perm, seed=n_perm).p_value, n_perm)
+                   for n_perm in (19, 99, 200)]
+                + [(independent_samples_permutation_test(a, b, n_perm, tail,
+                                                         seed=n_perm).p_value, n_perm)
+                   for n_perm in (19, 999) for tail in TAILS])
+
+    def test_p_values_lie_on_the_grid(self, series):
+        for p, n_perm in self._p_values(series):
+            exceed = round(p * (n_perm + 1) - 1)
+            assert 0 <= exceed <= n_perm
+            assert p == (1.0 + exceed) / (n_perm + 1.0)
+
+    def test_block_size_does_not_change_p_values(self, series, monkeypatch):
+        reference = self._p_values(series)
+        for elements in (1, 10 ** 9):  # one row per block; all rows in one
+            monkeypatch.setattr(infocore, "SURROGATE_BLOCK_ELEMENTS", elements)
+            assert self._p_values(series) == reference
+
+    def test_row_zero_is_the_reported_observation(self):
+        from gazeais import EmbeddingConfig, generate, optimize_past_state, persistence_spec
+        seq = generate(persistence_spec(0.8), 500, seed=6)
+        _, trace = optimize_past_state(seq, EmbeddingConfig(k_max=4, n_perm=50, seed=6))
+        series = embed(seq, range(1, 5), 4)
+        cols = {lag: series.pasts[:, lag - 1] for lag in range(1, 5)}
+        selected = []
+        for step in trace.steps:
+            rows = _cmi_rows(series.targets, [cols[l] for l in selected],
+                             [(cols[l],) for l in step.candidates], 30,
+                             np.random.default_rng(0))
+            assert dict(zip(step.candidates, rows[0].tolist())) == step.cmi_values
+            assert rows[0].max() == step.observed_cmi
+            selected.append(step.chosen_lag)
+        final = embed(seq, (1,), 4)
+        rows = _cmi_rows(final.targets, [], [tuple(final.pasts.T)], 30,
+                         np.random.default_rng(0))
+        assert final_ais_test(final, 30, seed=0).observed_statistic == rows[0, 0]
 
 
 class TestGazeTransitionEntropy:
