@@ -15,7 +15,7 @@ from .experiment import (ContrastResult, LagHistogram, ParticipantComparison,
                          compare_conditions, contrast_conditions,
                          equalize_samples, lag_histogram, parse_run_config,
                          union_past_state)
-from .gaze import (AOIRegion, Fixation, GazeSample, PipelineParams,
+from .gaze import (AOIRegion, Fixation, GAZE_DTYPE, PipelineParams,
                    ScanpathRecord, Trial, build_scanpath,
                    detect_fixations_idt, filter_fixations, filter_gaze,
                    load_aois, map_to_aoi, read_gaze_csv, trial_fixations)
@@ -35,7 +35,7 @@ from .stats import (PermutationTestResult,
 
 __all__ = [
     "AOIRegion", "ContingencyTable", "ContrastResult", "EmbeddingConfig",
-    "Fixation", "GazeSample", "InfoEstimate", "LagHistogram", "MarkovSpec",
+    "Fixation", "GAZE_DTYPE", "InfoEstimate", "LagHistogram", "MarkovSpec",
     "MIN_EMBEDDED_ROWS", "ParticipantComparison", "PastState",
     "PermutationTestResult", "PipelineParams", "RunConfig", "ScanpathRecord",
     "SelectionStep", "SelectionTrace", "StateVectorSeries", "SymbolSequence",

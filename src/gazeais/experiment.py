@@ -185,9 +185,9 @@ class ParticipantComparison:
 # per-trial analysis
 # ---------------------------------------------------------------------------
 
-def _entropy_next(scanpath: SymbolSequence, k_max: int, occupancy) -> InfoEstimate:
+def _entropy_next(scanpath: SymbolSequence, k_max: int) -> InfoEstimate:
     """Bias-corrected H(X_t) over the embedded target column."""
-    return entropy(table_from_series(embed(scanpath, (), k_max)), occupancy=occupancy)
+    return entropy(table_from_series(embed(scanpath, (), k_max)))
 
 
 def _normalize(ais_est, entropy_est):
@@ -206,8 +206,7 @@ def _normalize(ais_est, entropy_est):
 def analyze_trial(scanpath: SymbolSequence, cfg: EmbeddingConfig, *,
                   trial_id: str = "", participant_id: str = "",
                   condition: str = "", n_perm_final: Optional[int] = None,
-                  seed: Optional[int] = None,
-                  occupancy: str = "observed") -> TrialResult:
+                  seed: Optional[int] = None) -> TrialResult:
     """Optimize the past state of one trial and estimate its AIS.
 
     Too-short scanpaths yield a skip record rather than an error. When the
@@ -224,10 +223,9 @@ def analyze_trial(scanpath: SymbolSequence, cfg: EmbeddingConfig, *,
         )
     local_cfg = replace(cfg, seed=seed)
     lags, trace = optimize_past_state(scanpath, local_cfg)
-    entropy_next = _entropy_next(scanpath, cfg.k_max, occupancy)
+    entropy_next = _entropy_next(scanpath, cfg.k_max)
     if lags:
-        ais = active_information_storage(scanpath, lags, cfg.k_max,
-                                         occupancy=occupancy)
+        ais = active_information_storage(scanpath, lags, cfg.k_max)
         p_value = test_final_ais(embed(scanpath, lags, cfg.k_max),
                                  n_perm_final or cfg.n_perm,
                                  seed=derive_seed(seed, "final-ais")).p_value
@@ -293,8 +291,7 @@ def _mean_sem(values):
 
 def compare_conditions(records: Sequence[ScanpathRecord], cfg: EmbeddingConfig,
                        n_perm: int = 5000, tail: str = "two_sided",
-                       seed: Optional[int] = None,
-                       occupancy: str = "observed") -> ParticipantComparison:
+                       seed: Optional[int] = None) -> ParticipantComparison:
     """`analyze_trial` on every record, then `contrast_conditions`.
 
     Each trial is analysed once, seeded by (seed, "trial", condition, id).
@@ -306,19 +303,17 @@ def compare_conditions(records: Sequence[ScanpathRecord], cfg: EmbeddingConfig,
             trial_id=rec.trial_id, participant_id=rec.participant_id,
             condition=rec.condition,
             seed=derive_seed(seed, "trial", rec.condition, rec.trial_id),
-            occupancy=occupancy,
         )
         for rec in records
     ]
     return contrast_conditions(records, results, cfg.k_max, n_perm=n_perm,
-                               tail=tail, seed=seed, occupancy=occupancy)
+                               tail=tail, seed=seed)
 
 
 def contrast_conditions(records: Sequence[ScanpathRecord],
                         results: Sequence[TrialResult], k_max: int,
                         n_perm: int = 5000, tail: str = "two_sided",
-                        seed: int = 0,
-                        occupancy: str = "observed") -> ParticipantComparison:
+                        seed: int = 0) -> ParticipantComparison:
     """Contrast one participant's two conditions on equalized estimates.
 
     `results[i]` is the per-trial analysis of `records[i]`. All trials are
@@ -369,10 +364,9 @@ def contrast_conditions(records: Sequence[ScanpathRecord],
     values = {m: {c: [] for c in conditions} for m in MEASURES}
     excluded_normalized = {c: 0 for c in conditions}
     for (rec, _), seq in zip(analyzable, eq_seqs):
-        h_est = _entropy_next(seq, k_max, occupancy)
+        h_est = _entropy_next(seq, k_max)
         if union:
-            ais_est = active_information_storage(seq, union, k_max,
-                                                 occupancy=occupancy)
+            ais_est = active_information_storage(seq, union, k_max)
         else:
             ais_est = InfoEstimate(0.0, 0.0, 0.0, eq_rows,
                                    kind="active_information_storage")

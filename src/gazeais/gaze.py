@@ -2,18 +2,22 @@
 
 Pipeline: confidence filter -> dispersion-threshold (IDT) fixation
 detection -> maximum-duration filter -> AOI mapping on fixation centroids.
+Each trial's samples are one numpy structured array of `GAZE_DTYPE`.
 Conventions (documented because every one of them is a boundary call):
-confidence >= threshold is retained, dispersion <= threshold is accepted,
-duration strictly above the maximum is excluded, AOI rectangles are
-half-open ([x_min, x_max) x [y_min, y_max)) so adjacent regions partition
-cleanly, and overlaps are resolved by explicit priority.
+a sample whose x, y or confidence is not finite is invalid, dropped and
+counted; confidence >= threshold is retained, dispersion <= threshold is
+accepted, duration strictly above the maximum is excluded, AOI rectangles
+are half-open ([x_min, x_max) x [y_min, y_max)) so adjacent regions
+partition cleanly, and overlaps are resolved by explicit priority.
 """
 
 import csv
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional
 
 import numpy as np
@@ -23,12 +27,9 @@ from .sequences import SymbolSequence
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class GazeSample:
-    timestamp: float   # seconds
-    x: float           # pixels
-    y: float           # pixels
-    confidence: float  # in [0, 1]
+# One gaze sample: timestamp in seconds, x and y in pixels, confidence in [0, 1].
+GAZE_DTYPE = np.dtype([("timestamp", "f8"), ("x", "f8"), ("y", "f8"),
+                       ("confidence", "f8")])
 
 
 @dataclass(frozen=True)
@@ -62,14 +63,14 @@ class Trial:
     participant_id: str
     condition: str
     trial_id: str
-    samples: List[GazeSample]
+    samples: np.ndarray  # GAZE_DTYPE, one record per sample
 
     def __post_init__(self):
-        ts = [s.timestamp for s in self.samples]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError(
-                f"trial {self.trial_id!r}: timestamps must be strictly increasing"
-            )
+        self.samples = np.asarray(self.samples, dtype=GAZE_DTYPE)
+        ts = self.samples["timestamp"]
+        if not (np.isfinite(ts).all() and np.all(np.diff(ts) > 0)):
+            raise ValueError(f"trial {self.trial_id!r}: timestamps must be "
+                             f"finite and strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,7 @@ class ScanpathRecord:
     symbols: np.ndarray
     alphabet_size: int
     dropped_fixations: int = 0
+    invalid_samples: int = 0
 
     @property
     def sequence(self) -> SymbolSequence:
@@ -104,6 +106,7 @@ class ScanpathRecord:
             "symbols": [int(s) for s in self.symbols],
             "alphabet_size": int(self.alphabet_size),
             "dropped_fixations": int(self.dropped_fixations),
+            "invalid_samples": int(self.invalid_samples),
         }
 
     @classmethod
@@ -115,6 +118,7 @@ class ScanpathRecord:
             symbols=np.asarray(doc["symbols"], dtype=np.int64),
             alphabet_size=int(doc["alphabet_size"]),
             dropped_fixations=int(doc.get("dropped_fixations", 0)),
+            invalid_samples=int(doc.get("invalid_samples", 0)),
         )
 
 
@@ -122,9 +126,15 @@ class ScanpathRecord:
 # pipeline stages
 # ---------------------------------------------------------------------------
 
-def filter_gaze(samples, min_confidence: float = 0.9) -> List[GazeSample]:
-    """Drop samples with confidence below the threshold (>= is retained)."""
-    return [s for s in samples if s.confidence >= min_confidence]
+def _finite(samples) -> np.ndarray:
+    """Mask of the samples whose x, y and confidence are all finite."""
+    return (np.isfinite(samples["x"]) & np.isfinite(samples["y"])
+            & np.isfinite(samples["confidence"]))
+
+
+def filter_gaze(samples, min_confidence: float = 0.9) -> np.ndarray:
+    """Keep the finite samples with confidence >= the threshold."""
+    return samples[_finite(samples) & (samples["confidence"] >= min_confidence)]
 
 
 def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
@@ -136,13 +146,12 @@ def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
     is within the threshold, extend the window while the next sample keeps
     it within, emit a fixation at the centroid of the window, and consume
     it; otherwise slide forward by one sample. Fixations never overlap.
+    `samples` is a `GAZE_DTYPE` array in time order.
     """
     n = len(samples)
     if n == 0:
         return []
-    ts = np.array([s.timestamp for s in samples])
-    xs = np.array([s.x for s in samples])
-    ys = np.array([s.y for s in samples])
+    ts, xs, ys = samples["timestamp"], samples["x"], samples["y"]
     fixations = []
     i = 0
     while i < n:
@@ -218,8 +227,8 @@ def build_scanpath(trial: Trial, aois, params: PipelineParams = PipelineParams()
     """Full pipeline for one trial: gaze samples to an AOI symbol sequence.
 
     AOI ids must be exactly 0..len(aois)-1 so they double as symbol ids.
-    Fixations whose centroid falls outside every AOI are dropped and
-    counted.
+    Invalid (non-finite) samples and fixations whose centroid falls outside
+    every AOI are dropped and counted.
     """
     ids = sorted(a.id for a in aois)
     if ids != list(range(len(aois))):
@@ -232,9 +241,10 @@ def build_scanpath(trial: Trial, aois, params: PipelineParams = PipelineParams()
             dropped += 1
         else:
             symbols.append(sym)
-    if dropped:
-        log.info("trial %s: dropped %d fixation(s) outside all AOIs",
-                 trial.trial_id, dropped)
+    invalid = len(trial.samples) - int(np.count_nonzero(_finite(trial.samples)))
+    if dropped or invalid:
+        log.info("trial %s: dropped %d invalid sample(s) and %d fixation(s) "
+                 "outside all AOIs", trial.trial_id, invalid, dropped)
     if params.collapse_repeats:
         symbols = [s for i, s in enumerate(symbols)
                    if i == 0 or s != symbols[i - 1]]
@@ -245,6 +255,7 @@ def build_scanpath(trial: Trial, aois, params: PipelineParams = PipelineParams()
         symbols=np.asarray(symbols, dtype=np.int64),
         alphabet_size=len(aois),
         dropped_fixations=dropped,
+        invalid_samples=invalid,
     )
 
 
@@ -260,44 +271,50 @@ def read_gaze_csv(path) -> List[Trial]:
     """Parse a gaze CSV (one row per sample) into trials.
 
     Rows are grouped by (participant_id, trial_id); the returned list is
-    sorted by those keys. Malformed rows, including a non-finite
-    timestamp, raise with their line number.
+    sorted by those keys. Columns are found by header name; blank lines are
+    skipped. Malformed rows, including a non-finite timestamp and a row
+    too short for its columns, raise with their physical line number.
     """
     groups = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in GAZE_CSV_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"gaze CSV missing column(s): {', '.join(missing)}")
-        for line_no, row in enumerate(reader, start=2):
+        col = {name: i for i, name in enumerate(header)}
+        tid, pid, cond = (col[c] for c in GAZE_CSV_COLUMNS[:3])
+        values = itemgetter(*(col[c] for c in GAZE_DTYPE.names))
+        width = max(col[c] for c in GAZE_CSV_COLUMNS) + 1
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) < width:
+                raise ValueError(f"gaze CSV line {line}: {len(row)} field(s) "
+                                 f"where the header has {len(header)} columns")
             try:
-                sample = GazeSample(
-                    timestamp=float(row["timestamp"]),
-                    x=float(row["x"]),
-                    y=float(row["y"]),
-                    confidence=float(row["confidence"]),
-                )
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"gaze CSV line {line_no}: {exc}") from None
-            if not math.isfinite(sample.timestamp):
-                raise ValueError(f"gaze CSV line {line_no}: non-finite "
-                                 f"timestamp {row['timestamp']!r}")
-            key = (str(row["participant_id"]), str(row["trial_id"]))
-            entry = groups.setdefault(key, {"condition": str(row["condition"]),
-                                            "samples": []})
-            if entry["condition"] != str(row["condition"]):
+                sample = tuple(map(float, values(row)))
+            except ValueError as exc:
+                raise ValueError(f"gaze CSV line {line}: {exc}") from None
+            if not math.isfinite(sample[0]):
+                raise ValueError(f"gaze CSV line {line}: non-finite "
+                                 f"timestamp {row[col['timestamp']]!r}")
+            key = (row[pid], row[tid])
+            entry = groups.get(key)
+            if entry is None:
+                entry = groups[key] = (row[cond], array("d"))
+            elif entry[0] != row[cond]:
                 raise ValueError(
-                    f"gaze CSV line {line_no}: trial {key[1]!r} has "
+                    f"gaze CSV line {line}: trial {key[1]!r} has "
                     f"conflicting condition labels"
                 )
-            entry["samples"].append(sample)
-    trials = [
-        Trial(participant_id=pid, condition=entry["condition"],
-              trial_id=tid, samples=entry["samples"])
-        for (pid, tid), entry in sorted(groups.items())
+            entry[1].extend(sample)
+    return [
+        Trial(participant_id=p, condition=c, trial_id=t,
+              samples=np.frombuffer(buf, dtype=GAZE_DTYPE))
+        for (p, t), (c, buf) in sorted(groups.items())
     ]
-    return trials
 
 
 def load_aois(path) -> List[AOIRegion]:

@@ -146,51 +146,21 @@ def _plugin_entropy(counts: np.ndarray, total: int) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _occupied_bins(r_obs: int, n_cells: int, total: int, occupancy: str) -> float:
-    """Estimated number R of occupied bins for the bias correction.
-
-    "observed" counts the `r_obs` nonzero cells (Miller-Madow baseline).
-    "expected" solves for the R <= `n_cells` whose expected occupancy after
-    `total` equiprobable draws matches `r_obs`, a Bayesian-style refinement.
-    """
-    if occupancy == "observed":
-        return float(r_obs)
-    if occupancy != "expected":
-        raise ValueError(f"unknown occupancy estimator {occupancy!r}")
-    if r_obs <= 1:
-        return float(r_obs)
-
-    def expected_occupied(r):
-        return r * (1.0 - (1.0 - 1.0 / r) ** total)
-
-    if expected_occupied(n_cells) <= r_obs:
-        return float(n_cells)
-    lo, hi = float(r_obs), float(n_cells)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if expected_occupied(mid) < r_obs:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _correction(r_obs, total) -> float:
+    """Miller-Madow additive term (R - 1) / (2 N ln 2) for R occupied bins."""
+    return (float(r_obs) - 1.0) / (2.0 * total * LN2)
 
 
-def _correction(r_obs, n_cells, total, occupancy) -> float:
-    """Miller-Madow additive term (R - 1) / (2 N ln 2) for one marginal."""
-    return (_occupied_bins(r_obs, n_cells, total, occupancy) - 1.0) / (2.0 * total * LN2)
-
-
-def _entropy_correction(table, axes, occupancy) -> float:
+def _entropy_correction(table, axes) -> float:
     marginal = np.atleast_1d(table.marginal(axes) if axes else np.asarray(table.total))
-    return _correction(int(np.count_nonzero(marginal)), int(marginal.size),
-                       table.total, occupancy)
+    return _correction(int(np.count_nonzero(marginal)), table.total)
 
 
 # ---------------------------------------------------------------------------
 # table operations
 # ---------------------------------------------------------------------------
 
-def entropy(table: ContingencyTable, axes=None, occupancy="observed") -> InfoEstimate:
+def entropy(table: ContingencyTable, axes=None) -> InfoEstimate:
     """Shannon entropy H = -sum p log2 p of the marginal over `axes`.
 
     `axes=None` means all axes. Cells with zero count contribute nothing
@@ -200,11 +170,11 @@ def entropy(table: ContingencyTable, axes=None, occupancy="observed") -> InfoEst
         axes = tuple(range(table.n_axes))
     axes = _check_axes(table, axes, "entropy")
     plugin = _plugin_entropy(table.marginal(axes), table.total)
-    corr = _entropy_correction(table, axes, occupancy)
+    corr = _entropy_correction(table, axes)
     return InfoEstimate(plugin, corr, plugin + corr, table.total, kind="entropy")
 
 
-def conditional_entropy(table, target_axes, cond_axes, occupancy="observed") -> InfoEstimate:
+def conditional_entropy(table, target_axes, cond_axes) -> InfoEstimate:
     """H(target | cond) = H(target, cond) - H(cond) on plug-in values."""
     target_axes = _check_axes(table, target_axes, "conditional_entropy target")
     cond_axes = _check_axes(table, cond_axes, "conditional_entropy conditioning",
@@ -215,13 +185,13 @@ def conditional_entropy(table, target_axes, cond_axes, occupancy="observed") -> 
     plugin = (_plugin_entropy(table.marginal(joint), table.total)
               - _plugin_entropy(table.marginal(cond_axes) if cond_axes
                                 else np.asarray([table.total]), table.total))
-    corr = (_entropy_correction(table, joint, occupancy)
-            - _entropy_correction(table, cond_axes, occupancy))
+    corr = (_entropy_correction(table, joint)
+            - _entropy_correction(table, cond_axes))
     return InfoEstimate(plugin, corr, plugin + corr, table.total,
                         kind="conditional_entropy")
 
 
-def mutual_information(table, axes_a, axes_b, occupancy="observed") -> InfoEstimate:
+def mutual_information(table, axes_a, axes_b) -> InfoEstimate:
     """I(A;B) = H(A) + H(B) - H(A,B) on plug-in values (symmetric in A, B)."""
     axes_a = _check_axes(table, axes_a, "mutual_information A")
     axes_b = _check_axes(table, axes_b, "mutual_information B")
@@ -232,14 +202,13 @@ def mutual_information(table, axes_a, axes_b, occupancy="observed") -> InfoEstim
     plugin = (_plugin_entropy(table.marginal(axes_a), t)
               + _plugin_entropy(table.marginal(axes_b), t)
               - _plugin_entropy(table.marginal(joint), t))
-    corr = (_entropy_correction(table, axes_a, occupancy)
-            + _entropy_correction(table, axes_b, occupancy)
-            - _entropy_correction(table, joint, occupancy))
+    corr = (_entropy_correction(table, axes_a)
+            + _entropy_correction(table, axes_b)
+            - _entropy_correction(table, joint))
     return InfoEstimate(plugin, corr, plugin + corr, t, kind="mutual_information")
 
 
-def conditional_mutual_information(table, axes_a, axes_b, cond_axes=(),
-                                   occupancy="observed") -> InfoEstimate:
+def conditional_mutual_information(table, axes_a, axes_b, cond_axes=()) -> InfoEstimate:
     """I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C); reduces to MI for C = {}."""
     axes_a = _check_axes(table, axes_a, "cmi A")
     axes_b = _check_axes(table, axes_b, "cmi B")
@@ -258,10 +227,10 @@ def conditional_mutual_information(table, axes_a, axes_b, cond_axes=(),
               + _plugin_entropy(table.marginal(bc), t)
               - _plugin_entropy(table.marginal(abc), t)
               - h_c)
-    corr = (_entropy_correction(table, ac, occupancy)
-            + _entropy_correction(table, bc, occupancy)
-            - _entropy_correction(table, abc, occupancy)
-            - _entropy_correction(table, cond_axes, occupancy))
+    corr = (_entropy_correction(table, ac)
+            + _entropy_correction(table, bc)
+            - _entropy_correction(table, abc)
+            - _entropy_correction(table, cond_axes))
     return InfoEstimate(plugin, corr, plugin + corr, t,
                         kind="conditional_mutual_information")
 
@@ -351,11 +320,10 @@ def _ais_codes(seq: SymbolSequence, lags, k_max_offset: int):
                          "with no memory the caller should report AIS = 0")
     t = series.targets
     past = _joint_ranks(np.zeros_like(t), *series.pasts.T)
-    return t, past, _joint_ranks(t, past), len(series.lags)
+    return t, past, _joint_ranks(t, past)
 
 
-def active_information_storage(seq: SymbolSequence, lags, k_max_offset: int,
-                               occupancy="observed") -> InfoEstimate:
+def active_information_storage(seq: SymbolSequence, lags, k_max_offset: int) -> InfoEstimate:
     """AIS: mutual information between the past state and the next value.
 
     The sequence is embedded at `k_max_offset` with the given lags; AIS is
@@ -366,15 +334,13 @@ def active_information_storage(seq: SymbolSequence, lags, k_max_offset: int,
     memoryless processes, bounded above by both H(next value) and H(past
     state).
     """
-    t, past, joint, d = _ais_codes(seq, lags, k_max_offset)
-    n, m = t.size, seq.alphabet_size
+    t, past, joint = _ais_codes(seq, lags, k_max_offset)
+    n = t.size
     plugin = corr = 0.0
-    for codes, n_cells, sign in ((t, m, 1.0), (past, m ** d, 1.0),
-                                 (joint, m ** (d + 1), -1.0)):
+    for codes, sign in ((t, 1.0), (past, 1.0), (joint, -1.0)):
         counts = np.bincount(codes)
         plugin += sign * _plugin_entropy(counts, n)
-        corr += sign * _correction(int(np.count_nonzero(counts)), n_cells, n,
-                                   occupancy)
+        corr += sign * _correction(int(np.count_nonzero(counts)), n)
     return InfoEstimate(plugin, corr, plugin + corr, n,
                         kind="active_information_storage")
 
@@ -385,12 +351,12 @@ def local_ais(seq: SymbolSequence, lags, k_max_offset: int) -> np.ndarray:
     Uses plug-in probabilities from the embedded rows' own table, so the
     arithmetic mean of the local values equals the plug-in AIS.
     """
-    t, past, joint, _ = _ais_codes(seq, lags, k_max_offset)
+    t, past, joint = _ais_codes(seq, lags, k_max_offset)
     c_t, c_p, c_tp = (np.bincount(codes) for codes in (t, past, joint))
     return np.log2(c_tp[joint] * float(t.size) / (c_p[past] * c_t[t]))
 
 
-def gaze_transition_entropy(seq: SymbolSequence, occupancy="observed") -> InfoEstimate:
+def gaze_transition_entropy(seq: SymbolSequence) -> InfoEstimate:
     """GTE: H(X_t | X_{t-1}) over the lag-1 embedded rows.
 
     Complementary to lag-1 AIS: on the same embedded rows,
@@ -399,5 +365,5 @@ def gaze_transition_entropy(seq: SymbolSequence, occupancy="observed") -> InfoEs
     if len(seq) < 2:
         raise ValueError("GTE needs a sequence of length >= 2")
     table = table_from_series(embed(seq, (1,), 1))
-    est = conditional_entropy(table, (0,), (1,), occupancy=occupancy)
+    est = conditional_entropy(table, (0,), (1,))
     return replace(est, kind="gaze_transition_entropy")

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s`. Every tolerance is pinned
-here; the oracles (closed forms, exhaustive enumeration, planted traces)
-are computed inside the tests, independently of the code paths they check.
+here or, for criteria 1 and 5, which run the check bodies of `gazeais
+validate` at their own seeds and sizes, in `gazeais.validate`. The oracles
+(closed forms, exhaustive enumeration, planted traces) are computed
+independently of the code paths they check.
 """
 
 import itertools
@@ -12,22 +14,17 @@ import math
 import numpy as np
 import pytest
 
-from gazeais import (ContingencyTable, EmbeddingConfig, GazeSample,
-                     ScanpathRecord, SymbolSequence,
+from gazeais import (GAZE_DTYPE, EmbeddingConfig, ScanpathRecord,
                      active_information_storage, analytic_ais, analyze_trial,
-                     compare_conditions, conditional_entropy,
-                     conditional_mutual_information, derive_seed,
-                     detect_fixations_idt, embed, empirical_distribution,
-                     entropy, filter_fixations, gaze_transition_entropy,
-                     generate, independent_samples_permutation_test,
-                     lagged_copy_spec, local_ais, max_statistic_test,
-                     mutual_information, optimize_past_state,
-                     persistence_spec, table_from_series, uniform_iid_spec)
+                     compare_conditions, derive_seed, detect_fixations_idt,
+                     embed, filter_fixations, generate,
+                     independent_samples_permutation_test, lagged_copy_spec,
+                     max_statistic_test, optimize_past_state,
+                     persistence_spec, uniform_iid_spec)
 from gazeais import test_final_ais as final_ais_test
 from gazeais.cli import main as cli_main
 from gazeais.gaze import Fixation
-
-IDENTITY_TOL = 1e-12
+from gazeais.validate import check_algebraic_identities, check_bias_correction
 
 
 def _report(num, name, passed, detail):
@@ -41,45 +38,8 @@ def binary_entropy(p):
 
 
 def test_criterion_1_algebraic_identities():
-    rng = np.random.default_rng(20240501)
-    worst = 0.0
-    for _ in range(1000):
-        n_axes = int(rng.integers(2, 4))
-        dims = tuple(int(rng.integers(2, 5)) for _ in range(n_axes))
-        counts = rng.integers(0, 6, size=dims)
-        if counts.sum() == 0:
-            counts.flat[0] = 1
-        table = ContingencyTable(counts)
-        a, b = (0,), (1,)
-        rest = tuple(range(2, n_axes))
-        h_a = entropy(table, a).plugin_value
-        h_b = entropy(table, b).plugin_value
-        h_ab = entropy(table, a + b).plugin_value
-        worst = max(worst, abs(conditional_entropy(table, a, b).plugin_value
-                               - (h_ab - h_b)))
-        worst = max(worst, abs(mutual_information(table, a, b).plugin_value
-                               - (h_a + h_b - h_ab)))
-        worst = max(worst, abs(
-            conditional_mutual_information(table, a, b, ()).plugin_value
-            - mutual_information(table, a, b).plugin_value))
-        if rest:
-            h_ac = entropy(table, a + rest).plugin_value
-            h_bc = entropy(table, b + rest).plugin_value
-            h_abc = entropy(table, a + b + rest).plugin_value
-            h_c = entropy(table, rest).plugin_value
-            worst = max(worst, abs(
-                conditional_mutual_information(table, a, b, rest).plugin_value
-                - (h_ac + h_bc - h_abc - h_c)))
-        # complementarity and local-AIS consistency on a random sequence
-        m = int(rng.integers(2, 5))
-        seq = SymbolSequence(rng.integers(0, m, size=int(rng.integers(10, 120))), m)
-        ais = active_information_storage(seq, (1,), 1).plugin_value
-        gte = gaze_transition_entropy(seq).plugin_value
-        h_t = entropy(table_from_series(embed(seq, (1,), 1)), (0,)).plugin_value
-        worst = max(worst, abs(h_t - ais - gte))
-        worst = max(worst, abs(float(np.mean(local_ais(seq, (1,), 1))) - ais))
-    _report(1, "algebraic identities", worst <= IDENTITY_TOL,
-            f"max deviation {worst:.3e} over 1000 randomized cases")
+    check = check_algebraic_identities(20240501, n_cases=1000)
+    _report(1, "algebraic identities", check.passed, check.detail)
 
 
 def test_criterion_2_oracle_convergence():
@@ -175,35 +135,24 @@ def test_criterion_4_protocol_pipeline():
 
 
 def test_criterion_5_bias_correction():
-    rng = np.random.default_rng(55)
-    plugin_err, corrected_err = [], []
-    for _ in range(1000):
-        draws = rng.integers(0, 4, size=50)
-        est = entropy(empirical_distribution(draws[:, None], (4,)))
-        plugin_err.append(abs(est.plugin_value - 2.0))
-        corrected_err.append(abs(est.corrected_value - 2.0))
-    mp, mc = float(np.mean(plugin_err)), float(np.mean(corrected_err))
-    _report(5, "bias correction", mc < mp,
-            f"corrected MAE {mc:.4f} < plug-in MAE {mp:.4f} over 1000 draws")
+    check = check_bias_correction(55, n_draws=1000)
+    _report(5, "bias correction", check.passed, check.detail)
 
 
 def test_criterion_6_idt_correctness():
     ok = True
     details = []
 
+    def gaze(rows):
+        return np.array(rows, dtype=GAZE_DTYPE)
+
     # planted clusters joined by saccade transits
-    samples = []
+    rows = []
     t = 0.0
-    for _ in range(25):
-        samples.append(GazeSample(t, 100.0, 200.0, 1.0))
+    for x in [100.0] * 25 + [240.0, 400.0, 560.0] + [700.0] * 25:
+        rows.append((t, x, 200.0, 1.0))
         t += 1 / 120.0
-    for x in (240.0, 400.0, 560.0):
-        samples.append(GazeSample(t, x, 200.0, 1.0))
-        t += 1 / 120.0
-    for _ in range(25):
-        samples.append(GazeSample(t, 700.0, 200.0, 1.0))
-        t += 1 / 120.0
-    fixations = detect_fixations_idt(samples, 50.0, 100.0)
+    fixations = detect_fixations_idt(gaze(rows), 50.0, 100.0)
     ok &= len(fixations) == 2
     if len(fixations) == 2:
         ok &= abs(fixations[0].centroid_x - 100.0) < 1.0
@@ -211,18 +160,18 @@ def test_criterion_6_idt_correctness():
     details.append(f"planted clusters -> {len(fixations)} fixations")
 
     # dispersion exactly at the threshold stays a single fixation
-    boundary = [GazeSample(i / 120.0, 300.0 + 50.0 * (i % 2), 100.0, 1.0)
-                for i in range(30)]
+    boundary = gaze([(i / 120.0, 300.0 + 50.0 * (i % 2), 100.0, 1.0)
+                     for i in range(30)])
     ok &= len(detect_fixations_idt(boundary, 50.0, 100.0)) == 1
-    over = [GazeSample(i / 120.0, 300.0 + 50.0001 * (i % 2), 100.0, 1.0)
-            for i in range(30)]
+    over = gaze([(i / 120.0, 300.0 + 50.0001 * (i % 2), 100.0, 1.0)
+                 for i in range(30)])
     ok &= len(detect_fixations_idt(over, 50.0, 100.0)) == 0
     details.append("dispersion 50 px inclusive")
 
     # duration exactly 100 ms qualifies; just below does not
-    exact = [GazeSample(v, 0.0, 0.0, 1.0) for v in (0.0, 0.05, 0.100)]
+    exact = gaze([(v, 0.0, 0.0, 1.0) for v in (0.0, 0.05, 0.100)])
     ok &= len(detect_fixations_idt(exact, 50.0, 100.0)) == 1
-    short = [GazeSample(v, 0.0, 0.0, 1.0) for v in (0.0, 0.05, 0.099)]
+    short = gaze([(v, 0.0, 0.0, 1.0) for v in (0.0, 0.05, 0.099)])
     ok &= len(detect_fixations_idt(short, 50.0, 100.0)) == 0
     details.append("duration 100 ms inclusive")
 

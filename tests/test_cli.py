@@ -119,6 +119,22 @@ class TestScanpathCommand:
         assert doc["trials"][0]["symbols"] == [2, 0, 1, 3]
         assert doc["trials"][0]["alphabet_size"] == 4
 
+    def test_invalid_samples_counted(self, tmp_path):
+        gaze = tmp_path / "gaze.csv"
+        write_planted_gaze(gaze, [(400, 500), (1700, 300)])
+        lines = gaze.read_text().splitlines(keepends=True)
+        lines[5] = lines[5].replace(",400,500,", ",nan,500,")
+        lines[9] = lines[9].rsplit(",", 1)[0] + ",inf\n"
+        gaze.write_text("".join(lines))
+        aois = tmp_path / "aois.json"
+        aois.write_text(json.dumps(AOIS_JSON))
+        out = tmp_path / "scan.json"
+        assert main(["scanpath", str(gaze), "--aois", str(aois),
+                     "--out", str(out)]) == 0
+        trial = json.loads(out.read_text())["trials"][0]
+        assert trial["symbols"] == [2, 1]
+        assert trial["invalid_samples"] == 2
+
     def test_collapse_flag(self, tmp_path):
         # Both leading dwells sit in the target box but far enough apart
         # that IDT keeps them as separate fixations.

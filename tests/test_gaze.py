@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from gazeais import (AOIRegion, Fixation, GazeSample, PipelineParams, Trial,
-                     build_scanpath, detect_fixations_idt, filter_fixations,
-                     filter_gaze, load_aois, map_to_aoi, read_gaze_csv)
+from gazeais import (GAZE_DTYPE, AOIRegion, Fixation, PipelineParams,
+                     ScanpathRecord, Trial, build_scanpath,
+                     detect_fixations_idt, filter_fixations, filter_gaze,
+                     load_aois, map_to_aoi, read_gaze_csv, trial_fixations)
+
+
+def gaze(rows):
+    """Samples from (timestamp, x, y, confidence) rows."""
+    return np.array(rows, dtype=GAZE_DTYPE)
 
 
 def stationary_samples(x, y, t0, duration_s, rate_hz=120.0, confidence=1.0):
     n = int(round(duration_s * rate_hz)) + 1
-    return [GazeSample(t0 + i / rate_hz, x, y, confidence) for i in range(n)]
+    return gaze([(t0 + i / rate_hz, x, y, confidence) for i in range(n)])
 
 
 # The four-AOI layout: two screen halves with higher-priority target boxes
@@ -24,20 +30,27 @@ SEARCH_TASK_AOIS = [
 class TestFilterGaze:
     def test_all_confident_unchanged(self):
         samples = stationary_samples(10, 10, 0.0, 0.1)
-        assert filter_gaze(samples) == samples
+        assert np.array_equal(filter_gaze(samples), samples)
 
     def test_all_rejected(self):
         samples = stationary_samples(10, 10, 0.0, 0.1, confidence=0.0)
-        assert filter_gaze(samples) == []
+        assert len(filter_gaze(samples)) == 0
 
     def test_boundary_inclusive(self):
-        sample = GazeSample(0.0, 1.0, 1.0, 0.9)
-        assert filter_gaze([sample], min_confidence=0.9) == [sample]
+        sample = gaze([(0.0, 1.0, 1.0, 0.9)])
+        assert np.array_equal(filter_gaze(sample, min_confidence=0.9), sample)
+
+    def test_non_finite_dropped(self):
+        nan, inf = float("nan"), float("inf")
+        samples = gaze([(0.0, nan, 1.0, 1.0), (0.1, 1.0, -inf, 1.0),
+                        (0.2, 1.0, 1.0, inf), (0.3, 1.0, 1.0, nan),
+                        (0.4, 1.0, 1.0, 1.0)])
+        assert np.array_equal(filter_gaze(samples), samples[4:])
 
 
 class TestIdt:
     def test_single_stationary_fixation(self):
-        samples = [GazeSample(i * 0.25 / 29, 400.0, 300.0, 1.0) for i in range(30)]
+        samples = gaze([(i * 0.25 / 29, 400.0, 300.0, 1.0) for i in range(30)])
         fixations = detect_fixations_idt(samples)
         assert len(fixations) == 1
         fix = fixations[0]
@@ -47,12 +60,13 @@ class TestIdt:
         assert fix.duration == pytest.approx(250.0)
 
     def test_two_clusters_with_transit(self):
-        samples = stationary_samples(100, 100, 0.0, 0.2)
-        t = samples[-1].timestamp
-        for i, x in enumerate((220.0, 380.0, 520.0)):
-            samples.append(GazeSample(t + (i + 1) / 120.0, x, 100.0, 1.0))
-        t = samples[-1].timestamp
-        samples += stationary_samples(600, 100, t + 1 / 120.0, 0.2)
+        first = stationary_samples(100, 100, 0.0, 0.2)
+        t = first["timestamp"][-1]
+        transit = gaze([(t + (i + 1) / 120.0, x, 100.0, 1.0)
+                        for i, x in enumerate((220.0, 380.0, 520.0))])
+        t = transit["timestamp"][-1]
+        samples = np.concatenate(
+            [first, transit, stationary_samples(600, 100, t + 1 / 120.0, 0.2)])
         fixations = detect_fixations_idt(samples)
         assert len(fixations) == 2
         assert fixations[0].centroid_x == pytest.approx(100.0, abs=1.0)
@@ -60,43 +74,43 @@ class TestIdt:
 
     def test_dispersion_boundary_inclusive(self):
         # Points spanning exactly 50 px stay one fixation.
-        samples = [GazeSample(i / 120.0, 100.0 + 50.0 * (i % 2), 200.0, 1.0)
-                   for i in range(30)]
+        samples = gaze([(i / 120.0, 100.0 + 50.0 * (i % 2), 200.0, 1.0)
+                        for i in range(30)])
         fixations = detect_fixations_idt(samples, dispersion_threshold=50.0)
         assert len(fixations) == 1
         assert fixations[0].centroid_x == pytest.approx(125.0)
 
     def test_dispersion_just_over_splits(self):
-        samples = [GazeSample(i / 120.0, 100.0 + 50.5 * (i % 2), 200.0, 1.0)
-                   for i in range(30)]
+        samples = gaze([(i / 120.0, 100.0 + 50.5 * (i % 2), 200.0, 1.0)
+                        for i in range(30)])
         assert detect_fixations_idt(samples, dispersion_threshold=50.0) == []
 
     def test_min_duration_boundary(self):
         # A window spanning exactly 100 ms qualifies.
-        samples = [GazeSample(t, 0.0, 0.0, 1.0) for t in (0.0, 0.05, 0.1)]
+        samples = gaze([(t, 0.0, 0.0, 1.0) for t in (0.0, 0.05, 0.1)])
         fixations = detect_fixations_idt(samples, min_duration=100.0)
         assert len(fixations) == 1
         assert fixations[0].duration == pytest.approx(100.0)
 
     def test_under_min_duration_yields_nothing(self):
-        samples = [GazeSample(t, 0.0, 0.0, 1.0) for t in (0.0, 0.04, 0.099)]
+        samples = gaze([(t, 0.0, 0.0, 1.0) for t in (0.0, 0.04, 0.099)])
         assert detect_fixations_idt(samples, min_duration=100.0) == []
 
     def test_empty_input(self):
         assert detect_fixations_idt([]) == []
+        assert detect_fixations_idt(gaze([])) == []
 
     def test_no_overlap_and_internal_dispersion(self):
         rng = np.random.default_rng(12)
-        samples = []
+        rows = []
         t = 0.0
         for _ in range(5):
             cx, cy = rng.uniform(0, 1000, size=2)
             for _ in range(rng.integers(15, 40)):
-                samples.append(GazeSample(t, cx + rng.uniform(-5, 5),
-                                          cy + rng.uniform(-5, 5), 1.0))
+                rows.append((t, cx + rng.uniform(-5, 5), cy + rng.uniform(-5, 5), 1.0))
                 t += 1 / 120.0
             t += rng.uniform(0.05, 0.2)
-        fixations = detect_fixations_idt(samples)
+        fixations = detect_fixations_idt(gaze(rows))
         for a, b in zip(fixations, fixations[1:]):
             assert a.start_time + a.duration / 1000.0 <= b.start_time
         for fix in fixations:
@@ -104,10 +118,11 @@ class TestIdt:
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(13)
-        samples = [GazeSample(i / 120.0, float(rng.uniform(0, 500)),
-                              float(rng.uniform(0, 500)), 1.0) for i in range(200)]
-        shifted = [GazeSample(s.timestamp, s.x + 123.0, s.y - 45.0, s.confidence)
-                   for s in samples]
+        samples = gaze([(i / 120.0, float(rng.uniform(0, 500)),
+                         float(rng.uniform(0, 500)), 1.0) for i in range(200)])
+        shifted = samples.copy()
+        shifted["x"] += 123.0
+        shifted["y"] -= 45.0
         base = detect_fixations_idt(samples)
         moved = detect_fixations_idt(shifted)
         assert len(base) == len(moved)
@@ -159,20 +174,18 @@ class TestMapToAoi:
 
 def planted_trial(centers, trial_id="t0", condition="TC", dwell_s=0.2):
     """Gaze dwelling on each center in turn, joined by 2-sample saccades."""
-    samples = []
+    rows = []
     t = 0.0
     for i, (x, y) in enumerate(centers):
-        block = stationary_samples(x, y, t, dwell_s)
-        samples += block
-        t = block[-1].timestamp
+        rows += stationary_samples(x, y, t, dwell_s).tolist()
+        t = rows[-1][0]
         if i + 1 < len(centers):
             nx, ny = centers[i + 1]
             for frac in (0.4, 0.8):
                 t += 1 / 120.0
-                samples.append(GazeSample(t, x + frac * (nx - x),
-                                          y + frac * (ny - y), 1.0))
+                rows.append((t, x + frac * (nx - x), y + frac * (ny - y), 1.0))
             t += 1 / 120.0
-    return Trial("p0", condition, trial_id, samples)
+    return Trial("p0", condition, trial_id, gaze(rows))
 
 
 class TestBuildScanpath:
@@ -185,10 +198,9 @@ class TestBuildScanpath:
         assert record.dropped_fixations == 0
 
     def test_all_low_confidence(self):
-        trial = planted_trial([(400, 500)])
-        trial = Trial("p0", "TC", "t0",
-                      [GazeSample(s.timestamp, s.x, s.y, 0.2) for s in trial.samples])
-        record = build_scanpath(trial, SEARCH_TASK_AOIS)
+        samples = planted_trial([(400, 500)]).samples.copy()
+        samples["confidence"] = 0.2
+        record = build_scanpath(Trial("p0", "TC", "t0", samples), SEARCH_TASK_AOIS)
         assert record.symbols.tolist() == []
 
     def test_collapse_repeats(self):
@@ -220,9 +232,45 @@ class TestBuildScanpath:
         assert np.array_equal(a.symbols, b.symbols)
 
 
+class TestInvalidSamples:
+    """Non-finite x, y or confidence: dropped before IDT and counted."""
+
+    @staticmethod
+    def dirty_and_clean():
+        # One planted 200 ms dwell; an interior x = nan row and an
+        # inf-confidence row, and the same samples with those rows deleted.
+        dirty = planted_trial([(400, 500)]).samples.copy()
+        dirty["x"][5] = np.nan
+        dirty["confidence"][12] = np.inf
+        clean = np.delete(dirty, [5, 12])
+        return Trial("p0", "TC", "t0", dirty), Trial("p0", "TC", "t0", clean)
+
+    def test_same_fixation_as_rows_deleted(self):
+        dirty, clean = self.dirty_and_clean()
+        fixations = trial_fixations(dirty.samples)
+        assert len(fixations) == 1
+        assert fixations == trial_fixations(clean.samples)
+        record = build_scanpath(dirty, SEARCH_TASK_AOIS)
+        assert record.symbols.tolist() == [2]
+        assert record.invalid_samples == 2
+        assert build_scanpath(clean, SEARCH_TASK_AOIS).invalid_samples == 0
+
+    def test_count_round_trips(self):
+        doc = build_scanpath(self.dirty_and_clean()[0], SEARCH_TASK_AOIS).to_dict()
+        assert doc["invalid_samples"] == 2
+        assert ScanpathRecord.from_dict(doc).invalid_samples == 2
+        del doc["invalid_samples"]
+        assert ScanpathRecord.from_dict(doc).invalid_samples == 0
+
+
 class TestTrialValidation:
     def test_timestamps_must_increase(self):
-        samples = [GazeSample(0.1, 0, 0, 1.0), GazeSample(0.1, 1, 1, 1.0)]
+        samples = gaze([(0.1, 0, 0, 1.0), (0.1, 1, 1, 1.0)])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trial("p", "c", "t", samples)
+
+    def test_nan_timestamp_rejected(self):
+        samples = gaze([(0.0, 0, 0, 1.0), (np.nan, 1, 1, 1.0), (0.2, 1, 1, 1.0)])
         with pytest.raises(ValueError, match="strictly increasing"):
             Trial("p", "c", "t", samples)
 
@@ -238,7 +286,47 @@ class TestGazeCsv:
         )
         trials = read_gaze_csv(path)
         assert [t.trial_id for t in trials] == ["t0", "t1"]  # canonical order
-        assert trials[1].samples[0].x == 10.0
+        assert trials[1].samples.dtype == GAZE_DTYPE
+        assert np.array_equal(trials[1].samples,
+                              gaze([(0.0, 10, 20, 1.0), (0.008, 11, 21, 1.0)]))
+
+    def test_quoted_field_extra_column_reordered_header(self, tmp_path):
+        path = tmp_path / "gaze.csv"
+        path.write_text(
+            "x,confidence,timestamp,condition,participant_id,trial_id,y,note\n"
+            '10,1.0,0.0,TC,p1,"t,1",20,"left, top"\n'
+            '11,0.5,0.008,TC,p1,"t,1",21,\n'
+            "5,0.4,0.0,TC,p0,t0,6,,extra\n"
+        )
+        trials = read_gaze_csv(path)
+        assert [(t.participant_id, t.trial_id, t.condition) for t in trials] == [
+            ("p0", "t0", "TC"), ("p1", "t,1", "TC")]
+        assert np.array_equal(trials[0].samples, gaze([(0.0, 5, 6, 0.4)]))
+        assert np.array_equal(trials[1].samples,
+                              gaze([(0.0, 10, 20, 1.0), (0.008, 11, 21, 0.5)]))
+
+    def test_errors_name_the_physical_line(self, tmp_path):
+        path = tmp_path / "gaze.csv"
+        path.write_text(
+            "trial_id,participant_id,condition,timestamp,x,y,confidence\n"
+            "t1,p1,TC,0.0,10,20,1.0\n"
+            "\n"
+            "\n"
+            "t1,p1,TC,oops,10,20,1.0\n"
+        )
+        with pytest.raises(ValueError, match="line 5: "):
+            read_gaze_csv(path)
+
+    def test_short_row_names_column_count(self, tmp_path):
+        path = tmp_path / "gaze.csv"
+        path.write_text(
+            "trial_id,participant_id,condition,timestamp,x,y,confidence\n"
+            "t1,p1,TC,0.0,10,20,1.0\n"
+            "t1,p1,TC,0.008,10\n"
+        )
+        with pytest.raises(ValueError,
+                           match=r"line 3: 5 field\(s\) where the header has 7 columns"):
+            read_gaze_csv(path)
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "gaze.csv"

@@ -193,14 +193,6 @@ class TestBiasCorrection:
             corrected_err.append(abs(est.corrected_value - 2.0))
         assert np.mean(corrected_err) < np.mean(plugin_err)
 
-    def test_expected_occupancy_variant(self):
-        rng = np.random.default_rng(4)
-        draws = rng.integers(0, 6, size=25)
-        table = empirical_distribution(draws[:, None], (6,))
-        observed = entropy(table).bias_correction
-        expected = entropy(table, occupancy="expected").bias_correction
-        assert expected >= observed  # R-hat can only grow
-
 
 class TestActiveInformationStorage:
     def test_deterministic_cycle(self):
@@ -257,8 +249,6 @@ class TestLargeAlphabets:
         seq = SymbolSequence(np.random.default_rng(16).integers(0, 16, 300), 16)
         for estimate in (
                 lambda: active_information_storage(seq, range(1, 6), 5),
-                lambda: active_information_storage(seq, range(1, 6), 5,
-                                                   occupancy="expected"),
                 lambda: local_ais(seq, range(1, 6), 5)):
             tracemalloc.start()
             try:
@@ -271,10 +261,8 @@ class TestLargeAlphabets:
     def test_state_codes_do_not_overflow(self):
         # 300^5 joint cells: no dense table, and no int64 mixed-radix code.
         seq = SymbolSequence(np.random.default_rng(300).integers(0, 300, 400), 300)
-        for occupancy in ("observed", "expected"):
-            est = active_information_storage(seq, (1, 2, 3, 4), 4,
-                                             occupancy=occupancy)
-            assert math.isfinite(est.corrected_value)
+        est = active_information_storage(seq, (1, 2, 3, 4), 4)
+        assert math.isfinite(est.corrected_value)
         assert np.all(np.isfinite(local_ais(seq, (1, 2, 3, 4), 4)))
 
     def test_equals_table_estimator_bit_for_bit(self):
@@ -289,12 +277,11 @@ class TestLargeAlphabets:
                                             p=weights), m)
             table = table_from_series(embed(seq, lags, k))
             past_axes = tuple(range(1, 1 + len(lags)))
-            for occupancy in ("observed", "expected"):
-                ref = mutual_information(table, (0,), past_axes, occupancy=occupancy)
-                est = active_information_storage(seq, lags, k, occupancy=occupancy)
-                assert (est.plugin_value, est.bias_correction, est.corrected_value,
-                        est.sample_count) == (ref.plugin_value, ref.bias_correction,
-                                              ref.corrected_value, ref.sample_count)
+            ref = mutual_information(table, (0,), past_axes)
+            est = active_information_storage(seq, lags, k)
+            assert (est.plugin_value, est.bias_correction, est.corrected_value,
+                    est.sample_count) == (ref.plugin_value, ref.bias_correction,
+                                          ref.corrected_value, ref.sample_count)
 
 
 class TestSurrogateKernel:
