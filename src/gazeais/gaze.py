@@ -6,8 +6,9 @@ Each trial's samples are one numpy structured array of `GAZE_DTYPE`.
 Conventions (documented because every one of them is a boundary call):
 a sample whose x, y or confidence is not finite is invalid, dropped and
 counted; confidence >= threshold is retained, dispersion <= threshold is
-accepted, duration strictly above the maximum is excluded, AOI rectangles
-are half-open ([x_min, x_max) x [y_min, y_max)) so adjacent regions
+accepted, duration strictly above the maximum is excluded (samples below
+the confidence threshold and excluded fixations are counted too), AOI
+rectangles are half-open ([x_min, x_max) x [y_min, y_max)) so adjacent regions
 partition cleanly, and overlaps are resolved by explicit priority.
 """
 
@@ -93,6 +94,8 @@ class ScanpathRecord:
     alphabet_size: int
     dropped_fixations: int = 0
     invalid_samples: int = 0
+    low_confidence_samples: int = 0
+    long_fixations: int = 0
 
     @property
     def sequence(self) -> SymbolSequence:
@@ -107,6 +110,8 @@ class ScanpathRecord:
             "alphabet_size": int(self.alphabet_size),
             "dropped_fixations": int(self.dropped_fixations),
             "invalid_samples": int(self.invalid_samples),
+            "low_confidence_samples": int(self.low_confidence_samples),
+            "long_fixations": int(self.long_fixations),
         }
 
     @classmethod
@@ -119,6 +124,8 @@ class ScanpathRecord:
             alphabet_size=int(doc["alphabet_size"]),
             dropped_fixations=int(doc.get("dropped_fixations", 0)),
             invalid_samples=int(doc.get("invalid_samples", 0)),
+            low_confidence_samples=int(doc.get("low_confidence_samples", 0)),
+            long_fixations=int(doc.get("long_fixations", 0)),
         )
 
 
@@ -137,6 +144,86 @@ def filter_gaze(samples, min_confidence: float = 0.9) -> np.ndarray:
     return samples[_finite(samples) & (samples["confidence"] >= min_confidence)]
 
 
+def _window_ends(ts, min_duration: float) -> np.ndarray:
+    """Per start i, the first j >= i with (ts[j] - ts[i]) * 1000 >= min_duration.
+
+    n where no sample covers the minimum duration. `searchsorted` on
+    ts + min_duration / 1000 rounds differently from that comparison, so
+    each estimate is stepped to the exact end; the comparison is monotone
+    in j, so the steps settle within a sample or two. The ends never
+    decrease with i.
+    """
+    n = len(ts)
+    first = np.arange(n)
+    if not min_duration > 0:
+        return first  # the one-sample window already covers it
+    ends = np.maximum(np.searchsorted(ts, ts + min_duration / 1000.0), first)
+
+    def short(at, j):
+        return (ts[j] - ts[at]) * 1000.0 < min_duration
+
+    at = np.flatnonzero(ends < n)
+    while at.size:
+        at = at[short(at, ends[at])]
+        ends[at] += 1
+        at = at[ends[at] < n]
+    at = np.flatnonzero(ends > first)
+    while at.size:
+        at = at[~short(at, ends[at] - 1)]
+        ends[at] -= 1
+        at = at[ends[at] > at]
+    return ends
+
+
+def _window_dispersion(rows: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """(max x - min x) + (max y - min y) over samples i..ends[i], per i.
+
+    `rows` holds x, -x, y and -y, so a maximum gives every extreme. A
+    sparse table answers each window from two overlapping blocks of 2**k
+    samples, k = floor(log2(length)). Levels are built one at a time and
+    only up to the longest window, so memory stays linear in n.
+    """
+    levels = np.frexp(ends - np.arange(len(ends)) + 1)[1] - 1
+    dispersion = np.empty(len(ends))
+    table = rows
+    for k in range(int(levels.max(initial=-1)) + 1):
+        if k:
+            half = 1 << (k - 1)
+            table = np.maximum(table[:, :-half], table[:, half:])
+        at = np.flatnonzero(levels == k)
+        top = table[:, at]
+        np.maximum(top, table[:, ends[at] - (1 << k) + 1], out=top)
+        # max - min == max + (-min) bit for bit
+        dispersion[at] = (top[0] + top[1]) + (top[2] + top[3])
+    return dispersion
+
+
+def _fixation_end(rows: np.ndarray, i: int, window_end: int,
+                  dispersion_threshold: float) -> int:
+    """Last sample of the fixation starting at i whose window ends at window_end.
+
+    The running dispersion from i never decreases, and the window is
+    within the threshold, so the fixation ends before the first sample
+    that takes it over. Running extremes are taken block by block: the
+    first block reaches 64 samples past the window, and each next one is
+    twice as long.
+    """
+    n = rows.shape[1]
+    top = rows[:, i:i + 1]
+    start, size = i, window_end - i + 65
+    while start < n:
+        run = np.maximum(np.maximum.accumulate(rows[:, start:start + size],
+                                               axis=1), top)
+        over = np.flatnonzero((run[0] + run[1]) + (run[2] + run[3])
+                              > dispersion_threshold)
+        if over.size:
+            return start + int(over[0]) - 1
+        top = run[:, -1:]
+        start += size
+        size *= 2
+    return n - 1
+
+
 def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
                          min_duration: float = 100.0) -> List[Fixation]:
     """Classic dispersion-threshold fixation detection.
@@ -146,42 +233,41 @@ def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
     is within the threshold, extend the window while the next sample keeps
     it within, emit a fixation at the centroid of the window, and consume
     it; otherwise slide forward by one sample. Fixations never overlap.
-    `samples` is a `GAZE_DTYPE` array in time order.
+    `samples` is a `GAZE_DTYPE` array with finite x, y and timestamps, the
+    timestamps strictly increasing; anything else raises ValueError.
+
+    Every start's window and its dispersion are computed at once, so the
+    Python loop runs once per fixation, not once per sample.
     """
     n = len(samples)
     if n == 0:
         return []
     ts, xs, ys = samples["timestamp"], samples["x"], samples["y"]
+    if not (np.isfinite(ts).all() and np.isfinite(xs).all()
+            and np.isfinite(ys).all()):
+        raise ValueError("IDT needs finite timestamps, x and y")
+    if not np.all(np.diff(ts) > 0):
+        raise ValueError("IDT needs strictly increasing timestamps")
+    ends = _window_ends(ts, min_duration)
+    # Ends never decrease: from the first start whose window runs past the
+    # last sample on, no window covers min_duration.
+    starts = int(np.searchsorted(ends, n))
+    rows = np.stack([xs, -xs, ys, -ys])
+    candidates = np.flatnonzero(
+        _window_dispersion(rows, ends[:starts]) <= dispersion_threshold)
     fixations = []
-    i = 0
-    while i < n:
-        j = i
-        while j < n and (ts[j] - ts[i]) * 1000.0 < min_duration:
-            j += 1
-        if j >= n:
-            break  # remaining samples cannot cover the minimum duration
-        min_x, max_x = xs[i:j + 1].min(), xs[i:j + 1].max()
-        min_y, max_y = ys[i:j + 1].min(), ys[i:j + 1].max()
-        if (max_x - min_x) + (max_y - min_y) <= dispersion_threshold:
-            while j + 1 < n:
-                nx_min = min(min_x, xs[j + 1])
-                nx_max = max(max_x, xs[j + 1])
-                ny_min = min(min_y, ys[j + 1])
-                ny_max = max(max_y, ys[j + 1])
-                if (nx_max - nx_min) + (ny_max - ny_min) > dispersion_threshold:
-                    break
-                min_x, max_x, min_y, max_y = nx_min, nx_max, ny_min, ny_max
-                j += 1
-            fixations.append(Fixation(
-                start_time=float(ts[i]),
-                duration=float((ts[j] - ts[i]) * 1000.0),
-                centroid_x=float(xs[i:j + 1].mean()),
-                centroid_y=float(ys[i:j + 1].mean()),
-                sample_count=int(j - i + 1),
-            ))
-            i = j + 1
-        else:
-            i += 1
+    pos = 0
+    while pos < len(candidates):
+        i = int(candidates[pos])
+        j = _fixation_end(rows, i, int(ends[i]), dispersion_threshold)
+        fixations.append(Fixation(
+            start_time=float(ts[i]),
+            duration=float((ts[j] - ts[i]) * 1000.0),
+            centroid_x=float(xs[i:j + 1].mean()),
+            centroid_y=float(ys[i:j + 1].mean()),
+            sample_count=int(j - i + 1),
+        ))
+        pos = int(np.searchsorted(candidates, j + 1))
     return fixations
 
 
@@ -190,13 +276,29 @@ def filter_fixations(fixations, max_duration: float = 1500.0) -> List[Fixation]:
     return [f for f in fixations if f.duration <= max_duration]
 
 
+def _trial_stages(samples, params: PipelineParams):
+    """`trial_fixations` plus what each stage discarded.
+
+    The counts are keyed by their `ScanpathRecord` field names: invalid
+    (non-finite) samples, finite samples below the confidence threshold,
+    and fixations over the maximum duration.
+    """
+    finite = int(np.count_nonzero(_finite(samples)))
+    kept = filter_gaze(samples, params.min_confidence)
+    detected = detect_fixations_idt(kept, params.dispersion_threshold,
+                                    params.min_duration_ms)
+    fixations = filter_fixations(detected, params.max_duration_ms)
+    return fixations, {
+        "invalid_samples": len(samples) - finite,
+        "low_confidence_samples": finite - len(kept),
+        "long_fixations": len(detected) - len(fixations),
+    }
+
+
 def trial_fixations(samples, params: PipelineParams = PipelineParams()
                     ) -> List[Fixation]:
     """Confidence filter, IDT detection and maximum-duration filter."""
-    kept = filter_gaze(samples, params.min_confidence)
-    fixations = detect_fixations_idt(kept, params.dispersion_threshold,
-                                     params.min_duration_ms)
-    return filter_fixations(fixations, params.max_duration_ms)
+    return _trial_stages(samples, params)[0]
 
 
 def map_to_aoi(fix: Fixation, aois) -> Optional[int]:
@@ -227,24 +329,28 @@ def build_scanpath(trial: Trial, aois, params: PipelineParams = PipelineParams()
     """Full pipeline for one trial: gaze samples to an AOI symbol sequence.
 
     AOI ids must be exactly 0..len(aois)-1 so they double as symbol ids.
-    Invalid (non-finite) samples and fixations whose centroid falls outside
-    every AOI are dropped and counted.
+    Invalid and low-confidence samples, fixations over the maximum
+    duration and fixations whose centroid falls outside every AOI are
+    dropped and counted.
     """
     ids = sorted(a.id for a in aois)
     if ids != list(range(len(aois))):
         raise ValueError("AOI ids must be exactly 0..n-1 to serve as symbols")
+    fixations, counts = _trial_stages(trial.samples, params)
     symbols = []
     dropped = 0
-    for fix in trial_fixations(trial.samples, params):
+    for fix in fixations:
         sym = map_to_aoi(fix, aois)
         if sym is None:
             dropped += 1
         else:
             symbols.append(sym)
-    invalid = len(trial.samples) - int(np.count_nonzero(_finite(trial.samples)))
-    if dropped or invalid:
-        log.info("trial %s: dropped %d invalid sample(s) and %d fixation(s) "
-                 "outside all AOIs", trial.trial_id, invalid, dropped)
+    if dropped or any(counts.values()):
+        log.info("trial %s: dropped %d invalid and %d low-confidence "
+                 "sample(s), %d long fixation(s) and %d fixation(s) outside "
+                 "all AOIs", trial.trial_id, counts["invalid_samples"],
+                 counts["low_confidence_samples"], counts["long_fixations"],
+                 dropped)
     if params.collapse_repeats:
         symbols = [s for i, s in enumerate(symbols)
                    if i == 0 or s != symbols[i - 1]]
@@ -255,7 +361,7 @@ def build_scanpath(trial: Trial, aois, params: PipelineParams = PipelineParams()
         symbols=np.asarray(symbols, dtype=np.int64),
         alphabet_size=len(aois),
         dropped_fixations=dropped,
-        invalid_samples=invalid,
+        **counts,
     )
 
 

@@ -99,7 +99,9 @@ class TestFixationsCommand:
         rows = fix.read_text().strip().splitlines()[1:]
         assert len(rows) == 1
         assert float(rows[0].split(",")[3]) == pytest.approx(1700.0, abs=1.0)
-        assert json.loads(scan.read_text())["trials"][0]["symbols"] == [1]
+        trial = json.loads(scan.read_text())["trials"][0]
+        assert trial["symbols"] == [1]
+        assert trial["long_fixations"] == 1
         assert main(["fixations", str(gaze), "--max-duration", "2500",
                      "--out", str(fix)]) == 0
         assert len(fix.read_text().strip().splitlines()) == 3

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,208 @@ class TestIdt:
             assert b.sample_count == a.sample_count
 
 
+def _reference_idt(samples, dispersion_threshold=50.0, min_duration=100.0):
+    """The per-sample IDT loop that `detect_fixations_idt` replaced, as an oracle."""
+    n = len(samples)
+    if n == 0:
+        return []
+    ts, xs, ys = samples["timestamp"], samples["x"], samples["y"]
+    fixations = []
+    i = 0
+    while i < n:
+        j = i
+        while j < n and (ts[j] - ts[i]) * 1000.0 < min_duration:
+            j += 1
+        if j >= n:
+            break  # remaining samples cannot cover the minimum duration
+        min_x, max_x = xs[i:j + 1].min(), xs[i:j + 1].max()
+        min_y, max_y = ys[i:j + 1].min(), ys[i:j + 1].max()
+        if (max_x - min_x) + (max_y - min_y) <= dispersion_threshold:
+            while j + 1 < n:
+                nx_min = min(min_x, xs[j + 1])
+                nx_max = max(max_x, xs[j + 1])
+                ny_min = min(min_y, ys[j + 1])
+                ny_max = max(max_y, ys[j + 1])
+                if (nx_max - nx_min) + (ny_max - ny_min) > dispersion_threshold:
+                    break
+                min_x, max_x, min_y, max_y = nx_min, nx_max, ny_min, ny_max
+                j += 1
+            fixations.append(Fixation(
+                start_time=float(ts[i]),
+                duration=float((ts[j] - ts[i]) * 1000.0),
+                centroid_x=float(xs[i:j + 1].mean()),
+                centroid_y=float(ys[i:j + 1].mean()),
+                sample_count=int(j - i + 1),
+            ))
+            i = j + 1
+        else:
+            i += 1
+    return fixations
+
+
+def random_trial(rng):
+    """A random-walk gaze trace with saccade jumps and irregular sampling.
+
+    Returns the samples, a dispersion threshold and a minimum duration.
+    Lengths are log-uniform in 1..5000; some traces sit on whole pixels,
+    so dispersions tie with integer thresholds.
+    """
+    n = int(np.exp(rng.uniform(0.0, np.log(5000.0)))) or 1
+    period = 1.0 / rng.choice([60.0, 120.0, 250.0, 1000.0])
+    gaps = np.full(n, period)
+    if rng.random() < 0.5:
+        gaps *= rng.uniform(0.5, 1.5, n)
+    dropout = rng.random(n) < 0.01
+    gaps[dropout] *= rng.uniform(2.0, 50.0, dropout.sum())
+    steps = rng.normal(0.0, rng.uniform(0.2, 8.0), (n, 2))
+    jumps = rng.random(n) < rng.uniform(0.0, 0.05)
+    steps[jumps] += rng.normal(0.0, 200.0, (jumps.sum(), 2))
+    xy = np.cumsum(steps, axis=0) + rng.uniform(0, 1000, 2)
+    if rng.random() < 0.3:
+        xy = np.round(xy)
+    samples = np.zeros(n, dtype=GAZE_DTYPE)
+    if rng.random() < 0.3:
+        # A regular grid from 0, where (ts[j] - ts[i]) * 1000 and
+        # ts[i] + min_duration / 1000 round to opposite sides of a boundary.
+        samples["timestamp"] = np.arange(n) * period
+    else:
+        samples["timestamp"] = rng.uniform(0, 100) + np.cumsum(gaps)
+    samples["x"], samples["y"] = xy[:, 0], xy[:, 1]
+    samples["confidence"] = 1.0
+    threshold = float(rng.choice([rng.uniform(0.0, 120.0), 50.0, 20.0, 0.0]))
+    min_duration = float(rng.choice([rng.uniform(0.0, 300.0), 50.0, 100.0,
+                                     250.0, 0.0]))
+    return samples, threshold, min_duration
+
+
+class TestIdtMatchesReference:
+    """The vectorised IDT returns the old loop's fixations bit for bit."""
+
+    @pytest.mark.parametrize("block", range(10))
+    def test_random_trials(self, block):
+        rng = np.random.default_rng([2024, block])
+        for _ in range(50):
+            samples, threshold, min_duration = random_trial(rng)
+            assert (detect_fixations_idt(samples, threshold, min_duration)
+                    == _reference_idt(samples, threshold, min_duration))
+
+    @staticmethod
+    def check(samples, threshold=50.0, min_duration=100.0):
+        fixations = detect_fixations_idt(samples, threshold, min_duration)
+        assert fixations == _reference_idt(samples, threshold, min_duration)
+        return fixations
+
+    @pytest.mark.parametrize("min_duration", [0.0, -5.0])
+    def test_non_positive_min_duration(self, min_duration):
+        # Every one-sample window qualifies, so fixations cover the trace.
+        samples = gaze([(i * 0.01, x, 0.0, 1.0)
+                        for i, x in enumerate((0, 0, 100, 100, 300))])
+        fixations = self.check(samples, 50.0, min_duration)
+        assert [f.sample_count for f in fixations] == [2, 2, 1]
+
+    def test_negative_threshold(self):
+        assert self.check(stationary_samples(5, 5, 0.0, 0.5), -1.0) == []
+        assert self.check(stationary_samples(5, 5, 0.0, 0.5), -1.0, 0.0) == []
+
+    def test_single_sample(self):
+        sample = gaze([(3.0, 1.0, 2.0, 1.0)])
+        assert self.check(sample) == []
+        assert self.check(sample, 50.0, 0.0) == [Fixation(3.0, 0.0, 1.0, 2.0, 1)]
+
+    def test_window_ends_on_last_sample(self):
+        # Start 0 fails the dispersion test; start 1's window covers
+        # exactly 250 ms and ends on the last sample.
+        samples = gaze([(t, x, 0.0, 1.0) for t, x in
+                        ((0.0, 500.0), (0.125, 0.0), (0.25, 0.0), (0.375, 0.0))])
+        assert self.check(samples, 50.0, 250.0) == [
+            Fixation(0.125, 250.0, 0.0, 0.0, 3)]
+
+    def test_window_end_below_searchsorted(self):
+        # On a 1 ms grid from 0, (ts[108] - ts[8]) * 1000 is exactly 100,
+        # though ts[8] + 0.1 rounds above ts[108]: the window from sample
+        # 8 ends at 108, just before the gaze jumps away.
+        samples = np.zeros(200, dtype=GAZE_DTYPE)
+        samples["timestamp"] = np.arange(200) * 0.001
+        samples["x"][:8] = 500.0
+        samples["x"][109:] = 1000.0
+        assert self.check(samples) == [Fixation(0.008, 100.0, 0.0, 0.0, 101)]
+
+    def test_dispersion_exactly_at_threshold(self):
+        # x spans 20 px and y 30 px: 50 px in all, within the threshold.
+        rows = [(i / 120.0, 100.0 + 20.0 * (i % 2), 200.0 + 30.0 * (i % 3 == 0),
+                 1.0) for i in range(40)]
+        assert [f.sample_count for f in self.check(gaze(rows))] == [40]
+        # Half a pixel more at sample 17 ends the fixation before it, and
+        # the window starting there fails; the next one starts at 18.
+        rows[17] = (rows[17][0], 120.5, 200.0, 1.0)
+        assert [f.sample_count for f in self.check(gaze(rows))] == [17, 22]
+
+    @pytest.mark.parametrize("jump_at", [165, 166, 7000, None])
+    def test_fixation_spans_long_trial(self, jump_at):
+        # 10 000 samples at 1000 Hz within 10 px: the fixation grows over
+        # doubling blocks (the first ends at sample 165) until a jump.
+        rng = np.random.default_rng(31)
+        n = 10_000
+        samples = np.zeros(n, dtype=GAZE_DTYPE)
+        samples["timestamp"] = np.arange(n) / 1000.0
+        samples["x"] = 300.0 + rng.uniform(-5, 5, n)
+        samples["y"] = 400.0 + rng.uniform(-5, 5, n)
+        if jump_at is not None:
+            samples["x"][jump_at:] += 200.0
+        fixations = self.check(samples)
+        assert fixations[0].sample_count == (jump_at or n)
+
+
+class TestIdtInputContract:
+    @pytest.mark.parametrize("field", ["timestamp", "x", "y"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, value):
+        samples = stationary_samples(10, 10, 0.0, 0.2)
+        samples[field][-1] = value
+        with pytest.raises(ValueError, match="finite"):
+            detect_fixations_idt(samples)
+
+    @pytest.mark.parametrize("order", [[0, 2, 1, 3], [0, 1, 1, 2]])
+    def test_timestamps_must_increase(self, order):
+        samples = gaze([(i * 0.05, 0.0, 0.0, 1.0) for i in order])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            detect_fixations_idt(samples)
+
+    def test_non_finite_confidence_ignored(self):
+        samples = stationary_samples(10, 10, 0.0, 0.2, confidence=np.nan)
+        assert len(detect_fixations_idt(samples)) == 1
+
+
+class TestIdtMemory:
+    def test_peak_and_pinned_result(self):
+        # A 500 s random walk at 1000 Hz: mostly sliding windows.
+        n = 500_000
+        rng = np.random.default_rng(5)
+        samples = np.zeros(n, dtype=GAZE_DTYPE)
+        samples["timestamp"] = np.arange(n) / 1000.0
+        samples["x"] = np.cumsum(rng.normal(0.0, 2.0, n))
+        samples["y"] = np.cumsum(rng.normal(0.0, 2.0, n))
+        samples["confidence"] = 1.0
+        tracemalloc.start()
+        try:
+            fixations = detect_fixations_idt(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * samples.nbytes
+        assert len(fixations) == 2442
+        for got, pinned in ((fixations[0], Fixation(
+                                 0.075, 138.0, -35.73473305315066,
+                                 -1.2107551439751485, 139)),
+                            (fixations[-1], Fixation(
+                                 499.891, 108.00000000000409, 842.2604232494833,
+                                 2064.7949283183143, 109))):
+            assert (got.start_time, got.duration, got.sample_count) == (
+                pinned.start_time, pinned.duration, pinned.sample_count)
+            assert got.centroid_x == pytest.approx(pinned.centroid_x, rel=1e-12)
+            assert got.centroid_y == pytest.approx(pinned.centroid_y, rel=1e-12)
+
+
 class TestFilterFixations:
     def test_boundary_retained(self):
         fix = Fixation(0.0, 1500.0, 0.0, 0.0, 10)
@@ -261,6 +465,41 @@ class TestInvalidSamples:
         assert ScanpathRecord.from_dict(doc).invalid_samples == 2
         del doc["invalid_samples"]
         assert ScanpathRecord.from_dict(doc).invalid_samples == 0
+
+
+class TestStageCounters:
+    """Samples below the confidence threshold and over-long fixations."""
+
+    @staticmethod
+    def record():
+        # A 2000 ms dwell in the left target box, a saccade, then a 200 ms
+        # dwell in the right half with two low-confidence samples and one
+        # x = nan sample inside it.
+        long_dwell = stationary_samples(400, 500, 0.0, 2.0)
+        t = long_dwell["timestamp"][-1] + 1 / 120.0
+        saccade = gaze([(t, 1000.0, 400.0, 1.0)])
+        short_dwell = stationary_samples(1700, 300, t + 1 / 120.0, 0.2)
+        short_dwell["confidence"][[5, 9]] = 0.5
+        short_dwell["x"][12] = np.nan
+        samples = np.concatenate([long_dwell, saccade, short_dwell])
+        return build_scanpath(Trial("p0", "TC", "t0", samples), SEARCH_TASK_AOIS)
+
+    def test_counts(self):
+        record = self.record()
+        assert record.symbols.tolist() == [1]
+        assert record.low_confidence_samples == 2
+        assert record.long_fixations == 1
+        assert record.invalid_samples == 1
+        assert record.dropped_fixations == 0
+
+    def test_counts_round_trip(self):
+        doc = self.record().to_dict()
+        assert (doc["low_confidence_samples"], doc["long_fixations"]) == (2, 1)
+        again = ScanpathRecord.from_dict(doc)
+        assert (again.low_confidence_samples, again.long_fixations) == (2, 1)
+        del doc["low_confidence_samples"], doc["long_fixations"]
+        again = ScanpathRecord.from_dict(doc)
+        assert (again.low_confidence_samples, again.long_fixations) == (0, 0)
 
 
 class TestTrialValidation:
