@@ -19,11 +19,8 @@ from .gaze import (AOIRegion, Fixation, GAZE_DTYPE, PipelineParams,
                    ScanpathRecord, Trial, build_scanpath,
                    detect_fixations_idt, filter_fixations, filter_gaze,
                    load_aois, map_to_aoi, read_gaze_csv, trial_fixations)
-from .infocore import (ContingencyTable, InfoEstimate,
-                       active_information_storage, conditional_entropy, conditional_mutual_information,
-                       empirical_distribution, entropy,
-                       gaze_transition_entropy, local_ais, mutual_information,
-                       table_from_series)
+from .infocore import (InfoEstimate, active_information_storage,
+                       gaze_transition_entropy, local_ais, next_symbol_entropy)
 from .markov import (MarkovSpec, analytic_ais, analytic_entropy, analytic_gte,
                      cycle_spec, generate, lagged_copy_spec, load_markov_spec,
                      persistence_spec, stationary_distribution,
@@ -34,21 +31,20 @@ from .stats import (PermutationTestResult,
                     independent_samples_permutation_test, test_final_ais)
 
 __all__ = [
-    "AOIRegion", "ContingencyTable", "ContrastResult", "EmbeddingConfig",
-    "Fixation", "GAZE_DTYPE", "InfoEstimate", "LagHistogram", "MarkovSpec",
-    "MIN_EMBEDDED_ROWS", "ParticipantComparison", "PastState",
-    "PermutationTestResult", "PipelineParams", "RunConfig", "ScanpathRecord",
-    "SelectionStep", "SelectionTrace", "StateVectorSeries", "SymbolSequence",
-    "Trial", "TrialResult", "active_information_storage", "analytic_ais",
+    "AOIRegion", "ContrastResult", "EmbeddingConfig", "Fixation", "GAZE_DTYPE",
+    "InfoEstimate", "LagHistogram", "MarkovSpec", "MIN_EMBEDDED_ROWS",
+    "ParticipantComparison", "PastState", "PermutationTestResult",
+    "PipelineParams", "RunConfig", "ScanpathRecord", "SelectionStep",
+    "SelectionTrace", "StateVectorSeries", "SymbolSequence", "Trial",
+    "TrialResult", "active_information_storage", "analytic_ais",
     "analytic_entropy", "analytic_gte", "analyze_trial", "build_scanpath",
-    "compare_conditions", "conditional_entropy", "contrast_conditions",
-    "conditional_mutual_information", "cycle_spec", "derive_rng",
-    "derive_seed", "detect_fixations_idt", "embed", "empirical_distribution",
-    "entropy", "equalize_samples", "filter_fixations", "filter_gaze",
-    "gaze_transition_entropy", "generate", "independent_samples_permutation_test",
-    "lag_histogram", "lagged_copy_spec", "load_aois", "load_markov_spec",
-    "local_ais", "map_to_aoi", "max_statistic_test", "mutual_information",
+    "compare_conditions", "contrast_conditions", "cycle_spec", "derive_rng",
+    "derive_seed", "detect_fixations_idt", "embed", "equalize_samples",
+    "filter_fixations", "filter_gaze", "gaze_transition_entropy", "generate",
+    "independent_samples_permutation_test", "lag_histogram",
+    "lagged_copy_spec", "load_aois", "load_markov_spec", "local_ais",
+    "map_to_aoi", "max_statistic_test", "next_symbol_entropy",
     "optimize_past_state", "parse_run_config", "persistence_spec",
-    "read_gaze_csv", "stationary_distribution", "table_from_series",
-    "test_final_ais", "trial_fixations", "uniform_iid_spec", "union_past_state",
+    "read_gaze_csv", "stationary_distribution", "test_final_ais",
+    "trial_fixations", "uniform_iid_spec", "union_past_state",
 ]

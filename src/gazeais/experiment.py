@@ -20,8 +20,8 @@ import numpy as np
 from .embedding import (EmbeddingConfig, MIN_EMBEDDED_ROWS, SelectionTrace,
                         optimize_past_state)
 from .gaze import ScanpathRecord
-from .infocore import (InfoEstimate, active_information_storage, entropy,
-                       table_from_series)
+from .infocore import (InfoEstimate, active_information_storage,
+                       next_symbol_entropy)
 from .rng import derive_seed
 from .sequences import PastState, SymbolSequence, embed
 from .stats import independent_samples_permutation_test, test_final_ais
@@ -185,11 +185,6 @@ class ParticipantComparison:
 # per-trial analysis
 # ---------------------------------------------------------------------------
 
-def _entropy_next(scanpath: SymbolSequence, k_max: int) -> InfoEstimate:
-    """Bias-corrected H(X_t) over the embedded target column."""
-    return entropy(table_from_series(embed(scanpath, (), k_max)))
-
-
 def _normalize(ais_est, entropy_est):
     """Corrected AIS / corrected H(X_t), clamped into [0, 1].
 
@@ -223,7 +218,7 @@ def analyze_trial(scanpath: SymbolSequence, cfg: EmbeddingConfig, *,
         )
     local_cfg = replace(cfg, seed=seed)
     lags, trace = optimize_past_state(scanpath, local_cfg)
-    entropy_next = _entropy_next(scanpath, cfg.k_max)
+    entropy_next = next_symbol_entropy(scanpath, cfg.k_max)
     if lags:
         ais = active_information_storage(scanpath, lags, cfg.k_max)
         p_value = test_final_ais(embed(scanpath, lags, cfg.k_max),
@@ -364,7 +359,7 @@ def contrast_conditions(records: Sequence[ScanpathRecord],
     values = {m: {c: [] for c in conditions} for m in MEASURES}
     excluded_normalized = {c: 0 for c in conditions}
     for (rec, _), seq in zip(analyzable, eq_seqs):
-        h_est = _entropy_next(seq, k_max)
+        h_est = next_symbol_entropy(seq, k_max)
         if union:
             ais_est = active_information_storage(seq, union, k_max)
         else:

@@ -1,7 +1,8 @@
 """Self-check suite behind the `validate` CLI subcommand.
 
 Each check pits an estimator against an independent oracle (closed forms,
-exhaustive enumeration, planted synthetic data) and reports pass/fail.
+exhaustive enumeration, planted synthetic data, dense contingency tables)
+and reports pass/fail.
 """
 
 import itertools
@@ -13,11 +14,8 @@ import numpy as np
 
 from .embedding import EmbeddingConfig, max_statistic_test, optimize_past_state
 from .gaze import GAZE_DTYPE, detect_fixations_idt
-from .infocore import (ContingencyTable, active_information_storage,
-                       conditional_entropy, conditional_mutual_information,
-                       empirical_distribution, entropy,
-                       gaze_transition_entropy, local_ais,
-                       mutual_information, table_from_series)
+from .infocore import (_cmi_rows, active_information_storage,
+                       gaze_transition_entropy, local_ais, next_symbol_entropy)
 from .markov import (analytic_ais, analytic_entropy, analytic_gte, cycle_spec,
                      generate, persistence_spec, uniform_iid_spec)
 from .sequences import SymbolSequence, embed
@@ -33,51 +31,69 @@ class CheckResult:
     detail: str
 
 
-def _random_table(rng):
-    n_axes = int(rng.integers(2, 4))
-    dims = tuple(int(rng.integers(2, 5)) for _ in range(n_axes))
-    counts = rng.integers(0, 6, size=dims)
-    if counts.sum() == 0:
-        counts.flat[0] = 1
-    return counts, dims
+def dense_entropy(rows, cols):
+    """Oracle: (plug-in entropy in bits, occupied cells) of the dense table
+    that tallies columns `cols` of the integer matrix `rows`.
+
+    The table spans every value tuple up to each column's maximum, so it is
+    independent of the rank-compressed codes the estimators count.
+    """
+    sub = np.asarray(rows, dtype=np.int64)[:, list(cols)]
+    counts = np.zeros(tuple(sub.max(axis=0) + 1), dtype=np.int64)
+    np.add.at(counts, tuple(sub.T), 1)
+    p = counts[counts > 0] / float(len(sub))
+    return float(-(p * np.log2(p)).sum()), int(np.count_nonzero(counts))
+
+
+def dense_estimate(rows, *terms):
+    """Oracle (plug-in, Miller-Madow correction) of sum sign * H(cols) over
+    `(cols, sign)` terms, each entropy tallied by `dense_entropy`."""
+    plugin = corr = 0.0
+    for cols, sign in terms:
+        h, cells = dense_entropy(rows, cols)
+        plugin += sign * h
+        corr += sign * (cells - 1.0) / (2.0 * len(rows) * math.log(2.0))
+    return plugin, corr
 
 
 def check_algebraic_identities(seed, n_cases=200) -> CheckResult:
-    """Chain rule, MI decomposition, CMI reduction, complementarity, locals."""
+    """The code-counting estimators against the dense-table oracle.
+
+    On random short sequences: CMI row 0 with and without conditioning,
+    AIS on a non-contiguous lag set, H(X_t) and GTE (plug-in and corrected
+    values), H(X_t) = AIS({1}) + GTE and mean local AIS = AIS.
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    devs = []
+
+    def agree(est, plugin, corr):
+        devs.extend((est.plugin_value - plugin,
+                     est.corrected_value - (plugin + corr)))
+
     for _ in range(n_cases):
-        counts, dims = _random_table(rng)
-        table = ContingencyTable(counts)
-        axes = list(range(len(dims)))
-        a, b = (0,), (1,)
-        rest = tuple(axes[2:])
-        h_joint = entropy(table, a + b).plugin_value
-        h_b = entropy(table, b).plugin_value
-        ce = conditional_entropy(table, a, b).plugin_value
-        worst = max(worst, abs(ce - (h_joint - h_b)))
-        mi = mutual_information(table, a, b).plugin_value
-        h_a = entropy(table, a).plugin_value
-        worst = max(worst, abs(mi - (h_a + h_b - h_joint)))
-        cmi0 = conditional_mutual_information(table, a, b, ()).plugin_value
-        worst = max(worst, abs(cmi0 - mi))
-        if rest:
-            cmi = conditional_mutual_information(table, a, b, rest).plugin_value
-            h_ac = entropy(table, a + rest).plugin_value
-            h_bc = entropy(table, b + rest).plugin_value
-            h_abc = entropy(table, a + b + rest).plugin_value
-            h_c = entropy(table, rest).plugin_value
-            worst = max(worst, abs(cmi - (h_ac + h_bc - h_abc - h_c)))
-        # complementarity + local consistency on a random short sequence
         m = int(rng.integers(2, 5))
         seq = SymbolSequence(rng.integers(0, m, size=int(rng.integers(10, 120))), m)
-        ais = active_information_storage(seq, (1,), 1).plugin_value
-        gte = gaze_transition_entropy(seq).plugin_value
-        h_t = entropy(table_from_series(embed(seq, (1,), 1)), (0,)).plugin_value
-        worst = max(worst, abs(h_t - ais - gte))
-        worst = max(worst, abs(float(np.mean(local_ais(seq, (1,), 1))) - ais))
-    passed = worst <= IDENTITY_TOL
-    return CheckResult("algebraic identities", passed,
+        series = embed(seq, (1, 2, 3), 3)
+        rows = np.column_stack([series.targets, series.pasts])  # t, x-1, x-2, x-3
+        t, lag1, lag3 = rows[:, 0], rows[:, 1], rows[:, 3]
+        mi, _ = dense_estimate(rows, ((0,), 1), ((3,), 1), ((0, 3), -1))
+        cmi, _ = dense_estimate(rows, ((0, 1), 1), ((1, 3), 1), ((0, 1, 3), -1),
+                                ((1,), -1))
+        devs.append(_cmi_rows(t, [], [(lag3,)])[0, 0] - mi)
+        devs.append(_cmi_rows(t, [lag1], [(lag3,)])[0, 0] - cmi)
+        ais = active_information_storage(seq, (1, 3), 3)
+        agree(ais, *dense_estimate(rows, ((0,), 1), ((1, 3), 1), ((0, 1, 3), -1)))
+        agree(next_symbol_entropy(seq, 3), *dense_estimate(rows, ((0,), 1)))
+        devs.append(np.mean(local_ais(seq, (1, 3), 3)) - ais.plugin_value)
+
+        rows = np.column_stack([seq.symbols[1:], seq.symbols[:-1]])  # t, x-1
+        gte = gaze_transition_entropy(seq)
+        agree(gte, *dense_estimate(rows, ((0, 1), 1), ((1,), -1)))
+        ais1 = active_information_storage(seq, (1,), 1)
+        agree(next_symbol_entropy(seq, 1), ais1.plugin_value + gte.plugin_value,
+              ais1.bias_correction + gte.bias_correction)
+    worst = float(np.max(np.abs(devs)))
+    return CheckResult("algebraic identities", bool(worst <= IDENTITY_TOL),
                        f"max deviation {worst:.3e} over {n_cases} randomized cases")
 
 
@@ -161,9 +177,7 @@ def check_bias_correction(seed, n_draws=300) -> CheckResult:
     err_plugin = []
     err_corrected = []
     for _ in range(n_draws):
-        draws = rng.integers(0, 4, size=50)
-        table = empirical_distribution(draws[:, None], (4,))
-        est = entropy(table)
+        est = next_symbol_entropy(SymbolSequence(rng.integers(0, 4, size=50), 4), 0)
         err_plugin.append(abs(est.plugin_value - 2.0))
         err_corrected.append(abs(est.corrected_value - 2.0))
     mp, mc = float(np.mean(err_plugin)), float(np.mean(err_corrected))

@@ -3,8 +3,10 @@
 Run with `pytest tests/test_acceptance.py -v -s`. Every tolerance is pinned
 here or, for criteria 1 and 5, which run the check bodies of `gazeais
 validate` at their own seeds and sizes, in `gazeais.validate`. The oracles
-(closed forms, exhaustive enumeration, planted traces) are computed
-independently of the code paths they check.
+(closed forms, exhaustive enumeration, planted traces, and for criterion 1
+a dense contingency table tallied apart from the production path's
+rank-compressed codes) are computed independently of the code paths they
+check.
 """
 
 import itertools

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -214,6 +215,20 @@ class TestSimulateAndAis:
               "--out", str(out)])
         result = json.loads(out.read_text())["results"][0]
         assert result["ais"]["corrected_value"] == pytest.approx(oracle, abs=0.05)
+
+    def test_constant_trial_writes_no_negative_zero(self, tmp_path):
+        doc = {"schema_version": 1, "trials": [{
+            "trial_id": "t0", "participant_id": "p0", "condition": "TC",
+            "symbols": [0] * 40, "alphabet_size": 2, "dropped_fixations": 0}]}
+        src = tmp_path / "scan.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "results.json"
+        assert main(["ais", str(src), "--seed", "3", "--nperm", "100",
+                     "--out", str(out)]) == 0
+        text = out.read_text()
+        h = json.loads(text)["results"][0]["entropy_next"]["plugin_value"]
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+        assert "-0.0" not in text
 
     def test_short_trial_skip_record_exit_zero(self, tmp_path):
         doc = {"schema_version": 1, "trials": [{

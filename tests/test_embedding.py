@@ -3,12 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gazeais import (EmbeddingConfig, SymbolSequence,
-                     conditional_mutual_information, derive_seed, embed,
+from gazeais import (EmbeddingConfig, SymbolSequence, derive_seed, embed,
                      generate, lagged_copy_spec, max_statistic_test,
-                     optimize_past_state, persistence_spec,
-                     table_from_series, uniform_iid_spec)
+                     optimize_past_state, persistence_spec, uniform_iid_spec)
 from gazeais.embedding import _candidate_cmis
+from gazeais.validate import dense_estimate
 
 
 class TestEmbeddingConfig:
@@ -29,15 +28,16 @@ class TestEmbeddingConfig:
 
 class TestCandidateCmis:
     def test_matches_table_estimator(self):
-        # The hot-path coded CMI must agree with the contingency-table route.
+        # The hot-path coded CMI must agree with the dense-table oracle.
         rng = np.random.default_rng(31)
         seq = SymbolSequence(rng.integers(0, 3, size=200), 3)
         series = embed(seq, (1, 2, 3), 3)
         cmis = dict(zip((1, 3), _candidate_cmis(series, (1, 3), (2,))[0]))
-        table = table_from_series(series)  # axes: target, lag1, lag2, lag3
-        for lag, axis in ((1, 1), (3, 3)):
-            ref = conditional_mutual_information(table, (0,), (axis,), (2,))
-            assert cmis[lag] == pytest.approx(ref.plugin_value, abs=1e-12)
+        rows = np.column_stack([series.targets, series.pasts])  # t, lag1..lag3
+        for lag in (1, 3):
+            ref, _ = dense_estimate(rows, ((0, 2), 1), ((2, lag), 1),
+                                    ((0, 2, lag), -1), ((2,), -1))
+            assert cmis[lag] == pytest.approx(ref, abs=1e-12)
 
 
 class TestMaxStatisticTest:

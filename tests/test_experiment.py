@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,7 @@ class TestAnalyzeTrial:
         cfg = EmbeddingConfig(k_max=5, n_perm=100, seed=3)
         res = analyze_trial(seq, cfg)
         assert res.entropy_next.plugin_value == 0.0
+        assert math.copysign(1.0, res.entropy_next.plugin_value) == 1.0
         assert res.normalized_ais is None
 
 

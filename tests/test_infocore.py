@@ -4,16 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gazeais import (ContingencyTable, SymbolSequence,
-                     active_information_storage, conditional_entropy, conditional_mutual_information,
-                     empirical_distribution, entropy, gaze_transition_entropy,
-                     independent_samples_permutation_test, local_ais,
-                     max_statistic_test, mutual_information, table_from_series, embed)
+from gazeais import (SymbolSequence, active_information_storage, embed,
+                     gaze_transition_entropy, independent_samples_permutation_test,
+                     local_ais, max_statistic_test, next_symbol_entropy)
 from gazeais import infocore
 from gazeais import test_final_ais as final_ais_test
 from gazeais.embedding import _candidate_cmis
 from gazeais.infocore import _cmi_rows
 from gazeais.stats import TAILS
+from gazeais.validate import dense_entropy, dense_estimate
 
 LN2 = math.log(2.0)
 TOL = 1e-12
@@ -23,110 +22,120 @@ def binary_entropy(p):
     return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
 
 
+def rows_from_counts(counts):
+    """One integer row per observation tallied in the table `counts`."""
+    counts = np.asarray(counts)
+    cells = np.indices(counts.shape).reshape(counts.ndim, -1).T
+    return np.repeat(cells, counts.ravel(), axis=0)
+
+
+def h_next(symbols, alphabet_size=None):
+    """H(X_t) over a whole symbol list (no embedding offset)."""
+    symbols = np.asarray(symbols)
+    m = alphabet_size or int(symbols.max()) + 1
+    return next_symbol_entropy(SymbolSequence(symbols, m), 0)
+
+
+def mi(a, b):
+    return _cmi_rows(a, [], [(b,)])[0, 0]
+
+
+def cmi(a, b, c):
+    return _cmi_rows(a, [c], [(b,)])[0, 0]
+
+
 class TestEmpiricalDistribution:
+    """The dense tally behind the `validate` oracle."""
+
     def test_single_observation(self):
-        table = empirical_distribution([(0, 1)], (2, 2))
-        assert table.counts[0, 1] == 1
-        assert table.total == 1
+        assert dense_entropy(np.array([[0, 1]]), (0, 1)) == (0.0, 1)
 
     def test_direct_tally(self):
-        table = empirical_distribution([(0,), (0,), (1,)], (2,))
-        assert table.counts.tolist() == [2, 1]
-        assert table.total == 3
+        h, cells = dense_entropy(np.array([[0], [0], [1]]), (0,))
+        assert h == pytest.approx(binary_entropy(1 / 3), abs=TOL)
+        assert cells == 2
 
     def test_uniform_tally(self):
-        samples = [(a, b) for a in range(2) for b in range(2)] * 2
-        table = empirical_distribution(samples, (2, 2))
-        assert np.all(table.counts == 2)
-        assert table.total == 8
-
-    def test_empty_is_error(self):
-        with pytest.raises(ValueError, match="zero samples"):
-            empirical_distribution([], (2,))
-
-    def test_out_of_range_is_error(self):
-        with pytest.raises(ValueError, match="out of range"):
-            empirical_distribution([(2,)], (2,))
+        rows = np.array([(a, b) for a in range(2) for b in range(2)] * 2)
+        h, cells = dense_entropy(rows, (0, 1))
+        assert h == pytest.approx(2.0, abs=TOL)
+        assert cells == 4
 
 
 class TestEntropy:
+    """H(X_t) on the embedded targets."""
+
     def test_uniform_four_symbols(self):
-        table = empirical_distribution([(s,) for s in range(4)], (4,))
-        assert entropy(table).plugin_value == pytest.approx(2.0, abs=TOL)
+        assert h_next(range(4)).plugin_value == pytest.approx(2.0, abs=TOL)
 
     def test_degenerate(self):
-        table = empirical_distribution([(1,)] * 10, (3,))
-        assert entropy(table).plugin_value == 0.0
+        est = h_next([1] * 10, 3)
+        assert est.plugin_value == 0.0
+        assert math.copysign(1.0, est.plugin_value) == 1.0
 
     def test_dyadic(self):
-        table = ContingencyTable(np.array([2, 1, 1]))
-        assert entropy(table).plugin_value == pytest.approx(1.5, abs=TOL)
-
-    def test_empty_axes_error(self):
-        table = ContingencyTable(np.array([1, 1]))
-        with pytest.raises(ValueError, match="empty"):
-            entropy(table, ())
+        assert h_next([0, 0, 1, 2]).plugin_value == pytest.approx(1.5, abs=TOL)
 
     def test_corrected_value_relation(self):
-        table = ContingencyTable(np.array([3, 1]))
-        est = entropy(table)
+        est = h_next([0, 0, 0, 1])
         assert est.corrected_value == est.plugin_value + est.bias_correction
+        assert est.kind == "entropy" and est.sample_count == 4
+
+    def test_offset_drops_leading_rows(self):
+        est = next_symbol_entropy(SymbolSequence([0, 1, 2, 3, 3, 3], 4), 3)
+        assert est.plugin_value == 0.0 and est.sample_count == 3
 
 
 class TestConditionalEntropy:
+    """H(X_t | X_{t-1}), i.e. GTE, on sequences with planted pair counts."""
+
     def test_independent_uniform(self):
-        table = ContingencyTable(np.ones((2, 2), dtype=int))
-        est = conditional_entropy(table, (0,), (1,))
+        # (0, 0, 1, 1, 0) holds each (x_{t-1}, x_t) pair once.
+        est = gaze_transition_entropy(SymbolSequence([0, 0, 1, 1, 0], 2))
         assert est.plugin_value == pytest.approx(1.0, abs=TOL)
 
     def test_functional_dependence(self):
-        table = ContingencyTable(np.diag([3, 5]))
-        assert conditional_entropy(table, (0,), (1,)).plugin_value == pytest.approx(0.0, abs=TOL)
+        seq = SymbolSequence([0, 1] * 8, 2)
+        assert gaze_transition_entropy(seq).plugin_value == pytest.approx(0.0, abs=TOL)
 
     def test_hand_tally(self):
-        # H(X,Y) and H(Y) tallied from the raw counts, chain rule by hand.
-        counts = np.array([[3, 1], [1, 3]])
-        table = ContingencyTable(counts)
+        # Pairs (x_{t-1}, x_t): (0,0) x3, (0,1) x1, (1,1) x3, (1,0) x1, so
+        # the pair counts are [[3, 1], [1, 3]]; chain rule by hand.
+        seq = SymbolSequence([0, 0, 0, 0, 1, 1, 1, 1, 0], 2)
         n = 8.0
         h_joint = -sum(c / n * math.log2(c / n) for c in (3, 1, 1, 3))
         h_y = -sum(c / n * math.log2(c / n) for c in (4, 4))
-        est = conditional_entropy(table, (0,), (1,))
+        est = gaze_transition_entropy(seq)
         assert est.plugin_value == pytest.approx(h_joint - h_y, abs=TOL)
-
-    def test_overlap_error(self):
-        table = ContingencyTable(np.ones((2, 2), dtype=int))
-        with pytest.raises(ValueError, match="disjoint"):
-            conditional_entropy(table, (0,), (0,))
 
 
 class TestMutualInformation:
+    """The CMI kernel's observed row with no conditioning columns."""
+
     def test_product_form_zero(self):
         # p(x, y) = p(x) p(y) exactly.
-        counts = np.outer([1, 3], [2, 2])
-        est = mutual_information(ContingencyTable(counts), (0,), (1,))
-        assert abs(est.plugin_value) < TOL
+        rows = rows_from_counts(np.outer([1, 3], [2, 2]))
+        assert abs(mi(rows[:, 0], rows[:, 1])) < TOL
 
     def test_identity_coupling(self):
-        est = mutual_information(ContingencyTable(np.diag([2, 2])), (0,), (1,))
-        assert est.plugin_value == pytest.approx(1.0, abs=TOL)
+        rows = rows_from_counts(np.diag([2, 2]))
+        assert mi(rows[:, 0], rows[:, 1]) == pytest.approx(1.0, abs=TOL)
 
     def test_hand_tally(self):
-        counts = np.array([[3, 1], [1, 3]])
+        rows = rows_from_counts([[3, 1], [1, 3]])
         n = 8.0
         h_x = -sum(c / n * math.log2(c / n) for c in (4, 4))
         h_y = h_x
         h_joint = -sum(c / n * math.log2(c / n) for c in (3, 1, 1, 3))
-        est = mutual_information(ContingencyTable(counts), (0,), (1,))
-        assert est.plugin_value == pytest.approx(h_x + h_y - h_joint, abs=TOL)
+        assert mi(rows[:, 0], rows[:, 1]) == pytest.approx(h_x + h_y - h_joint, abs=TOL)
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         counts = rng.integers(0, 5, size=(3, 4))
         counts[0, 0] += 1
-        table = ContingencyTable(counts)
-        ab = mutual_information(table, (0,), (1,)).plugin_value
-        ba = mutual_information(table, (1,), (0,)).plugin_value
-        assert ab == pytest.approx(ba, abs=TOL)
+        rows = rows_from_counts(counts)
+        assert mi(rows[:, 0], rows[:, 1]) == pytest.approx(
+            mi(rows[:, 1], rows[:, 0]), abs=TOL)
 
 
 class TestConditionalMutualInformation:
@@ -134,52 +143,45 @@ class TestConditionalMutualInformation:
         rng = np.random.default_rng(11)
         counts = rng.integers(0, 4, size=(3, 3))
         counts[0, 0] += 1
-        table = ContingencyTable(counts)
-        cmi = conditional_mutual_information(table, (0,), (1,), ()).plugin_value
-        mi = mutual_information(table, (0,), (1,)).plugin_value
-        assert cmi == pytest.approx(mi, abs=TOL)
+        rows = rows_from_counts(counts)
+        a, b = rows[:, 0], rows[:, 1]
+        oracle, _ = dense_estimate(rows, ((0,), 1), ((1,), 1), ((0, 1), -1))
+        assert mi(a, b) == pytest.approx(oracle, abs=TOL)
+        assert cmi(a, b, np.zeros_like(a)) == pytest.approx(mi(a, b), abs=TOL)
 
     def test_conditioning_on_copy_kills_information(self):
-        # Axis 2 duplicates axis 0, so A carries nothing beyond C about B.
-        samples = [(a, (a + b) % 2, a) for a in range(2) for b in range(2)]
-        table = empirical_distribution(samples, (2, 2, 2))
-        est = conditional_mutual_information(table, (0,), (1,), (2,))
-        assert abs(est.plugin_value) < TOL
+        # Column 2 duplicates column 0, so A carries nothing beyond C about B.
+        rows = np.array([(a, (a + b) % 2, a) for a in range(2) for b in range(2)])
+        assert abs(cmi(rows[:, 0], rows[:, 1], rows[:, 2])) < TOL
 
     def test_xor_structure(self):
         # B = A xor C with uniform inputs: I(A;B) = 0 but I(A;B|C) = 1.
-        samples = [(a, a ^ c, c) for a in range(2) for c in range(2)]
-        table = empirical_distribution(samples, (2, 2, 2))
-        mi = mutual_information(table, (0,), (1,)).plugin_value
-        cmi = conditional_mutual_information(table, (0,), (1,), (2,)).plugin_value
-        assert abs(mi) < TOL
-        assert cmi == pytest.approx(1.0, abs=TOL)
-
-    def test_overlap_error(self):
-        table = ContingencyTable(np.ones((2, 2, 2), dtype=int))
-        with pytest.raises(ValueError, match="disjoint"):
-            conditional_mutual_information(table, (0,), (1,), (1,))
+        rows = np.array([(a, a ^ c, c) for a in range(2) for c in range(2)])
+        assert abs(mi(rows[:, 0], rows[:, 1])) < TOL
+        assert cmi(rows[:, 0], rows[:, 1], rows[:, 2]) == pytest.approx(1.0, abs=TOL)
 
 
 class TestBiasCorrection:
     def test_single_occupied_bin(self):
-        table = ContingencyTable(np.array([5, 0, 0]))
-        assert entropy(table).bias_correction == 0.0
+        assert h_next([0] * 5, 3).bias_correction == 0.0
 
     def test_uniform_binary_formula(self):
-        table = ContingencyTable(np.array([1, 1]))
-        assert entropy(table).bias_correction == pytest.approx(1 / (4 * LN2), abs=TOL)
+        assert h_next([0, 1]).bias_correction == pytest.approx(1 / (4 * LN2), abs=TOL)
 
     def test_mi_combines_marginals(self):
-        rng = np.random.default_rng(5)
-        counts = rng.integers(0, 4, size=(3, 3))
-        counts[1, 1] += 1
-        table = ContingencyTable(counts)
-        c_a = entropy(table, (0,)).bias_correction
-        c_b = entropy(table, (1,)).bias_correction
-        c_ab = entropy(table, (0, 1)).bias_correction
-        c_mi = mutual_information(table, (0,), (1,)).bias_correction
-        assert c_mi == pytest.approx(c_a + c_b - c_ab, abs=TOL)
+        # AIS's correction is c_t + c_past - c_joint, each (R - 1) / (2 N ln 2)
+        # for R occupied cells, counted here by hand on the embedded rows.
+        seq = SymbolSequence(np.random.default_rng(5).integers(0, 3, 40), 3)
+        series = embed(seq, (1, 2), 2)
+        n = series.n_rows
+
+        def c(cols):
+            return (len({tuple(r) for r in cols.tolist()}) - 1) / (2 * n * LN2)
+
+        rows = np.column_stack([series.targets, series.pasts])
+        expected = c(rows[:, :1]) + c(rows[:, 1:]) - c(rows)
+        est = active_information_storage(seq, (1, 2), 2)
+        assert est.bias_correction == pytest.approx(expected, abs=TOL)
 
     def test_monte_carlo_improvement(self):
         # Undersampled uniform source: the corrected entropy must be closer
@@ -187,8 +189,7 @@ class TestBiasCorrection:
         rng = np.random.default_rng(99)
         plugin_err, corrected_err = [], []
         for _ in range(400):
-            draws = rng.integers(0, 4, size=50)
-            est = entropy(empirical_distribution(draws[:, None], (4,)))
+            est = h_next(rng.integers(0, 4, size=50), 4)
             plugin_err.append(abs(est.plugin_value - 2.0))
             corrected_err.append(abs(est.corrected_value - 2.0))
         assert np.mean(corrected_err) < np.mean(plugin_err)
@@ -200,7 +201,7 @@ class TestActiveInformationStorage:
         seq = SymbolSequence(np.arange(101) % 4, 4)
         est = active_information_storage(seq, (1,), 1)
         assert est.plugin_value == pytest.approx(2.0, abs=TOL)
-        h_t = entropy(table_from_series(embed(seq, (1,), 1)), (0,)).plugin_value
+        h_t = next_symbol_entropy(seq, 1).plugin_value
         assert est.plugin_value / h_t == pytest.approx(1.0, abs=TOL)
 
     def test_constant_sequence(self):
@@ -265,7 +266,29 @@ class TestLargeAlphabets:
         assert math.isfinite(est.corrected_value)
         assert np.all(np.isfinite(local_ais(seq, (1, 2, 3, 4), 4)))
 
+    def test_gte_memory_follows_rows(self):
+        # A dense transition table over 3000 symbols would hold 3000^2 cells.
+        seq = SymbolSequence(np.random.default_rng(3000).integers(0, 3000, 300), 3000)
+        tracemalloc.start()
+        try:
+            est = gaze_transition_entropy(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(est.corrected_value)
+        assert peak < 2 ** 20
+
     def test_equals_table_estimator_bit_for_bit(self):
+        # AIS, H(X_t) and GTE against the dense-table oracle of `validate`:
+        # the same occupied cells in the same order give the same floats.
+        def fields(est):
+            return (est.plugin_value, est.bias_correction, est.corrected_value,
+                    est.sample_count)
+
+        def oracle(rows, *terms):
+            plugin, corr = dense_estimate(rows, *terms)
+            return plugin, corr, plugin + corr, len(rows)
+
         rng = np.random.default_rng(17)
         for _ in range(60):
             m = int(rng.integers(1, 6))
@@ -275,13 +298,15 @@ class TestLargeAlphabets:
             weights = rng.dirichlet(np.full(m, 0.5))
             seq = SymbolSequence(rng.choice(m, size=int(rng.integers(k + 1, 200)),
                                             p=weights), m)
-            table = table_from_series(embed(seq, lags, k))
-            past_axes = tuple(range(1, 1 + len(lags)))
-            ref = mutual_information(table, (0,), past_axes)
-            est = active_information_storage(seq, lags, k)
-            assert (est.plugin_value, est.bias_correction, est.corrected_value,
-                    est.sample_count) == (ref.plugin_value, ref.bias_correction,
-                                          ref.corrected_value, ref.sample_count)
+            series = embed(seq, lags, k)
+            rows = np.column_stack([series.targets, series.pasts])
+            past = tuple(range(1, 1 + len(lags)))
+            assert fields(active_information_storage(seq, lags, k)) == oracle(
+                rows, ((0,), 1), (past, 1), ((0,) + past, -1))
+            assert fields(next_symbol_entropy(seq, k)) == oracle(rows, ((0,), 1))
+            pairs = np.column_stack([seq.symbols[1:], seq.symbols[:-1]])
+            assert fields(gaze_transition_entropy(seq)) == oracle(
+                pairs, ((0, 1), 1), ((1,), -1))
 
 
 class TestSurrogateKernel:
@@ -370,8 +395,15 @@ class TestGazeTransitionEntropy:
             seq = SymbolSequence(rng.integers(0, m, size=int(rng.integers(10, 200))), m)
             ais = active_information_storage(seq, (1,), 1).plugin_value
             gte = gaze_transition_entropy(seq).plugin_value
-            h_t = entropy(table_from_series(embed(seq, (1,), 1)), (0,)).plugin_value
+            h_t = next_symbol_entropy(seq, 1).plugin_value
             assert abs(h_t - ais - gte) <= TOL
+
+    def test_persistence_chain_closed_form(self):
+        from gazeais import analytic_gte, generate, persistence_spec
+        spec = persistence_spec(0.9)
+        seq = generate(spec, 200_000, seed=4)
+        assert gaze_transition_entropy(seq).plugin_value == pytest.approx(
+            analytic_gte(spec), abs=0.01)
 
     def test_too_short(self):
         with pytest.raises(ValueError, match=">= 2"):
@@ -379,6 +411,8 @@ class TestGazeTransitionEntropy:
 
 
 class TestInvariants:
+    """Bounds and relabeling on the code path, values against the oracle."""
+
     def test_nonnegativity_and_bounds(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
@@ -386,29 +420,33 @@ class TestInvariants:
             counts = rng.integers(0, 5, size=dims)
             if counts.sum() == 0:
                 counts.flat[0] = 1
-            table = ContingencyTable(counts)
-            mi = mutual_information(table, (0,), (1,)).plugin_value
-            h_a = entropy(table, (0,)).plugin_value
-            h_b = entropy(table, (1,)).plugin_value
-            assert mi >= -TOL
-            assert mi <= min(h_a, h_b) + TOL
+            rows = rows_from_counts(counts)
+            info = mi(rows[:, 0], rows[:, 1])
+            oracle, _ = dense_estimate(rows, ((0,), 1), ((1,), 1), ((0, 1), -1))
+            assert info == pytest.approx(oracle, abs=TOL)
+            h = [h_next(rows[:, axis], card).plugin_value
+                 for axis, card in enumerate(dims)]
+            assert info >= -TOL
+            assert info <= min(h[0], h[1]) + TOL
             for axis, card in enumerate(dims):
-                h = entropy(table, (axis,)).plugin_value
-                assert -TOL <= h <= math.log2(card) + TOL
+                assert h[axis] == pytest.approx(dense_entropy(rows, (axis,))[0], abs=TOL)
+                assert -TOL <= h[axis] <= math.log2(card) + TOL
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(29)
         for _ in range(50):
             counts = rng.integers(0, 6, size=(3, 4))
             counts[0, 0] += 1
-            table = ContingencyTable(counts)
-            perm_rows = rng.permutation(3)
-            perm_cols = rng.permutation(4)
-            shuffled = ContingencyTable(counts[np.ix_(perm_rows, perm_cols)])
-            assert entropy(table).plugin_value == pytest.approx(
-                entropy(shuffled).plugin_value, abs=TOL)
-            assert mutual_information(table, (0,), (1,)).plugin_value == pytest.approx(
-                mutual_information(shuffled, (0,), (1,)).plugin_value, abs=TOL)
+            rows = rows_from_counts(counts)
+            relabeled = np.column_stack([rng.permutation(3)[rows[:, 0]],
+                                         rng.permutation(4)[rows[:, 1]]])
+            assert h_next(rows[:, 0], 3).plugin_value == pytest.approx(
+                h_next(relabeled[:, 0], 3).plugin_value, abs=TOL)
+            assert mi(rows[:, 0], rows[:, 1]) == pytest.approx(
+                mi(relabeled[:, 0], relabeled[:, 1]), abs=TOL)
+            assert mi(rows[:, 0], rows[:, 1]) == pytest.approx(
+                dense_estimate(relabeled, ((0,), 1), ((1,), 1), ((0, 1), -1))[0],
+                abs=TOL)
 
     def test_estimator_consistency_light(self):
         # Median error shrinks with N; the full three-decade sweep lives in
