@@ -8,8 +8,9 @@ per-participant condition-comparison protocol, plus a batch CLI.
 
 __version__ = "0.1.0"
 
-from .embedding import (EmbeddingConfig, MIN_EMBEDDED_ROWS, SelectionStep,
-                        SelectionTrace, max_statistic_test, optimize_past_state)
+from .embedding import (EmbeddingConfig, MIN_EMBEDDED_ROWS, MaxStatisticResult,
+                        SelectionStep, SelectionTrace, max_statistic_test,
+                        optimize_past_state)
 from .experiment import (ContrastResult, LagHistogram, ParticipantComparison,
                          RunConfig, TrialResult, analyze_trial,
                          compare_conditions, contrast_conditions,
@@ -32,9 +33,10 @@ from .stats import (PermutationTestResult,
 
 __all__ = [
     "AOIRegion", "ContrastResult", "EmbeddingConfig", "Fixation", "GAZE_DTYPE",
-    "InfoEstimate", "LagHistogram", "MarkovSpec", "MIN_EMBEDDED_ROWS",
-    "ParticipantComparison", "PastState", "PermutationTestResult",
-    "PipelineParams", "RunConfig", "ScanpathRecord", "SelectionStep",
+    "InfoEstimate", "LagHistogram", "MarkovSpec", "MaxStatisticResult",
+    "MIN_EMBEDDED_ROWS", "ParticipantComparison", "PastState",
+    "PermutationTestResult", "PipelineParams", "RunConfig", "ScanpathRecord",
+    "SelectionStep",
     "SelectionTrace", "StateVectorSeries", "SymbolSequence", "Trial",
     "TrialResult", "active_information_storage", "analytic_ais",
     "analytic_entropy", "analytic_gte", "analyze_trial", "build_scanpath",

@@ -94,14 +94,16 @@ def cmd_fixations(args) -> int:
     for trial in trials:
         for fix in trial_fixations(trial.samples, params):
             rows.append((trial.trial_id, fix.start_time, fix.duration,
-                         fix.centroid_x, fix.centroid_y))
+                         fix.centroid_x, fix.centroid_y, trial.participant_id))
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
+        # participant_id comes last, so readers that index the earlier
+        # columns by position keep working.
         writer.writerow(["trial_id", "start_time", "duration_ms",
-                         "centroid_x", "centroid_y"])
+                         "centroid_x", "centroid_y", "participant_id"])
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
     return 0

@@ -8,6 +8,14 @@ CMI over all remaining candidates, which controls the family-wise error
 rate across the repeated candidate tests; a non-significant maximum stops
 the search.
 
+A step is accepted exactly when its exceedance count b satisfies
+(1 + b) / (n_perm + 1) <= alpha. Selection passes alpha to the test, which
+stops at the first surrogate row where that bound fails (Besag & Clifford
+1991, Biometrika 78:301): a rejected step then reports the lower bound
+(1 + b*) / (n_perm + 1), b* the first count past the bound, and is flagged
+in its `SelectionStep`. An accepted step always sees every surrogate, so
+its p-value and the selected lags equal those of a full evaluation.
+
 All embeddings within one optimization share offset = k_max, so every
 candidate comparison uses the identical row set and sample count. Plug-in
 CMI values are used as-is during selection: the permutation test absorbs
@@ -21,7 +29,7 @@ from typing import List
 
 import numpy as np
 
-from .infocore import _cmi_rows
+from .infocore import _cmi_blocks
 from .rng import derive_rng, derive_seed
 from .sequences import PastState, StateVectorSeries, SymbolSequence, embed
 
@@ -66,6 +74,9 @@ class SelectionStep:
     observed_cmi: float
     p_value: float
     accepted: bool
+    # True when the test stopped before its last surrogate; p_value is then
+    # a lower bound on the full-evaluation p-value.
+    p_is_lower_bound: bool = False
 
 
 @dataclass
@@ -77,25 +88,51 @@ class SelectionTrace:
     n_rows: int = 0
 
 
-def _candidate_cmis(series: StateVectorSeries, candidates, selected=(),
-                    n_perm=0, rng=None) -> np.ndarray:
-    """Plug-in CMI(target; candidate | selected), one column per candidate.
-
-    Row 0 is the observed target; rows 1..n_perm permute it (`_cmi_rows`).
-    """
+def _candidate_blocks(series: StateVectorSeries, candidates, selected=(),
+                      n_perm=0, rng=None):
+    """Blocks of plug-in CMI(target; candidate | selected), one column per
+    candidate: row 0 is the observed target, then `n_perm` permutations of
+    it (`_cmi_blocks`)."""
     cols = {lag: series.pasts[:, j] for j, lag in enumerate(series.lags)}
-    return _cmi_rows(series.targets, [cols[lag] for lag in selected],
-                     [(cols[lag],) for lag in candidates], n_perm, rng)
+    return _cmi_blocks(series.targets, [cols[lag] for lag in selected],
+                       [(cols[lag],) for lag in candidates], n_perm, rng)
+
+
+def _candidate_cmis(series: StateVectorSeries, candidates, selected=()) -> np.ndarray:
+    """Observed CMI per candidate: row 0 of `_candidate_blocks`, shape
+    (1, len(candidates))."""
+    return next(_candidate_blocks(series, candidates, selected))
+
+
+@dataclass(frozen=True)
+class MaxStatisticResult:
+    """p-value of a max-statistic test and the surrogate rows it evaluated.
+
+    Fewer rows than `n_perm` only when the test stopped at certain failure;
+    the p-value is then a lower bound on the full-evaluation one.
+    """
+
+    p_value: float
+    evaluated: int
 
 
 def max_statistic_test(observed_max_cmi: float, candidates, series: StateVectorSeries,
-                       n_perm: int, seed: int, selected=()) -> float:
+                       n_perm: int, seed: int, selected=(),
+                       alpha=None) -> MaxStatisticResult:
     """One-sided surrogate p-value for the maximal candidate CMI.
 
     Each surrogate permutes the target column (past vectors fixed, so the
     joint structure of the past survives under the null), recomputes the CMI
     of every remaining candidate given the selected set, and records the
-    maximum. p = (1 + #{surrogate max >= observed}) / (n_perm + 1).
+    maximum. p = (1 + #{surrogate max >= observed}) / (n_perm + 1). Returns
+    p with the number of surrogate rows evaluated.
+
+    Without `alpha` every surrogate is evaluated. With `alpha` the test
+    stops at the first surrogate row whose running count b makes
+    (1 + b) / (n_perm + 1) > alpha, and reports that value: a lower bound
+    on the full p, on the same side of alpha. The stop is decided row by
+    row, so neither it nor p depends on the block size; a test that never
+    crosses the bound evaluates every surrogate and reports the full p.
 
     Permutations come in order from one generator derived from (seed,
     "max-stat-surrogate"), so p is a pure function of the arguments; an
@@ -109,10 +146,21 @@ def max_statistic_test(observed_max_cmi: float, candidates, series: StateVectorS
     for lag in tuple(selected) + candidates:
         if lag not in series.lags:
             raise ValueError(f"lag {lag} not present in the embedded series")
-    rows = _candidate_cmis(series, candidates, selected, n_perm,
-                           derive_rng(seed, "max-stat-surrogate"))
-    exceed = np.count_nonzero(rows[1:].max(axis=1) >= observed_max_cmi)
-    return (1.0 + exceed) / (n_perm + 1.0)
+    blocks = _candidate_blocks(series, candidates, selected, n_perm,
+                               derive_rng(seed, "max-stat-surrogate"))
+    next(blocks)  # row 0, the unpermuted target
+    exceed = evaluated = 0
+    for block in blocks:
+        hits = block.max(axis=1) >= observed_max_cmi
+        if (alpha is not None and (1.0 + exceed + np.count_nonzero(hits))
+                / (n_perm + 1.0) > alpha):
+            # Counts only grow, so the first row past the bound is in here.
+            p = (1.0 + exceed + np.cumsum(hits)) / (n_perm + 1.0)
+            row = int(np.argmax(p > alpha))
+            return MaxStatisticResult(float(p[row]), evaluated + row + 1)
+        exceed += int(np.count_nonzero(hits))
+        evaluated += hits.size
+    return MaxStatisticResult((1.0 + exceed) / (n_perm + 1.0), evaluated)
 
 
 def optimize_past_state(seq: SymbolSequence, cfg: EmbeddingConfig):
@@ -139,20 +187,22 @@ def optimize_past_state(seq: SymbolSequence, cfg: EmbeddingConfig):
         # Ties go to the smaller lag; candidates stay sorted ascending.
         chosen = max(candidates, key=cmis.__getitem__)
         best = cmis[chosen]
-        p = max_statistic_test(
+        test = max_statistic_test(
             best, candidates, series,
             n_perm=cfg.n_perm,
             seed=derive_seed(cfg.seed, "max-stat", iteration),
             selected=tuple(selected),
+            alpha=cfg.alpha,
         )
-        accepted = p <= cfg.alpha
+        accepted = test.p_value <= cfg.alpha
         trace.steps.append(SelectionStep(
             candidates=tuple(candidates),
             cmi_values={lag: float(v) for lag, v in cmis.items()},
             chosen_lag=chosen,
             observed_cmi=float(best),
-            p_value=float(p),
+            p_value=float(test.p_value),
             accepted=accepted,
+            p_is_lower_bound=test.evaluated < cfg.n_perm,
         ))
         if not accepted:
             break

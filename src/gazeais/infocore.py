@@ -113,13 +113,16 @@ def _permutation_blocks(rng, n: int, count: int, row_elements: int):
                         for _ in range(min(rows, count - start))])
 
 
-def _cmi_rows(target, cond, cands, n_perm=0, rng=None) -> np.ndarray:
-    """Plug-in CMI(target; cand | cond) under permutations of the target.
+def _cmi_blocks(target, cond, cands, n_perm=0, rng=None):
+    """Plug-in CMI(target; cand | cond) under permutations of the target,
+    yielded in blocks of rows.
 
     `cond` is a list of columns, `cands` a list of candidates, each a tuple
-    of columns. Returns shape (1 + n_perm, len(cands)): row 0 is the
-    unpermuted target, row i the i-th permutation drawn from `rng`. Equal
-    count tables give bit-equal values in every row.
+    of columns. The first block is row 0, the unpermuted target, with shape
+    (1, len(cands)); then come the `n_perm` permutations drawn from `rng`, in
+    row order, in blocks of at most `SURROGATE_BLOCK_ELEMENTS`. A consumer
+    that stops early draws no permutations past the block it stopped in.
+    Equal count tables give bit-equal values in every row.
     """
     n = target.size
     _, t = np.unique(target, return_inverse=True)
@@ -128,9 +131,14 @@ def _cmi_rows(target, cond, cands, n_perm=0, rng=None) -> np.ndarray:
     width = int(groups.max()) + 1
     cells = (int(t.max()) + 1) * width
     clogc, scale = _clogc(n)
+    # I(T; C | S) = H(T,S) + H(C,S) - H(T,C,S) - H(S), with
+    # H(X) = log2(n) - sum(c log2 c) / n over the counts of X. The sums for
+    # H(C,S) and H(S) do not depend on the permutation; integer sums keep
+    # every row exact whatever the order of the terms.
     static = np.array([clogc[np.bincount(g)].sum() for g in groups])
+    static = static[0] - static[1:]
 
-    joint, base = [], ()
+    base = ()
     for perms in itertools.chain([np.arange(n)[None]], _permutation_blocks(
             rng, n, n_perm, len(groups) * max(n, cells))):
         # One bincount per block: each (row, group) counts into its own slice.
@@ -139,11 +147,14 @@ def _cmi_rows(target, cond, cands, n_perm=0, rng=None) -> np.ndarray:
             base = groups + np.arange(rows * len(groups)).reshape(rows, -1, 1) * cells
         codes = (t[perms] * width)[:, None, :] + base[:rows]
         counts = np.bincount(codes.ravel(), minlength=rows * len(groups) * cells)
-        joint.append(clogc[counts.reshape(rows, -1, cells)].sum(axis=2))
-    joint = np.concatenate(joint)
-    # I(T; C | S) = H(T,S) + H(C,S) - H(T,C,S) - H(S), with
-    # H(X) = log2(n) - sum(c log2 c) / n over the counts of X.
-    return (joint[:, 1:] - joint[:, :1] - static[1:] + static[0]) / (scale * n)
+        joint = clogc[counts.reshape(rows, -1, cells)].sum(axis=2)
+        yield (joint[:, 1:] - joint[:, :1] + static) / (scale * n)
+
+
+def _cmi_rows(target, cond, cands, n_perm=0, rng=None) -> np.ndarray:
+    """All of `_cmi_blocks` as one array of shape (1 + n_perm, len(cands)):
+    row 0 is the unpermuted target, row i the i-th permutation from `rng`."""
+    return np.concatenate(list(_cmi_blocks(target, cond, cands, n_perm, rng)))
 
 
 # ---------------------------------------------------------------------------

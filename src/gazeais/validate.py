@@ -193,8 +193,8 @@ def check_determinism(seed) -> CheckResult:
     lags1, trace1 = optimize_past_state(seq, cfg)
     lags2, trace2 = optimize_past_state(seq, cfg)
     series = embed(seq, (1, 2, 3), 3)
-    p1 = max_statistic_test(0.01, (1, 2, 3), series, 100, seed)
-    p2 = max_statistic_test(0.01, (1, 2, 3), series, 100, seed)
+    p1 = max_statistic_test(0.01, (1, 2, 3), series, 100, seed).p_value
+    p2 = max_statistic_test(0.01, (1, 2, 3), series, 100, seed).p_value
     ok = (lags1 == lags2
           and [s.p_value for s in trace1.steps] == [s.p_value for s in trace2.steps]
           and p1 == p2)

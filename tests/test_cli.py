@@ -52,10 +52,27 @@ class TestFixationsCommand:
         out = tmp_path / "fix.csv"
         assert main(["fixations", str(gaze), "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "trial_id,start_time,duration_ms,centroid_x,centroid_y"
+        assert lines[0] == ("trial_id,start_time,duration_ms,centroid_x,"
+                            "centroid_y,participant_id")
         assert len(lines) == 3
         fields = lines[1].split(",")
         assert float(fields[3]) == pytest.approx(400.0, abs=1.0)
+        assert fields[5] == "p0"
+
+    def test_participants_sharing_a_trial_id(self, tmp_path):
+        # Two people recorded trial t0; each row must say whose it is, in
+        # the input's order.
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_planted_gaze(first, [(400, 500)], participant="p1")
+        write_planted_gaze(second, [(1700, 300), (200, 900)], participant="p2")
+        gaze = tmp_path / "gaze.csv"
+        gaze.write_text(first.read_text()
+                        + "".join(second.read_text().splitlines(True)[1:]))
+        out = tmp_path / "fix.csv"
+        assert main(["fixations", str(gaze), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert [(r[0], r[5]) for r in rows] == [("t0", "p1"), ("t0", "p2"), ("t0", "p2")]
+        assert [round(float(r[3])) for r in rows] == [400, 1700, 200]
 
     def test_empty_input(self, tmp_path):
         gaze = tmp_path / "gaze.csv"
@@ -63,7 +80,7 @@ class TestFixationsCommand:
         out = tmp_path / "fix.csv"
         assert main(["fixations", str(gaze), "--out", str(out)]) == 0
         assert out.read_text().strip() == \
-            "trial_id,start_time,duration_ms,centroid_x,centroid_y"
+            "trial_id,start_time,duration_ms,centroid_x,centroid_y,participant_id"
 
     def test_missing_column(self, tmp_path, capsys):
         gaze = tmp_path / "gaze.csv"

@@ -6,6 +6,7 @@ import pytest
 from gazeais import (EmbeddingConfig, SymbolSequence, derive_seed, embed,
                      generate, lagged_copy_spec, max_statistic_test,
                      optimize_past_state, persistence_spec, uniform_iid_spec)
+from gazeais import embedding, infocore
 from gazeais.embedding import _candidate_cmis
 from gazeais.validate import dense_estimate
 
@@ -48,11 +49,11 @@ class TestMaxStatisticTest:
         return embed(seq, (1, 2, 3), 3)
 
     def test_extreme_statistic(self, series):
-        p = max_statistic_test(10.0, (1, 2, 3), series, n_perm=99, seed=1)
+        p = max_statistic_test(10.0, (1, 2, 3), series, n_perm=99, seed=1).p_value
         assert p == pytest.approx(1.0 / 100.0)
 
     def test_null_consistent_statistic(self, series):
-        p = max_statistic_test(-1.0, (1, 2, 3), series, n_perm=99, seed=1)
+        p = max_statistic_test(-1.0, (1, 2, 3), series, n_perm=99, seed=1).p_value
         assert p == 1.0
 
     def test_rerun_identical(self, series):
@@ -148,3 +149,95 @@ class TestOptimizePastState:
             lags, _ = optimize_past_state(seq, cfg)
             nonempty += bool(lags)
         assert nonempty <= 2
+
+
+class TestEarlyStop:
+    """Selection stops a rejected step's max-statistic test at the first
+    surrogate row where failure is certain."""
+
+    @staticmethod
+    def _cases(count=210):
+        rng = np.random.default_rng(2026)
+        for i in range(count):
+            m, k_max = int(rng.integers(2, 17)), int(rng.integers(3, 6))
+            if i % 3 == 0:
+                spec = persistence_spec(float(rng.uniform(0.5, 0.95)), m)
+            elif i % 3 == 1:
+                spec = lagged_copy_spec(int(rng.integers(1, 4)),
+                                        float(rng.uniform(0.3, 0.9)), m)
+            else:
+                spec = uniform_iid_spec(m)
+            seq = generate(spec, int(rng.integers(60, 301)), seed=derive_seed(2026, i))
+            alpha = (0.05, 0.1)[i % 2]
+            cfg = EmbeddingConfig(k_max=k_max, alpha=alpha,
+                                  n_perm=int(rng.integers(19, 201)), seed=i)
+            yield seq, cfg
+
+    @staticmethod
+    def _full_evaluation(monkeypatch):
+        """Make selection evaluate every surrogate, as a direct call does."""
+        test = embedding.max_statistic_test
+
+        def full(*args, alpha=None, **kwargs):
+            return test(*args, **kwargs)
+        monkeypatch.setattr(embedding, "max_statistic_test", full)
+
+    def test_same_selections_as_full_evaluation(self, monkeypatch):
+        cases = list(self._cases())
+        stopped = [optimize_past_state(seq, cfg) for seq, cfg in cases]
+        for elements in (1, 10 ** 9):  # one row per block; all rows in one
+            with monkeypatch.context() as patch:
+                patch.setattr(infocore, "SURROGATE_BLOCK_ELEMENTS", elements)
+                assert [optimize_past_state(seq, cfg) for seq, cfg in cases] == stopped
+        self._full_evaluation(monkeypatch)
+        flagged = 0
+        for (seq, cfg), (lags, trace) in zip(cases, stopped):
+            full_lags, full_trace = optimize_past_state(seq, cfg)
+            assert lags == full_lags
+            assert len(trace.steps) == len(full_trace.steps)
+            for step, full in zip(trace.steps, full_trace.steps):
+                assert not full.p_is_lower_bound
+                assert step.accepted == full.accepted
+                if step.accepted:
+                    assert step.p_value == full.p_value
+                    assert not step.p_is_lower_bound
+                else:
+                    assert cfg.alpha < step.p_value <= full.p_value
+                    # p is (1 + b*) / (n_perm + 1), b* the first count past alpha.
+                    b = round(step.p_value * (cfg.n_perm + 1)) - 1
+                    assert (1.0 + b) / (cfg.n_perm + 1.0) == step.p_value
+                    assert b / (cfg.n_perm + 1.0) <= cfg.alpha
+                    if not step.p_is_lower_bound:
+                        assert step.p_value == full.p_value
+                flagged += step.p_is_lower_bound
+        assert flagged > len(cases) // 2
+
+    def test_rejected_step_stops_and_accepted_step_does_not(self, monkeypatch):
+        drawn = []
+        blocks = infocore._permutation_blocks
+
+        def counted(rng, n, count, row_elements):
+            drawn.append(0)
+            for perms in blocks(rng, n, count, row_elements):
+                drawn[-1] += perms.shape[0]
+                yield perms
+        monkeypatch.setattr(infocore, "_permutation_blocks", counted)
+
+        iid = generate(uniform_iid_spec(2), 300, seed=11)
+        _, trace = optimize_past_state(iid, EmbeddingConfig(k_max=5, n_perm=200, seed=1))
+        assert [s.accepted for s in trace.steps] == [False]
+        assert trace.steps[0].p_is_lower_bound
+        assert len(drawn) == 1 and drawn[0] < 200
+
+        drawn.clear()
+        copy = generate(lagged_copy_spec(2, 0.9), 300, seed=12)
+        _, trace = optimize_past_state(copy, EmbeddingConfig(k_max=5, n_perm=200, seed=1))
+        assert trace.steps[0].accepted and not trace.steps[0].p_is_lower_bound
+        assert drawn[0] == 200
+
+    def test_direct_call_without_alpha_evaluates_everything(self):
+        series = embed(generate(uniform_iid_spec(2), 300, seed=11), (1, 2, 3), 3)
+        full = max_statistic_test(0.0, (1, 2, 3), series, 200, seed=5)
+        assert full.evaluated == 200 and full.p_value == 1.0
+        bounded = max_statistic_test(0.0, (1, 2, 3), series, 200, seed=5, alpha=0.05)
+        assert bounded.evaluated == 10 and bounded.p_value == 11 / 201
