@@ -11,13 +11,15 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .experiment import (RunConfig, TrialResult, analyze_trial,
-                         contrast_conditions, lag_histogram, parse_run_config)
+                         contrast_conditions, lag_histogram, parse_run_config,
+                         trial_seed)
 from .gaze import (PipelineParams, ScanpathRecord, build_scanpath, load_aois,
                    read_gaze_csv, trial_fixations)
 from .markov import analytic_ais, analytic_entropy, analytic_gte, generate, \
@@ -137,11 +139,9 @@ def cmd_ais(args) -> int:
     out_results = []
     for rec in records:
         entry = analyze_trial(
-            rec.sequence, ecfg,
+            rec.sequence, replace(ecfg, seed=trial_seed(cfg.seed, rec)),
             trial_id=rec.trial_id, participant_id=rec.participant_id,
             condition=rec.condition,
-            seed=derive_seed(cfg.seed, "trial", rec.participant_id,
-                             rec.condition, rec.trial_id),
         ).to_dict()
         entry["symbols"] = [int(s) for s in rec.symbols]
         entry["alphabet_size"] = int(rec.alphabet_size)
@@ -204,14 +204,12 @@ def cmd_compare(args) -> int:
                        key=lambda pair: (pair[0].condition, pair[0].trial_id))
         comparisons.append(contrast_conditions(
             [rec for rec, _ in pairs], [res for _, res in pairs], cfg.k_max,
-            n_perm=cfg.n_perm_comparison, tail=cfg.tail,
-            seed=derive_seed(cfg.seed, "participant", pid),
-        ))
+            n_perm=cfg.n_perm_comparison, tail=cfg.tail, seed=cfg.seed))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     all_results = [res for comp in comparisons for res in comp.trial_results]
-    hist = lag_histogram(all_results, k_max=cfg.k_max)
+    hist = lag_histogram(all_results, cfg.k_max)
     _write_json(out_dir / "comparison.json", {
         "schema_version": SCHEMA_VERSION,
         "config": {"k_max": cfg.k_max, "alpha": cfg.alpha,

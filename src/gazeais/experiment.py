@@ -8,7 +8,10 @@ discarding symbols from the beginning, re-estimate every trial with the
 shared past state and sample count (holding estimation bias constant
 across groups), and contrast the two conditions with independent samples
 permutation tests on AIS, entropy, and normalized AIS. `compare_conditions`
-runs both steps; each trial's past state is selected exactly once.
+runs both steps; each trial's past state is selected exactly once. Seeds
+derive here from one master seed: `trial_seed` per trial, (seed,
+"participant", id) per participant. So `compare_conditions` at `cfg.seed`
+equals `gazeais ais` followed by `gazeais compare` at `--seed`.
 """
 
 import logging
@@ -198,16 +201,23 @@ def _normalize(ais_est, entropy_est):
     return clamped, clamped != raw
 
 
+def trial_seed(seed: int, record: ScanpathRecord) -> int:
+    """Selection seed of one trial: (seed, "trial", participant, condition, id)."""
+    return derive_seed(seed, "trial", record.participant_id, record.condition,
+                       record.trial_id)
+
+
 def analyze_trial(scanpath: SymbolSequence, cfg: EmbeddingConfig, *,
                   trial_id: str = "", participant_id: str = "",
-                  condition: str = "", n_perm_final: Optional[int] = None,
-                  seed: Optional[int] = None) -> TrialResult:
+                  condition: str = "") -> TrialResult:
     """Optimize the past state of one trial and estimate its AIS.
 
-    Too-short scanpaths yield a skip record rather than an error. When the
-    optimization selects no lags, AIS is reported as 0 with p = 1.
+    `cfg.seed` seeds the selection and (cfg.seed, "final-ais") the final AIS
+    test, which draws `cfg.n_perm` surrogates; pass
+    `replace(cfg, seed=trial_seed(...))` to reproduce a trial of a protocol
+    run. Too-short scanpaths yield a skip record rather than an error. When
+    the optimization selects no lags, AIS is reported as 0 with p = 1.
     """
-    seed = cfg.seed if seed is None else seed
     n = len(scanpath) - cfg.k_max
     if n < MIN_EMBEDDED_ROWS:
         return TrialResult(
@@ -216,14 +226,12 @@ def analyze_trial(scanpath: SymbolSequence, cfg: EmbeddingConfig, *,
             skip_reason=(f"{max(n, 0)} embedded rows at k_max={cfg.k_max}; "
                          f"need at least {MIN_EMBEDDED_ROWS}"),
         )
-    local_cfg = replace(cfg, seed=seed)
-    lags, trace = optimize_past_state(scanpath, local_cfg)
+    lags, trace = optimize_past_state(scanpath, cfg)
     entropy_next = next_symbol_entropy(scanpath, cfg.k_max)
     if lags:
         ais = active_information_storage(scanpath, lags, cfg.k_max)
-        p_value = test_final_ais(embed(scanpath, lags, cfg.k_max),
-                                 n_perm_final or cfg.n_perm,
-                                 seed=derive_seed(seed, "final-ais")).p_value
+        p_value = test_final_ais(embed(scanpath, lags, cfg.k_max), cfg.n_perm,
+                                 seed=derive_seed(cfg.seed, "final-ais")).p_value
     else:
         ais = InfoEstimate(0.0, 0.0, 0.0, n, kind="active_information_storage")
         p_value = 1.0
@@ -242,22 +250,14 @@ def analyze_trial(scanpath: SymbolSequence, cfg: EmbeddingConfig, *,
 # participant-level protocol
 # ---------------------------------------------------------------------------
 
-def union_past_state(results: Sequence[TrialResult],
-                     k_max: Optional[int] = None) -> PastState:
+def union_past_state(results: Sequence[TrialResult], k_max: int) -> PastState:
     """Union of the selected lags over all (non-skipped) trial results."""
     if not results:
         raise ValueError("need at least one trial result")
     lags = set()
-    k_seen = []
     for res in results:
-        if res.skipped or res.selected_lags is None:
-            continue
-        lags.update(res.selected_lags.lags)
-        k_seen.append(res.selected_lags.k_max)
-    if k_max is None:
-        if not k_seen:
-            raise ValueError("no analyzable results and no k_max given")
-        k_max = max(k_seen)
+        if not res.skipped and res.selected_lags is not None:
+            lags.update(res.selected_lags.lags)
     return PastState(tuple(sorted(lags)), k_max)
 
 
@@ -285,24 +285,24 @@ def _mean_sem(values):
 
 
 def compare_conditions(records: Sequence[ScanpathRecord], cfg: EmbeddingConfig,
-                       n_perm: int = 5000, tail: str = "two_sided",
-                       seed: Optional[int] = None) -> ParticipantComparison:
+                       n_perm: int = 5000,
+                       tail: str = "two_sided") -> ParticipantComparison:
     """`analyze_trial` on every record, then `contrast_conditions`.
 
-    Each trial is analysed once, seeded by (seed, "trial", condition, id).
+    `cfg.seed` is the master seed: each trial is analysed once at
+    `trial_seed(cfg.seed, record)`, as `gazeais ais --seed` does, and the
+    contrasts are seeded as `gazeais compare --seed` seeds them.
     """
-    seed = cfg.seed if seed is None else seed
     results = [
         analyze_trial(
-            rec.sequence, cfg,
+            rec.sequence, replace(cfg, seed=trial_seed(cfg.seed, rec)),
             trial_id=rec.trial_id, participant_id=rec.participant_id,
             condition=rec.condition,
-            seed=derive_seed(seed, "trial", rec.condition, rec.trial_id),
         )
         for rec in records
     ]
     return contrast_conditions(records, results, cfg.k_max, n_perm=n_perm,
-                               tail=tail, seed=seed)
+                               tail=tail, seed=cfg.seed)
 
 
 def contrast_conditions(records: Sequence[ScanpathRecord],
@@ -311,7 +311,9 @@ def contrast_conditions(records: Sequence[ScanpathRecord],
                         seed: int = 0) -> ParticipantComparison:
     """Contrast one participant's two conditions on equalized estimates.
 
-    `results[i]` is the per-trial analysis of `records[i]`. All trials are
+    `results[i]` is the per-trial analysis of `records[i]`, and `seed` the
+    master seed: the contrasts draw from (seed, "participant", participant),
+    which `ParticipantComparison.seed` records. All trials are
     re-estimated with the union of their selected past states on
     length-equalized scanpaths, so every value entering a contrast shares
     the same sample count and past-state dimensionality. Skipped trials are
@@ -327,6 +329,7 @@ def contrast_conditions(records: Sequence[ScanpathRecord],
     if len(participants) > 1:
         raise ValueError(f"records span multiple participants: {participants}")
     participant_id = participants[0]
+    seed = derive_seed(seed, "participant", participant_id)
 
     analyzable = [(rec, res) for rec, res in zip(records, results)
                   if not res.skipped]
@@ -347,7 +350,7 @@ def contrast_conditions(records: Sequence[ScanpathRecord],
                 f"condition {c!r} has {counts[c]} analyzable trial(s); need >= 2"
             )
 
-    union = union_past_state([res for _, res in analyzable], k_max=k_max)
+    union = union_past_state([res for _, res in analyzable], k_max)
     eq_seqs = equalize_samples([rec.sequence for rec, _ in analyzable])
     eq_length = len(eq_seqs[0])
     eq_rows = eq_length - k_max
@@ -443,8 +446,7 @@ class LagHistogram:
         }
 
 
-def lag_histogram(results: Sequence[TrialResult],
-                  k_max: Optional[int] = None) -> LagHistogram:
+def lag_histogram(results: Sequence[TrialResult], k_max: int) -> LagHistogram:
     """Tally selected lags over trials plus the share of lag > 1 trials.
 
     The fraction is reported with both denominators (all analyzable trials,
@@ -452,8 +454,6 @@ def lag_histogram(results: Sequence[TrialResult],
     defensible.
     """
     usable = [r for r in results if not r.skipped and r.selected_lags is not None]
-    if k_max is None:
-        k_max = max((r.selected_lags.k_max for r in usable), default=1)
     counts = {lag: 0 for lag in range(1, k_max + 1)}
     n_selected = 0
     multi = 0

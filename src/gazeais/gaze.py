@@ -378,8 +378,9 @@ def read_gaze_csv(path) -> List[Trial]:
 
     Rows are grouped by (participant_id, trial_id); the returned list is
     sorted by those keys. Columns are found by header name; blank lines are
-    skipped. Malformed rows, including a non-finite timestamp and a row
-    too short for its columns, raise with their physical line number.
+    skipped. Malformed rows, including a non-finite timestamp, a timestamp
+    not above the previous one of its trial and a row too short for its
+    columns, raise with their physical line number.
     """
     groups = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -412,9 +413,14 @@ def read_gaze_csv(path) -> List[Trial]:
                 entry = groups[key] = (row[cond], array("d"))
             elif entry[0] != row[cond]:
                 raise ValueError(
-                    f"gaze CSV line {line}: trial {key[1]!r} has "
-                    f"conflicting condition labels"
+                    f"gaze CSV line {line}: participant {key[0]!r} trial "
+                    f"{key[1]!r} has conflicting condition labels"
                 )
+            elif sample[0] <= entry[1][-len(sample)]:  # trial's last timestamp
+                raise ValueError(
+                    f"gaze CSV line {line}: participant {key[0]!r} trial "
+                    f"{key[1]!r}: timestamp {row[col['timestamp']]!r} is not "
+                    f"above the trial's previous timestamp")
             entry[1].extend(sample)
     return [
         Trial(participant_id=p, condition=c, trial_id=t,

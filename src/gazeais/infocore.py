@@ -106,11 +106,13 @@ def _joint_ranks(code: np.ndarray, *columns) -> np.ndarray:
 
 def _permutation_blocks(rng, n: int, count: int, row_elements: int):
     """`count` permutations of range(n) in (rows, n) blocks, drawn in row
-    order from `rng`, so the block size never changes a row's permutation."""
+    order from `rng`, so the block size never changes a row's permutation.
+    One `permuted` call per block draws what `rng.permutation(n)` row by row
+    draws, and leaves `rng` in the same state."""
     rows = max(1, SURROGATE_BLOCK_ELEMENTS // row_elements)
     for start in range(0, count, rows):
-        yield np.array([rng.permutation(n)
-                        for _ in range(min(rows, count - start))])
+        block = np.tile(np.arange(n), (min(rows, count - start), 1))
+        yield rng.permuted(block, axis=1)
 
 
 def _cmi_blocks(target, cond, cands, n_perm=0, rng=None):

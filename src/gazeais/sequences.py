@@ -77,8 +77,6 @@ class StateVectorSeries:
     targets: np.ndarray   # shape (n,)
     pasts: np.ndarray     # shape (n, len(lags))
     lags: tuple
-    source_length: int
-    alphabet_size: int
 
     @property
     def n_rows(self) -> int:
@@ -120,10 +118,4 @@ def embed(seq: SymbolSequence, lags, k_max_offset: int) -> StateVectorSeries:
     pasts = np.empty((n, len(lag_t)), dtype=np.int64)
     for j, lag in enumerate(lag_t):
         pasts[:, j] = seq.symbols[offset - lag : len(seq) - lag]
-    return StateVectorSeries(
-        targets=targets,
-        pasts=pasts,
-        lags=lag_t,
-        source_length=len(seq),
-        alphabet_size=seq.alphabet_size,
-    )
+    return StateVectorSeries(targets=targets, pasts=pasts, lags=lag_t)

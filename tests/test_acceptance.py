@@ -12,6 +12,7 @@ check.
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,8 +114,9 @@ def test_criterion_4_protocol_pipeline():
     for run in range(100):
         hi = _condition_records(spec_hi, "hi", 22, 300, derive_seed(41, run))
         lo = _condition_records(spec_lo, "lo", 22, 300, derive_seed(42, run))
-        comp = compare_conditions(hi + lo, cfg, n_perm=5000, tail="two_sided",
-                                  seed=derive_seed(43, run))
+        comp = compare_conditions(
+            hi + lo, replace(cfg, seed=derive_seed(43, run)),
+            n_perm=5000, tail="two_sided")
         contrast = comp.contrasts["ais"]
         if contrast.observed_diff > 0 and contrast.p_value <= 0.01:
             correct += 1
@@ -124,8 +126,9 @@ def test_criterion_4_protocol_pipeline():
     for run in range(100):
         a = _condition_records(spec_null, "A", 22, 300, derive_seed(44, run))
         b = _condition_records(spec_null, "B", 22, 300, derive_seed(45, run))
-        comp = compare_conditions(a + b, cfg, n_perm=5000, tail="two_sided",
-                                  seed=derive_seed(46, run))
+        comp = compare_conditions(
+            a + b, replace(cfg, seed=derive_seed(46, run)),
+            n_perm=5000, tail="two_sided")
         if comp.contrasts["ais"].p_value <= 0.01:
             null_rejections += 1
 

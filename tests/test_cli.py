@@ -6,7 +6,8 @@ import pytest
 
 import gazeais.cli
 import gazeais.experiment
-from gazeais import derive_seed, generate, persistence_spec
+from gazeais import (EmbeddingConfig, ScanpathRecord, compare_conditions,
+                     derive_seed, generate, persistence_spec)
 from gazeais.cli import main
 
 GAZE_HEADER = "trial_id,participant_id,condition,timestamp,x,y,confidence\n"
@@ -297,6 +298,20 @@ class TestCompareCommand:
         assert len(summary) == 3  # header + one row per condition
         hist = (out / "lag_histogram.csv").read_text().splitlines()
         assert hist[0] == "lag,count"
+
+    def test_library_matches_cli(self, tmp_path):
+        # `compare_conditions` at cfg.seed is `ais` + `compare` at --seed.
+        results = self._make_results(tmp_path)
+        out = tmp_path / "cmp"
+        assert main(["compare", str(results), "--seed", "7",
+                     "--nperm-comparison", "400", "--out", str(out)]) == 0
+        doc = json.loads((out / "comparison.json").read_text())
+        scans = json.loads((tmp_path / "scan.json").read_text())["trials"]
+        records = sorted((ScanpathRecord.from_dict(t) for t in scans),
+                         key=lambda r: (r.condition, r.trial_id))
+        cfg = EmbeddingConfig(k_max=5, alpha=0.05, n_perm=100, seed=7)
+        comp = compare_conditions(records, cfg, n_perm=400, tail="two_sided")
+        assert doc["participants"] == [gazeais.cli._round12(comp.to_dict())]
 
     FLAGS = ["--kmax", "5", "--nperm", "200", "--seed", "7"]
 

@@ -48,7 +48,7 @@ class TestAnalyzeTrial:
         empty = 0
         for s in range(5):
             seq = generate(uniform_iid_spec(4), 2000, seed=derive_seed(44, s))
-            res = analyze_trial(seq, cfg, seed=derive_seed(45, s))
+            res = analyze_trial(seq, replace(cfg, seed=derive_seed(45, s)))
             if not res.selected_lags:
                 assert res.ais.plugin_value == 0.0
                 assert res.ais_p_value == 1.0
@@ -94,18 +94,18 @@ class TestUnionPastState:
 
     def test_union(self):
         results = [self._result((1,)), self._result((1, 3)), self._result((2,))]
-        assert union_past_state(results).lags == (1, 2, 3)
+        assert union_past_state(results, 5).lags == (1, 2, 3)
 
     def test_all_empty(self):
         results = [self._result(()), self._result(())]
-        assert union_past_state(results).lags == ()
+        assert union_past_state(results, 5).lags == ()
 
     def test_single(self):
-        assert union_past_state([self._result((1, 5))]).lags == (1, 5)
+        assert union_past_state([self._result((1, 5))], 5).lags == (1, 5)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            union_past_state([])
+            union_past_state([], 5)
 
 
 class TestEqualizeSamples:
@@ -133,19 +133,19 @@ class TestLagHistogram:
 
     def test_tally_and_fractions(self):
         results = [self._result((1,)), self._result((1, 2)), self._result(())]
-        hist = lag_histogram(results)
+        hist = lag_histogram(results, 5)
         assert hist.counts[1] == 2 and hist.counts[2] == 1
         assert hist.fraction_multi_all == pytest.approx(1 / 3)
         assert hist.fraction_multi_selected == pytest.approx(1 / 2)
 
     def test_all_empty(self):
-        hist = lag_histogram([self._result(()), self._result(())])
+        hist = lag_histogram([self._result(()), self._result(())], 5)
         assert all(v == 0 for v in hist.counts.values())
         assert hist.fraction_multi_all == 0.0
         assert hist.fraction_multi_selected is None
 
     def test_skipped_excluded(self):
-        hist = lag_histogram([self._result((2,)), self._result((), skipped=True)])
+        hist = lag_histogram([self._result((2,)), self._result((), skipped=True)], 5)
         assert hist.n_trials == 1
         assert hist.fraction_multi_all == 1.0
 
@@ -160,7 +160,7 @@ class TestCompareConditions:
                 participant_id=rec.participant_id, condition="B",
                 symbols=rec.symbols.copy(), alphabet_size=rec.alphabet_size))
         cfg = EmbeddingConfig(k_max=5, n_perm=100, seed=5)
-        comp = compare_conditions(base + mirrored, cfg, n_perm=300, seed=5)
+        comp = compare_conditions(base + mirrored, cfg, n_perm=300)
         for measure in ("ais", "entropy"):
             assert comp.contrasts[measure].observed_diff == pytest.approx(0.0, abs=1e-15)
         assert comp.contrasts["ais"].p_value == 1.0
@@ -169,7 +169,7 @@ class TestCompareConditions:
         a = make_records(cycle_spec(4), "A", 4, 120, seed=6)
         b = make_records(uniform_iid_spec(4), "B", 4, 120, seed=7)
         cfg = EmbeddingConfig(k_max=5, n_perm=100, seed=8)
-        comp = compare_conditions(a + b, cfg, n_perm=400, seed=8)
+        comp = compare_conditions(a + b, cfg, n_perm=400)
         assert comp.contrasts["ais"].observed_diff > 0
         assert comp.contrasts["ais"].direction == "A>B"
         # 4v4 split: the minimum attainable two-sided mass is 2/C(8,4).
@@ -179,7 +179,7 @@ class TestCompareConditions:
         a = make_records(persistence_spec(0.9), "A", 3, 150, seed=9)
         b = make_records(persistence_spec(0.9), "B", 3, 110, seed=10)
         cfg = EmbeddingConfig(k_max=5, n_perm=100, seed=11)
-        comp = compare_conditions(a + b, cfg, n_perm=200, seed=11)
+        comp = compare_conditions(a + b, cfg, n_perm=200)
         assert comp.equalized_length == 110
         assert comp.equalized_sample_count == 105
         assert set(comp.union_lags.lags) >= set(
@@ -190,8 +190,8 @@ class TestCompareConditions:
         a = make_records(persistence_spec(0.8), "A", 3, 100, seed=12)
         b = make_records(persistence_spec(0.6), "B", 3, 100, seed=13)
         cfg = EmbeddingConfig(k_max=5, n_perm=60, seed=14)
-        c1 = compare_conditions(a + b, cfg, n_perm=100, seed=14)
-        c2 = compare_conditions(a + b, cfg, n_perm=100, seed=14)
+        c1 = compare_conditions(a + b, cfg, n_perm=100)
+        c2 = compare_conditions(a + b, cfg, n_perm=100)
         assert c1.contrasts["ais"].p_value == c2.contrasts["ais"].p_value
         assert c1.means == c2.means
 
@@ -200,13 +200,13 @@ class TestCompareConditions:
         b = make_records(persistence_spec(0.8), "B", 3, 100, seed=16)
         cfg = EmbeddingConfig(k_max=5, n_perm=60, seed=17)
         with pytest.raises(ValueError, match="'A'"):
-            compare_conditions(a + b, cfg, seed=17)
+            compare_conditions(a + b, cfg)
 
     def test_contrast_uses_given_selections(self):
         a = make_records(persistence_spec(0.9), "A", 3, 120, seed=21)
         b = make_records(persistence_spec(0.9), "B", 3, 120, seed=22)
         cfg = EmbeddingConfig(k_max=5, n_perm=60, seed=23)
-        comp = compare_conditions(a + b, cfg, n_perm=100, seed=23)
+        comp = compare_conditions(a + b, cfg, n_perm=100)
         results = list(comp.trial_results)
         again = contrast_conditions(a + b, results, 5, n_perm=100, seed=23)
         assert again.to_dict() == comp.to_dict()
@@ -222,7 +222,7 @@ class TestCompareConditions:
                          participant="p1")
         cfg = EmbeddingConfig(k_max=5, n_perm=60, seed=20)
         with pytest.raises(ValueError, match="participants"):
-            compare_conditions(a + b, cfg, seed=20)
+            compare_conditions(a + b, cfg)
 
 
 class TestRunConfig:

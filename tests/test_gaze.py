@@ -584,6 +584,21 @@ class TestGazeCsv:
         with pytest.raises(ValueError, match="line 3: non-finite timestamp"):
             read_gaze_csv(path)
 
+    def test_repeated_timestamp_names_line_participant_and_trial(self, tmp_path):
+        # Trial ids repeat across participants, so the error names both.
+        path = tmp_path / "gaze.csv"
+        path.write_text(
+            "trial_id,participant_id,condition,timestamp,x,y,confidence\n"
+            "t0,p0,TC,0.0,10,20,1.0\n"
+            "t0,p0,TC,0.008,10,20,1.0\n"
+            "t0,p1,TC,0.0,10,20,1.0\n"
+            "t0,p1,TC,0.008,10,20,1.0\n"
+            "t0,p1,TC,0.008,11,21,1.0\n"
+        )
+        with pytest.raises(ValueError, match=r"line 6: participant 'p1' "
+                                             r"trial 't0': timestamp '0.008'"):
+            read_gaze_csv(path)
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "gaze.csv"
         path.write_text(

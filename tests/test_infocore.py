@@ -358,6 +358,20 @@ class TestSurrogateKernel:
             monkeypatch.setattr(infocore, "SURROGATE_BLOCK_ELEMENTS", elements)
             assert self._p_values(series) == reference
 
+    @pytest.mark.parametrize("rows", [1, 7, 18, 200])
+    @pytest.mark.parametrize("n", [1, 2, 44, 295, 2995])
+    def test_block_draws_equal_per_row_draws(self, n, rows):
+        # One `permuted` call per block must draw exactly the rows that one
+        # `permutation(n)` call per row draws, and consume the same stream.
+        for row_elements in (n, infocore.SURROGATE_BLOCK_ELEMENTS):
+            per_row, blocked = np.random.default_rng(n), np.random.default_rng(n)
+            expected = np.array([per_row.permutation(n) for _ in range(rows)])
+            drawn = np.concatenate(list(infocore._permutation_blocks(
+                blocked, n, rows, row_elements)))
+            assert drawn.dtype == expected.dtype
+            assert np.array_equal(drawn, expected)
+            assert blocked.bit_generator.state == per_row.bit_generator.state
+
     def test_row_zero_is_the_reported_observation(self):
         from gazeais import EmbeddingConfig, generate, optimize_past_state, persistence_spec
         seq = generate(persistence_spec(0.8), 500, seed=6)
