@@ -16,8 +16,10 @@ import csv
 import json
 import logging
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
+from numbers import Real
 from operator import itemgetter
 from typing import List, Optional
 
@@ -50,7 +52,14 @@ class AOIRegion:
     name: str = ""
 
     def __post_init__(self):
-        x_min, y_min, x_max, y_max = self.rect
+        try:
+            x_min, y_min, x_max, y_max = self.rect
+            four_numbers = all(isinstance(v, Real) for v in self.rect)
+        except (TypeError, ValueError):
+            four_numbers = False
+        if not four_numbers:
+            raise ValueError(f"AOI {self.id}: rect must hold four numbers "
+                             f"(x_min, y_min, x_max, y_max), got {self.rect!r}")
         if not (x_min < x_max and y_min < y_max):
             raise ValueError(f"AOI {self.id}: degenerate rect {self.rect}")
 
@@ -263,8 +272,8 @@ def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
         fixations.append(Fixation(
             start_time=float(ts[i]),
             duration=float((ts[j] - ts[i]) * 1000.0),
-            centroid_x=float(xs[i:j + 1].mean()),
-            centroid_y=float(ys[i:j + 1].mean()),
+            centroid_x=float(xs[i:j + 1].sum()) / (j - i + 1),
+            centroid_y=float(ys[i:j + 1].sum()) / (j - i + 1),
             sample_count=int(j - i + 1),
         ))
         pos = int(np.searchsorted(candidates, j + 1))
@@ -301,27 +310,47 @@ def trial_fixations(samples, params: PipelineParams = PipelineParams()
     return _trial_stages(samples, params)[0]
 
 
+def _aoi_positions(xs, ys, aois) -> np.ndarray:
+    """Per centroid (xs[i], ys[i]), the position in `aois` of its AOI, or -1.
+
+    -1 marks a centroid outside every AOI (the fixation is dropped). Among
+    containing regions the highest priority wins; an unresolved tie is an
+    error, raised for the first tied centroid, because the symbol would be
+    ambiguous.
+    """
+    ids = [a.id for a in aois]
+    if len(set(ids)) != len(ids):
+        raise ValueError("AOI ids must be distinct")
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    x_min, y_min, x_max, y_max = (
+        np.array([a.rect for a in aois], dtype=float).reshape(-1, 4, 1)
+        .transpose(1, 0, 2))
+    inside = (x_min <= xs) & (xs < x_max) & (y_min <= ys) & (ys < y_max)
+    priority = np.array([a.priority for a in aois], dtype=np.int64)[:, None]
+    lowest = np.iinfo(np.int64).min
+    top = np.where(inside, priority, lowest).max(axis=0, initial=lowest)
+    winners = inside & (priority == top)
+    tied = np.flatnonzero(winners.sum(axis=0) > 1)
+    if tied.size:
+        raise ValueError(
+            "overlapping AOIs "
+            + ", ".join(str(ids[k]) for k in np.flatnonzero(winners[:, tied[0]]))
+            + " share priority; assign distinct priorities"
+        )
+    positions = np.full(len(xs), -1)
+    at, centroid = np.nonzero(winners)
+    positions[centroid] = at
+    return positions
+
+
 def map_to_aoi(fix: Fixation, aois) -> Optional[int]:
     """AOI id containing the fixation centroid, or None (fixation dropped).
 
     Among containing regions the highest priority wins; an unresolved tie
     is an error because the symbol would be ambiguous.
     """
-    ids = [a.id for a in aois]
-    if len(set(ids)) != len(ids):
-        raise ValueError("AOI ids must be distinct")
-    containing = [a for a in aois if a.contains(fix.centroid_x, fix.centroid_y)]
-    if not containing:
-        return None
-    top = max(a.priority for a in containing)
-    winners = [a for a in containing if a.priority == top]
-    if len(winners) > 1:
-        raise ValueError(
-            "overlapping AOIs "
-            + ", ".join(str(a.id) for a in winners)
-            + " share priority; assign distinct priorities"
-        )
-    return winners[0].id
+    at = int(_aoi_positions([fix.centroid_x], [fix.centroid_y], aois)[0])
+    return None if at < 0 else aois[at].id
 
 
 def build_scanpath(trial: Trial, aois, params: PipelineParams = PipelineParams()
@@ -337,28 +366,23 @@ def build_scanpath(trial: Trial, aois, params: PipelineParams = PipelineParams()
     if ids != list(range(len(aois))):
         raise ValueError("AOI ids must be exactly 0..n-1 to serve as symbols")
     fixations, counts = _trial_stages(trial.samples, params)
-    symbols = []
-    dropped = 0
-    for fix in fixations:
-        sym = map_to_aoi(fix, aois)
-        if sym is None:
-            dropped += 1
-        else:
-            symbols.append(sym)
+    at = _aoi_positions([f.centroid_x for f in fixations],
+                        [f.centroid_y for f in fixations], aois)
+    symbols = np.array([a.id for a in aois], dtype=np.int64)[at[at >= 0]]
+    dropped = len(at) - len(symbols)
     if dropped or any(counts.values()):
         log.info("trial %s: dropped %d invalid and %d low-confidence "
                  "sample(s), %d long fixation(s) and %d fixation(s) outside "
                  "all AOIs", trial.trial_id, counts["invalid_samples"],
                  counts["low_confidence_samples"], counts["long_fixations"],
                  dropped)
-    if params.collapse_repeats:
-        symbols = [s for i, s in enumerate(symbols)
-                   if i == 0 or s != symbols[i - 1]]
+    if params.collapse_repeats and len(symbols):
+        symbols = symbols[np.r_[True, symbols[1:] != symbols[:-1]]]
     return ScanpathRecord(
         trial_id=trial.trial_id,
         participant_id=trial.participant_id,
         condition=trial.condition,
-        symbols=np.asarray(symbols, dtype=np.int64),
+        symbols=symbols,
         alphabet_size=len(aois),
         dropped_fixations=dropped,
         **counts,
@@ -373,17 +397,91 @@ GAZE_CSV_COLUMNS = ("trial_id", "participant_id", "condition",
                     "timestamp", "x", "y", "confidence")
 
 
+# Rows per `np.loadtxt` call in `read_gaze_csv`. Every row of a chunk
+# holds three id strings, so the chunk bounds how many are alive at once.
+CHUNK_ROWS = 1 << 14
+
+_CSV_DTYPE = np.dtype([("trial_id", "O"), ("participant_id", "O"),
+                       ("condition", "O"), ("sample", GAZE_DTYPE)])
+
+
 def read_gaze_csv(path) -> List[Trial]:
     """Parse a gaze CSV (one row per sample) into trials.
 
     Rows are grouped by (participant_id, trial_id); the returned list is
-    sorted by those keys. Columns are found by header name; blank lines are
-    skipped. Malformed rows, including a non-finite timestamp, a timestamp
+    sorted by those keys. Columns are found by header name; blank lines and
+    a UTF-8 byte order mark are skipped. Malformed rows, including a non-finite timestamp, a timestamp
     not above the previous one of its trial and a row too short for its
     columns, raise with their physical line number.
+
+    The rows are tokenized by `np.loadtxt`, CHUNK_ROWS at a time, and
+    grouped with array operations. Where a check fails, the file is read
+    again by the row reader, which words the error.
+    """
+    try:
+        return _read_gaze_chunks(path)
+    except ValueError:
+        pass
+    # Outside the handler, so the row reader's error carries no context
+    # and the fast path's arrays are freed before the second read.
+    return _read_gaze_rows(path)
+
+
+def _read_gaze_chunks(path) -> List[Trial]:
+    """`read_gaze_csv` through numpy's C tokenizer, CHUNK_ROWS rows at a time.
+
+    Raises an unworded ValueError where the file holds anything the row
+    reader would reject. A missing column and conflicting condition labels
+    are checked here; `np.loadtxt` raises on a malformed row, and `Trial`
+    on a non-finite or non-increasing timestamp.
+    """
+    groups = {}  # (participant, trial) -> (condition, sample blocks)
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+        header = next(csv.reader(fh), [])
+        if not set(GAZE_CSV_COLUMNS) <= set(header):
+            raise ValueError("missing column")
+        col = {name: i for i, name in enumerate(header)}
+        usecols = [col[c] for c in GAZE_CSV_COLUMNS]
+        with warnings.catch_warnings():
+            # loadtxt warns on blank lines and on an input without rows
+            warnings.simplefilter("ignore", UserWarning)
+            while True:
+                chunk = np.loadtxt(fh, dtype=_CSV_DTYPE, delimiter=",",
+                                   quotechar='"', comments=None, ndmin=1,
+                                   usecols=usecols, max_rows=CHUNK_ROWS)
+                if not len(chunk):
+                    break
+                samples = np.ascontiguousarray(chunk["sample"])
+                pid, tid, cond = (chunk[c] for c in
+                                  ("participant_id", "trial_id", "condition"))
+                # Runs of rows with one participant, trial and condition.
+                changes = np.flatnonzero((pid[1:] != pid[:-1])
+                                         | (tid[1:] != tid[:-1])
+                                         | (cond[1:] != cond[:-1])) + 1
+                bounds = [0, *changes.tolist(), len(chunk)]
+                for start, stop in zip(bounds[:-1], bounds[1:]):
+                    condition, blocks = groups.setdefault(
+                        (pid[start], tid[start]), (cond[start], []))
+                    if condition != cond[start]:
+                        raise ValueError("conflicting condition labels")
+                    blocks.append(samples[start:stop])
+    # A trial within one chunk keeps its slice: no copy, so memory stays
+    # near one set of samples.
+    return [
+        Trial(participant_id=p, condition=c, trial_id=t,
+              samples=blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
+        for (p, t), (c, blocks) in sorted(groups.items())
+    ]
+
+
+def _read_gaze_rows(path) -> List[Trial]:
+    """`read_gaze_csv` one row at a time, wording each error with its line.
+
+    `read_gaze_csv` calls it to word an error, and for the rare input
+    that `float` parses but numpy does not (such as `1_0`).
     """
     groups = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in GAZE_CSV_COLUMNS if c not in header]
@@ -440,9 +538,14 @@ def load_aois(path) -> List[AOIRegion]:
     entries = doc["aois"] if isinstance(doc, dict) else doc
     aois = []
     for entry in entries:
+        rect = entry["rect"]
+        try:
+            rect = tuple(float(v) for v in rect)
+        except (TypeError, ValueError):
+            pass  # AOIRegion rejects it with a message that names the AOI
         aois.append(AOIRegion(
             id=int(entry["id"]),
-            rect=tuple(float(v) for v in entry["rect"]),
+            rect=rect,
             priority=int(entry.get("priority", 0)),
             name=str(entry.get("name", "")),
         ))

@@ -1,8 +1,12 @@
+import csv
+import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from gazeais import gaze as gaze_module
 from gazeais import (GAZE_DTYPE, AOIRegion, Fixation, PipelineParams,
                      ScanpathRecord, Trial, build_scanpath,
                      detect_fixations_idt, filter_fixations, filter_gaze,
@@ -376,6 +380,42 @@ class TestMapToAoi:
             map_to_aoi(fix, aois)
 
 
+class TestAoiPositions:
+    """`build_scanpath` maps every centroid of a trial at once."""
+
+    # Nested and overlapping regions with ids out of list order.
+    AOIS = [AOIRegion(2, (0, 0, 10, 10), priority=0),
+            AOIRegion(0, (5, 5, 15, 15), priority=1),
+            AOIRegion(1, (10, 0, 20, 10), priority=2),
+            AOIRegion(3, (12, 2, 14, 4), priority=3)]
+
+    def test_matches_contains(self):
+        # Centroids on a 0.5 px grid hit every edge of every rectangle.
+        xs, ys = (v.ravel() for v in np.meshgrid(np.arange(-1, 22, 0.5),
+                                                 np.arange(-1, 17, 0.5)))
+        want = []
+        for x, y in zip(xs, ys):
+            containing = [a for a in self.AOIS if a.contains(x, y)]
+            top = max(containing, key=lambda a: a.priority, default=None)
+            want.append(-1 if top is None else self.AOIS.index(top))
+        assert gaze_module._aoi_positions(xs, ys, self.AOIS).tolist() == want
+        for x, y, at in zip(xs, ys, want):
+            fix = Fixation(0.0, 200.0, float(x), float(y), 10)
+            assert map_to_aoi(fix, self.AOIS) == (
+                None if at < 0 else self.AOIS[at].id)
+
+    def test_first_tied_centroid_named(self):
+        aois = [AOIRegion(0, (0, 0, 10, 10)), AOIRegion(1, (5, 0, 15, 10)),
+                AOIRegion(2, (20, 0, 30, 10)), AOIRegion(3, (25, 0, 35, 10))]
+        # The first centroid is unambiguous, the second ties 2 and 3.
+        with pytest.raises(ValueError, match="overlapping AOIs 2, 3 share"):
+            gaze_module._aoi_positions([1.0, 27.0, 7.0], [5.0] * 3, aois)
+
+    def test_no_centroids_or_no_aois(self):
+        assert gaze_module._aoi_positions([], [], self.AOIS).tolist() == []
+        assert gaze_module._aoi_positions([1.0], [1.0], []).tolist() == [-1]
+
+
 def planted_trial(centers, trial_id="t0", condition="TC", dwell_s=0.2):
     """Gaze dwelling on each center in turn, joined by 2-sample saccades."""
     rows = []
@@ -599,6 +639,18 @@ class TestGazeCsv:
                                              r"trial 't0': timestamp '0.008'"):
             read_gaze_csv(path)
 
+    def test_utf8_bom_header(self, tmp_path):
+        # Spreadsheet exports often start with a byte order mark.
+        text = ("trial_id,participant_id,condition,timestamp,x,y,confidence\n"
+                "t1,p1,TC,0.0,10,20,1.0\n"
+                "t1,p1,TC,0.008,11,21,1.0\n")
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert trial_tuples(read_gaze_csv(bom)) == trial_tuples(
+            read_gaze_csv(plain))
+
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "gaze.csv"
         path.write_text(
@@ -608,6 +660,183 @@ class TestGazeCsv:
         )
         with pytest.raises(ValueError, match="line 3"):
             read_gaze_csv(path)
+
+
+def trial_tuples(trials):
+    return [(t.participant_id, t.trial_id, t.condition, t.samples.tobytes())
+            for t in trials]
+
+
+def read_outcome(read, path):
+    """What a reader gives: its trials, or its exception's type and message."""
+    try:
+        return trial_tuples(read(path))
+    except Exception as exc:  # compared, never swallowed: see the callers
+        return type(exc), str(exc)
+
+
+FAULTS = (None, "non-finite", "repeated", "condition", "short", "oops")
+
+
+def random_gaze_csv(rng, fault=None):
+    """A gaze CSV that mixes every awkward feature the reader must handle.
+
+    Trials interleave across participants and share ids between them; ids
+    hold commas, quotes, newlines and other awkward text; there are blank
+    lines, LF or CRLF line ends, sometimes a byte order mark, extra and
+    reordered columns, whitespace around numbers and non-finite x, y or
+    confidence. Sometimes a `1_0` value, which Python's
+    `float` accepts and numpy does not. `fault` injects one error the
+    reader must word. Returns the text and whether it holds `1_0`.
+    """
+    columns = list(gaze_module.GAZE_CSV_COLUMNS) + ["note", "extra"][
+        :int(rng.integers(0, 3))]
+    rng.shuffle(columns)
+    pids = ["p0", "p,1", 'p"2']
+    tids = ["t0", "t#1", "t\n2", " t3 ", "t,\"4\"", "é5"]
+    trials = [(p, t, "AB"[int(rng.integers(2))])
+              for p in pids for t in tids if rng.random() < 0.5]
+    # Each trial's rows in time order; the trials interleave at random.
+    queues = []
+    for key in trials:
+        t, rows = 0.0, []
+        for _ in range(int(rng.integers(1, 8))):
+            t += float(rng.uniform(0.001, 0.01))
+            rows.append((key, f"{t:.6f}"))
+        queues.append(rows)
+    if rng.random() < 0.1:
+        queues = []  # a header-only file
+    merged = []
+    while queues:
+        merged.append(queues[int(rng.integers(len(queues)))].pop(0))
+        queues = [q for q in queues if q]
+    records = []
+    for (pid, tid, cond), ts in merged:
+        values = {"trial_id": tid, "participant_id": pid, "condition": cond,
+                  "timestamp": ts, "note": "n,o\"te", "extra": ""}
+        for name in ("x", "y", "confidence"):
+            v = float(rng.uniform(0, 1000))
+            values[name] = str(rng.choice(
+                [repr(v), f"{v:.3f}", f" {v:.2f} ", "nan", "-inf", "-0.0"],
+                p=[0.3, 0.3, 0.2, 0.1, 0.05, 0.05]))
+        records.append(values)
+    underscore = bool(records) and rng.random() < 0.2
+    if underscore:
+        records[int(rng.integers(len(records)))]["x"] = "1_0"
+    short = None
+    if fault is not None and records:
+        at = int(rng.integers(len(records)))
+        row = records[at]
+        if fault == "non-finite":
+            row["timestamp"] = str(rng.choice(["inf", "nan", "-inf"]))
+        elif fault == "repeated":
+            same = [i for i in range(at) if records[i]["trial_id"] == row[
+                "trial_id"] and records[i]["participant_id"] == row[
+                "participant_id"]]
+            row["timestamp"] = records[same[-1]]["timestamp"] if same else "0"
+        elif fault == "condition":
+            row["condition"] = "C"
+        elif fault == "short":
+            short = at
+        else:
+            row[str(rng.choice(["timestamp", "x", "confidence"]))] = "oops"
+    newline = str(rng.choice(["\n", "\r\n"]))
+    out = io.StringIO(newline="")
+    if rng.random() < 0.2:
+        out.write("\ufeff")
+    writer = csv.writer(out, lineterminator=newline)
+    writer.writerow(columns)
+    for i, values in enumerate(records):
+        while rng.random() < 0.1:
+            out.write(newline)
+        row = [values[c] for c in columns]
+        writer.writerow(row[:2] if i == short else row)
+    return out.getvalue(), underscore
+
+
+class TestGazeCsvChunks:
+    """The chunked numpy reader against the row reader that words errors."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, gaze_module.CHUNK_ROWS])
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_same_as_row_reader(self, tmp_path, monkeypatch, chunk_rows, fault):
+        rows_reader = gaze_module._read_gaze_rows
+        fallbacks = []
+
+        def counted(path):
+            fallbacks.append(path)
+            return rows_reader(path)
+
+        monkeypatch.setattr(gaze_module, "CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(gaze_module, "_read_gaze_rows", counted)
+        rng = np.random.default_rng([FAULTS.index(fault), chunk_rows])
+        path = tmp_path / "gaze.csv"
+        for _ in range(12):
+            text, underscore = random_gaze_csv(rng, fault)
+            path.write_bytes(text.encode("utf-8"))
+            fallbacks.clear()
+            got = read_outcome(read_gaze_csv, path)
+            assert got == read_outcome(rows_reader, path)
+            # Only an error, or a value numpy does not parse, falls back.
+            assert bool(fallbacks) == (isinstance(got, tuple) or underscore)
+
+    def test_interleaved_trials_across_chunks(self, tmp_path, monkeypatch):
+        path = tmp_path / "gaze.csv"
+        path.write_text(
+            "trial_id,participant_id,condition,timestamp,x,y,confidence\n"
+            + "".join(f"t{i % 2},p{i % 3},TC,{i},{i},0,1\n" for i in range(30)))
+        monkeypatch.setattr(gaze_module, "CHUNK_ROWS", 4)
+        trials = read_gaze_csv(path)
+        assert [(t.participant_id, t.trial_id) for t in trials] == [
+            ("p0", "t0"), ("p0", "t1"), ("p1", "t0"), ("p1", "t1"),
+            ("p2", "t0"), ("p2", "t1")]
+        for t in trials:
+            assert t.samples["x"].tolist() == [
+                i for i in range(30)
+                if f"p{i % 3}" == t.participant_id and f"t{i % 2}" == t.trial_id]
+
+    def test_error_hides_the_fast_path(self, tmp_path):
+        # The row reader's error is not chained to the fast path's.
+        path = tmp_path / "gaze.csv"
+        path.write_text("trial_id,participant_id,condition,timestamp,x,y\n")
+        with pytest.raises(ValueError, match="missing column") as info:
+            read_gaze_csv(path)
+        assert info.value.__context__ is None
+
+    @pytest.mark.parametrize("body", ["", "\nt1,p1,TC,0.0,10,20,1.0\n\n\n"
+                                          "t1,p1,TC,0.1,10,20,1.0\n\n"])
+    def test_no_warnings(self, tmp_path, body):
+        path = tmp_path / "gaze.csv"
+        path.write_text(
+            "trial_id,participant_id,condition,timestamp,x,y,confidence\n"
+            + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trials = read_gaze_csv(path)
+        assert sum(len(t.samples) for t in trials) == body.count("t1")
+
+    def test_peak_memory(self, tmp_path):
+        # 200 k samples in 20 trials: the ids of the rows must not all be
+        # alive at once.
+        n = 200_000
+        rng = np.random.default_rng(11)
+        xs, ys = rng.uniform(0, 1920, n), rng.uniform(0, 1080, n)
+        path = tmp_path / "gaze.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("trial_id,participant_id,condition,timestamp,x,y,"
+                     "confidence\n")
+            fh.writelines(f"t{i // 20_000:02d},p0,TC,{i % 20_000 / 120:.6f},"
+                          f"{x:.3f},{y:.3f},0.998\n"
+                          for i, (x, y) in enumerate(zip(xs, ys)))
+        tracemalloc.start()
+        try:
+            trials = read_gaze_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(t.samples.nbytes for t in trials)
+        assert nbytes == n * GAZE_DTYPE.itemsize
+        assert peak < 3 * nbytes
 
 
 class TestAoiJson:
@@ -620,6 +849,17 @@ class TestAoiJson:
         aois = load_aois(path)
         assert [a.id for a in aois] == [0, 2]
         assert aois[1].priority == 1
+
+    @pytest.mark.parametrize("rect", ["[0, 0, 10]", '[0, 0, "x", 10]',
+                                      "null"])
+    def test_rect_must_hold_four_numbers(self, tmp_path, rect):
+        path = tmp_path / "aois.json"
+        path.write_text('[{"id": 0, "rect": [0, 0, 10, 10]},'
+                        f' {{"id": 7, "rect": {rect}}}]')
+        with pytest.raises(ValueError, match=r"AOI 7: rect must hold four"):
+            load_aois(path)
+        with pytest.raises(ValueError, match=r"AOI 3: rect must hold four"):
+            AOIRegion(3, ("0", "0", "1", "1"))
 
     def test_overlap_without_priorities_rejected(self, tmp_path):
         path = tmp_path / "aois.json"
