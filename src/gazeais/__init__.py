@@ -8,9 +8,8 @@ per-participant condition-comparison protocol, plus a batch CLI.
 
 __version__ = "0.1.0"
 
-from .embedding import (EmbeddingConfig, MIN_EMBEDDED_ROWS, MaxStatisticResult,
-                        SelectionStep, SelectionTrace, max_statistic_test,
-                        optimize_past_state)
+from .embedding import (EmbeddingConfig, MIN_EMBEDDED_ROWS, SelectionStep,
+                        SelectionTrace, max_statistic_test, optimize_past_state)
 from .experiment import (ContrastResult, LagHistogram, ParticipantComparison,
                          RunConfig, TrialResult, analyze_trial,
                          compare_conditions, contrast_conditions,
@@ -33,8 +32,8 @@ from .stats import (PermutationTestResult,
 
 __all__ = [
     "AOIRegion", "ContrastResult", "EmbeddingConfig", "Fixation", "GAZE_DTYPE",
-    "InfoEstimate", "LagHistogram", "MarkovSpec", "MaxStatisticResult",
-    "MIN_EMBEDDED_ROWS", "ParticipantComparison", "PastState",
+    "InfoEstimate", "LagHistogram", "MarkovSpec", "MIN_EMBEDDED_ROWS",
+    "ParticipantComparison", "PastState",
     "PermutationTestResult", "PipelineParams", "RunConfig", "ScanpathRecord",
     "SelectionStep",
     "SelectionTrace", "StateVectorSeries", "SymbolSequence", "Trial",

@@ -8,13 +8,12 @@ CMI over all remaining candidates, which controls the family-wise error
 rate across the repeated candidate tests; a non-significant maximum stops
 the search.
 
-A step is accepted exactly when its exceedance count b satisfies
-(1 + b) / (n_perm + 1) <= alpha. Selection passes alpha to the test, which
-stops at the first surrogate row where that bound fails (Besag & Clifford
-1991, Biometrika 78:301): a rejected step then reports the lower bound
-(1 + b*) / (n_perm + 1), b* the first count past the bound, and is flagged
-in its `SelectionStep`. An accepted step always sees every surrogate, so
-its p-value and the selected lags equal those of a full evaluation.
+A step is accepted exactly when its p-value, from the shared rule
+`stats._permutation_p`, is at most alpha. Selection alone passes alpha to
+the test, which then stops at the first surrogate row where that bound
+fails: a rejected step reports a lower bound on its p-value, flagged in
+its `SelectionStep`. An accepted step always sees every surrogate, so its
+p-value and the selected lags equal those of a full evaluation.
 
 All embeddings within one optimization share offset = k_max, so every
 candidate comparison uses the identical row set and sample count. Plug-in
@@ -32,6 +31,7 @@ import numpy as np
 from .infocore import _cmi_blocks
 from .rng import derive_rng, derive_seed
 from .sequences import PastState, StateVectorSeries, SymbolSequence, embed
+from .stats import PermutationTestResult, _permutation_p
 
 MIN_EMBEDDED_ROWS = 10
 
@@ -104,42 +104,22 @@ def _candidate_cmis(series: StateVectorSeries, candidates, selected=()) -> np.nd
     return next(_candidate_blocks(series, candidates, selected))
 
 
-@dataclass(frozen=True)
-class MaxStatisticResult:
-    """p-value of a max-statistic test and the surrogate rows it evaluated.
-
-    Fewer rows than `n_perm` only when the test stopped at certain failure;
-    the p-value is then a lower bound on the full-evaluation one.
-    """
-
-    p_value: float
-    evaluated: int
-
-
 def max_statistic_test(observed_max_cmi: float, candidates, series: StateVectorSeries,
                        n_perm: int, seed: int, selected=(),
-                       alpha=None) -> MaxStatisticResult:
+                       alpha=None) -> PermutationTestResult:
     """One-sided surrogate p-value for the maximal candidate CMI.
 
     Each surrogate permutes the target column (past vectors fixed, so the
     joint structure of the past survives under the null), recomputes the CMI
     of every remaining candidate given the selected set, and records the
-    maximum. p = (1 + #{surrogate max >= observed}) / (n_perm + 1). Returns
-    p with the number of surrogate rows evaluated.
-
-    Without `alpha` every surrogate is evaluated. With `alpha` the test
-    stops at the first surrogate row whose running count b makes
-    (1 + b) / (n_perm + 1) > alpha, and reports that value: a lower bound
-    on the full p, on the same side of alpha. The stop is decided row by
-    row, so neither it nor p depends on the block size; a test that never
-    crosses the bound evaluates every surrogate and reports the full p.
+    maximum; `_permutation_p` counts the maxima >= the observed value.
+    With `alpha` the test stops once it has failed for certain, and
+    `evaluated` is then below `n_perm`.
 
     Permutations come in order from one generator derived from (seed,
     "max-stat-surrogate"), so p is a pure function of the arguments; an
     observed value from `_candidate_cmis` ties its surrogates exactly.
     """
-    if n_perm < 1:
-        raise ValueError("n_perm must be >= 1")
     candidates = tuple(candidates)
     if not candidates:
         raise ValueError("need at least one candidate lag")
@@ -149,18 +129,8 @@ def max_statistic_test(observed_max_cmi: float, candidates, series: StateVectorS
     blocks = _candidate_blocks(series, candidates, selected, n_perm,
                                derive_rng(seed, "max-stat-surrogate"))
     next(blocks)  # row 0, the unpermuted target
-    exceed = evaluated = 0
-    for block in blocks:
-        hits = block.max(axis=1) >= observed_max_cmi
-        if (alpha is not None and (1.0 + exceed + np.count_nonzero(hits))
-                / (n_perm + 1.0) > alpha):
-            # Counts only grow, so the first row past the bound is in here.
-            p = (1.0 + exceed + np.cumsum(hits)) / (n_perm + 1.0)
-            row = int(np.argmax(p > alpha))
-            return MaxStatisticResult(float(p[row]), evaluated + row + 1)
-        exceed += int(np.count_nonzero(hits))
-        evaluated += hits.size
-    return MaxStatisticResult((1.0 + exceed) / (n_perm + 1.0), evaluated)
+    return PermutationTestResult(observed_max_cmi, *_permutation_p(
+        observed_max_cmi, (block.max(axis=1) for block in blocks), n_perm, alpha))
 
 
 def optimize_past_state(seq: SymbolSequence, cfg: EmbeddingConfig):

@@ -51,13 +51,20 @@ class RunConfig:
                                n_perm=self.n_perm_selection, seed=self.seed)
 
 
+def _parse_bool(value: str) -> bool:
+    for parsed, words in ((True, "1 true yes on"), (False, "0 false no off")):
+        if value.lower() in words.split():
+            return parsed
+    raise ValueError(f"expected 1/0, true/false, yes/no or on/off, got {value!r}")
+
+
 def parse_run_config(path) -> RunConfig:
     """Parse `key = value` lines; '#' starts a comment; unknown keys error."""
     cfg = RunConfig()
     converters = {
         "k_max": int, "alpha": float, "n_perm_selection": int,
         "n_perm_comparison": int, "seed": int, "tail": str,
-        "collapse_repeats": lambda v: v.strip().lower() in ("1", "true", "yes", "on"),
+        "collapse_repeats": _parse_bool,
     }
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):

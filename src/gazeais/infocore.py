@@ -153,12 +153,6 @@ def _cmi_blocks(target, cond, cands, n_perm=0, rng=None):
         yield (joint[:, 1:] - joint[:, :1] + static) / (scale * n)
 
 
-def _cmi_rows(target, cond, cands, n_perm=0, rng=None) -> np.ndarray:
-    """All of `_cmi_blocks` as one array of shape (1 + n_perm, len(cands)):
-    row 0 is the unpermuted target, row i the i-th permutation from `rng`."""
-    return np.concatenate(list(_cmi_blocks(target, cond, cands, n_perm, rng)))
-
-
 # ---------------------------------------------------------------------------
 # sequence operations
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Permutation-testing machinery: final AIS significance and group contrasts.
+"""Permutation tests and the one p-value rule they share.
+
+`_permutation_p` forms every p-value: selection's max-statistic test
+(`embedding`), the final AIS test and the group contrasts feed it blocks
+of surrogate statistics.
 
 Each test derives one generator from (seed, tag) and draws its surrogates'
 permutations from it in order, evaluating them in blocks of rows; every
@@ -10,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infocore import _cmi_rows, _permutation_blocks
+from .infocore import _cmi_blocks, _permutation_blocks
 from .rng import derive_rng
 from .sequences import StateVectorSeries
 
@@ -19,11 +23,43 @@ TAILS = ("greater", "less", "two_sided")
 
 @dataclass(frozen=True)
 class PermutationTestResult:
+    """Observed statistic, p-value and the surrogate rows evaluated.
+
+    Fewer rows than `n_perm` only when a test given `alpha` stopped at
+    certain failure; the p-value is then a lower bound on the full one.
+    """
+
     observed_statistic: float
     p_value: float
-    n_perm: int
-    tail: str
-    seed: int
+    evaluated: int
+
+
+def _permutation_p(observed, blocks, n_perm: int, alpha=None):
+    """(p, evaluated): p = (1 + b) / (n_perm + 1), b the surrogates >= observed.
+
+    `blocks` yields 1-D arrays of surrogate statistics, `n_perm` values in
+    all. Without `alpha` every row is counted. With `alpha` counting stops
+    at the first row whose running count b makes (1 + b) / (n_perm + 1) >
+    alpha, and that value is returned: a lower bound on the full p, on the
+    same side of alpha (Besag & Clifford 1991, Biometrika 78:301). The stop
+    is decided row by row, so neither it nor p depends on the block size.
+    """
+    if n_perm < 1:
+        raise ValueError("n_perm must be >= 1")
+    if not np.isfinite(observed):
+        raise ValueError("observed statistic must be finite")
+    exceed = evaluated = 0
+    for block in blocks:
+        hits = block >= observed
+        if (alpha is not None and (1.0 + exceed + np.count_nonzero(hits))
+                / (n_perm + 1.0) > alpha):
+            # Counts only grow, so the first row past the bound is in here.
+            p = (1.0 + exceed + np.cumsum(hits)) / (n_perm + 1.0)
+            row = int(np.argmax(p > alpha))
+            return float(p[row]), evaluated + row + 1
+        exceed += int(np.count_nonzero(hits))
+        evaluated += hits.size
+    return (1.0 + exceed) / (n_perm + 1.0), evaluated
 
 
 def test_final_ais(series: StateVectorSeries, n_perm: int = 200,
@@ -31,19 +67,16 @@ def test_final_ais(series: StateVectorSeries, n_perm: int = 200,
     """One-sided permutation test of the plug-in AIS of an embedded series.
 
     The observed statistic is MI(target; past vector); surrogates permute
-    the target column. p = (1 + #{surrogate >= observed}) / (n_perm + 1),
-    so a constant (zero-information) target yields p = 1 under the >=
-    convention and the smallest attainable p is 1/(n_perm + 1).
+    the target column. A constant (zero-information) target yields p = 1
+    under the >= convention and the smallest attainable p is 1/(n_perm + 1).
     """
-    if n_perm < 1:
-        raise ValueError("n_perm must be >= 1")
     if series.n_rows < 1:
         raise ValueError("series must be nonempty")
-    rows = _cmi_rows(series.targets, [], [tuple(series.pasts.T)], n_perm,
-                     derive_rng(seed, "final-ais-surrogate"))[:, 0]
-    observed = rows[0]
-    p = (1.0 + np.count_nonzero(rows[1:] >= observed)) / (n_perm + 1.0)
-    return PermutationTestResult(float(observed), float(p), n_perm, "greater", seed)
+    blocks = _cmi_blocks(series.targets, [], [tuple(series.pasts.T)], n_perm,
+                         derive_rng(seed, "final-ais-surrogate"))
+    observed = float(next(blocks)[0, 0])
+    return PermutationTestResult(
+        observed, *_permutation_p(observed, (b[:, 0] for b in blocks), n_perm))
 
 
 def _mean_difference(first, second):
@@ -57,8 +90,9 @@ def independent_samples_permutation_test(group_a, group_b, n_perm: int = 5000,
     """Permutation test for a difference in group means.
 
     Statistic: mean(a) - mean(b). Surrogates reassign the pooled values to
-    groups of the original sizes via seeded shuffles; p uses the
-    (1 + exceedances) / (n_perm + 1) estimator, which never returns 0.
+    groups of the original sizes via seeded shuffles. "two_sided" counts
+    |surrogate| >= |observed| and "less" counts -surrogate >= -observed,
+    which is exactly surrogate <= observed.
 
     The pool is sorted before shuffling and the two-sided null draws
     subsets of size min(len(a), len(b)); by the complement bijection this
@@ -71,8 +105,6 @@ def independent_samples_permutation_test(group_a, group_b, n_perm: int = 5000,
         raise ValueError("both groups must be nonempty")
     if tail not in TAILS:
         raise ValueError(f"tail must be one of {TAILS}")
-    if n_perm < 1:
-        raise ValueError("n_perm must be >= 1")
     # Statistics are evaluated on ascending-sorted subsets, so any surrogate
     # that redraws the observed split reproduces the observed statistic bit
     # for bit and ties are counted exactly.
@@ -80,15 +112,11 @@ def independent_samples_permutation_test(group_a, group_b, n_perm: int = 5000,
     pooled = np.sort(np.concatenate([a, b]))
     n = pooled.size
     k = min(a.size, b.size) if tail == "two_sided" else a.size
-    threshold = abs(observed) if tail == "two_sided" else observed
-
-    values = np.concatenate([
-        _mean_difference(pooled[np.sort(perms[:, :k], axis=1)],
-                         pooled[np.sort(perms[:, k:], axis=1)])
-        for perms in _permutation_blocks(
-            derive_rng(seed, "ind-samples-surrogate"), n, n_perm, n)])
-    if tail == "two_sided":
-        values = np.abs(values)
-    p = (1.0 + np.count_nonzero(values <= threshold if tail == "less"
-                                else values >= threshold)) / (n_perm + 1.0)
-    return PermutationTestResult(observed, float(p), n_perm, tail, seed)
+    oriented = {"greater": np.positive, "less": np.negative,
+                "two_sided": np.abs}[tail]
+    blocks = (oriented(_mean_difference(pooled[np.sort(perms[:, :k], axis=1)],
+                                        pooled[np.sort(perms[:, k:], axis=1)]))
+              for perms in _permutation_blocks(
+                  derive_rng(seed, "ind-samples-surrogate"), n, n_perm, n))
+    return PermutationTestResult(
+        observed, *_permutation_p(oriented(observed), blocks, n_perm))

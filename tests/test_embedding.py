@@ -65,6 +65,11 @@ class TestMaxStatisticTest:
         with pytest.raises(ValueError, match="not present"):
             max_statistic_test(0.1, (9,), series, 10, seed=0)
 
+    def test_non_finite_statistic_rejected(self, series):
+        # nan >= x is always False, so nan would read as the smallest p.
+        with pytest.raises(ValueError, match="finite"):
+            max_statistic_test(float("nan"), (1, 2, 3), series, 199, seed=1)
+
 
 class TestLargeAlphabets:
     def test_selection_memory_follows_rows(self):

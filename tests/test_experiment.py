@@ -250,3 +250,17 @@ class TestRunConfig:
         path.write_text("bogus = 1\n")
         with pytest.raises(ValueError, match="unknown key"):
             parse_run_config(path)
+
+    def test_boolean_words(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        for word, value in (("YES", True), ("On", True), ("1", True),
+                            ("False", False), ("off", False), ("0", False)):
+            path.write_text(f"collapse_repeats = {word}\n")
+            assert parse_run_config(path).collapse_repeats is value
+
+    def test_mistyped_boolean(self, tmp_path):
+        # A typo must not read as False.
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 3\ncollapse_repeats = ture\n")
+        with pytest.raises(ValueError, match="config line 2: .*'ture'"):
+            parse_run_config(path)

@@ -10,8 +10,8 @@ from gazeais import (SymbolSequence, active_information_storage, embed,
 from gazeais import infocore
 from gazeais import test_final_ais as final_ais_test
 from gazeais.embedding import _candidate_cmis
-from gazeais.infocore import _cmi_rows
-from gazeais.stats import TAILS
+from gazeais.infocore import _cmi_blocks
+from gazeais.stats import TAILS, _permutation_p
 from gazeais.validate import dense_entropy, dense_estimate
 
 LN2 = math.log(2.0)
@@ -37,11 +37,11 @@ def h_next(symbols, alphabet_size=None):
 
 
 def mi(a, b):
-    return _cmi_rows(a, [], [(b,)])[0, 0]
+    return next(_cmi_blocks(a, [], [(b,)]))[0, 0]
 
 
 def cmi(a, b, c):
-    return _cmi_rows(a, [c], [(b,)])[0, 0]
+    return next(_cmi_blocks(a, [c], [(b,)]))[0, 0]
 
 
 class TestEmpiricalDistribution:
@@ -333,24 +333,53 @@ class TestSurrogateKernel:
             assert result.observed_statistic == 0.0 and result.p_value == 1.0
 
     def _p_values(self, series):
-        """(p, n_perm) for each kind of permutation test."""
+        """(p, evaluated, n_perm) for each kind of permutation test."""
         observed = _candidate_cmis(series, (1, 3, 4), (2,))[0].max()
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=9), rng.normal(0.5, 1.0, size=12)
-        return ([(max_statistic_test(observed, (1, 3, 4), series, n_perm,
-                                     seed=n_perm, selected=(2,)).p_value, n_perm)
-                 for n_perm in (19, 99, 200)]
-                + [(final_ais_test(series, n_perm, seed=n_perm).p_value, n_perm)
-                   for n_perm in (19, 99, 200)]
-                + [(independent_samples_permutation_test(a, b, n_perm, tail,
-                                                         seed=n_perm).p_value, n_perm)
-                   for n_perm in (19, 999) for tail in TAILS])
+        results = ([(max_statistic_test(observed, (1, 3, 4), series, n_perm,
+                                        seed=n_perm, selected=(2,)), n_perm)
+                    for n_perm in (19, 99, 200)]
+                   + [(final_ais_test(series, n_perm, seed=n_perm), n_perm)
+                      for n_perm in (19, 99, 200)]
+                   + [(independent_samples_permutation_test(a, b, n_perm, tail,
+                                                            seed=n_perm), n_perm)
+                      for n_perm in (19, 999) for tail in TAILS])
+        return [(r.p_value, r.evaluated, n_perm) for r, n_perm in results]
 
     def test_p_values_lie_on_the_grid(self, series):
-        for p, n_perm in self._p_values(series):
+        for p, evaluated, n_perm in self._p_values(series):
             exceed = round(p * (n_perm + 1) - 1)
             assert 0 <= exceed <= n_perm
             assert p == (1.0 + exceed) / (n_perm + 1.0)
+            assert evaluated == n_perm  # no test here is given alpha
+
+    def test_p_rule_does_not_depend_on_blocks(self):
+        rng = np.random.default_rng(8)
+        values = rng.random(50)
+        observed = 0.7  # about 15 of the 50 values reach it
+        p_rows = (1.0 + np.cumsum(values >= observed)) / 51.0  # running p
+        assert p_rows[-1] <= 0.5
+        for alpha in (None, 0.05, 0.15, 0.5):
+            results = {_permutation_p(observed, (values[i:i + rows]
+                                                 for i in range(0, 50, rows)),
+                                      50, alpha)
+                       for rows in (1, 3, 50)}
+            assert len(results) == 1
+            if alpha is None or alpha == 0.5:  # never past the bound
+                assert results.pop() == (p_rows[-1], 50)
+            else:
+                # Stops at the first row whose count makes (1 + b)/51 > alpha.
+                stop = int(np.argmax(p_rows > alpha))
+                assert 0 < stop < 49 and p_rows[stop - 1] <= alpha
+                assert results.pop() == (p_rows[stop], stop + 1)
+
+    def test_p_rule_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="n_perm"):
+            _permutation_p(0.5, iter([]), 0)
+        for observed in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                _permutation_p(observed, iter([np.zeros(3)]), 3)
 
     def test_block_size_does_not_change_p_values(self, series, monkeypatch):
         reference = self._p_values(series)
@@ -380,15 +409,15 @@ class TestSurrogateKernel:
         cols = {lag: series.pasts[:, lag - 1] for lag in range(1, 5)}
         selected = []
         for step in trace.steps:
-            rows = _cmi_rows(series.targets, [cols[l] for l in selected],
-                             [(cols[l],) for l in step.candidates], 30,
-                             np.random.default_rng(0))
+            rows = next(_cmi_blocks(series.targets, [cols[l] for l in selected],
+                                    [(cols[l],) for l in step.candidates], 30,
+                                    np.random.default_rng(0)))
             assert dict(zip(step.candidates, rows[0].tolist())) == step.cmi_values
             assert rows[0].max() == step.observed_cmi
             selected.append(step.chosen_lag)
         final = embed(seq, (1,), 4)
-        rows = _cmi_rows(final.targets, [], [tuple(final.pasts.T)], 30,
-                         np.random.default_rng(0))
+        rows = next(_cmi_blocks(final.targets, [], [tuple(final.pasts.T)], 30,
+                                np.random.default_rng(0)))
         assert final_ais_test(final, 30, seed=0).observed_statistic == rows[0, 0]
 
 

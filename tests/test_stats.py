@@ -13,7 +13,6 @@ class TestFinalAis:
         series = embed(seq, (1,), 1)
         result = final_ais_test(series, n_perm=99, seed=2)
         assert result.p_value == pytest.approx(1.0 / 100.0)
-        assert result.tail == "greater"
 
     def test_constant_target_p_one(self):
         # Zero observed information; every surrogate ties it under >=.
@@ -105,6 +104,15 @@ class TestIndependentSamples:
         less = independent_samples_permutation_test(a, b, 400, "less", seed=1)
         assert greater.p_value < 0.2
         assert less.p_value > 0.8
+
+    def test_non_finite_statistic_error(self):
+        # nan >= x is always False, so a nan statistic would read as p = 1/(n_perm + 1).
+        for group_a, tail in (([1.0, np.nan, 2.0], "two_sided"),
+                              ([1.0, np.inf, 2.0], "greater"),
+                              ([1.0, -np.inf, 2.0], "less")):
+            with pytest.raises(ValueError, match="finite"):
+                independent_samples_permutation_test(group_a, [0.5, 0.7, 0.9],
+                                                     999, tail, seed=1)
 
     def test_empty_group_error(self):
         with pytest.raises(ValueError, match="nonempty"):
