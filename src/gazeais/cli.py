@@ -5,6 +5,8 @@ subcommand runs on one thread and is deterministic given its inputs and
 --seed; reruns produce byte-identical files (outputs carry no timestamps).
 `ais` selects each trial's past state once; `compare` contrasts those
 recorded selections and never selects again.
+Settings resolve in `_run_config` alone: `RunConfig` defaults, then the
+`--config` file, then flags.
 """
 
 import argparse
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiment import (RunConfig, TrialResult, analyze_trial,
+from .experiment import (MEASURES, RunConfig, TrialResult, analyze_trial,
                          contrast_conditions, lag_histogram, parse_run_config,
                          trial_seed)
 from .gaze import (PipelineParams, ScanpathRecord, build_scanpath, load_aois,
@@ -45,13 +47,24 @@ def _round12(obj):
     return obj
 
 
-def _write_json(path, doc):
+def _open_out(path):
+    """Open an output file for writing, creating its directory."""
     path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline="", encoding="utf-8")
+
+
+def _write_json(path, doc):
+    with _open_out(path) as fh:
         json.dump(_round12(doc), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path, header, rows):
+    with _open_out(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _load_json(path):
@@ -64,14 +77,14 @@ def _fmt(value) -> str:
 
 
 def _run_config(args) -> RunConfig:
+    """`RunConfig` defaults, overridden by `--config`, overridden by flags."""
     cfg = parse_run_config(args.config) if getattr(args, "config", None) else RunConfig()
     for flag, key in (("seed", "seed"), ("kmax", "k_max"), ("alpha", "alpha"),
                       ("nperm", "n_perm_selection"), ("tail", "tail"),
-                      ("nperm_comparison", "n_perm_comparison")):
+                      ("nperm_comparison", "n_perm_comparison"),
+                      ("collapse_repeats", "collapse_repeats")):
         if getattr(args, flag, None) is not None:
             setattr(cfg, key, getattr(args, flag))
-    if getattr(args, "collapse_repeats", False):
-        cfg.collapse_repeats = True
     return cfg
 
 
@@ -97,27 +110,18 @@ def cmd_fixations(args) -> int:
         for fix in trial_fixations(trial.samples, params):
             rows.append((trial.trial_id, fix.start_time, fix.duration,
                          fix.centroid_x, fix.centroid_y, trial.participant_id))
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        # participant_id comes last, so readers that index the earlier
-        # columns by position keep working.
-        writer.writerow(["trial_id", "start_time", "duration_ms",
-                         "centroid_x", "centroid_y", "participant_id"])
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    # participant_id comes last, so readers that index the earlier columns
+    # by position keep working.
+    _write_csv(args.out, ["trial_id", "start_time", "duration_ms",
+                          "centroid_x", "centroid_y", "participant_id"], rows)
     return 0
 
 
 def cmd_scanpath(args) -> int:
     trials = read_gaze_csv(args.input)
     aois = load_aois(args.aois)
-    collapse = args.collapse_repeats or _run_config(args).collapse_repeats
-    params = _pipeline_params(args, collapse=collapse)
+    params = _pipeline_params(args, collapse=_run_config(args).collapse_repeats)
     records = [build_scanpath(trial, aois, params) for trial in trials]
-    records.sort(key=lambda r: (r.participant_id, r.trial_id))
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION,
         "trials": [r.to_dict() for r in records],
@@ -163,6 +167,9 @@ def _load_ais_results(paths):
     seen = {}
     for path in paths:
         doc = _load_json(path)
+        if not (isinstance(doc, dict) and "config" in doc and "results" in doc):
+            raise ValueError(f"{path}: not a results file written by "
+                             f"`gazeais ais`")
         if config is None:
             config, config_path = doc["config"], path
         elif doc["config"] != config:
@@ -186,6 +193,15 @@ def _load_ais_results(paths):
     return by_participant, config
 
 
+def _summary_row(comp, cond):
+    """One `condition_summary.csv` row, in the order of its header."""
+    row = [comp.participant_id, cond, comp.trial_counts[cond]]
+    for m in MEASURES:
+        row += [comp.means[m][cond], comp.sems[m][cond]]
+    row += [comp.contrasts[m].p_value for m in MEASURES]
+    return row
+
+
 def cmd_compare(args) -> int:
     cfg = _run_config(args)
     by_participant, recorded = _load_ais_results(args.inputs)
@@ -200,14 +216,12 @@ def cmd_compare(args) -> int:
 
     comparisons = []
     for pid in sorted(by_participant):
-        pairs = sorted(by_participant[pid],
-                       key=lambda pair: (pair[0].condition, pair[0].trial_id))
+        records, results = zip(*by_participant[pid])
         comparisons.append(contrast_conditions(
-            [rec for rec, _ in pairs], [res for _, res in pairs], cfg.k_max,
-            n_perm=cfg.n_perm_comparison, tail=cfg.tail, seed=cfg.seed))
+            records, results, cfg.k_max, n_perm=cfg.n_perm_comparison,
+            tail=cfg.tail, seed=cfg.seed))
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     all_results = [res for comp in comparisons for res in comp.trial_results]
     hist = lag_histogram(all_results, cfg.k_max)
     _write_json(out_dir / "comparison.json", {
@@ -220,44 +234,26 @@ def cmd_compare(args) -> int:
         "participants": [comp.to_dict() for comp in comparisons],
     })
 
-    with open(out_dir / "condition_summary.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["participant_id", "condition", "n_trials",
-                         "mean_ais", "sem_ais", "mean_entropy", "sem_entropy",
-                         "mean_normalized_ais", "sem_normalized_ais",
-                         "p_ais", "p_entropy", "p_normalized_ais"])
-        for comp in comparisons:
-            for cond in comp.conditions:
-                writer.writerow([
-                    comp.participant_id, cond, comp.trial_counts[cond],
-                    _fmt(comp.means["ais"][cond]),
-                    _fmt(comp.sems["ais"][cond]),
-                    _fmt(comp.means["entropy"][cond]),
-                    _fmt(comp.sems["entropy"][cond]),
-                    _fmt(comp.means["normalized_ais"][cond]),
-                    _fmt(comp.sems["normalized_ais"][cond]),
-                    _fmt(comp.contrasts["ais"].p_value),
-                    _fmt(comp.contrasts["entropy"].p_value),
-                    _fmt(comp.contrasts["normalized_ais"].p_value),
-                ])
-
-    with open(out_dir / "lag_histogram.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lag", "count"])
-        for lag in sorted(hist.counts):
-            writer.writerow([lag, hist.counts[lag]])
+    header = ["participant_id", "condition", "n_trials"]
+    for m in MEASURES:
+        header += [f"mean_{m}", f"sem_{m}"]
+    header += [f"p_{m}" for m in MEASURES]
+    _write_csv(out_dir / "condition_summary.csv", header,
+               (_summary_row(comp, cond)
+                for comp in comparisons for cond in comp.conditions))
+    _write_csv(out_dir / "lag_histogram.csv", ["lag", "count"],
+               sorted(hist.counts.items()))
     return 0
 
 
 def cmd_simulate(args) -> int:
     spec = load_markov_spec(args.spec)
+    seed = _run_config(args).seed
     oracle_lags = tuple(range(1, max(spec.order, 1) + 1))
     trials = []
     for i in range(args.trials):
         seq = generate(spec, args.length,
-                       seed=derive_seed(args.seed, "simulate", i),
+                       seed=derive_seed(seed, "simulate", i),
                        burn_in=args.burn_in)
         trials.append(ScanpathRecord(
             trial_id=f"t{i:03d}",
@@ -282,8 +278,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    checks = run_all(seed=args.seed if args.seed is not None else 12345,
-                     quick=args.quick)
+    checks = run_all(seed=args.seed, quick=args.quick)
     failed = 0
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
@@ -297,11 +292,10 @@ def cmd_validate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, out_required=True):
+def _add_common(sub):
     sub.add_argument("--config", help="run configuration file (key = value lines)")
     sub.add_argument("--seed", type=int, help="master seed for all randomness")
-    if out_required:
-        sub.add_argument("--out", required=True, help="output path")
+    sub.add_argument("--out", required=True, help="output path")
 
 
 def _add_pipeline_flags(sub):
@@ -325,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fixations", help="detect fixations in a gaze CSV")
     p.add_argument("input", help="gaze CSV (trial_id,participant_id,condition,timestamp,x,y,confidence)")
-    _add_common(p)
+    p.add_argument("--seed", type=int,
+                   help="unused: fixation detection draws no randomness")
+    p.add_argument("--out", required=True, help="output path")
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_fixations)
 
@@ -334,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aois", required=True, help="AOI definitions JSON")
     _add_common(p)
     _add_pipeline_flags(p)
-    p.add_argument("--collapse-repeats", action="store_true",
+    p.add_argument("--collapse-repeats", action="store_true", default=None,
                    dest="collapse_repeats",
                    help="collapse consecutive identical AOI symbols")
     p.set_defaults(func=cmd_scanpath)
@@ -369,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("validate", help="run the oracle self-check suite")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--quick", action="store_true",
                    help="smaller sample sizes for a fast smoke run")
     p.set_defaults(func=cmd_validate)
@@ -380,10 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed = getattr(args, "seed", None)
-    if seed is None and args.command in ("fixations", "scanpath", "ais",
-                                         "compare", "simulate"):
-        args.seed = 0
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

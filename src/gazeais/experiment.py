@@ -298,7 +298,8 @@ def compare_conditions(records: Sequence[ScanpathRecord], cfg: EmbeddingConfig,
 
     `cfg.seed` is the master seed: each trial is analysed once at
     `trial_seed(cfg.seed, record)`, as `gazeais ais --seed` does, and the
-    contrasts are seeded as `gazeais compare --seed` seeds them.
+    contrasts are seeded as `gazeais compare --seed` seeds them. The records
+    may come in any order.
     """
     results = [
         analyze_trial(
@@ -320,7 +321,9 @@ def contrast_conditions(records: Sequence[ScanpathRecord],
 
     `results[i]` is the per-trial analysis of `records[i]`, and `seed` the
     master seed: the contrasts draw from (seed, "participant", participant),
-    which `ParticipantComparison.seed` records. All trials are
+    which `ParticipantComparison.seed` records. Trials are taken, and
+    `trial_results` listed, in (condition, trial id) order whatever the
+    order of the arguments. All trials are
     re-estimated with the union of their selected past states on
     length-equalized scanpaths, so every value entering a contrast shares
     the same sample count and past-state dimensionality. Skipped trials are
@@ -338,9 +341,10 @@ def contrast_conditions(records: Sequence[ScanpathRecord],
     participant_id = participants[0]
     seed = derive_seed(seed, "participant", participant_id)
 
-    analyzable = [(rec, res) for rec, res in zip(records, results)
-                  if not res.skipped]
-    for rec, res in zip(records, results):
+    pairs = sorted(zip(records, results),
+                   key=lambda pair: (pair[0].condition, pair[0].trial_id))
+    analyzable = [(rec, res) for rec, res in pairs if not res.skipped]
+    for rec, res in pairs:
         if res.skipped:
             log.info("trial %s excluded: %s", rec.trial_id, res.skip_reason)
 
@@ -429,7 +433,7 @@ def contrast_conditions(records: Sequence[ScanpathRecord],
         n_perm=n_perm,
         tail=tail,
         seed=seed,
-        trial_results=list(results),
+        trial_results=[res for _, res in pairs],
     )
 
 

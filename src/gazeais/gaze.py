@@ -35,6 +35,19 @@ GAZE_DTYPE = np.dtype([("timestamp", "f8"), ("x", "f8"), ("y", "f8"),
                        ("confidence", "f8")])
 
 
+def _is_whole(value) -> bool:
+    """True for an int that is not a bool, or a float with no fraction."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer())
+
+
+def _whole_number(value, what: str) -> int:
+    """`value` as an int; a bool, a fraction or a non-number is an error."""
+    if not _is_whole(value):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Fixation:
     start_time: float   # seconds
@@ -125,17 +138,24 @@ class ScanpathRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScanpathRecord":
-        return cls(
-            trial_id=str(doc["trial_id"]),
-            participant_id=str(doc["participant_id"]),
-            condition=str(doc["condition"]),
-            symbols=np.asarray(doc["symbols"], dtype=np.int64),
-            alphabet_size=int(doc["alphabet_size"]),
-            dropped_fixations=int(doc.get("dropped_fixations", 0)),
-            invalid_samples=int(doc.get("invalid_samples", 0)),
-            low_confidence_samples=int(doc.get("low_confidence_samples", 0)),
-            long_fixations=int(doc.get("long_fixations", 0)),
-        )
+        trial_id, participant_id = str(doc["trial_id"]), str(doc["participant_id"])
+        owner = f"participant {participant_id!r} trial {trial_id!r}"
+        symbols = doc["symbols"]
+        if not isinstance(symbols, (list, tuple, np.ndarray)):
+            raise ValueError(f"{owner}: symbols must be a list, got {symbols!r}")
+        bad = next((i for i, s in enumerate(symbols) if not _is_whole(s)), None)
+        if bad is not None:
+            raise ValueError(f"{owner}: symbols[{bad}] must be a whole number, "
+                             f"got {symbols[bad]!r}")
+        counts = {key: _whole_number(doc.get(key, 0), f"{owner}: {key}")
+                  for key in ("dropped_fixations", "invalid_samples",
+                              "low_confidence_samples", "long_fixations")}
+        return cls(trial_id=trial_id, participant_id=participant_id,
+                   condition=str(doc["condition"]),
+                   symbols=np.asarray(symbols, dtype=np.int64),
+                   alphabet_size=_whole_number(doc["alphabet_size"],
+                                               f"{owner}: alphabet_size"),
+                   **counts)
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +550,9 @@ def _read_gaze_rows(path) -> List[Trial]:
 def load_aois(path) -> List[AOIRegion]:
     """Load AOI definitions from JSON: a list of {id, name, rect, priority}.
 
-    Geometrically overlapping AOIs must carry distinct priorities, else the
-    mapping would be ambiguous.
+    Ids and priorities must be whole numbers, the file must define at least
+    one AOI, and geometrically overlapping AOIs must carry distinct
+    priorities, else the mapping would be ambiguous.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -543,12 +564,16 @@ def load_aois(path) -> List[AOIRegion]:
             rect = tuple(float(v) for v in rect)
         except (TypeError, ValueError):
             pass  # AOIRegion rejects it with a message that names the AOI
+        aoi_id = _whole_number(entry["id"], f"AOI {entry['id']!r}: id")
         aois.append(AOIRegion(
-            id=int(entry["id"]),
+            id=aoi_id,
             rect=rect,
-            priority=int(entry.get("priority", 0)),
+            priority=_whole_number(entry.get("priority", 0),
+                                   f"AOI {aoi_id}: priority"),
             name=str(entry.get("name", "")),
         ))
+    if not aois:
+        raise ValueError(f"{path}: defines no AOIs")
     ids = [a.id for a in aois]
     if len(set(ids)) != len(ids):
         raise ValueError("AOI ids must be distinct")

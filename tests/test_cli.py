@@ -183,6 +183,29 @@ class TestScanpathCommand:
                      "--out", str(tmp_path / "s.json")]) != 0
         assert "priorit" in capsys.readouterr().err
 
+    def test_collapse_from_config(self, tmp_path):
+        gaze = tmp_path / "gaze.csv"
+        write_planted_gaze(gaze, [(350, 450), (450, 550), (200, 900)])
+        aois = tmp_path / "aois.json"
+        aois.write_text(json.dumps(AOIS_JSON))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("collapse_repeats = true\n")
+        out = tmp_path / "scan.json"
+        assert main(["scanpath", str(gaze), "--aois", str(aois),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["trials"][0]["symbols"] == [2, 0]
+
+    def test_no_aois_exit_2(self, tmp_path, capsys):
+        gaze = tmp_path / "gaze.csv"
+        write_planted_gaze(gaze, [(400, 500)])
+        aois = tmp_path / "aois.json"
+        aois.write_text("[]")
+        out = tmp_path / "scan.json"
+        assert main(["scanpath", str(gaze), "--aois", str(aois),
+                     "--out", str(out)]) == 2
+        assert "defines no AOIs" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateAndAis:
     def test_simulate_emits_oracle(self, tmp_path):
@@ -313,6 +336,45 @@ class TestCompareCommand:
         comp = compare_conditions(records, cfg, n_perm=400, tail="two_sided")
         assert doc["participants"] == [gazeais.cli._round12(comp.to_dict())]
 
+    def test_library_matches_cli_in_any_order(self, tmp_path):
+        # `contrast_conditions` fixes the trial order itself, so shuffled
+        # records give the CLI's entry too.
+        results = self._make_results(tmp_path)
+        out = tmp_path / "cmp"
+        assert main(["compare", str(results), "--seed", "7",
+                     "--nperm-comparison", "400", "--out", str(out)]) == 0
+        entry = json.loads((out / "comparison.json").read_text())["participants"][0]
+        scans = json.loads((tmp_path / "scan.json").read_text())["trials"]
+        records = [ScanpathRecord.from_dict(t) for t in scans]
+        shuffled = [records[i] for i in
+                    np.random.default_rng(3).permutation(len(records))]
+        assert [r.trial_id for r in shuffled] != [r.trial_id for r in records]
+        cfg = EmbeddingConfig(k_max=5, alpha=0.05, n_perm=100, seed=7)
+        comp = compare_conditions(shuffled, cfg, n_perm=400)
+        assert comp.to_dict() == compare_conditions(records, cfg, n_perm=400).to_dict()
+        assert gazeais.cli._round12(comp.to_dict()) == entry
+        assert [(t.condition, t.trial_id) for t in comp.trial_results] == \
+            sorted((r.condition, r.trial_id) for r in records)
+
+    @pytest.mark.parametrize("producer", ["simulate", "scanpath"])
+    def test_input_not_from_ais(self, tmp_path, capsys, producer):
+        path = tmp_path / f"{producer}.json"
+        if producer == "simulate":
+            spec = tmp_path / "spec.json"
+            write_spec(spec)
+            assert main(["simulate", str(spec), "--length", "50",
+                         "--out", str(path)]) == 0
+        else:
+            gaze = tmp_path / "gaze.csv"
+            write_planted_gaze(gaze, [(400, 500), (1700, 300)])
+            aois = tmp_path / "aois.json"
+            aois.write_text(json.dumps(AOIS_JSON))
+            assert main(["scanpath", str(gaze), "--aois", str(aois),
+                         "--out", str(path)]) == 0
+        assert main(["compare", str(path), "--out", str(tmp_path / "cmp")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: not a results file written by `gazeais ais`" in err
+
     FLAGS = ["--kmax", "5", "--nperm", "200", "--seed", "7"]
 
     def _persistence_results(self, tmp_path):
@@ -405,6 +467,59 @@ class TestCompareCommand:
               "--nperm-comparison", "200", "--out", str(out2)])
         assert (out1 / "comparison.json").read_bytes() == \
             (out2 / "comparison.json").read_bytes()
+
+
+class TestConfigFile:
+    """Defaults, then the `--config` file, then flags."""
+
+    @staticmethod
+    def seed_config(tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 99\n")
+        return ["--config", str(cfg)]
+
+    def test_seed_key_equals_flag(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        write_spec(spec, p_stay=0.9)
+        outputs = {}
+        for name, seed_args in (("flag", ["--seed", "99"]),
+                                ("config", self.seed_config(tmp_path))):
+            sims = tmp_path / f"sims_{name}.json"
+            results = tmp_path / f"results_{name}.json"
+            cmp = tmp_path / f"cmp_{name}"
+            assert main(["simulate", str(spec), "--length", "120", "--trials",
+                         "4", *seed_args, "--out", str(sims)]) == 0
+            doc = json.loads(sims.read_text())
+            for i, trial in enumerate(doc["trials"]):
+                trial["condition"] = "AB"[i % 2]
+            sims.write_text(json.dumps(doc))
+            assert main(["ais", str(sims), "--nperm", "50", *seed_args,
+                         "--out", str(results)]) == 0
+            assert main(["compare", str(results), "--nperm-comparison", "100",
+                         *seed_args, "--out", str(cmp)]) == 0
+            outputs[name] = [sims.read_bytes(), results.read_bytes(),
+                             (cmp / "comparison.json").read_bytes()]
+        assert outputs["config"] == outputs["flag"]
+        assert json.loads(outputs["config"][1])["config"]["seed"] == 99
+        assert json.loads(outputs["config"][2])["config"]["seed"] == 99
+
+    def test_flag_overrides_config(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        write_spec(spec)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["simulate", str(spec), "--length", "50",
+                     *self.seed_config(tmp_path), "--seed", "5",
+                     "--out", str(a)]) == 0
+        assert main(["simulate", str(spec), "--length", "50", "--seed", "5",
+                     "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_fixations_takes_no_config(self, tmp_path):
+        gaze = tmp_path / "gaze.csv"
+        write_planted_gaze(gaze, [(400, 500)])
+        with pytest.raises(SystemExit):
+            main(["fixations", str(gaze), *self.seed_config(tmp_path),
+                  "--out", str(tmp_path / "fix.csv")])
 
 
 class TestValidateCommand:

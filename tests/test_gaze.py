@@ -869,3 +869,70 @@ class TestAoiJson:
         )
         with pytest.raises(ValueError, match="priorit"):
             load_aois(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("id", "1.9", r"AOI 1\.9: id must be a whole number, got 1\.9"),
+        ("id", "true", r"AOI True: id must be a whole number, got True"),
+        ("id", '"1"', r"AOI '1': id must be a whole number, got '1'"),
+        ("priority", "0.7", r"AOI 1: priority must be a whole number, got 0\.7"),
+        ("priority", "false",
+         r"AOI 1: priority must be a whole number, got False"),
+    ], ids=["id-fraction", "id-bool", "id-string", "priority-fraction",
+            "priority-bool"])
+    def test_non_integer_fields_rejected(self, tmp_path, field, value, message):
+        entry = {"id": "1", "rect": "[50, 0, 150, 100]", "priority": "0",
+                 field: value}
+        path = tmp_path / "aois.json"
+        path.write_text('[{"id": 0, "rect": [0, 0, 10, 10]}, {'
+                        + ", ".join(f'"{k}": {v}' for k, v in entry.items())
+                        + "}]")
+        with pytest.raises(ValueError, match=message):
+            load_aois(path)
+
+    def test_whole_floats_accepted(self, tmp_path):
+        path = tmp_path / "aois.json"
+        path.write_text('[{"id": 3.0, "rect": [0, 0, 10, 10], "priority": 1.0}]')
+        (aoi,) = load_aois(path)
+        assert (aoi.id, aoi.priority) == (3, 1)
+        assert type(aoi.id) is int and type(aoi.priority) is int
+
+    @pytest.mark.parametrize("text", ["[]", '{"aois": []}'])
+    def test_no_aois_rejected(self, tmp_path, text):
+        path = tmp_path / "aois.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="defines no AOIs"):
+            load_aois(path)
+
+
+class TestScanpathRecordJson:
+    DOC = {"trial_id": "t7", "participant_id": "p1", "condition": "TC",
+           "symbols": [0, 1, 1, 0], "alphabet_size": 2}
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("symbols", [0, 1.5, 1, 0.2], r"symbols\[1\] must be a whole number, got 1\.5"),
+        ("symbols", [0, True, 1, 0], r"symbols\[1\] must be a whole number, got True"),
+        ("symbols", [0, 1, "1", 0], r"symbols\[2\] must be a whole number, got '1'"),
+        ("symbols", 5, r"symbols must be a list, got 5"),
+        ("alphabet_size", 2.9, r"alphabet_size must be a whole number, got 2\.9"),
+        ("alphabet_size", True, r"alphabet_size must be a whole number, got True"),
+        ("dropped_fixations", 0.5, r"dropped_fixations must be a whole number"),
+        ("invalid_samples", 1.5, r"invalid_samples must be a whole number"),
+        ("low_confidence_samples", False,
+         r"low_confidence_samples must be a whole number"),
+        ("long_fixations", 2.25, r"long_fixations must be a whole number"),
+    ], ids=["symbols-fraction", "symbols-bool", "symbols-string", "symbols-int",
+            "alphabet_size-fraction", "alphabet_size-bool",
+            "dropped_fixations", "invalid_samples", "low_confidence_samples",
+            "long_fixations"])
+    def test_non_integer_fields_rejected(self, field, value, message):
+        doc = dict(self.DOC, **{field: value})
+        with pytest.raises(ValueError,
+                           match=r"participant 'p1' trial 't7': " + message):
+            ScanpathRecord.from_dict(doc)
+
+    def test_whole_floats_accepted(self):
+        record = ScanpathRecord.from_dict(
+            dict(self.DOC, symbols=[0.0, 1.0, 1, 0], alphabet_size=2.0))
+        assert record.symbols.tolist() == [0, 1, 1, 0]
+        assert record.symbols.dtype == np.int64
+        assert type(record.alphabet_size) is int
