@@ -5,8 +5,9 @@ subcommand runs on one thread and is deterministic given its inputs and
 --seed; reruns produce byte-identical files (outputs carry no timestamps).
 `ais` selects each trial's past state once; `compare` contrasts those
 recorded selections and never selects again.
-Settings resolve in `_run_config` alone: `RunConfig` defaults, then the
-`--config` file, then flags.
+Settings resolve in `_settings` alone: the `--config` file, then flags,
+over `RunConfig` defaults. `compare` takes the selection settings that
+`ais` recorded, and a given one must equal them.
 """
 
 import argparse
@@ -20,10 +21,10 @@ import numpy as np
 
 from . import __version__
 from .experiment import (MEASURES, RunConfig, TrialResult, analyze_trial,
-                         contrast_conditions, lag_histogram, parse_run_config,
+                         contrast_conditions, lag_histogram, read_run_config,
                          trial_seed)
-from .gaze import (PipelineParams, ScanpathRecord, build_scanpath, load_aois,
-                   read_gaze_csv, trial_fixations)
+from .gaze import (PipelineParams, ScanpathRecord, _field, _json_list,
+                   build_scanpath, load_aois, read_gaze_csv, trial_fixations)
 from .markov import analytic_ais, analytic_entropy, analytic_gte, generate, \
     load_markov_spec
 from .rng import derive_seed
@@ -76,16 +77,22 @@ def _fmt(value) -> str:
     return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
-def _run_config(args) -> RunConfig:
-    """`RunConfig` defaults, overridden by `--config`, overridden by flags."""
-    cfg = parse_run_config(args.config) if getattr(args, "config", None) else RunConfig()
+def _settings(args) -> dict:
+    """The settings given for this run: the `--config` file's, overridden
+    by flags."""
+    settings = read_run_config(args.config) if getattr(args, "config", None) else {}
     for flag, key in (("seed", "seed"), ("kmax", "k_max"), ("alpha", "alpha"),
                       ("nperm", "n_perm_selection"), ("tail", "tail"),
                       ("nperm_comparison", "n_perm_comparison"),
                       ("collapse_repeats", "collapse_repeats")):
         if getattr(args, flag, None) is not None:
-            setattr(cfg, key, getattr(args, flag))
-    return cfg
+            settings[key] = getattr(args, flag)
+    return settings
+
+
+def _run_config(args) -> RunConfig:
+    """`RunConfig` defaults, overridden by `--config`, overridden by flags."""
+    return replace(RunConfig(), **_settings(args))
 
 
 def _pipeline_params(args, collapse=False) -> PipelineParams:
@@ -131,8 +138,12 @@ def cmd_scanpath(args) -> int:
 
 def _load_scanpath_records(path):
     doc = _load_json(path)
-    entries = doc["trials"] if isinstance(doc, dict) else doc
-    return [ScanpathRecord.from_dict(entry) for entry in entries]
+    try:
+        entries = _json_list(_field(doc, "trials", "scanpath file")
+                             if isinstance(doc, dict) else doc, "trials")
+        return [ScanpathRecord.from_dict(entry) for entry in entries]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_ais(args) -> int:
@@ -172,24 +183,29 @@ def _load_ais_results(paths):
                              f"`gazeais ais`")
         if config is None:
             config, config_path = doc["config"], path
+            for key in ("k_max", "alpha", "n_perm_selection"):
+                _field(config, key, f"{path}: config")
         elif doc["config"] != config:
             raise ValueError(f"{path}: `ais` config {doc['config']} differs "
                              f"from {config_path}: {config}")
-        for entry in doc["results"]:
-            if entry.get("symbols") is None:
+        for entry in _json_list(doc["results"], f"{path}: results"):
+            if isinstance(entry, dict) and entry.get("symbols") is None:
                 raise ValueError(
                     f"{path}: results lack trial symbols; rerun `ais` to "
                     f"produce comparable input"
                 )
-            rec = ScanpathRecord.from_dict(entry)
+            try:
+                rec = ScanpathRecord.from_dict(entry)
+                result = TrialResult.from_dict(entry)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
             key = (rec.participant_id, rec.condition, rec.trial_id)
             if key in seen:
                 raise ValueError(f"{path}: duplicate trial (participant, "
                                  f"condition, trial) = {key}, first read "
                                  f"from {seen[key]}")
             seen[key] = path
-            by_participant.setdefault(rec.participant_id, []).append(
-                (rec, TrialResult.from_dict(entry)))
+            by_participant.setdefault(rec.participant_id, []).append((rec, result))
     return by_participant, config
 
 
@@ -203,16 +219,18 @@ def _summary_row(comp, cond):
 
 
 def cmd_compare(args) -> int:
-    cfg = _run_config(args)
+    settings = _settings(args)
     by_participant, recorded = _load_ais_results(args.inputs)
-    # Selection settings come from `ais`; flags may only repeat them.
+    # Selection settings come from `ais`; the `--config` file and flags may
+    # only repeat them.
     for flag, key in (("kmax", "k_max"), ("alpha", "alpha"),
                       ("nperm", "n_perm_selection")):
-        given = getattr(args, flag)
-        if given is not None and given != recorded[key]:
-            raise ValueError(f"--{flag} {given} conflicts with {key} = "
-                             f"{recorded[key]} recorded by `ais`")
-        setattr(cfg, key, recorded[key])
+        given = settings.setdefault(key, recorded[key])
+        if given != recorded[key]:
+            source = f"--{flag}" if getattr(args, flag) is not None else args.config
+            raise ValueError(f"{key} = {given} from {source} conflicts with "
+                             f"{key} = {recorded[key]} recorded by `ais`")
+    cfg = replace(RunConfig(), **settings)
 
     comparisons = []
     for pid in sorted(by_participant):

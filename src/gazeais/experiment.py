@@ -22,7 +22,7 @@ import numpy as np
 
 from .embedding import (EmbeddingConfig, MIN_EMBEDDED_ROWS, SelectionTrace,
                         optimize_past_state)
-from .gaze import ScanpathRecord
+from .gaze import ScanpathRecord, _field, _trial_owner
 from .infocore import (InfoEstimate, active_information_storage,
                        next_symbol_entropy)
 from .rng import derive_seed
@@ -58,14 +58,15 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected 1/0, true/false, yes/no or on/off, got {value!r}")
 
 
-def parse_run_config(path) -> RunConfig:
-    """Parse `key = value` lines; '#' starts a comment; unknown keys error."""
-    cfg = RunConfig()
+def read_run_config(path) -> dict:
+    """The settings of a `key = value` file, converted, by key; '#' starts a
+    comment; unknown keys error."""
     converters = {
         "k_max": int, "alpha": float, "n_perm_selection": int,
         "n_perm_comparison": int, "seed": int, "tail": str,
         "collapse_repeats": _parse_bool,
     }
+    settings = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -77,10 +78,15 @@ def parse_run_config(path) -> RunConfig:
             if key not in converters:
                 raise ValueError(f"config line {line_no}: unknown key {key!r}")
             try:
-                setattr(cfg, key, converters[key](value))
+                settings[key] = converters[key](value)
             except ValueError as exc:
                 raise ValueError(f"config line {line_no}: {exc}") from None
-    return cfg
+    return settings
+
+
+def parse_run_config(path) -> RunConfig:
+    """`RunConfig` defaults overridden by the settings of the file `path`."""
+    return replace(RunConfig(), **read_run_config(path))
 
 
 @dataclass
@@ -127,16 +133,22 @@ class TrialResult:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrialResult":
-        """Inverse of `to_dict`; the selection trace is not serialized."""
-        plain = ("trial_id", "participant_id", "condition", "sample_count",
-                 "skipped", "skip_reason", "normalized_ais",
-                 "normalized_clamped", "ais_p_value")
-        estimates = {k: None if doc[k] is None else InfoEstimate(**doc[k])
-                     for k in ("ais", "entropy_next")}
-        lags = doc["selected_lags"]
-        return cls(**{k: doc[k] for k in plain}, **estimates,
-                   selected_lags=None if lags is None
-                   else PastState(lags, doc["k_max"]))
+        """Inverse of `to_dict`; the selection trace is not serialized. A
+        missing field is an error that names it and the trial."""
+        owner = _trial_owner(doc)
+        fields = {k: _field(doc, k, owner) for k in (
+            "trial_id", "participant_id", "condition", "sample_count", "skipped",
+            "skip_reason", "normalized_ais", "normalized_clamped",
+            "ais_p_value", "ais", "entropy_next", "selected_lags")}
+        for k in ("ais", "entropy_next"):
+            if fields[k] is not None:
+                fields[k] = InfoEstimate(**{
+                    f: _field(fields[k], f, f"{owner}: {k}") for f in (
+                        "plugin_value", "bias_correction", "corrected_value",
+                        "sample_count", "kind")})
+        lags = fields.pop("selected_lags")
+        return cls(**fields, selected_lags=None if lags is None
+                   else PastState(lags, _field(doc, "k_max", owner)))
 
 
 @dataclass

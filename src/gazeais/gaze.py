@@ -41,6 +41,32 @@ def _is_whole(value) -> bool:
             or isinstance(value, float) and value.is_integer())
 
 
+def _field(doc, key: str, owner: str):
+    """`doc[key]`; a missing key, or a `doc` that is not a JSON object, is
+    an error that names `owner` and the field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{owner}: expected a JSON object, got "
+                         f"{type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"{owner}: missing field {key!r}")
+    return doc[key]
+
+
+def _json_list(value, what: str) -> list:
+    """`value`, which must be a JSON array; `what` names it in the error."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _trial_owner(doc) -> str:
+    """Names a trial entry by the ids it holds, for error messages."""
+    ids = [f"{word} {str(doc[key])!r}" for word, key in
+           (("participant", "participant_id"), ("trial", "trial_id"))
+           if isinstance(doc, dict) and key in doc]
+    return " ".join(ids) or "trial entry"
+
+
 def _whole_number(value, what: str) -> int:
     """`value` as an int; a bool, a fraction or a non-number is an error."""
     if not _is_whole(value):
@@ -138,9 +164,10 @@ class ScanpathRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScanpathRecord":
-        trial_id, participant_id = str(doc["trial_id"]), str(doc["participant_id"])
-        owner = f"participant {participant_id!r} trial {trial_id!r}"
-        symbols = doc["symbols"]
+        owner = _trial_owner(doc)
+        trial_id, participant_id, condition, symbols = (
+            _field(doc, key, owner)
+            for key in ("trial_id", "participant_id", "condition", "symbols"))
         if not isinstance(symbols, (list, tuple, np.ndarray)):
             raise ValueError(f"{owner}: symbols must be a list, got {symbols!r}")
         bad = next((i for i, s in enumerate(symbols) if not _is_whole(s)), None)
@@ -150,10 +177,10 @@ class ScanpathRecord:
         counts = {key: _whole_number(doc.get(key, 0), f"{owner}: {key}")
                   for key in ("dropped_fixations", "invalid_samples",
                               "low_confidence_samples", "long_fixations")}
-        return cls(trial_id=trial_id, participant_id=participant_id,
-                   condition=str(doc["condition"]),
+        return cls(trial_id=str(trial_id), participant_id=str(participant_id),
+                   condition=str(condition),
                    symbols=np.asarray(symbols, dtype=np.int64),
-                   alphabet_size=_whole_number(doc["alphabet_size"],
+                   alphabet_size=_whole_number(_field(doc, "alphabet_size", owner),
                                                f"{owner}: alphabet_size"),
                    **counts)
 
@@ -552,19 +579,30 @@ def load_aois(path) -> List[AOIRegion]:
 
     Ids and priorities must be whole numbers, the file must define at least
     one AOI, and geometrically overlapping AOIs must carry distinct
-    priorities, else the mapping would be ambiguous.
+    priorities, else the mapping would be ambiguous. Every error names the
+    file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    entries = doc["aois"] if isinstance(doc, dict) else doc
+    try:
+        return _aois_from_json(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _aois_from_json(doc) -> List[AOIRegion]:
+    entries = _json_list(_field(doc, "aois", "AOI file") if isinstance(doc, dict)
+                         else doc, "AOIs")
     aois = []
-    for entry in entries:
-        rect = entry["rect"]
+    for i, entry in enumerate(entries):
+        owner = (f"AOI {entry['id']!r}" if isinstance(entry, dict) and "id" in entry
+                 else f"AOI entry {i}")
+        rect = _field(entry, "rect", owner)
         try:
             rect = tuple(float(v) for v in rect)
         except (TypeError, ValueError):
             pass  # AOIRegion rejects it with a message that names the AOI
-        aoi_id = _whole_number(entry["id"], f"AOI {entry['id']!r}: id")
+        aoi_id = _whole_number(_field(entry, "id", owner), f"{owner}: id")
         aois.append(AOIRegion(
             id=aoi_id,
             rect=rect,
@@ -573,7 +611,7 @@ def load_aois(path) -> List[AOIRegion]:
             name=str(entry.get("name", "")),
         ))
     if not aois:
-        raise ValueError(f"{path}: defines no AOIs")
+        raise ValueError("defines no AOIs")
     ids = [a.id for a in aois]
     if len(set(ids)) != len(ids):
         raise ValueError("AOI ids must be distinct")

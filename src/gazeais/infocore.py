@@ -19,7 +19,6 @@ grows with the rows, not as alphabet^(lags + 1).
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -78,7 +77,8 @@ def _signed_estimate(kind: str, *terms) -> InfoEstimate:
 # ---------------------------------------------------------------------------
 
 # Surrogates are evaluated in blocks of rows whose largest array holds at
-# most this many elements, which bounds memory for long sequences.
+# most this many elements, or one row, which bounds memory for long
+# sequences and large alphabets.
 SURROGATE_BLOCK_ELEMENTS = 1 << 15
 
 
@@ -95,24 +95,68 @@ def _clogc(n: int):
     return np.rint(c * np.log2(np.maximum(c, 1.0)) * scale).astype(np.int64), scale
 
 
+def _ranks(codes: np.ndarray) -> np.ndarray:
+    """Dense ranks of nonnegative integer codes: `np.unique`'s inverse.
+
+    A code space of at most 4 rows per code is ranked by counting, which
+    skips the sort; the ranks are the same either way.
+    """
+    space = int(codes.max()) + 1
+    if space <= 4 * codes.size:
+        return (np.cumsum(np.bincount(codes, minlength=space) > 0) - 1)[codes]
+    return np.unique(codes, return_inverse=True)[1]
+
+
 def _joint_ranks(code: np.ndarray, *columns) -> np.ndarray:
     """Fold integer columns into `code`, most significant first, ranking after
     each so codes stay below the row count and keep the tuples' order."""
     for col in columns:
-        _, code = np.unique(code * (int(col.max()) + 1) + col,
-                            return_inverse=True)
+        code = _ranks(code * (int(col.max()) + 1) + col)
     return code
 
 
-def _permutation_blocks(rng, n: int, count: int, row_elements: int):
-    """`count` permutations of range(n) in (rows, n) blocks, drawn in row
-    order from `rng`, so the block size never changes a row's permutation.
-    One `permuted` call per block draws what `rng.permutation(n)` row by row
-    draws, and leaves `rng` in the same state."""
+def _permutation_blocks(rng, values: np.ndarray, count: int, row_elements: int):
+    """`count` permutations of the 1-D array `values` in (rows, n) blocks,
+    drawn in row order from `rng`, so the block size never changes a row's
+    permutation. One `permuted` call per block, in place on the tiled
+    values, draws what `rng.permutation(n)` row by row draws, and leaves
+    `rng` in the same state."""
     rows = max(1, SURROGATE_BLOCK_ELEMENTS // row_elements)
     for start in range(0, count, rows):
-        block = np.tile(np.arange(n), (min(rows, count - start), 1))
-        yield rng.permuted(block, axis=1)
+        block = np.tile(values, (min(rows, count - start), 1))
+        yield rng.permuted(block, axis=1, out=block)
+
+
+def _clogc_blocks(blocks, groups: np.ndarray, cells: int, clogc, dense: bool):
+    """Per (rows, n) block of codes, the sums of `clogc` over the counts of
+    each (row, group)'s codes `block[row] + groups[group]`, all below
+    `cells`: int64, shape (rows, len(groups)).
+
+    Each (row, group) is offset into its own slice of `cells`, with the
+    offset groups kept for the largest block. `dense` counts every slice
+    with one bincount; otherwise each (row, group) is sorted and its run
+    lengths are counted, so memory follows the rows, not the cells. The
+    integer sums are equal either way.
+    """
+    base = ()
+    for block in blocks:
+        rows = block.shape[0]
+        if len(base) < rows:
+            base = groups + (np.arange(rows * len(groups)) * cells).reshape(rows, -1, 1)
+        joint = block[:, None, :] + base[:rows]
+        if dense:
+            counts = np.bincount(joint.ravel(), minlength=rows * len(groups) * cells)
+            yield clogc[counts.reshape(rows, -1, cells)].sum(axis=2)
+            continue
+        joint = joint.reshape(-1, block.shape[1])
+        joint.sort(axis=1)
+        starts = np.ones(joint.shape, dtype=bool)
+        np.not_equal(joint[:, 1:], joint[:, :-1], out=starts[:, 1:])
+        first = np.flatnonzero(starts)
+        runs = np.diff(first, append=joint.size)
+        # Each (row, group) opens with a run, so its runs form one segment.
+        segments = np.flatnonzero(first % joint.shape[1] == 0)
+        yield np.add.reduceat(clogc[runs], segments).reshape(rows, -1)
 
 
 def _cmi_blocks(target, cond, cands, n_perm=0, rng=None):
@@ -127,30 +171,34 @@ def _cmi_blocks(target, cond, cands, n_perm=0, rng=None):
     Equal count tables give bit-equal values in every row.
     """
     n = target.size
-    _, t = np.unique(target, return_inverse=True)
+    t = _ranks(target)
     s = _joint_ranks(np.zeros(n, dtype=np.int64), *cond)
     groups = np.stack([s] + [_joint_ranks(s, *cols) for cols in cands])
     width = int(groups.max()) + 1
     cells = (int(t.max()) + 1) * width
     clogc, scale = _clogc(n)
+    # One row's dense tables; past the block bound they are counted by sort.
+    dense = len(groups) * cells <= SURROGATE_BLOCK_ELEMENTS
     # I(T; C | S) = H(T,S) + H(C,S) - H(T,C,S) - H(S), with
     # H(X) = log2(n) - sum(c log2 c) / n over the counts of X. The sums for
     # H(C,S) and H(S) do not depend on the permutation; integer sums keep
     # every row exact whatever the order of the terms.
     static = np.array([clogc[np.bincount(g)].sum() for g in groups])
     static = static[0] - static[1:]
-
-    base = ()
-    for perms in itertools.chain([np.arange(n)[None]], _permutation_blocks(
-            rng, n, n_perm, len(groups) * max(n, cells))):
-        # One bincount per block: each (row, group) counts into its own slice.
-        rows = perms.shape[0]
-        if len(base) < rows:
-            base = groups + np.arange(rows * len(groups)).reshape(rows, -1, 1) * cells
-        codes = (t[perms] * width)[:, None, :] + base[:rows]
-        counts = np.bincount(codes.ravel(), minlength=rows * len(groups) * cells)
-        joint = clogc[counts.reshape(rows, -1, cells)].sum(axis=2)
-        yield (joint[:, 1:] - joint[:, :1] + static) / (scale * n)
+    codes = t * width  # permuted as values: each row is a permuted target
+    joint = next(_clogc_blocks([codes[None]], groups, cells, clogc, dense))
+    yield (joint[:, 1:] - joint[:, :1] + static) / (scale * n)
+    if not cond:
+        # With no conditioning, H(T, S) = H(T) in every permutation: fold
+        # row 0's sum into `static` and count only the candidates.
+        static = static - joint[:, :1]
+        groups = groups[1:]
+    blocks = _permutation_blocks(rng, codes, n_perm,
+                                 len(groups) * (max(n, cells) if dense else n))
+    for joint in _clogc_blocks(blocks, groups, cells, clogc, dense):
+        if cond:
+            joint = joint[:, 1:] - joint[:, :1]
+        yield (joint + static) / (scale * n)
 
 
 # ---------------------------------------------------------------------------

@@ -114,9 +114,11 @@ def independent_samples_permutation_test(group_a, group_b, n_perm: int = 5000,
     k = min(a.size, b.size) if tail == "two_sided" else a.size
     oriented = {"greater": np.positive, "less": np.negative,
                 "two_sided": np.abs}[tail]
-    blocks = (oriented(_mean_difference(pooled[np.sort(perms[:, :k], axis=1)],
-                                        pooled[np.sort(perms[:, k:], axis=1)]))
-              for perms in _permutation_blocks(
-                  derive_rng(seed, "ind-samples-surrogate"), n, n_perm, n))
+    # Each row is the pool permuted; its two parts, sorted, are the values
+    # the ascending pool holds at the sorted permutation indices.
+    blocks = (oriented(_mean_difference(np.sort(shuffled[:, :k], axis=1),
+                                        np.sort(shuffled[:, k:], axis=1)))
+              for shuffled in _permutation_blocks(
+                  derive_rng(seed, "ind-samples-surrogate"), pooled, n_perm, n))
     return PermutationTestResult(
         observed, *_permutation_p(oriented(observed), blocks, n_perm))

@@ -206,6 +206,25 @@ class TestScanpathCommand:
         assert "defines no AOIs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, message", [
+        ("id", "AOI entry 1: missing field 'id'"),
+        ("rect", "AOI 1: missing field 'rect'"),
+        (None, "AOIs must be a list, got int"),
+    ])
+    def test_malformed_aoi_file_exit_2(self, tmp_path, capsys, field, message):
+        gaze = tmp_path / "gaze.csv"
+        write_planted_gaze(gaze, [(400, 500)])
+        entries = [dict(entry) for entry in AOIS_JSON]
+        if field is None:
+            entries = 5
+        else:
+            del entries[1][field]
+        aois = tmp_path / "aois.json"
+        aois.write_text(json.dumps(entries))
+        assert main(["scanpath", str(gaze), "--aois", str(aois),
+                     "--out", str(tmp_path / "s.json")]) == 2
+        assert f"error: {aois}: {message}" in capsys.readouterr().err
+
 
 class TestSimulateAndAis:
     def test_simulate_emits_oracle(self, tmp_path):
@@ -282,6 +301,69 @@ class TestSimulateAndAis:
         assert main(["ais", str(src), "--seed", "3", "--out", str(out)]) == 0
         result = json.loads(out.read_text())["results"][0]
         assert result["skipped"] is True
+
+
+class TestMissingFields:
+    """A missing JSON key names the file, the trial and the field."""
+
+    @staticmethod
+    def scanpaths(tmp_path):
+        spec = tmp_path / "spec.json"
+        write_spec(spec)
+        sims = tmp_path / "sims.json"
+        assert main(["simulate", str(spec), "--length", "60", "--trials", "2",
+                     "--participant", "p0", "--out", str(sims)]) == 0
+        return sims
+
+    @pytest.mark.parametrize("field, owner", [
+        ("condition", "participant 'p0' trial 't001'"),
+        ("symbols", "participant 'p0' trial 't001'"),
+        ("alphabet_size", "participant 'p0' trial 't001'"),
+        ("trial_id", "participant 'p0'"),
+        ("participant_id", "trial 't001'"),
+    ])
+    def test_scanpath_entry(self, tmp_path, capsys, field, owner):
+        sims = self.scanpaths(tmp_path)
+        doc = json.loads(sims.read_text())
+        del doc["trials"][1][field]
+        sims.write_text(json.dumps(doc))
+        assert main(["ais", str(sims), "--nperm", "20",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert (f"error: {sims}: {owner}: missing field {field!r}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"schema_version": 1}', "scanpath file: missing field 'trials'"),
+        ('{"trials": 3}', "trials must be a list, got int"),
+        ("[1]", "trial entry: expected a JSON object, got int"),
+    ])
+    def test_malformed_scanpath_file(self, tmp_path, capsys, text, message):
+        sims = tmp_path / "sims.json"
+        sims.write_text(text)
+        assert main(["ais", str(sims), "--out", str(tmp_path / "r.json")]) == 2
+        assert f"error: {sims}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["results"][1].pop("sample_count"),
+         "participant 'p0' trial 't001': missing field 'sample_count'"),
+        (lambda doc: doc["results"][0]["entropy_next"].pop("corrected_value"),
+         "participant 'p0' trial 't000': entropy_next: missing field "
+         "'corrected_value'"),
+        (lambda doc: doc["config"].pop("alpha"), "config: missing field 'alpha'"),
+        (lambda doc: doc["results"].append("oops"),
+         "trial entry: expected a JSON object, got str"),
+        (lambda doc: doc.update(results=3), "results must be a list, got int"),
+    ], ids=["sample_count", "estimate", "config", "entry", "results"])
+    def test_results_entry(self, tmp_path, capsys, edit, message):
+        sims = self.scanpaths(tmp_path)
+        results = tmp_path / "results.json"
+        assert main(["ais", str(sims), "--nperm", "20", "--out", str(results)]) == 0
+        doc = json.loads(results.read_text())
+        edit(doc)
+        results.write_text(json.dumps(doc))
+        assert main(["compare", str(results), "--nperm-comparison", "20",
+                     "--out", str(tmp_path / "cmp")]) == 2
+        assert f"error: {results}: {message}" in capsys.readouterr().err
 
 
 class TestCompareCommand:
@@ -439,6 +521,27 @@ class TestCompareCommand:
             assert "recorded by `ais`" in capsys.readouterr().err
         assert main(common + ["--kmax", "5", "--alpha", "0.05",
                               "--nperm", "100"]) == 0
+
+    def test_config_file_must_match_recorded_config(self, tmp_path, capsys):
+        # The file's selection keys are checked as the flags are; equal
+        # values give the output of a run without the file.
+        results = self._make_results(tmp_path, n_trials=3, length=120)
+        cfg = tmp_path / "run.cfg"
+        common = ["compare", str(results), "--seed", "7",
+                  "--nperm-comparison", "200", "--config", str(cfg)]
+        for line in ("k_max = 4", "alpha = 0.01", "n_perm_selection = 200"):
+            cfg.write_text(line + "\n")
+            assert main(common + ["--out", str(tmp_path / "bad")]) == 2
+            key = line.split()[0]
+            err = capsys.readouterr().err
+            assert f"{line} from {cfg} conflicts with {key} = " in err
+            assert "recorded by `ais`" in err
+        cfg.write_text("k_max = 5\nalpha = 0.05\nn_perm_selection = 100\n")
+        assert main(common + ["--out", str(tmp_path / "same")]) == 0
+        assert main(common[:-2] + ["--out", str(tmp_path / "plain")]) == 0
+        for name in ("comparison.json", "condition_summary.csv"):
+            assert ((tmp_path / "same" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
 
     def test_conflicting_input_configs(self, tmp_path, capsys):
         results = self._make_results(tmp_path, n_trials=3, length=120)

@@ -278,6 +278,22 @@ class TestLargeAlphabets:
         assert math.isfinite(est.corrected_value)
         assert peak < 2 ** 20
 
+    def test_sparse_surrogate_tables_counted_by_sort(self):
+        # Dense tables of one surrogate row would hold 5 groups x 300 target
+        # codes x up to 3000 states; counting by sort keeps the block bound.
+        seq = SymbolSequence(np.random.default_rng(300).integers(0, 300, 3000), 300)
+        series = embed(seq, (1, 2, 3, 4, 5), 5)
+        observed = _candidate_cmis(series, (2, 3, 4, 5), (1,))[0].max()
+        tracemalloc.start()
+        try:
+            result = max_statistic_test(observed, (2, 3, 4, 5), series, 200,
+                                        seed=7, selected=(1,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert result.p_value == 9 / 201  # the value dense counting gives
+
     def test_equals_table_estimator_bit_for_bit(self):
         # AIS, H(X_t) and GTE against the dense-table oracle of `validate`:
         # the same occupied cells in the same order give the same floats.
@@ -307,6 +323,72 @@ class TestLargeAlphabets:
             pairs = np.column_stack([seq.symbols[1:], seq.symbols[:-1]])
             assert fields(gaze_transition_entropy(seq)) == oracle(
                 pairs, ((0, 1), 1), ((1,), -1))
+
+
+def reference_cmi_rows(target, cond, cands, n_perm, rng):
+    """`_cmi_blocks` rows by the first algorithm: `np.unique` ranks, a tiled
+    `arange` of row indices permuted per surrogate, a gather of the target
+    and a dense bincount per (row, group)."""
+    def ranks(code, *columns):
+        for col in columns:
+            code = np.unique(code * (int(col.max()) + 1) + col,
+                             return_inverse=True)[1]
+        return code
+
+    n = target.size
+    t = ranks(np.zeros(n, dtype=np.int64), target)
+    s = ranks(np.zeros(n, dtype=np.int64), *cond)
+    groups = np.stack([s] + [ranks(s, *cols) for cols in cands])
+    width = int(groups.max()) + 1
+    cells = (int(t.max()) + 1) * width
+    clogc, scale = infocore._clogc(n)
+    static = np.array([clogc[np.bincount(g)].sum() for g in groups])
+    static = static[0] - static[1:]
+    rows = []
+    perms = rng.permuted(np.tile(np.arange(n), (n_perm, 1)), axis=1)
+    for perm in np.concatenate([np.arange(n)[None], perms]):
+        joint = np.array([clogc[np.bincount(t[perm] * width + g, minlength=cells)].sum()
+                          for g in groups])
+        rows.append((joint[1:] - joint[:1] + static) / (scale * n))
+    return np.array(rows)
+
+
+class TestKernelAgainstReference:
+    """Ranks by counting and the surrogate kernel against direct algorithms."""
+
+    def test_ranks_equal_unique_inverse(self):
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 50, 300):
+            for high in (1, 2, 4 * n, 4 * n + 1, 50 * n):  # both sides of 4n
+                codes = rng.integers(0, high, size=n)
+                codes[0] = high - 1  # the code space reaches `high`
+                expected = np.unique(codes, return_inverse=True)[1]
+                assert np.array_equal(infocore._ranks(codes), expected)
+                columns = [rng.integers(0, high, size=n) for _ in range(3)]
+                rows = np.column_stack(columns)
+                expected = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+                got = infocore._joint_ranks(np.zeros(n, dtype=np.int64), *columns)
+                assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("elements", [1, 10 ** 9])
+    @pytest.mark.parametrize("n_perm", [1, 200])
+    @pytest.mark.parametrize("m, n", [(2, 300), (16, 300), (300, 60)])
+    @pytest.mark.parametrize("conditioned", [False, True])
+    def test_cmi_rows_equal_reference(self, monkeypatch, m, n, n_perm,
+                                      elements, conditioned):
+        # Every row bit-equal, counted densely (10**9) or by sort (1).
+        monkeypatch.setattr(infocore, "SURROGATE_BLOCK_ELEMENTS", elements)
+        rng = np.random.default_rng(m * n)
+        x = rng.integers(0, m, size=n + 3)
+        target, c1, c2, c3 = x[3:], x[2:-1], x[1:-2], x[:-3]
+        cond = [c1] if conditioned else []
+        cands = [(c2,), (c2, c3)]
+        got = np.concatenate(list(_cmi_blocks(target, cond, cands, n_perm,
+                                              np.random.default_rng(5))))
+        expected = reference_cmi_rows(target, cond, cands, n_perm,
+                                      np.random.default_rng(5))
+        assert got.shape == (n_perm + 1, 2)
+        assert np.array_equal(got, expected)
 
 
 class TestSurrogateKernel:
@@ -390,16 +472,22 @@ class TestSurrogateKernel:
     @pytest.mark.parametrize("rows", [1, 7, 18, 200])
     @pytest.mark.parametrize("n", [1, 2, 44, 295, 2995])
     def test_block_draws_equal_per_row_draws(self, n, rows):
-        # One `permuted` call per block must draw exactly the rows that one
-        # `permutation(n)` call per row draws, and consume the same stream.
-        for row_elements in (n, infocore.SURROGATE_BLOCK_ELEMENTS):
-            per_row, blocked = np.random.default_rng(n), np.random.default_rng(n)
-            expected = np.array([per_row.permutation(n) for _ in range(rows)])
-            drawn = np.concatenate(list(infocore._permutation_blocks(
-                blocked, n, rows, row_elements)))
-            assert drawn.dtype == expected.dtype
-            assert np.array_equal(drawn, expected)
-            assert blocked.bit_generator.state == per_row.bit_generator.state
+        # One in-place `permuted` call per block must draw exactly the rows
+        # that one `permutation(n)` call per row draws, and consume the same
+        # stream: for scaled target codes and for an ascending pool alike.
+        source = np.random.default_rng(n)
+        codes = source.permutation(n).astype(np.int64) * 7
+        pool = np.sort(source.normal(size=n))
+        for values in (codes, pool):
+            for row_elements in (n, infocore.SURROGATE_BLOCK_ELEMENTS):
+                per_row, blocked = np.random.default_rng(n), np.random.default_rng(n)
+                expected = np.array([values[per_row.permutation(n)]
+                                     for _ in range(rows)])
+                drawn = np.concatenate(list(infocore._permutation_blocks(
+                    blocked, values, rows, row_elements)))
+                assert drawn.dtype == values.dtype
+                assert np.array_equal(drawn, expected)
+                assert blocked.bit_generator.state == per_row.bit_generator.state
 
     def test_row_zero_is_the_reported_observation(self):
         from gazeais import EmbeddingConfig, generate, optimize_past_state, persistence_spec
