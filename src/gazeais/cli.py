@@ -40,6 +40,9 @@ def _round12(obj):
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        # Lists of plain ints, such as echoed symbols, need no rounding.
+        if set(map(type, obj)) <= {int}:
+            return obj
         return [_round12(v) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)

@@ -220,6 +220,18 @@ def _normalize(ais_est, entropy_est):
     return clamped, clamped != raw
 
 
+def _trial_estimates(seq: SymbolSequence, lags: PastState, k_max: int):
+    """H(X_t), AIS on `lags` and normalized AIS of one trial at offset
+    `k_max`; with no lags AIS is 0 on the same rows."""
+    entropy = next_symbol_entropy(seq, k_max)
+    if lags:
+        ais = active_information_storage(seq, lags, k_max)
+    else:
+        ais = InfoEstimate(0.0, 0.0, 0.0, len(seq) - k_max,
+                           kind="active_information_storage")
+    return entropy, ais, _normalize(ais, entropy)
+
+
 def trial_seed(seed: int, record: ScanpathRecord) -> int:
     """Selection seed of one trial: (seed, "trial", participant, condition, id)."""
     return derive_seed(seed, "trial", record.participant_id, record.condition,
@@ -246,15 +258,11 @@ def analyze_trial(scanpath: SymbolSequence, cfg: EmbeddingConfig, *,
                          f"need at least {MIN_EMBEDDED_ROWS}"),
         )
     lags, trace = optimize_past_state(scanpath, cfg)
-    entropy_next = next_symbol_entropy(scanpath, cfg.k_max)
-    if lags:
-        ais = active_information_storage(scanpath, lags, cfg.k_max)
-        p_value = test_final_ais(embed(scanpath, lags, cfg.k_max), cfg.n_perm,
-                                 seed=derive_seed(cfg.seed, "final-ais")).p_value
-    else:
-        ais = InfoEstimate(0.0, 0.0, 0.0, n, kind="active_information_storage")
-        p_value = 1.0
-    normalized, clamped = _normalize(ais, entropy_next)
+    entropy_next, ais, (normalized, clamped) = _trial_estimates(
+        scanpath, lags, cfg.k_max)
+    p_value = (test_final_ais(embed(scanpath, lags, cfg.k_max), cfg.n_perm,
+                              seed=derive_seed(cfg.seed, "final-ais")).p_value
+               if lags else 1.0)
     if clamped:
         log.info("trial %s: normalized AIS clamped into [0, 1]", trial_id)
     return TrialResult(
@@ -385,13 +393,7 @@ def contrast_conditions(records: Sequence[ScanpathRecord],
     values = {m: {c: [] for c in conditions} for m in MEASURES}
     excluded_normalized = {c: 0 for c in conditions}
     for (rec, _), seq in zip(analyzable, eq_seqs):
-        h_est = next_symbol_entropy(seq, k_max)
-        if union:
-            ais_est = active_information_storage(seq, union, k_max)
-        else:
-            ais_est = InfoEstimate(0.0, 0.0, 0.0, eq_rows,
-                                   kind="active_information_storage")
-        normalized, _ = _normalize(ais_est, h_est)
+        h_est, ais_est, (normalized, _) = _trial_estimates(seq, union, k_max)
         cond = rec.condition
         values["ais"][cond].append(ais_est.corrected_value)
         values["entropy"][cond].append(h_est.corrected_value)

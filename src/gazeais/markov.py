@@ -8,12 +8,13 @@ which the plug-in estimators are checked.
 import itertools
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
 
-from .sequences import PastState, SymbolSequence
+from .gaze import _field, _json_list, _whole_number
+from .sequences import SymbolSequence, _as_lag_tuple
 
 _PI_TOL = 1e-12
 _PI_MAX_ITER = 10 ** 6
@@ -26,11 +27,16 @@ class MarkovSpec:
     `transition` maps every length-`order` history tuple (oldest symbol
     first) to a probability vector of length `alphabet_size`. Order 0 means
     i.i.d. sampling and uses the single empty-tuple history.
+
+    `rows` is the same table as one (m^k, m) array in `itertools.product`
+    order (oldest symbol most significant); order 0 is lifted to k = 1 with
+    m identical rows, so the history space is never degenerate.
     """
 
     order: int
     alphabet_size: int
     transition: Dict[Tuple[int, ...], np.ndarray]
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.order = int(self.order)
@@ -52,7 +58,7 @@ class MarkovSpec:
                 raise ValueError(f"history {key}: probability vector must have length {m}")
             if np.any(v < -1e-15):
                 raise ValueError(f"history {key}: negative probability")
-            if abs(v.sum() - 1.0) > 1e-12:
+            if not abs(v.sum() - 1.0) <= 1e-12:  # NaN fails too
                 raise ValueError(f"history {key}: probabilities sum to {v.sum()}, not 1")
             clean[key] = np.clip(v, 0.0, None)
         expected = m ** self.order
@@ -61,27 +67,8 @@ class MarkovSpec:
                 f"transition table covers {len(clean)} histories, expected {expected}"
             )
         self.transition = clean
-
-    # Order-0 chains are lifted to an equivalent order-1 chain whose rows
-    # are all identical, so the history state space is never degenerate.
-    @property
-    def effective_order(self) -> int:
-        return max(self.order, 1)
-
-    def _row_matrix(self) -> np.ndarray:
-        """Rows indexed by encoded history, columns by next symbol."""
-        m = self.alphabet_size
-        k = self.effective_order
-        rows = np.empty((m ** k, m), dtype=np.float64)
-        if self.order == 0:
-            rows[:] = self.transition[()]
-            return rows
-        for hist, vec in self.transition.items():
-            idx = 0
-            for s in hist:
-                idx = idx * m + s
-            rows[idx] = vec
-        return rows
+        self.rows = np.array([clean[hist[:self.order]] for hist in
+                              itertools.product(range(m), repeat=max(self.order, 1))])
 
     def to_json_dict(self) -> dict:
         return {
@@ -95,17 +82,35 @@ class MarkovSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MarkovSpec":
+        """Inverse of `to_json_dict`; a missing or malformed field is an
+        error that names it."""
+        owner = "Markov spec"
+        order, alphabet_size = (
+            _whole_number(_field(doc, key, owner), f"{owner}: {key}")
+            for key in ("order", "alphabet_size"))
+        table = _field(doc, "transition", owner)
+        if not isinstance(table, dict):
+            raise ValueError(f"{owner}: transition must be a JSON object, "
+                             f"got {type(table).__name__}")
         transition = {}
-        for key, vec in doc["transition"].items():
-            hist = tuple(int(s) for s in key.split(",")) if key else ()
-            transition[hist] = vec
-        return cls(order=doc["order"], alphabet_size=doc["alphabet_size"],
+        for key, vec in table.items():
+            try:
+                hist = tuple(int(s) for s in key.split(",")) if key else ()
+            except ValueError:
+                raise ValueError(f"{owner}: history key {key!r} must be "
+                                 f"comma-separated symbol ids") from None
+            transition[hist] = _json_list(vec, f"{owner}: history {key!r}")
+        return cls(order=order, alphabet_size=alphabet_size,
                    transition=transition)
 
 
 def load_markov_spec(path) -> MarkovSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return MarkovSpec.from_json_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return MarkovSpec.from_json_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +128,11 @@ def generate(spec: MarkovSpec, length: int, seed: int,
         raise ValueError("length must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    m = spec.alphabet_size
-    k = spec.effective_order
-    rows = spec._row_matrix()
-    cums = [list(np.cumsum(row)) for row in rows]
+    n_states, m = spec.rows.shape
+    cums = np.cumsum(spec.rows, axis=1).tolist()
     rng = np.random.default_rng(seed)
-    h = int(rng.integers(m ** k))
-    mod_base = m ** (k - 1)
+    h = int(rng.integers(n_states))
+    mod_base = n_states // m
     draws = rng.random(burn_in + length)
     out = np.empty(length, dtype=np.int64)
     for i in range(burn_in + length):
@@ -146,35 +149,39 @@ def generate(spec: MarkovSpec, length: int, seed: int,
 # exact analytic values
 # ---------------------------------------------------------------------------
 
-def _check_irreducible(rows: np.ndarray, m: int):
-    """Reject chains whose history graph is not strongly connected."""
-    n_states = rows.shape[0]
+def _check_irreducible(rows: np.ndarray):
+    """Reject chains whose history graph is not strongly connected.
+
+    History h = (s_1 .. s_k) steps to (s_2 .. s_k, a) where rows[h, a] > 0:
+    its successors are (h mod m^(k-1))·m + a, and its predecessors are
+    s·m^(k-1) + h // m for each s whose row gives h's last symbol mass. A
+    breadth-first search from history 0 along each puts every history in
+    its frontier at most once, so the work is linear in the edges.
+    """
+    n_states, m = rows.shape
     mod_base = n_states // m
-    succ = [[(h % mod_base) * m + a for a in range(m) if rows[h, a] > 0.0]
-            for h in range(n_states)]
-    pred = [[] for _ in range(n_states)]
-    for h, targets in enumerate(succ):
-        for t in targets:
-            pred[t].append(h)
-
-    def reaches_all(adj):
-        seen = [False] * n_states
-        stack = [0]
+    positive = rows > 0.0
+    slot = np.empty(n_states, dtype=np.int64)
+    for forward in (True, False):
+        seen = np.zeros(n_states, dtype=bool)
         seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == n_states
-
-    if not (reaches_all(succ) and reaches_all(pred)):
-        raise ValueError(
-            "chain is reducible: the history graph is not strongly connected"
-        )
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            if forward:
+                src, a = np.nonzero(positive[frontier])
+                found = (frontier[src] % mod_base) * m + a
+            else:
+                cand = np.arange(m) * mod_base + (frontier // m)[:, None]
+                found = cand[positive[cand, (frontier % m)[:, None]]]
+            found = found[~seen[found]]
+            pos = np.arange(found.size)
+            slot[found] = pos  # exactly one position per history wins
+            frontier = found[slot[found] == pos]
+            seen[frontier] = True
+        if not seen.all():
+            raise ValueError(
+                "chain is reducible: the history graph is not strongly connected"
+            )
 
 
 def stationary_distribution(spec: MarkovSpec) -> np.ndarray:
@@ -184,24 +191,22 @@ def stationary_distribution(spec: MarkovSpec) -> np.ndarray:
     the same fixed point as P but converges geometrically even for periodic
     chains (e.g. deterministic cycles). Reducible chains are rejected.
     For order 0 the history space is the single last symbol, so the result
-    is the i.i.d. symbol distribution itself.
+    is the i.i.d. symbol distribution itself. P is applied through
+    `spec.rows`, never built: the mass arriving at (s_2 .. s_k, a) sums over
+    the dropped oldest symbol, so memory grows as m^(k+1), not m^(2k).
     """
-    m = spec.alphabet_size
-    rows = spec._row_matrix()
-    n_states = rows.shape[0]
+    rows = spec.rows
+    n_states, m = rows.shape
     if n_states == 1:
         return np.ones(1)
-    _check_irreducible(rows, m)
-    mod_base = n_states // m
-    # Dense history-to-history operator.
-    P = np.zeros((n_states, n_states))
-    for h in range(n_states):
-        base = (h % mod_base) * m
-        for a in range(m):
-            P[h, base + a] += rows[h, a]
+    _check_irreducible(rows)
     x = np.full(n_states, 1.0 / n_states)
     for _ in range(_PI_MAX_ITER):
-        y = 0.5 * (x + x @ P)
+        # At order <= 1 the next history is the next symbol, so P is `rows`
+        # itself and x @ P is one matrix product.
+        xp = (x @ rows if n_states == m
+              else (x.reshape(m, -1, 1) * rows.reshape(m, -1, m)).sum(axis=0).ravel())
+        y = 0.5 * (x + xp)
         resid = float(np.abs(y - x).sum())
         x = y
         if resid < _PI_TOL:
@@ -222,13 +227,12 @@ def _window_joint(spec: MarkovSpec, window: int) -> np.ndarray:
     the last axis is x_t.
     """
     m = spec.alphabet_size
-    k = spec.effective_order
+    k = max(spec.order, 1)
     pi = stationary_distribution(spec)
     joint = pi.reshape((m,) * k)
     if window <= k:
-        drop = tuple(range(k - window))
-        return joint.sum(axis=drop) if drop else joint
-    T = spec._row_matrix().reshape((m,) * k + (m,))
+        return joint.sum(axis=tuple(range(k - window)))
+    T = spec.rows.reshape((m,) * k + (m,))
     for j in range(k, window):
         T_b = T.reshape((1,) * (j - k) + (m,) * (k + 1))
         joint = joint[..., None] * T_b
@@ -253,11 +257,9 @@ def analytic_ais(spec: MarkovSpec, lags) -> float:
     joint correct for non-contiguous lag sets. For lags covering [1, k]
     this equals H(X_t) - H(X_t | full order-k history).
     """
-    lag_t = lags.lags if isinstance(lags, PastState) else tuple(sorted({int(l) for l in lags}))
+    lag_t = _as_lag_tuple(lags)
     if not lag_t:
         raise ValueError("analytic AIS needs a nonempty lag set")
-    if lag_t[0] < 1:
-        raise ValueError("lags must be positive")
     w = lag_t[-1] + 1
     joint = _window_joint(spec, w)
     target_axis = w - 1
@@ -300,13 +302,7 @@ def persistence_spec(p_stay: float, m: int = 2) -> MarkovSpec:
     """Order-1 chain that repeats its last symbol with probability p_stay."""
     if not (0.0 < p_stay < 1.0):
         raise ValueError("p_stay must lie in (0, 1)")
-    off = (1.0 - p_stay) / (m - 1) if m > 1 else 0.0
-    transition = {}
-    for s in range(m):
-        vec = np.full(m, off)
-        vec[s] = p_stay
-        transition[(s,)] = vec
-    return MarkovSpec(1, m, transition)
+    return lagged_copy_spec(1, p_stay, m)
 
 
 def lagged_copy_spec(lag: int, p_copy: float, m: int = 2) -> MarkovSpec:

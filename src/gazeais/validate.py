@@ -13,7 +13,7 @@ from typing import List
 import numpy as np
 
 from .embedding import EmbeddingConfig, max_statistic_test, optimize_past_state
-from .gaze import GAZE_DTYPE, detect_fixations_idt
+from .gaze import GAZE_DTYPE, Fixation, detect_fixations_idt, filter_fixations
 from .infocore import (_cmi_blocks, active_information_storage,
                        gaze_transition_entropy, local_ais, next_symbol_entropy)
 from .markov import (analytic_ais, analytic_entropy, analytic_gte, cycle_spec,
@@ -139,16 +139,39 @@ def check_analytic_oracles(seed) -> CheckResult:
 
 
 def check_idt_planted(seed) -> CheckResult:
-    """Two planted stationary clusters must yield exactly two fixations."""
-    xs = [100.0] * 25 + [220.0, 380.0, 520.0] + [600.0] * 25
-    samples = np.array([(i * 0.008, x, 100.0, 1.0) for i, x in enumerate(xs)],
-                       dtype=GAZE_DTYPE)
-    fixations = detect_fixations_idt(samples, 50.0, 100.0)
+    """IDT on planted traces at 120 Hz and the fixation boundaries.
+
+    Two clusters joined by saccade transits give exactly two fixations at
+    their centres; dispersion 50 px and duration 100 ms are inclusive; the
+    1500 ms maximum-duration filter removes only fixations above it.
+    """
+    def gaze(rows):
+        return np.array(rows, dtype=GAZE_DTYPE)
+
+    def count(rows):
+        return len(detect_fixations_idt(gaze(rows), 50.0, 100.0))
+
+    rows, t = [], 0.0
+    for x in [100.0] * 25 + [240.0, 400.0, 560.0] + [700.0] * 25:
+        rows.append((t, x, 200.0, 1.0))
+        t += 1 / 120.0
+    fixations = detect_fixations_idt(gaze(rows), 50.0, 100.0)
     ok = (len(fixations) == 2
           and abs(fixations[0].centroid_x - 100.0) < 1.0
-          and abs(fixations[1].centroid_x - 600.0) < 1.0)
-    return CheckResult("IDT planted fixations", ok,
-                       f"{len(fixations)} fixation(s) detected")
+          and abs(fixations[1].centroid_x - 700.0) < 1.0)
+    ok &= count([(i / 120.0, 300.0 + 50.0 * (i % 2), 100.0, 1.0)
+                 for i in range(30)]) == 1
+    ok &= count([(i / 120.0, 300.0 + 50.0001 * (i % 2), 100.0, 1.0)
+                 for i in range(30)]) == 0
+    ok &= count([(v, 0.0, 0.0, 1.0) for v in (0.0, 0.05, 0.100)]) == 1
+    ok &= count([(v, 0.0, 0.0, 1.0) for v in (0.0, 0.05, 0.099)]) == 0
+    keep = Fixation(0.0, 1500.0, 0.0, 0.0, 5)
+    drop = Fixation(0.0, 1500.0001, 0.0, 0.0, 5)
+    ok &= filter_fixations([keep, drop]) == [keep]
+    return CheckResult("IDT planted fixations", bool(ok),
+                       f"planted clusters -> {len(fixations)} fixations; "
+                       f"dispersion 50 px inclusive; duration 100 ms inclusive; "
+                       f"max duration 1500 ms exclusive-above")
 
 
 def check_exact_permutation(seed, n_perm=10_000) -> CheckResult:

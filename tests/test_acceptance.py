@@ -1,12 +1,12 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s`. Every tolerance is pinned
-here or, for criteria 1 and 5, which run the check bodies of `gazeais
-validate` at their own seeds and sizes, in `gazeais.validate`. The oracles
-(closed forms, exhaustive enumeration, planted traces, and for criterion 1
-a dense contingency table tallied apart from the production path's
-rank-compressed codes) are computed independently of the code paths they
-check.
+here or, for criteria 1, 5 and 6, which run the check bodies of `gazeais
+validate` (1 and 5 at their own seeds and sizes), in `gazeais.validate`.
+The oracles (closed forms, exhaustive enumeration, planted traces, and for
+criterion 1 a dense contingency table tallied apart from the production
+path's rank-compressed codes) are computed independently of the code paths
+they check.
 """
 
 import itertools
@@ -17,17 +17,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gazeais import (GAZE_DTYPE, EmbeddingConfig, ScanpathRecord,
+from gazeais import (EmbeddingConfig, ScanpathRecord,
                      active_information_storage, analytic_ais, analyze_trial,
-                     compare_conditions, derive_seed, detect_fixations_idt,
-                     embed, filter_fixations, generate,
+                     compare_conditions, derive_seed, embed, generate,
                      independent_samples_permutation_test, lagged_copy_spec,
                      max_statistic_test, optimize_past_state,
                      persistence_spec, uniform_iid_spec)
 from gazeais import test_final_ais as final_ais_test
 from gazeais.cli import main as cli_main
-from gazeais.gaze import Fixation
-from gazeais.validate import check_algebraic_identities, check_bias_correction
+from gazeais.validate import (check_algebraic_identities, check_bias_correction,
+                              check_idt_planted)
 
 
 def _report(num, name, passed, detail):
@@ -145,48 +144,8 @@ def test_criterion_5_bias_correction():
 
 
 def test_criterion_6_idt_correctness():
-    ok = True
-    details = []
-
-    def gaze(rows):
-        return np.array(rows, dtype=GAZE_DTYPE)
-
-    # planted clusters joined by saccade transits
-    rows = []
-    t = 0.0
-    for x in [100.0] * 25 + [240.0, 400.0, 560.0] + [700.0] * 25:
-        rows.append((t, x, 200.0, 1.0))
-        t += 1 / 120.0
-    fixations = detect_fixations_idt(gaze(rows), 50.0, 100.0)
-    ok &= len(fixations) == 2
-    if len(fixations) == 2:
-        ok &= abs(fixations[0].centroid_x - 100.0) < 1.0
-        ok &= abs(fixations[1].centroid_x - 700.0) < 1.0
-    details.append(f"planted clusters -> {len(fixations)} fixations")
-
-    # dispersion exactly at the threshold stays a single fixation
-    boundary = gaze([(i / 120.0, 300.0 + 50.0 * (i % 2), 100.0, 1.0)
-                     for i in range(30)])
-    ok &= len(detect_fixations_idt(boundary, 50.0, 100.0)) == 1
-    over = gaze([(i / 120.0, 300.0 + 50.0001 * (i % 2), 100.0, 1.0)
-                 for i in range(30)])
-    ok &= len(detect_fixations_idt(over, 50.0, 100.0)) == 0
-    details.append("dispersion 50 px inclusive")
-
-    # duration exactly 100 ms qualifies; just below does not
-    exact = gaze([(v, 0.0, 0.0, 1.0) for v in (0.0, 0.05, 0.100)])
-    ok &= len(detect_fixations_idt(exact, 50.0, 100.0)) == 1
-    short = gaze([(v, 0.0, 0.0, 1.0) for v in (0.0, 0.05, 0.099)])
-    ok &= len(detect_fixations_idt(short, 50.0, 100.0)) == 0
-    details.append("duration 100 ms inclusive")
-
-    # duration filter: 1500 ms retained, strictly above removed
-    keep = Fixation(0.0, 1500.0, 0.0, 0.0, 5)
-    drop = Fixation(0.0, 1500.0001, 0.0, 0.0, 5)
-    ok &= filter_fixations([keep, drop]) == [keep]
-    details.append("max duration 1500 ms exclusive-above")
-
-    _report(6, "IDT correctness", bool(ok), "; ".join(details))
+    check = check_idt_planted(0)
+    _report(6, "IDT correctness", check.passed, check.detail)
 
 
 def test_criterion_7_determinism(tmp_path):

@@ -303,6 +303,29 @@ class TestSimulateAndAis:
         assert result["skipped"] is True
 
 
+class TestMalformedSpec:
+    """`simulate` on a malformed Markov spec exits 2 with a worded error."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"order": 1, "alphabet_size": 2}, "missing field 'transition'"),
+        ({"order": 1.7, "alphabet_size": 2,
+          "transition": {"0": [0.5, 0.5], "1": [0.5, 0.5]}},
+         "order must be a whole number, got 1.7"),
+        ({"order": 1, "alphabet_size": 2,
+          "transition": {"x": [0.5, 0.5], "1": [0.5, 0.5]}},
+         "history key 'x' must be comma-separated symbol ids"),
+        ([{"order": 1}], "expected a JSON object, got list"),
+    ], ids=["no_transition", "fractional_order", "history_key", "array"])
+    def test_exit_2(self, tmp_path, capsys, doc, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "sims.json"
+        assert main(["simulate", str(spec), "--length", "50",
+                     "--out", str(out)]) == 2
+        assert f"error: {spec}: Markov spec: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestMissingFields:
     """A missing JSON key names the file, the trial and the field."""
 

@@ -1,4 +1,7 @@
+import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from gazeais import (MarkovSpec, analytic_ais,
                      analytic_entropy, analytic_gte, cycle_spec, derive_seed,
                      generate, lagged_copy_spec, persistence_spec,
                      stationary_distribution, uniform_iid_spec)
+from gazeais.markov import _check_irreducible
 
 
 def binary_entropy(p):
@@ -17,6 +21,10 @@ class TestMarkovSpec:
     def test_validates_row_sums(self):
         with pytest.raises(ValueError, match="sum"):
             MarkovSpec(1, 2, {(0,): [0.5, 0.4], (1,): [0.5, 0.5]})
+
+    def test_validates_nan(self):
+        with pytest.raises(ValueError, match="sum to nan"):
+            MarkovSpec(1, 2, {(0,): [math.nan, 1.0], (1,): [0.5, 0.5]})
 
     def test_validates_coverage(self):
         with pytest.raises(ValueError, match="covers"):
@@ -39,6 +47,31 @@ class TestMarkovSpec:
         doc = spec.to_json_dict()
         assert list(doc["transition"].keys()) == [""]
         assert MarkovSpec.from_json_dict(doc).order == 0
+
+    def test_rows_follow_product_order(self):
+        spec = lagged_copy_spec(2, 0.8, m=3)
+        hists = list(itertools.product(range(3), repeat=2))
+        assert np.array_equal(spec.rows, [spec.transition[h] for h in hists])
+        iid = MarkovSpec(0, 3, {(): [0.2, 0.5, 0.3]})
+        assert np.array_equal(iid.rows, [[0.2, 0.5, 0.3]] * 3)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"order": 1, "alphabet_size": 2}, "missing field 'transition'"),
+        ({"order": 1.7, "alphabet_size": 2, "transition": {}},
+         "order must be a whole number, got 1.7"),
+        ({"order": 1, "alphabet_size": True, "transition": {}},
+         "alphabet_size must be a whole number, got True"),
+        ({"order": 1, "alphabet_size": 2, "transition": {"x": [1.0, 0.0]}},
+         "history key 'x' must be comma-separated symbol ids"),
+        ({"order": 1, "alphabet_size": 2, "transition": [[1.0, 0.0]]},
+         "transition must be a JSON object, got list"),
+        ({"order": 1, "alphabet_size": 2, "transition": {"0": {"a": 1}}},
+         "history '0' must be a list, got dict"),
+        ([1, 2], "expected a JSON object, got list"),
+    ])
+    def test_malformed_json_rejected(self, doc, message):
+        with pytest.raises(ValueError, match=f"Markov spec: {re.escape(message)}"):
+            MarkovSpec.from_json_dict(doc)
 
 
 class TestGenerate:
@@ -94,10 +127,73 @@ class TestStationaryDistribution:
         with pytest.raises(ValueError, match="reducible"):
             stationary_distribution(MarkovSpec(1, 2, rows))
 
+    def test_order_zero_zero_probability_rejected(self):
+        # Symbol 2 never occurs, so the lifted history 2 is never entered.
+        with pytest.raises(ValueError, match="reducible"):
+            stationary_distribution(MarkovSpec(0, 3, {(): [0.5, 0.5, 0.0]}))
+
+    def test_absorbing_history_rejected(self):
+        rows = {(0, 0): [1.0, 0.0], (0, 1): [0.5, 0.5],
+                (1, 0): [0.5, 0.5], (1, 1): [0.5, 0.5]}  # (0, 0) absorbs
+        with pytest.raises(ValueError, match="reducible"):
+            stationary_distribution(MarkovSpec(2, 2, rows))
+
+    def test_reachability_matches_transitive_closure(self):
+        # Oracle: the boolean closure of the dense history graph, built
+        # from the transition dict.
+        rng = np.random.default_rng(5)
+        verdicts = set()
+        for order, m in [(1, 2), (1, 4), (2, 2), (2, 3), (3, 2)] * 8:
+            transition = {}
+            for hist in itertools.product(range(m), repeat=order):
+                vec = rng.random(m) * (rng.random(m) < 0.6)
+                vec[rng.integers(m)] += 0.1
+                transition[hist] = vec / vec.sum()
+            hists = list(transition)
+            index = {h: i for i, h in enumerate(hists)}
+            reach = np.eye(len(hists), dtype=bool)
+            for h, vec in transition.items():
+                for a in np.flatnonzero(vec):
+                    reach[index[h], index[h[1:] + (int(a),)]] = True
+            for _ in range(len(hists)):
+                reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+            strongly = bool(reach.all())
+            verdicts.add(strongly)
+            spec = MarkovSpec(order, m, transition)
+            if strongly:
+                pi = stationary_distribution(spec)
+                assert abs(pi.sum() - 1.0) < 1e-12
+            else:
+                with pytest.raises(ValueError, match="reducible"):
+                    stationary_distribution(spec)
+        assert verdicts == {True, False}
+
+    def test_long_cycle(self):
+        # A de Bruijn cycle passes through all 2^10 histories in one loop,
+        # so each search step finds one new history. Redirecting one
+        # history's only edge leaves another history with no predecessor.
+        n = 10
+        seq, seen = [0] * n, {(0,) * n}
+        while True:
+            window = tuple(seq[len(seq) - n + 1:])
+            nxt = next((a for a in (1, 0) if window + (a,) not in seen), None)
+            if nxt is None:
+                break
+            seen.add(window + (nxt,))
+            seq.append(nxt)
+        cyc = seq[:2 ** n]
+        transition = {
+            tuple(cyc[(i + j) % 2 ** n] for j in range(n)):
+                np.eye(2)[cyc[(i + n) % 2 ** n]] for i in range(2 ** n)}
+        _check_irreducible(MarkovSpec(n, 2, transition).rows)
+        transition[(1,) * n] = transition[(1,) * n][::-1]
+        with pytest.raises(ValueError, match="reducible"):
+            _check_irreducible(MarkovSpec(n, 2, transition).rows)
+
     def test_fixed_point_property(self):
         spec = lagged_copy_spec(2, 0.85, m=2)
         pi = stationary_distribution(spec)
-        rows = spec._row_matrix()
+        rows = spec.rows
         n_states = rows.shape[0]
         mod = n_states // 2
         advanced = np.zeros(n_states)
@@ -155,6 +251,23 @@ class TestAnalyticValues:
     def test_empty_lags_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             analytic_ais(persistence_spec(0.9), ())
+
+    def test_nonpositive_lags_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            analytic_ais(persistence_spec(0.9), (0, 1))
+
+    def test_memory_grows_with_rows_not_history_pairs(self):
+        # 16^3 histories: a dense history-to-history operator alone would
+        # hold 16^6 float64s (128 MiB).
+        spec = lagged_copy_spec(3, 0.6, m=16)
+        tracemalloc.start()
+        try:
+            value = analytic_ais(spec, (1, 2, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert value == pytest.approx(1.4662931673019877, abs=1e-12)
 
 
 class TestEstimatorConvergence:
