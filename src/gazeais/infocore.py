@@ -16,6 +16,15 @@ counted over the codes of one set of embedded rows, so identities such as
 H(X_t) = AIS({1}) + GTE hold exactly on plug-in values, not just
 asymptotically. Codes are ranked over the occupied states only, so memory
 grows with the rows, not as alphabet^(lags + 1).
+
+The permutation tests count their surrogate tables in one of three
+regimes, picked per test from the code space alone (`_counting_regime`):
+a matrix product of the target's indicator rows with a fixed one-hot
+matrix of the group states when the target takes at most PRODUCT_CODES
+codes and the product stays small; otherwise one dense bincount per block
+when a row's tables fit in SURROGATE_BLOCK_ELEMENTS; otherwise a sort and
+run-length count per row. All three count the same integers, and the sums
+over them are integer sums, so the regime never changes a value.
 """
 
 import functools
@@ -81,6 +90,16 @@ def _signed_estimate(kind: str, *terms) -> InfoEstimate:
 # sequences and large alphabets.
 SURROGATE_BLOCK_ELEMENTS = 1 << 15
 
+# A block whose target takes at most PRODUCT_CODES codes is counted as one
+# matrix product if that product needs fewer than PRODUCT_MULTIPLIES
+# multiply-adds (`_counting_regime`). The product's cost grows with the
+# target codes and a bincount's does not: at 295 rows the product was
+# faster up to six codes and slower at eight. Below 2**19 multiply-adds
+# OpenBLAS, at its default GEMM_MULTITHREAD_THRESHOLD, keeps a product on
+# one thread.
+PRODUCT_CODES = 4
+PRODUCT_MULTIPLIES = 1 << 19
+
 
 @functools.lru_cache(maxsize=16)
 def _clogc(n: int):
@@ -115,47 +134,96 @@ def _joint_ranks(code: np.ndarray, *columns) -> np.ndarray:
     return code
 
 
+def _block_rows(row_elements: int) -> int:
+    """Surrogate rows per block when each row holds `row_elements` elements."""
+    return max(1, SURROGATE_BLOCK_ELEMENTS // row_elements)
+
+
 def _permutation_blocks(rng, values: np.ndarray, count: int, row_elements: int):
     """`count` permutations of the 1-D array `values` in (rows, n) blocks,
     drawn in row order from `rng`, so the block size never changes a row's
     permutation. One `permuted` call per block, in place on the tiled
     values, draws what `rng.permutation(n)` row by row draws, and leaves
     `rng` in the same state."""
-    rows = max(1, SURROGATE_BLOCK_ELEMENTS // row_elements)
+    rows = _block_rows(row_elements)
     for start in range(0, count, rows):
         block = np.tile(values, (min(rows, count - start), 1))
         yield rng.permuted(block, axis=1, out=block)
 
 
-def _clogc_blocks(blocks, groups: np.ndarray, cells: int, clogc, dense: bool):
-    """Per (rows, n) block of codes, the sums of `clogc` over the counts of
-    each (row, group)'s codes `block[row] + groups[group]`, all below
-    `cells`: int64, shape (rows, len(groups)).
+def _counting_regime(m: int, width: int, groups: np.ndarray):
+    """(regime, row elements) of `_clogc_blocks` for a target of `m` codes
+    and the (len(groups), n) group states, all below `width`.
 
-    Each (row, group) is offset into its own slice of `cells`, with the
-    offset groups kept for the largest block. `dense` counts every slice
-    with one bincount; otherwise each (row, group) is sorted and its run
-    lengths are counted, so memory follows the rows, not the cells. The
-    integer sums are equal either way.
+    The rule reads the code space alone. "product" if m <= PRODUCT_CODES
+    and one block's product, (m - 1) block rows by n by len(groups) x
+    width, has fewer than PRODUCT_MULTIPLIES multiply-adds; else "dense" if
+    one row's tables, len(groups) x m x width cells, fit in
+    SURROGATE_BLOCK_ELEMENTS; else "sort".
     """
+    n_groups, n = groups.shape
+    row_elements = n_groups * n
+    if (m <= PRODUCT_CODES and _block_rows(row_elements) * (m - 1)
+            * row_elements * width < PRODUCT_MULTIPLIES):
+        return "product", row_elements
+    if n_groups * m * width <= SURROGATE_BLOCK_ELEMENTS:
+        return "dense", n_groups * max(n, m * width)
+    return "sort", row_elements
+
+
+def _clogc_blocks(blocks, groups: np.ndarray, m: int, width: int, clogc, regime: str):
+    """Per (rows, n) block of target codes `v * width`, v < m, the sums of
+    `clogc` over the counts of each (row, group)'s codes
+    `block[row] + groups[group]`, with `groups` below `width`: int64, shape
+    (rows, len(groups)).
+
+    The regime (`_counting_regime`) changes how the counts are taken, never
+    which integers they are, so the sums are equal in every regime:
+
+    - "product": the fixed one-hot matrix H of the group states, shape
+      (n, len(groups) x width), gives each block's counts of target code v
+      in every (row, group, state) as `(block == v * width) @ H`. In
+      float64 every count below 2**53 is an exact integer. The last code's
+      counts are the group states' sizes minus the other codes' counts.
+    - "dense": each (row, group) is offset into its own slice of m x width
+      cells, with the offset groups kept for the largest block, and one
+      bincount counts every slice.
+    - "sort": each (row, group) is sorted and its run lengths are counted,
+      so memory follows the rows, not the cells.
+    """
+    n_groups, n = groups.shape
+    if regime == "product":
+        onehot = np.zeros((n, n_groups * width))
+        onehot[np.arange(n)[:, None], groups.T + np.arange(n_groups) * width] = 1.0
+        sizes = onehot.sum(axis=0)
+        values = np.arange(0, (m - 1) * width, width)[:, None, None]
+        for block in blocks:
+            rows = block.shape[0]
+            counts = ((block == values).reshape(-1, n) @ onehot).reshape(
+                m - 1, rows, n_groups * width)
+            counts = np.concatenate([counts, (sizes - counts.sum(axis=0))[None]])
+            yield clogc[counts.astype(np.intp)].reshape(
+                m, rows, n_groups, width).sum(axis=(0, 3))
+        return
+    cells = m * width
     base = ()
     for block in blocks:
         rows = block.shape[0]
         if len(base) < rows:
-            base = groups + (np.arange(rows * len(groups)) * cells).reshape(rows, -1, 1)
+            base = groups + (np.arange(rows * n_groups) * cells).reshape(rows, -1, 1)
         joint = block[:, None, :] + base[:rows]
-        if dense:
-            counts = np.bincount(joint.ravel(), minlength=rows * len(groups) * cells)
+        if regime == "dense":
+            counts = np.bincount(joint.ravel(), minlength=rows * n_groups * cells)
             yield clogc[counts.reshape(rows, -1, cells)].sum(axis=2)
             continue
-        joint = joint.reshape(-1, block.shape[1])
+        joint = joint.reshape(-1, n)
         joint.sort(axis=1)
         starts = np.ones(joint.shape, dtype=bool)
         np.not_equal(joint[:, 1:], joint[:, :-1], out=starts[:, 1:])
         first = np.flatnonzero(starts)
         runs = np.diff(first, append=joint.size)
         # Each (row, group) opens with a run, so its runs form one segment.
-        segments = np.flatnonzero(first % joint.shape[1] == 0)
+        segments = np.flatnonzero(first % n == 0)
         yield np.add.reduceat(clogc[runs], segments).reshape(rows, -1)
 
 
@@ -168,17 +236,20 @@ def _cmi_blocks(target, cond, cands, n_perm=0, rng=None):
     (1, len(cands)); then come the `n_perm` permutations drawn from `rng`, in
     row order, in blocks of at most `SURROGATE_BLOCK_ELEMENTS`. A consumer
     that stops early draws no permutations past the block it stopped in.
-    Equal count tables give bit-equal values in every row.
+    Equal count tables give bit-equal values in every row, whichever
+    regime counts them.
     """
     n = target.size
     t = _ranks(target)
     s = _joint_ranks(np.zeros(n, dtype=np.int64), *cond)
     groups = np.stack([s] + [_joint_ranks(s, *cols) for cols in cands])
+    m = int(t.max()) + 1
     width = int(groups.max()) + 1
-    cells = (int(t.max()) + 1) * width
     clogc, scale = _clogc(n)
-    # One row's dense tables; past the block bound they are counted by sort.
-    dense = len(groups) * cells <= SURROGATE_BLOCK_ELEMENTS
+    # With no conditioning, H(T, S) = H(T) in every permutation, so past
+    # row 0 only the candidates are counted.
+    counted = groups if cond else groups[1:]
+    regime, row_elements = _counting_regime(m, width, counted)
     # I(T; C | S) = H(T,S) + H(C,S) - H(T,C,S) - H(S), with
     # H(X) = log2(n) - sum(c log2 c) / n over the counts of X. The sums for
     # H(C,S) and H(S) do not depend on the permutation; integer sums keep
@@ -186,16 +257,13 @@ def _cmi_blocks(target, cond, cands, n_perm=0, rng=None):
     static = np.array([clogc[np.bincount(g)].sum() for g in groups])
     static = static[0] - static[1:]
     codes = t * width  # permuted as values: each row is a permuted target
-    joint = next(_clogc_blocks([codes[None]], groups, cells, clogc, dense))
+    joint = next(_clogc_blocks([codes[None]], groups, m, width, clogc, regime))
     yield (joint[:, 1:] - joint[:, :1] + static) / (scale * n)
     if not cond:
-        # With no conditioning, H(T, S) = H(T) in every permutation: fold
-        # row 0's sum into `static` and count only the candidates.
+        # Fold row 0's sum for H(T) into `static`.
         static = static - joint[:, :1]
-        groups = groups[1:]
-    blocks = _permutation_blocks(rng, codes, n_perm,
-                                 len(groups) * (max(n, cells) if dense else n))
-    for joint in _clogc_blocks(blocks, groups, cells, clogc, dense):
+    blocks = _permutation_blocks(rng, codes, n_perm, row_elements)
+    for joint in _clogc_blocks(blocks, counted, m, width, clogc, regime):
         if cond:
             joint = joint[:, 1:] - joint[:, :1]
         yield (joint + static) / (scale * n)

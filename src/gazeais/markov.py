@@ -39,8 +39,8 @@ class MarkovSpec:
     rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.order = int(self.order)
-        self.alphabet_size = int(self.alphabet_size)
+        self.order = _whole_number(self.order, "order")
+        self.alphabet_size = _whole_number(self.alphabet_size, "alphabet_size")
         if self.order < 0:
             raise ValueError("order must be >= 0")
         if self.alphabet_size < 1:
@@ -48,12 +48,19 @@ class MarkovSpec:
         m = self.alphabet_size
         clean = {}
         for hist, vec in self.transition.items():
-            key = tuple(int(s) for s in hist)
+            key = tuple(_whole_number(s, f"history {tuple(hist)}: symbol") for s in hist)
             if len(key) != self.order:
                 raise ValueError(f"history {key} has length {len(key)}, expected {self.order}")
             if any(s < 0 or s >= m for s in key):
                 raise ValueError(f"history {key} contains out-of-range symbols")
-            v = np.asarray(vec, dtype=np.float64)
+            try:
+                v = np.asarray(vec)
+                numeric = v.dtype.kind in "iuf"
+            except ValueError:  # a ragged list
+                numeric = False
+            if not numeric:
+                raise ValueError(f"history {key}: probabilities must be numbers, got {vec!r}")
+            v = v.astype(np.float64)
             if v.shape != (m,):
                 raise ValueError(f"history {key}: probability vector must have length {m}")
             if np.any(v < -1e-15):

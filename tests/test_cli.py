@@ -326,6 +326,18 @@ class TestMalformedSpec:
         assert not out.exists()
 
 
+    def test_non_numeric_probability_names_history(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"order": 1, "alphabet_size": 2, "transition":
+                                    {"0": ["a", 1], "1": [0.5, 0.5]}}))
+        out = tmp_path / "sims.json"
+        assert main(["simulate", str(spec), "--length", "50",
+                     "--out", str(out)]) == 2
+        assert (f"error: {spec}: history (0,): probabilities must be numbers, "
+                f"got ['a', 1]") in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestMissingFields:
     """A missing JSON key names the file, the trial and the field."""
 

@@ -353,6 +353,30 @@ def reference_cmi_rows(target, cond, cands, n_perm, rng):
     return np.array(rows)
 
 
+def record_regimes(monkeypatch):
+    """The regime of every `_clogc_blocks` call, in call order."""
+    seen = []
+    count = infocore._clogc_blocks
+
+    def recorded(blocks, groups, m, width, clogc, regime):
+        seen.append(regime)
+        return count(blocks, groups, m, width, clogc, regime)
+    monkeypatch.setattr(infocore, "_clogc_blocks", recorded)
+    return seen
+
+
+def force_regime(monkeypatch, regime):
+    """Force one counting regime through the module constants, keeping the
+    block bound for the product path; returns `record_regimes`' list."""
+    product = regime == "product"
+    monkeypatch.setattr(infocore, "PRODUCT_CODES", 10 ** 9 if product else 0)
+    monkeypatch.setattr(infocore, "PRODUCT_MULTIPLIES", 2 ** 62 if product else 0)
+    if not product:
+        monkeypatch.setattr(infocore, "SURROGATE_BLOCK_ELEMENTS",
+                            10 ** 9 if regime == "dense" else 1)
+    return record_regimes(monkeypatch)
+
+
 class TestKernelAgainstReference:
     """Ranks by counting and the surrogate kernel against direct algorithms."""
 
@@ -372,23 +396,82 @@ class TestKernelAgainstReference:
 
     @pytest.mark.parametrize("elements", [1, 10 ** 9])
     @pytest.mark.parametrize("n_perm", [1, 200])
-    @pytest.mark.parametrize("m, n", [(2, 300), (16, 300), (300, 60)])
+    @pytest.mark.parametrize("m, n", [(2, 300), (3, 300), (16, 300), (300, 60)])
     @pytest.mark.parametrize("conditioned", [False, True])
     def test_cmi_rows_equal_reference(self, monkeypatch, m, n, n_perm,
                                       elements, conditioned):
-        # Every row bit-equal, counted densely (10**9) or by sort (1).
+        # Every row bit-equal, counted by product in blocks of one row (1)
+        # or of all rows (10**9), and densely (10**9) or by sort (1).
         monkeypatch.setattr(infocore, "SURROGATE_BLOCK_ELEMENTS", elements)
         rng = np.random.default_rng(m * n)
         x = rng.integers(0, m, size=n + 3)
         target, c1, c2, c3 = x[3:], x[2:-1], x[1:-2], x[:-3]
         cond = [c1] if conditioned else []
         cands = [(c2,), (c2, c3)]
-        got = np.concatenate(list(_cmi_blocks(target, cond, cands, n_perm,
-                                              np.random.default_rng(5))))
         expected = reference_cmi_rows(target, cond, cands, n_perm,
                                       np.random.default_rng(5))
-        assert got.shape == (n_perm + 1, 2)
+        for regime in ("product", "dense" if elements > 1 else "sort"):
+            seen = force_regime(monkeypatch, regime)
+            got = np.concatenate(list(_cmi_blocks(target, cond, cands, n_perm,
+                                                  np.random.default_rng(5))))
+            assert set(seen) == {regime}
+            assert got.shape == (n_perm + 1, 2)
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("regime", ["product", "dense", "sort"])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_selection_step_rows_equal_reference(self, monkeypatch, step, m, regime):
+        # The shape of selection step `step` over lags 1..5: the lags chosen
+        # so far are conditioned on and every other lag is a candidate.
+        x = np.random.default_rng(10 * step + m).integers(0, m, size=300)
+        target, lags = x[5:], [x[5 - lag:-lag] for lag in range(1, 6)]
+        cond, cands = lags[:step - 1], [(col,) for col in lags[step - 1:]]
+        expected = reference_cmi_rows(target, cond, cands, 200,
+                                      np.random.default_rng(step))
+        seen = force_regime(monkeypatch, regime)
+        got = np.concatenate(list(_cmi_blocks(target, cond, cands, 200,
+                                              np.random.default_rng(step))))
+        assert set(seen) == {regime}
         assert np.array_equal(got, expected)
+
+    @pytest.fixture
+    def sequences(self):
+        from gazeais import generate, lagged_copy_spec
+        return {m: generate(lagged_copy_spec(2, 0.7, m=m), 300, seed=m)
+                for m in (2, 16)}
+
+    def test_binary_tests_count_by_product(self, monkeypatch, sequences):
+        # Binary selection steps and the final AIS test on the selected
+        # lags take the product path under the module's own constants.
+        seen = record_regimes(monkeypatch)
+        series = embed(sequences[2], (1, 2, 3, 4, 5), 5)
+        max_statistic_test(0.0, (1, 2, 3, 4, 5), series, 200, seed=1)
+        max_statistic_test(0.0, (2, 3, 4, 5), series, 200, seed=1, selected=(1,))
+        final_ais_test(embed(sequences[2], (1, 2), 5), 200, seed=1)
+        assert seen == ["product"] * 6  # row 0 and the surrogates of each
+
+    def test_sixteen_symbols_never_count_by_product(self, monkeypatch, sequences):
+        seen = record_regimes(monkeypatch)
+        max_statistic_test(0.0, (1, 2, 3, 4, 5),
+                           embed(sequences[16], (1, 2, 3, 4, 5), 5), 200, seed=1)
+        final_ais_test(embed(sequences[16], (1,), 5), 200, seed=1)
+        assert len(seen) == 4 and "product" not in seen
+        # Not even where one block's product would stay below the bound:
+        # one row of 16385 codes, 15 x 16385 x 2 multiply-adds.
+        groups = np.zeros((1, 16385), dtype=np.int64)
+        assert infocore._counting_regime(3, 2, groups)[0] == "product"
+        assert infocore._counting_regime(16, 2, groups)[0] == "dense"
+
+    def test_products_stay_below_the_thread_bound(self):
+        # 295 rows and 5 groups, 22 rows per block: a binary target counts
+        # by product up to width 16, and at 32 the product would pass
+        # PRODUCT_MULTIPLIES; past PRODUCT_CODES target codes, never.
+        groups = np.zeros((5, 295), dtype=np.int64)
+        for m, width, regime in ((2, 2, "product"), (2, 16, "product"),
+                                 (2, 32, "dense"), (4, 4, "product"),
+                                 (4, 8, "dense"), (5, 2, "dense")):
+            assert infocore._counting_regime(m, width, groups)[0] == regime
 
 
 class TestSurrogateKernel:

@@ -34,6 +34,33 @@ class TestMarkovSpec:
         with pytest.raises(ValueError, match="negative"):
             MarkovSpec(1, 2, {(0,): [1.1, -0.1], (1,): [0.5, 0.5]})
 
+    @pytest.mark.parametrize("args, message", [
+        ((1.7, 2), "order must be a whole number, got 1.7"),
+        ((1, 2.9), "alphabet_size must be a whole number, got 2.9"),
+        ((True, 2), "order must be a whole number, got True"),
+    ], ids=["order", "alphabet_size", "bool_order"])
+    def test_fractional_sizes_rejected(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MarkovSpec(*args, {(0,): [0.5, 0.5], (1,): [0.5, 0.5]})
+
+    def test_fractional_history_symbol_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "history (0.5,): symbol must be a whole number, got 0.5")):
+            MarkovSpec(1, 2, {(0.5,): [0.5, 0.5], (1,): [0.5, 0.5]})
+
+    def test_whole_floats_accepted(self):
+        spec = MarkovSpec(1.0, np.int64(2), {(0.0,): [0.5, 0.5], (1,): [0.5, 0.5]})
+        assert (spec.order, spec.alphabet_size) == (1, 2)
+        assert type(spec.order) is int and set(spec.transition) == {(0,), (1,)}
+
+    @pytest.mark.parametrize("vec", [["a", 1], [0.5, "0.5"], [True, False],
+                                     [0.5, None], [[0.5], 0.5]],
+                             ids=["letter", "string", "bool", "null", "ragged"])
+    def test_non_numeric_probability_names_history(self, vec):
+        with pytest.raises(ValueError, match=re.escape(
+                "history (0,): probabilities must be numbers")):
+            MarkovSpec(1, 2, {(0,): vec, (1,): [0.5, 0.5]})
+
     def test_json_round_trip(self):
         spec = lagged_copy_spec(2, 0.8, m=3)
         again = MarkovSpec.from_json_dict(spec.to_json_dict())
