@@ -20,7 +20,7 @@ from .gaze import (AOIRegion, Fixation, GAZE_DTYPE, PipelineParams,
                    detect_fixations_idt, filter_fixations, filter_gaze,
                    load_aois, map_to_aoi, read_gaze_csv, trial_fixations)
 from .infocore import (InfoEstimate, active_information_storage,
-                       gaze_transition_entropy, local_ais, next_symbol_entropy)
+                       gaze_transition_entropy, next_symbol_entropy)
 from .markov import (MarkovSpec, analytic_ais, analytic_entropy, analytic_gte,
                      cycle_spec, generate, lagged_copy_spec, load_markov_spec,
                      persistence_spec, stationary_distribution,
@@ -43,7 +43,7 @@ __all__ = [
     "derive_seed", "detect_fixations_idt", "embed", "equalize_samples",
     "filter_fixations", "filter_gaze", "gaze_transition_entropy", "generate",
     "independent_samples_permutation_test", "lag_histogram",
-    "lagged_copy_spec", "load_aois", "load_markov_spec", "local_ais",
+    "lagged_copy_spec", "load_aois", "load_markov_spec",
     "map_to_aoi", "max_statistic_test", "next_symbol_entropy",
     "optimize_past_state", "parse_run_config", "persistence_spec",
     "read_gaze_csv", "stationary_distribution", "test_final_ais",

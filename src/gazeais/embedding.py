@@ -6,7 +6,9 @@ target given the already-selected lags, then tests it against surrogates in
 which the target column is permuted. The surrogate statistic is the maximum
 CMI over all remaining candidates, which controls the family-wise error
 rate across the repeated candidate tests; a non-significant maximum stops
-the search.
+the search. Each step is one pass of the count kernel: the candidates'
+observed CMIs are row 0 of the `_cmi_blocks` stream whose later rows are
+the step's surrogates.
 
 A step is accepted exactly when its p-value, from the shared rule
 `stats._permutation_p`, is at most alpha. Selection alone passes alpha to
@@ -25,8 +27,6 @@ estimates.
 import math
 from dataclasses import dataclass, field
 from typing import List
-
-import numpy as np
 
 from .infocore import _cmi_blocks
 from .rng import derive_rng, derive_seed
@@ -88,37 +88,24 @@ class SelectionTrace:
     n_rows: int = 0
 
 
-def _candidate_blocks(series: StateVectorSeries, candidates, selected=(),
-                      n_perm=0, rng=None):
-    """Blocks of plug-in CMI(target; candidate | selected), one column per
-    candidate: row 0 is the observed target, then `n_perm` permutations of
-    it (`_cmi_blocks`)."""
-    cols = {lag: series.pasts[:, j] for j, lag in enumerate(series.lags)}
-    return _cmi_blocks(series.targets, [cols[lag] for lag in selected],
-                       [(cols[lag],) for lag in candidates], n_perm, rng)
+def max_statistic_test(candidates, series: StateVectorSeries, n_perm: int,
+                       seed: int, selected=(), alpha=None):
+    """(cmis, result): each candidate's plug-in CMI with the target given
+    the selected lags, and the one-sided surrogate test of their maximum.
 
+    `cmis` maps each candidate lag to its CMI; `result` is the
+    `PermutationTestResult` of the largest. Each surrogate permutes the
+    target column (past vectors fixed, so the joint structure of the past
+    survives under the null), recomputes the CMI of every candidate given
+    the selected set, and records the maximum; `_permutation_p` counts the
+    maxima >= the observed value. With `alpha` the test stops once it has
+    failed for certain, and `evaluated` is then below `n_perm`.
 
-def _candidate_cmis(series: StateVectorSeries, candidates, selected=()) -> np.ndarray:
-    """Observed CMI per candidate: row 0 of `_candidate_blocks`, shape
-    (1, len(candidates))."""
-    return next(_candidate_blocks(series, candidates, selected))
-
-
-def max_statistic_test(observed_max_cmi: float, candidates, series: StateVectorSeries,
-                       n_perm: int, seed: int, selected=(),
-                       alpha=None) -> PermutationTestResult:
-    """One-sided surrogate p-value for the maximal candidate CMI.
-
-    Each surrogate permutes the target column (past vectors fixed, so the
-    joint structure of the past survives under the null), recomputes the CMI
-    of every remaining candidate given the selected set, and records the
-    maximum; `_permutation_p` counts the maxima >= the observed value.
-    With `alpha` the test stops once it has failed for certain, and
-    `evaluated` is then below `n_perm`.
-
-    Permutations come in order from one generator derived from (seed,
-    "max-stat-surrogate"), so p is a pure function of the arguments; an
-    observed value from `_candidate_cmis` ties its surrogates exactly.
+    The observed CMIs are row 0 of the same `_cmi_blocks` stream as the
+    surrogates, counted alike, so a surrogate that redraws the observed
+    target ties it exactly. Permutations come in order from one generator
+    derived from (seed, "max-stat-surrogate"), so the result is a pure
+    function of the arguments.
     """
     candidates = tuple(candidates)
     if not candidates:
@@ -126,11 +113,14 @@ def max_statistic_test(observed_max_cmi: float, candidates, series: StateVectorS
     for lag in tuple(selected) + candidates:
         if lag not in series.lags:
             raise ValueError(f"lag {lag} not present in the embedded series")
-    blocks = _candidate_blocks(series, candidates, selected, n_perm,
-                               derive_rng(seed, "max-stat-surrogate"))
-    next(blocks)  # row 0, the unpermuted target
-    return PermutationTestResult(observed_max_cmi, *_permutation_p(
-        observed_max_cmi, (block.max(axis=1) for block in blocks), n_perm, alpha))
+    cols = {lag: series.pasts[:, j] for j, lag in enumerate(series.lags)}
+    blocks = _cmi_blocks(series.targets, [cols[lag] for lag in selected],
+                         [(cols[lag],) for lag in candidates], n_perm,
+                         derive_rng(seed, "max-stat-surrogate"))
+    cmis = dict(zip(candidates, next(blocks)[0].tolist()))
+    observed = max(cmis.values())
+    return cmis, PermutationTestResult(observed, *_permutation_p(
+        observed, (block.max(axis=1) for block in blocks), n_perm, alpha))
 
 
 def optimize_past_state(seq: SymbolSequence, cfg: EmbeddingConfig):
@@ -153,23 +143,21 @@ def optimize_past_state(seq: SymbolSequence, cfg: EmbeddingConfig):
     selected: List[int] = []
     candidates = list(range(1, cfg.k_max + 1))
     for iteration in range(cfg.k_max):
-        cmis = dict(zip(candidates, _candidate_cmis(series, candidates, selected)[0]))
-        # Ties go to the smaller lag; candidates stay sorted ascending.
-        chosen = max(candidates, key=cmis.__getitem__)
-        best = cmis[chosen]
-        test = max_statistic_test(
-            best, candidates, series,
+        cmis, test = max_statistic_test(
+            candidates, series,
             n_perm=cfg.n_perm,
             seed=derive_seed(cfg.seed, "max-stat", iteration),
             selected=tuple(selected),
             alpha=cfg.alpha,
         )
+        # Ties go to the smaller lag; candidates stay sorted ascending.
+        chosen = max(candidates, key=cmis.__getitem__)
         accepted = test.p_value <= cfg.alpha
         trace.steps.append(SelectionStep(
             candidates=tuple(candidates),
-            cmi_values={lag: float(v) for lag, v in cmis.items()},
+            cmi_values=cmis,
             chosen_lag=chosen,
-            observed_cmi=float(best),
+            observed_cmi=test.observed_statistic,
             p_value=float(test.p_value),
             accepted=accepted,
             p_is_lower_bound=test.evaluated < cfg.n_perm,

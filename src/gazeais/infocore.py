@@ -1,7 +1,7 @@
 """Plug-in information estimators over rank-compressed state codes.
 
-Next-symbol entropy H(X_t), active information storage (AIS), local AIS,
-gaze transition entropy (GTE) and the conditional mutual information (CMI)
+Next-symbol entropy H(X_t), active information storage (AIS), gaze
+transition entropy (GTE) and the conditional mutual information (CMI)
 of the permutation tests, all in bits (log base 2), with small-sample bias
 correction of the Miller-Madow family.
 
@@ -28,6 +28,7 @@ over them are integer sums, so the regime never changes a value.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -234,10 +235,12 @@ def _cmi_blocks(target, cond, cands, n_perm=0, rng=None):
     `cond` is a list of columns, `cands` a list of candidates, each a tuple
     of columns. The first block is row 0, the unpermuted target, with shape
     (1, len(cands)); then come the `n_perm` permutations drawn from `rng`, in
-    row order, in blocks of at most `SURROGATE_BLOCK_ELEMENTS`. A consumer
-    that stops early draws no permutations past the block it stopped in.
-    Equal count tables give bit-equal values in every row, whichever
-    regime counts them.
+    row order, in blocks of at most `SURROGATE_BLOCK_ELEMENTS`. One
+    `_clogc_blocks` stream counts every row, row 0 included, so the
+    observed row and its surrogates are counted alike. Row 0 draws nothing
+    from `rng`, and a consumer that stops early draws no permutations past
+    the block it stopped in. Equal count tables give bit-equal values in
+    every row, whichever regime counts them.
     """
     n = target.size
     t = _ranks(target)
@@ -246,23 +249,21 @@ def _cmi_blocks(target, cond, cands, n_perm=0, rng=None):
     m = int(t.max()) + 1
     width = int(groups.max()) + 1
     clogc, scale = _clogc(n)
-    # With no conditioning, H(T, S) = H(T) in every permutation, so past
-    # row 0 only the candidates are counted.
-    counted = groups if cond else groups[1:]
-    regime, row_elements = _counting_regime(m, width, counted)
     # I(T; C | S) = H(T,S) + H(C,S) - H(T,C,S) - H(S), with
     # H(X) = log2(n) - sum(c log2 c) / n over the counts of X. The sums for
     # H(C,S) and H(S) do not depend on the permutation; integer sums keep
     # every row exact whatever the order of the terms.
     static = np.array([clogc[np.bincount(g)].sum() for g in groups])
     static = static[0] - static[1:]
-    codes = t * width  # permuted as values: each row is a permuted target
-    joint = next(_clogc_blocks([codes[None]], groups, m, width, clogc, regime))
-    yield (joint[:, 1:] - joint[:, :1] + static) / (scale * n)
     if not cond:
-        # Fold row 0's sum for H(T) into `static`.
-        static = static - joint[:, :1]
-    blocks = _permutation_blocks(rng, codes, n_perm, row_elements)
+        # With no conditioning, H(T, S) = H(T) in every permutation: its sum
+        # joins `static`, and only the candidates are counted.
+        static = static - clogc[np.bincount(t)].sum()
+    counted = groups if cond else groups[1:]
+    regime, row_elements = _counting_regime(m, width, counted)
+    codes = t * width  # permuted as values: each row is a permuted target
+    blocks = itertools.chain(
+        [codes[None]], _permutation_blocks(rng, codes, n_perm, row_elements))
     for joint in _clogc_blocks(blocks, counted, m, width, clogc, regime):
         if cond:
             joint = joint[:, 1:] - joint[:, :1]
@@ -302,17 +303,6 @@ def active_information_storage(seq: SymbolSequence, lags, k_max_offset: int) -> 
     t, past, joint = _ais_codes(seq, lags, k_max_offset)
     return _signed_estimate("active_information_storage",
                             (t, 1.0), (past, 1.0), (joint, -1.0))
-
-
-def local_ais(seq: SymbolSequence, lags, k_max_offset: int) -> np.ndarray:
-    """Per-row local AIS, log2( p(x_t | past) / p(x_t) ), in bits.
-
-    Uses plug-in probabilities from the embedded rows' own table, so the
-    arithmetic mean of the local values equals the plug-in AIS.
-    """
-    t, past, joint = _ais_codes(seq, lags, k_max_offset)
-    c_t, c_p, c_tp = (np.bincount(codes) for codes in (t, past, joint))
-    return np.log2(c_tp[joint] * float(t.size) / (c_p[past] * c_t[t]))
 
 
 def gaze_transition_entropy(seq: SymbolSequence) -> InfoEstimate:

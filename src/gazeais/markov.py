@@ -46,9 +46,13 @@ class MarkovSpec:
         if self.alphabet_size < 1:
             raise ValueError("alphabet_size must be >= 1")
         m = self.alphabet_size
-        clean = {}
+        clean, given = {}, {}
         for hist, vec in self.transition.items():
             key = tuple(_whole_number(s, f"history {tuple(hist)}: symbol") for s in hist)
+            if key in given:
+                raise ValueError(f"history keys {given[key]!r} and {hist!r} "
+                                 f"both name history {key}")
+            given[key] = hist
             if len(key) != self.order:
                 raise ValueError(f"history {key} has length {len(key)}, expected {self.order}")
             if any(s < 0 or s >= m for s in key):
@@ -99,13 +103,17 @@ class MarkovSpec:
         if not isinstance(table, dict):
             raise ValueError(f"{owner}: transition must be a JSON object, "
                              f"got {type(table).__name__}")
-        transition = {}
+        transition, keys = {}, {}
         for key, vec in table.items():
             try:
                 hist = tuple(int(s) for s in key.split(",")) if key else ()
             except ValueError:
                 raise ValueError(f"{owner}: history key {key!r} must be "
                                  f"comma-separated symbol ids") from None
+            if hist in keys:
+                raise ValueError(f"{owner}: history keys {keys[hist]!r} and "
+                                 f"{key!r} both name history {hist}")
+            keys[hist] = key
             transition[hist] = _json_list(vec, f"{owner}: history {key!r}")
         return cls(order=order, alphabet_size=alphabet_size,
                    transition=transition)

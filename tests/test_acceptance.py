@@ -164,8 +164,8 @@ def test_criterion_7_determinism(tmp_path):
 
     series = embed(seq, (1, 2, 3), 5)
     checks.append(
-        max_statistic_test(0.005, (1, 2, 3), series, 200, seed=73)
-        == max_statistic_test(0.005, (1, 2, 3), series, 200, seed=73))
+        max_statistic_test((1, 2, 3), series, 200, seed=73)
+        == max_statistic_test((1, 2, 3), series, 200, seed=73))
     checks.append(final_ais_test(series, 200, seed=74)
                   == final_ais_test(series, 200, seed=74))
 

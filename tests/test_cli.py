@@ -315,7 +315,11 @@ class TestMalformedSpec:
           "transition": {"x": [0.5, 0.5], "1": [0.5, 0.5]}},
          "history key 'x' must be comma-separated symbol ids"),
         ([{"order": 1}], "expected a JSON object, got list"),
-    ], ids=["no_transition", "fractional_order", "history_key", "array"])
+        ({"order": 1, "alphabet_size": 2, "transition":
+          {"0": [0.5, 0.5], "1": [0.5, 0.5], "01": [0.1, 0.9]}},
+         "history keys '1' and '01' both name history (1,)"),
+    ], ids=["no_transition", "fractional_order", "history_key", "array",
+            "duplicate_history"])
     def test_exit_2(self, tmp_path, capsys, doc, message):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))

@@ -6,8 +6,7 @@ import pytest
 from gazeais import (EmbeddingConfig, SymbolSequence, derive_seed, embed,
                      generate, lagged_copy_spec, max_statistic_test,
                      optimize_past_state, persistence_spec, uniform_iid_spec)
-from gazeais import embedding, infocore
-from gazeais.embedding import _candidate_cmis
+from gazeais import derive_rng, embedding, infocore
 from gazeais.validate import dense_estimate
 
 
@@ -33,7 +32,7 @@ class TestCandidateCmis:
         rng = np.random.default_rng(31)
         seq = SymbolSequence(rng.integers(0, 3, size=200), 3)
         series = embed(seq, (1, 2, 3), 3)
-        cmis = dict(zip((1, 3), _candidate_cmis(series, (1, 3), (2,))[0]))
+        cmis, _ = max_statistic_test((1, 3), series, 1, seed=0, selected=(2,))
         rows = np.column_stack([series.targets, series.pasts])  # t, lag1..lag3
         for lag in (1, 3):
             ref, _ = dense_estimate(rows, ((0, 2), 1), ((2, lag), 1),
@@ -48,27 +47,30 @@ class TestMaxStatisticTest:
         seq = SymbolSequence(rng.integers(0, 2, size=300), 2)
         return embed(seq, (1, 2, 3), 3)
 
-    def test_extreme_statistic(self, series):
-        p = max_statistic_test(10.0, (1, 2, 3), series, n_perm=99, seed=1).p_value
-        assert p == pytest.approx(1.0 / 100.0)
+    def test_extreme_statistic(self):
+        # Every lag of a cycle determines the next symbol: 2 bits, which no
+        # permuted target reaches.
+        series = embed(SymbolSequence(np.arange(303) % 4, 4), (1, 2, 3), 3)
+        cmis, result = max_statistic_test((1, 2, 3), series, n_perm=99, seed=1)
+        assert cmis == pytest.approx({1: 2.0, 2: 2.0, 3: 2.0}, abs=1e-12)
+        assert result.observed_statistic == max(cmis.values())
+        assert result.p_value == pytest.approx(1.0 / 100.0)
 
-    def test_null_consistent_statistic(self, series):
-        p = max_statistic_test(-1.0, (1, 2, 3), series, n_perm=99, seed=1).p_value
-        assert p == 1.0
+    def test_null_consistent_statistic(self):
+        # A constant target carries no information, and every surrogate
+        # ties its zero.
+        series = embed(SymbolSequence(np.zeros(300, dtype=np.int64), 2), (1, 2, 3), 3)
+        cmis, result = max_statistic_test((1, 2, 3), series, n_perm=99, seed=1)
+        assert cmis == {1: 0.0, 2: 0.0, 3: 0.0}
+        assert result.p_value == 1.0
 
     def test_rerun_identical(self, series):
-        p1 = max_statistic_test(0.01, (1, 2), series, 50, seed=4)
-        p2 = max_statistic_test(0.01, (1, 2), series, 50, seed=4)
-        assert p1 == p2
+        first = max_statistic_test((1, 2), series, 50, seed=4)
+        assert first == max_statistic_test((1, 2), series, 50, seed=4)
 
     def test_unknown_lag_rejected(self, series):
         with pytest.raises(ValueError, match="not present"):
-            max_statistic_test(0.1, (9,), series, 10, seed=0)
-
-    def test_non_finite_statistic_rejected(self, series):
-        # nan >= x is always False, so nan would read as the smallest p.
-        with pytest.raises(ValueError, match="finite"):
-            max_statistic_test(float("nan"), (1, 2, 3), series, 199, seed=1)
+            max_statistic_test((9,), series, 10, seed=0)
 
 
 class TestLargeAlphabets:
@@ -79,7 +81,7 @@ class TestLargeAlphabets:
         tracemalloc.start()
         try:
             optimize_past_state(seq, EmbeddingConfig(k_max=5, n_perm=200, seed=1))
-            max_statistic_test(0.1, (5,), series, 200, seed=1, selected=(1, 2, 3, 4))
+            max_statistic_test((5,), series, 200, seed=1, selected=(1, 2, 3, 4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -117,6 +119,19 @@ class TestOptimizePastState:
         for step in trace.steps:
             if step.accepted:
                 assert step.observed_cmi > 0.0
+
+    def test_one_kernel_pass_per_step(self, monkeypatch):
+        # Each step's observed CMIs and its surrogates come from one stream.
+        calls = []
+        blocks = embedding._cmi_blocks
+
+        def counted(*args):
+            calls.append(args)
+            return blocks(*args)
+        monkeypatch.setattr(embedding, "_cmi_blocks", counted)
+        seq = generate(lagged_copy_spec(2, 0.9), 300, seed=12)
+        _, trace = optimize_past_state(seq, EmbeddingConfig(k_max=5, n_perm=200, seed=1))
+        assert len(trace.steps) >= 2 and len(calls) == len(trace.steps)
 
     def test_identical_inputs_identical_outputs(self):
         seq = generate(persistence_spec(0.8), 800, seed=9)
@@ -242,7 +257,14 @@ class TestEarlyStop:
 
     def test_direct_call_without_alpha_evaluates_everything(self):
         series = embed(generate(uniform_iid_spec(2), 300, seed=11), (1, 2, 3), 3)
-        full = max_statistic_test(0.0, (1, 2, 3), series, 200, seed=5)
-        assert full.evaluated == 200 and full.p_value == 1.0
-        bounded = max_statistic_test(0.0, (1, 2, 3), series, 200, seed=5, alpha=0.05)
-        assert bounded.evaluated == 10 and bounded.p_value == 11 / 201
+        rows = np.concatenate(list(infocore._cmi_blocks(
+            series.targets, [], [(col,) for col in series.pasts.T], 200,
+            derive_rng(5, "max-stat-surrogate"))))
+        p_rows = (1.0 + np.cumsum(rows[1:].max(axis=1) >= rows[0].max())) / 201.0
+        stop = int(np.argmax(p_rows > 0.05))  # the first row past alpha
+        assert 0 < stop < 199
+        cmis, full = max_statistic_test((1, 2, 3), series, 200, seed=5)
+        assert cmis == dict(zip((1, 2, 3), rows[0].tolist()))
+        assert full.evaluated == 200 and full.p_value == p_rows[-1]
+        _, bounded = max_statistic_test((1, 2, 3), series, 200, seed=5, alpha=0.05)
+        assert bounded.evaluated == stop + 1 and bounded.p_value == p_rows[stop]

@@ -6,10 +6,9 @@ import pytest
 
 from gazeais import (SymbolSequence, active_information_storage, embed,
                      gaze_transition_entropy, independent_samples_permutation_test,
-                     local_ais, max_statistic_test, next_symbol_entropy)
+                     max_statistic_test, next_symbol_entropy)
 from gazeais import infocore
 from gazeais import test_final_ais as final_ais_test
-from gazeais.embedding import _candidate_cmis
 from gazeais.infocore import _cmi_blocks
 from gazeais.stats import TAILS, _permutation_p
 from gazeais.validate import dense_entropy, dense_estimate
@@ -221,50 +220,25 @@ class TestActiveInformationStorage:
             active_information_storage(seq, (), 1)
 
 
-class TestLocalAis:
-    def test_cycle_constant_pointwise(self):
-        seq = SymbolSequence(np.arange(101) % 4, 4)
-        values = local_ais(seq, (1,), 1)
-        assert np.allclose(values, 2.0, atol=TOL)
-
-    def test_zero_when_transition_matches_marginal(self):
-        # (0,0,1,1,0) yields each transition pair exactly once, so the
-        # conditional frequency of every row equals its marginal frequency.
-        seq = SymbolSequence([0, 0, 1, 1, 0], 2)
-        values = local_ais(seq, (1,), 1)
-        assert np.allclose(values, 0.0, atol=TOL)
-
-    def test_mean_matches_plugin_ais(self):
-        from gazeais import generate, persistence_spec
-        seq = generate(persistence_spec(0.9), 5000, seed=8)
-        values = local_ais(seq, (1,), 1)
-        est = active_information_storage(seq, (1,), 1)
-        assert np.mean(values) == pytest.approx(est.plugin_value, abs=TOL)
-
-
 class TestLargeAlphabets:
     """AIS counts only occupied states, so memory follows the row count."""
 
     def test_memory_stays_small_at_sixteen_symbols(self):
         # A dense joint table over lags 1..5 would hold 16^6 cells.
         seq = SymbolSequence(np.random.default_rng(16).integers(0, 16, 300), 16)
-        for estimate in (
-                lambda: active_information_storage(seq, range(1, 6), 5),
-                lambda: local_ais(seq, range(1, 6), 5)):
-            tracemalloc.start()
-            try:
-                estimate()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 2 ** 20
+        tracemalloc.start()
+        try:
+            active_information_storage(seq, range(1, 6), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_state_codes_do_not_overflow(self):
         # 300^5 joint cells: no dense table, and no int64 mixed-radix code.
         seq = SymbolSequence(np.random.default_rng(300).integers(0, 300, 400), 300)
         est = active_information_storage(seq, (1, 2, 3, 4), 4)
         assert math.isfinite(est.corrected_value)
-        assert np.all(np.isfinite(local_ais(seq, (1, 2, 3, 4), 4)))
 
     def test_gte_memory_follows_rows(self):
         # A dense transition table over 3000 symbols would hold 3000^2 cells.
@@ -283,11 +257,10 @@ class TestLargeAlphabets:
         # codes x up to 3000 states; counting by sort keeps the block bound.
         seq = SymbolSequence(np.random.default_rng(300).integers(0, 300, 3000), 300)
         series = embed(seq, (1, 2, 3, 4, 5), 5)
-        observed = _candidate_cmis(series, (2, 3, 4, 5), (1,))[0].max()
         tracemalloc.start()
         try:
-            result = max_statistic_test(observed, (2, 3, 4, 5), series, 200,
-                                        seed=7, selected=(1,))
+            _, result = max_statistic_test((2, 3, 4, 5), series, 200, seed=7,
+                                           selected=(1,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -414,7 +387,7 @@ class TestKernelAgainstReference:
             seen = force_regime(monkeypatch, regime)
             got = np.concatenate(list(_cmi_blocks(target, cond, cands, n_perm,
                                                   np.random.default_rng(5))))
-            assert set(seen) == {regime}
+            assert seen == [regime]  # one count stream, row 0 included
             assert got.shape == (n_perm + 1, 2)
             assert np.array_equal(got, expected)
 
@@ -432,7 +405,7 @@ class TestKernelAgainstReference:
         seen = force_regime(monkeypatch, regime)
         got = np.concatenate(list(_cmi_blocks(target, cond, cands, 200,
                                               np.random.default_rng(step))))
-        assert set(seen) == {regime}
+        assert seen == [regime]
         assert np.array_equal(got, expected)
 
     @pytest.fixture
@@ -446,17 +419,17 @@ class TestKernelAgainstReference:
         # lags take the product path under the module's own constants.
         seen = record_regimes(monkeypatch)
         series = embed(sequences[2], (1, 2, 3, 4, 5), 5)
-        max_statistic_test(0.0, (1, 2, 3, 4, 5), series, 200, seed=1)
-        max_statistic_test(0.0, (2, 3, 4, 5), series, 200, seed=1, selected=(1,))
+        max_statistic_test((1, 2, 3, 4, 5), series, 200, seed=1)
+        max_statistic_test((2, 3, 4, 5), series, 200, seed=1, selected=(1,))
         final_ais_test(embed(sequences[2], (1, 2), 5), 200, seed=1)
-        assert seen == ["product"] * 6  # row 0 and the surrogates of each
+        assert seen == ["product"] * 3  # one stream per test, row 0 included
 
     def test_sixteen_symbols_never_count_by_product(self, monkeypatch, sequences):
         seen = record_regimes(monkeypatch)
-        max_statistic_test(0.0, (1, 2, 3, 4, 5),
+        max_statistic_test((1, 2, 3, 4, 5),
                            embed(sequences[16], (1, 2, 3, 4, 5), 5), 200, seed=1)
         final_ais_test(embed(sequences[16], (1,), 5), 200, seed=1)
-        assert len(seen) == 4 and "product" not in seen
+        assert len(seen) == 2 and "product" not in seen
         # Not even where one block's product would stay below the bound:
         # one row of 16385 codes, 15 x 16385 x 2 multiply-adds.
         groups = np.zeros((1, 16385), dtype=np.int64)
@@ -486,9 +459,8 @@ class TestSurrogateKernel:
     def test_constant_target_gives_p_one(self, series):
         # Every surrogate of a constant target ties the observed value.
         series.targets[:] = 0
-        observed = _candidate_cmis(series, (2, 3), (1,))[0].max()
-        assert max_statistic_test(observed, (2, 3), series, 50, seed=1,
-                                  selected=(1,)).p_value == 1.0
+        assert max_statistic_test((2, 3), series, 50, seed=1,
+                                  selected=(1,))[1].p_value == 1.0
         assert final_ais_test(series, 50, seed=1).p_value == 1.0
 
     def test_all_equal_groups_give_p_one(self):
@@ -499,11 +471,10 @@ class TestSurrogateKernel:
 
     def _p_values(self, series):
         """(p, evaluated, n_perm) for each kind of permutation test."""
-        observed = _candidate_cmis(series, (1, 3, 4), (2,))[0].max()
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=9), rng.normal(0.5, 1.0, size=12)
-        results = ([(max_statistic_test(observed, (1, 3, 4), series, n_perm,
-                                        seed=n_perm, selected=(2,)), n_perm)
+        results = ([(max_statistic_test((1, 3, 4), series, n_perm, seed=n_perm,
+                                        selected=(2,))[1], n_perm)
                     for n_perm in (19, 99, 200)]
                    + [(final_ais_test(series, n_perm, seed=n_perm), n_perm)
                       for n_perm in (19, 99, 200)]
@@ -585,6 +556,10 @@ class TestSurrogateKernel:
                                     np.random.default_rng(0)))
             assert dict(zip(step.candidates, rows[0].tolist())) == step.cmi_values
             assert rows[0].max() == step.observed_cmi
+            cmis, result = max_statistic_test(step.candidates, series, 30, seed=0,
+                                              selected=tuple(selected))
+            assert cmis == step.cmi_values
+            assert result.observed_statistic == step.observed_cmi
             selected.append(step.chosen_lag)
         final = embed(seq, (1,), 4)
         rows = next(_cmi_blocks(final.targets, [], [tuple(final.pasts.T)], 30,

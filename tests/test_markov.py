@@ -48,6 +48,14 @@ class TestMarkovSpec:
                 "history (0.5,): symbol must be a whole number, got 0.5")):
             MarkovSpec(1, 2, {(0.5,): [0.5, 0.5], (1,): [0.5, 0.5]})
 
+    def test_duplicate_history_rejected(self):
+        # Equal tuples such as (1,) and (1.0,) are one dict key already;
+        # distinct keys can still name the same history.
+        with pytest.raises(ValueError, match=re.escape(
+                "history keys (1,) and range(1, 2) both name history (1,)")):
+            MarkovSpec(1, 2, {(0,): [0.5, 0.5], (1,): [0.5, 0.5],
+                              range(1, 2): [0.1, 0.9]})
+
     def test_whole_floats_accepted(self):
         spec = MarkovSpec(1.0, np.int64(2), {(0.0,): [0.5, 0.5], (1,): [0.5, 0.5]})
         assert (spec.order, spec.alphabet_size) == (1, 2)
@@ -95,6 +103,9 @@ class TestMarkovSpec:
         ({"order": 1, "alphabet_size": 2, "transition": {"0": {"a": 1}}},
          "history '0' must be a list, got dict"),
         ([1, 2], "expected a JSON object, got list"),
+        ({"order": 1, "alphabet_size": 2, "transition":
+          {"0": [0.5, 0.5], "1": [0.5, 0.5], "01": [0.1, 0.9]}},
+         "history keys '1' and '01' both name history (1,)"),
     ])
     def test_malformed_json_rejected(self, doc, message):
         with pytest.raises(ValueError, match=f"Markov spec: {re.escape(message)}"):
