@@ -161,7 +161,7 @@ def cmd_ais(args) -> int:
             trial_id=rec.trial_id, participant_id=rec.participant_id,
             condition=rec.condition,
         ).to_dict()
-        entry["symbols"] = [int(s) for s in rec.symbols]
+        entry["symbols"] = rec.symbols.tolist()
         entry["alphabet_size"] = int(rec.alphabet_size)
         out_results.append(entry)
     _write_json(args.out, {

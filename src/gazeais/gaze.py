@@ -154,7 +154,7 @@ class ScanpathRecord:
             "trial_id": self.trial_id,
             "participant_id": self.participant_id,
             "condition": self.condition,
-            "symbols": [int(s) for s in self.symbols],
+            "symbols": np.asarray(self.symbols, dtype=np.int64).tolist(),
             "alphabet_size": int(self.alphabet_size),
             "dropped_fixations": int(self.dropped_fixations),
             "invalid_samples": int(self.invalid_samples),
@@ -170,10 +170,14 @@ class ScanpathRecord:
             for key in ("trial_id", "participant_id", "condition", "symbols"))
         if not isinstance(symbols, (list, tuple, np.ndarray)):
             raise ValueError(f"{owner}: symbols must be a list, got {symbols!r}")
-        bad = next((i for i, s in enumerate(symbols) if not _is_whole(s)), None)
-        if bad is not None:
-            raise ValueError(f"{owner}: symbols[{bad}] must be a whole number, "
-                             f"got {symbols[bad]!r}")
+        # JSON symbols are plain ints, which one pass over their types
+        # accepts; anything else is checked one by one, to name the first
+        # that is not whole (a bool's type is not int, so it is checked).
+        if not set(map(type, symbols)) <= {int}:
+            bad = next((i for i, s in enumerate(symbols) if not _is_whole(s)), None)
+            if bad is not None:
+                raise ValueError(f"{owner}: symbols[{bad}] must be a whole number, "
+                                 f"got {symbols[bad]!r}")
         counts = {key: _whole_number(doc.get(key, 0), f"{owner}: {key}")
                   for key in ("dropped_fixations", "invalid_samples",
                               "low_confidence_samples", "long_fixations")}

@@ -17,14 +17,20 @@ H(X_t) = AIS({1}) + GTE hold exactly on plug-in values, not just
 asymptotically. Codes are ranked over the occupied states only, so memory
 grows with the rows, not as alphabet^(lags + 1).
 
-The permutation tests count their surrogate tables in one of three
-regimes, picked per test from the code space alone (`_counting_regime`):
-a matrix product of the target's indicator rows with a fixed one-hot
-matrix of the group states when the target takes at most PRODUCT_CODES
-codes and the product stays small; otherwise one dense bincount per block
-when a row's tables fit in SURROGATE_BLOCK_ELEMENTS; otherwise a sort and
-run-length count per row. All three count the same integers, and the sums
-over them are integer sums, so the regime never changes a value.
+A permutation test of one candidate given nothing, such as the final AIS
+test, draws its surrogates' contingency tables directly, from the
+hypergeometric law that permuting the target induces on them, when the
+table has few cells for the rows (`_table_columns`, `TABLE_DRAW_ROWS`).
+Every other test permutes the target and counts its surrogate tables in
+one of three regimes, picked per test from the code space alone
+(`_counting_regime`): a matrix product of the target's indicator rows with
+a fixed one-hot matrix of the group states when the target takes at most
+PRODUCT_CODES codes and the product stays small; otherwise one dense
+bincount per block when a row's tables fit in SURROGATE_BLOCK_ELEMENTS;
+otherwise a sort and run-length count per row. All three count the same
+integers, and the sums over them are integer sums, so the regime never
+changes a value, and an observed table gives the same value drawn or
+permuted.
 """
 
 import functools
@@ -101,6 +107,13 @@ SURROGATE_BLOCK_ELEMENTS = 1 << 15
 PRODUCT_CODES = 4
 PRODUCT_MULTIPLIES = 1 << 19
 
+# A test of one candidate given nothing draws its surrogates as contingency
+# tables, not permutations, when (m - 1) x (S - 1) x TABLE_DRAW_ROWS <= n for
+# m target codes, S past states and n rows (`_table_blocks`). Each table cell
+# costs one hypergeometric call over all surrogates; at 200 surrogates one
+# call cost about as much as permuting TABLE_DRAW_ROWS rows of the target.
+TABLE_DRAW_ROWS = 22
+
 
 @functools.lru_cache(maxsize=16)
 def _clogc(n: int):
@@ -150,6 +163,46 @@ def _permutation_blocks(rng, values: np.ndarray, count: int, row_elements: int):
     for start in range(0, count, rows):
         block = np.tile(values, (min(rows, count - start), 1))
         yield rng.permuted(block, axis=1, out=block)
+
+
+def _table_columns(rng, table: np.ndarray, count: int):
+    """`count` random tables with the margins of the (m, S) `table`, drawn
+    from `rng` and yielded column by column: S int64 arrays of shape
+    (count, m), one per state in order.
+
+    Permuting the target leaves the code totals (rows) and the state sizes
+    (columns) fixed, and the table of codes against states then follows the
+    multivariate hypergeometric law given those margins, which is the law
+    drawn here (Patefield 1981, JRSS-C 30:91). In each column but the last,
+    each of the first m - 1 codes' cells is one `rng.hypergeometric` call
+    over all `count` tables, drawn from the codes' totals not yet placed;
+    the last code's cell and the last column follow by subtraction. So
+    (m - 1)(S - 1) calls draw every table, and memory holds one column.
+    """
+    m = table.shape[0]
+    left = np.tile(table.sum(axis=1), (count, 1))  # the codes not yet placed
+    for size in table.sum(axis=0)[:-1]:
+        column = np.empty((count, m), dtype=np.int64)
+        need = np.full(count, size)
+        rest = left.sum(axis=1)
+        for v in range(m - 1):
+            rest -= left[:, v]  # the codes after v
+            column[:, v] = rng.hypergeometric(left[:, v], rest, need)
+            need -= column[:, v]
+        column[:, -1] = need
+        left -= column
+        yield column
+    yield left
+
+
+def _table_blocks(rng, table: np.ndarray, count: int, clogc):
+    """Sums of `clogc` over the cells of the (m, S) `table`, then over those of
+    `count` random tables with its margins (`_table_columns`): int64 blocks
+    of shape (1, 1) and (count, 1); nothing is drawn before the second."""
+    yield clogc[table].sum()[None, None]
+    if count:
+        yield sum(clogc[column].sum(axis=1)
+                  for column in _table_columns(rng, table, count))[:, None]
 
 
 def _counting_regime(m: int, width: int, groups: np.ndarray):
@@ -234,13 +287,26 @@ def _cmi_blocks(target, cond, cands, n_perm=0, rng=None):
 
     `cond` is a list of columns, `cands` a list of candidates, each a tuple
     of columns. The first block is row 0, the unpermuted target, with shape
-    (1, len(cands)); then come the `n_perm` permutations drawn from `rng`, in
-    row order, in blocks of at most `SURROGATE_BLOCK_ELEMENTS`. One
-    `_clogc_blocks` stream counts every row, row 0 included, so the
-    observed row and its surrogates are counted alike. Row 0 draws nothing
-    from `rng`, and a consumer that stops early draws no permutations past
-    the block it stopped in. Equal count tables give bit-equal values in
-    every row, whichever regime counts them.
+    (1, len(cands)); then come the `n_perm` surrogates drawn from `rng`.
+    Row 0 draws nothing from `rng`. Equal count tables give bit-equal
+    values in every row, however they were drawn or counted.
+
+    The surrogates are drawn one of two ways, picked from the code space:
+
+    - As contingency tables, when nothing is conditioned on, there is one
+      candidate with S states, and (m - 1)(S - 1) x TABLE_DRAW_ROWS <= n
+      for the target's m codes: the MI depends on a permuted target only
+      through its m x S table of codes against states, whose law given the
+      margins `_table_columns` draws directly. Row 0 is the observed table.
+      All `n_perm` tables come in one block, so the block bound never
+      changes a draw.
+    - As permutations otherwise, in row order, in blocks of at most
+      `SURROGATE_BLOCK_ELEMENTS`. One `_clogc_blocks` stream counts every
+      row, row 0 included, and a consumer that stops early draws no
+      permutations past the block it stopped in.
+
+    Both ways give the same exact null, the permutation distribution of the
+    statistic, but from different streams of `rng`.
     """
     n = target.size
     t = _ranks(target)
@@ -259,12 +325,18 @@ def _cmi_blocks(target, cond, cands, n_perm=0, rng=None):
         # With no conditioning, H(T, S) = H(T) in every permutation: its sum
         # joins `static`, and only the candidates are counted.
         static = static - clogc[np.bincount(t)].sum()
-    counted = groups if cond else groups[1:]
-    regime, row_elements = _counting_regime(m, width, counted)
     codes = t * width  # permuted as values: each row is a permuted target
-    blocks = itertools.chain(
-        [codes[None]], _permutation_blocks(rng, codes, n_perm, row_elements))
-    for joint in _clogc_blocks(blocks, counted, m, width, clogc, regime):
+    if not cond and len(cands) == 1 and (
+            (m - 1) * (width - 1) * TABLE_DRAW_ROWS <= n):
+        table = np.bincount(codes + groups[1], minlength=m * width)
+        sums = _table_blocks(rng, table.reshape(m, width), n_perm, clogc)
+    else:
+        counted = groups if cond else groups[1:]
+        regime, row_elements = _counting_regime(m, width, counted)
+        blocks = itertools.chain(
+            [codes[None]], _permutation_blocks(rng, codes, n_perm, row_elements))
+        sums = _clogc_blocks(blocks, counted, m, width, clogc, regime)
+    for joint in sums:
         if cond:
             joint = joint[:, 1:] - joint[:, :1]
         yield (joint + static) / (scale * n)

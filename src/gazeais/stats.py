@@ -4,10 +4,12 @@
 (`embedding`), the final AIS test and the group contrasts feed it blocks
 of surrogate statistics.
 
-Each test derives one generator from (seed, tag) and draws its surrogates'
-permutations from it in order, evaluating them in blocks of rows; every
-p-value is a pure function of the test's arguments and does not depend on
-the block size.
+Each test derives one generator from (seed, tag) and draws its surrogates
+from it in order, evaluating them in blocks of rows; every p-value is a
+pure function of the test's arguments and does not depend on the block
+size. The surrogates are permutations, except where the final AIS test
+draws the contingency tables that permutations would give
+(`infocore._cmi_blocks`).
 """
 
 from dataclasses import dataclass
@@ -66,9 +68,15 @@ def test_final_ais(series: StateVectorSeries, n_perm: int = 200,
                    seed: int = 0) -> PermutationTestResult:
     """One-sided permutation test of the plug-in AIS of an embedded series.
 
-    The observed statistic is MI(target; past vector); surrogates permute
-    the target column. A constant (zero-information) target yields p = 1
-    under the >= convention and the smallest attainable p is 1/(n_perm + 1).
+    The observed statistic is MI(target; past vector); each surrogate is the
+    MI of a permuted target column. The MI reads a permuted target only
+    through its table of target codes against past states, so when that
+    table has few cells for the rows (m - 1 codes by S - 1 states, times
+    `infocore.TABLE_DRAW_ROWS`, at most the rows), the surrogates' tables
+    are drawn directly from the law the permutations induce on them: the
+    same null, cheaper, from another stream than permuting would draw.
+    A constant (zero-information) target yields p = 1 under the >=
+    convention and the smallest attainable p is 1/(n_perm + 1).
     """
     if series.n_rows < 1:
         raise ValueError("series must be nonempty")

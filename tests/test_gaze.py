@@ -936,3 +936,12 @@ class TestScanpathRecordJson:
         assert record.symbols.tolist() == [0, 1, 1, 0]
         assert record.symbols.dtype == np.int64
         assert type(record.alphabet_size) is int
+
+    def test_symbols_round_trip_as_plain_ints(self):
+        for symbols in ([0, 1, 1, 0], np.array([0, 1, 1, 0], dtype=np.int32),
+                        [np.int64(0), 1, 1.0, 0]):
+            record = ScanpathRecord.from_dict(dict(self.DOC, symbols=symbols))
+            doc = record.to_dict()
+            assert doc["symbols"] == [0, 1, 1, 0]
+            assert {type(s) for s in doc["symbols"]} == {int}
+            assert ScanpathRecord.from_dict(doc).to_dict() == doc

@@ -338,6 +338,19 @@ def record_regimes(monkeypatch):
     return seen
 
 
+def record_draws(monkeypatch):
+    """How every `_cmi_blocks` stream gets its rows, in call order: "tables"
+    for drawn tables, else the regime that counts its permutations."""
+    seen = record_regimes(monkeypatch)
+    tables = infocore._table_blocks
+
+    def recorded(rng, table, count, clogc):
+        seen.append("tables")
+        return tables(rng, table, count, clogc)
+    monkeypatch.setattr(infocore, "_table_blocks", recorded)
+    return seen
+
+
 def force_regime(monkeypatch, regime):
     """Force one counting regime through the module constants, keeping the
     block bound for the product path; returns `record_regimes`' list."""
@@ -415,14 +428,16 @@ class TestKernelAgainstReference:
                 for m in (2, 16)}
 
     def test_binary_tests_count_by_product(self, monkeypatch, sequences):
-        # Binary selection steps and the final AIS test on the selected
-        # lags take the product path under the module's own constants.
-        seen = record_regimes(monkeypatch)
+        # Binary selection steps take the product path under the module's
+        # own constants; the final AIS test on the selected lags, one
+        # candidate of 4 states given nothing, draws tables instead.
+        seen = record_draws(monkeypatch)
         series = embed(sequences[2], (1, 2, 3, 4, 5), 5)
         max_statistic_test((1, 2, 3, 4, 5), series, 200, seed=1)
         max_statistic_test((2, 3, 4, 5), series, 200, seed=1, selected=(1,))
         final_ais_test(embed(sequences[2], (1, 2), 5), 200, seed=1)
-        assert seen == ["product"] * 3  # one stream per test, row 0 included
+        # One stream per test, row 0 included.
+        assert seen == ["product", "product", "tables"]
 
     def test_sixteen_symbols_never_count_by_product(self, monkeypatch, sequences):
         seen = record_regimes(monkeypatch)
@@ -473,11 +488,16 @@ class TestSurrogateKernel:
         """(p, evaluated, n_perm) for each kind of permutation test."""
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=9), rng.normal(0.5, 1.0, size=12)
+        from gazeais import generate, lagged_copy_spec
+        # The final test on the binary series draws tables; on four symbols
+        # and four lags it permutes (`TestTableDraws`).
+        wide = embed(generate(lagged_copy_spec(2, 0.7, m=4), 400, seed=5),
+                     (1, 2, 3, 4), 4)
         results = ([(max_statistic_test((1, 3, 4), series, n_perm, seed=n_perm,
                                         selected=(2,))[1], n_perm)
                     for n_perm in (19, 99, 200)]
-                   + [(final_ais_test(series, n_perm, seed=n_perm), n_perm)
-                      for n_perm in (19, 99, 200)]
+                   + [(final_ais_test(final, n_perm, seed=n_perm), n_perm)
+                      for final in (series, wide) for n_perm in (19, 99, 200)]
                    + [(independent_samples_permutation_test(a, b, n_perm, tail,
                                                             seed=n_perm), n_perm)
                       for n_perm in (19, 999) for tail in TAILS])
@@ -518,7 +538,9 @@ class TestSurrogateKernel:
                 _permutation_p(observed, iter([np.zeros(3)]), 3)
 
     def test_block_size_does_not_change_p_values(self, series, monkeypatch):
+        seen = record_draws(monkeypatch)
         reference = self._p_values(series)
+        assert seen.count("tables") == 3 and len(seen) == 9  # both ways drawn
         for elements in (1, 10 ** 9):  # one row per block; all rows in one
             monkeypatch.setattr(infocore, "SURROGATE_BLOCK_ELEMENTS", elements)
             assert self._p_values(series) == reference
@@ -565,6 +587,105 @@ class TestSurrogateKernel:
         rows = next(_cmi_blocks(final.targets, [], [tuple(final.pasts.T)], 30,
                                 np.random.default_rng(0)))
         assert final_ais_test(final, 30, seed=0).observed_statistic == rows[0, 0]
+
+
+def ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov distance: the largest gap between the
+    empirical distribution functions, read at every value either holds."""
+    a, b = np.sort(a), np.sort(b)
+    x = np.union1d(a, b)
+    return np.abs(np.searchsorted(a, x, "right") / a.size
+                  - np.searchsorted(b, x, "right") / b.size).max()
+
+
+class TestTableDraws:
+    """A test of one candidate given nothing draws its surrogates as the
+    contingency tables that permuting the target would give."""
+
+    @staticmethod
+    def lag_one(m, seed):
+        """(target, past) of a 300-symbol lag-1 copy chain over m symbols."""
+        from gazeais import generate, lagged_copy_spec
+        series = embed(generate(lagged_copy_spec(1, 0.3, m=m), 300, seed=seed), (1,), 5)
+        return series.targets, series.pasts[:, 0]
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 7), (3, 3), (4, 5), (1, 3), (3, 1)])
+    def test_drawn_tables_keep_the_margins(self, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        table = rng.integers(0, 12, size=shape)
+        table[0, 0] += 1  # a table of at least one row, zero cells allowed
+        tables = np.stack(list(infocore._table_columns(
+            np.random.default_rng(1), table, 500)), axis=2)
+        assert tables.shape == (500,) + shape and tables.min() >= 0
+        assert (tables.sum(axis=2) == table.sum(axis=1)).all()
+        assert (tables.sum(axis=1) == table.sum(axis=0)).all()
+        if min(shape) > 1:
+            assert len(np.unique(tables.reshape(500, -1), axis=0)) > 1
+        # `_table_blocks` sums c log2 c over these very tables.
+        clogc, _ = infocore._clogc(int(table.sum()))
+        blocks = list(infocore._table_blocks(np.random.default_rng(1), table, 500, clogc))
+        assert blocks[0].tolist() == [[clogc[table].sum()]]
+        assert np.array_equal(blocks[1][:, 0], clogc[tables].sum(axis=(1, 2)))
+
+    def test_rule_reads_the_code_space(self, monkeypatch):
+        # 295 rows of a binary target: (2 - 1)(S - 1) x 22 <= 295 up to
+        # S = 14 states. More codes, more candidates or a condition permute.
+        seen = record_draws(monkeypatch)
+        assert infocore.TABLE_DRAW_ROWS == 22
+        target = np.arange(295) % 2
+        for states, path in ((14, "tables"), (15, "product")):
+            past = np.arange(295) // 2 % states
+            list(_cmi_blocks(target, [], [(past,)], 5, np.random.default_rng(0)))
+            assert seen.pop() == path
+        past = np.arange(295) // 2 % 3
+        list(_cmi_blocks(target, [], [(past,), (past,)], 5, np.random.default_rng(0)))
+        list(_cmi_blocks(target, [past], [(past,)], 5, np.random.default_rng(0)))
+        assert "tables" not in seen
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_row_zero_equals_the_permutation_path(self, monkeypatch, m):
+        target, past = self.lag_one(m, seed=m)
+        seen = record_draws(monkeypatch)
+        rows = {}
+        for draw_rows in (0, 10 ** 9):  # tables; permutations
+            monkeypatch.setattr(infocore, "TABLE_DRAW_ROWS", draw_rows)
+            rows[draw_rows] = next(_cmi_blocks(target, [], [(past,)], 200,
+                                               np.random.default_rng(m)))
+        assert seen[0] == "tables" and seen[1] != "tables"
+        assert rows[0].shape == (1, 1) and rows[0].tobytes() == rows[10 ** 9].tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_table_null_matches_the_permutation_null(self, monkeypatch, m):
+        # 20 000 surrogate MIs drawn each way at pinned seeds (distances
+        # 0.0123, 0.0065 and 0.0078 for m = 2, 3, 4). The bound is the
+        # two-sample KS distance's 1 % critical value, 1.628 sqrt(2 / N). A
+        # pilot of 200 chains and seed pairs per m read median distances of
+        # 0.007-0.008 and exceeded the bound in 0, 2 and 1 of 200 pairs, as
+        # a 1 % test of a true null should.
+        target, past = self.lag_one(m, seed=m)
+        draws = []
+        for draw_rows, seed in ((0, 11), (10 ** 9, 12)):
+            monkeypatch.setattr(infocore, "TABLE_DRAW_ROWS", draw_rows)
+            rows = np.concatenate(list(_cmi_blocks(target, [], [(past,)], 20000,
+                                                   np.random.default_rng(seed))))
+            draws.append(rows[1:, 0])
+        assert ks_distance(*draws) < 1.628 * math.sqrt(2 / 20000)
+
+    def test_sixteen_aois_keep_permutations(self, monkeypatch):
+        # (16 - 1)(16 - 1) x 22 > 295: the final test permutes, and its
+        # p-values are the ones permuting gave before tables were drawn.
+        from gazeais import generate, lagged_copy_spec
+        seen = record_draws(monkeypatch)
+        exceed = {}
+        for seed in (1, 2, 3, 4):
+            seq = generate(lagged_copy_spec(2, 0.1, m=16), 300, seed=seed)
+            for lag in (1, 2):
+                result = final_ais_test(embed(seq, (lag,), 5), 200, seed=seed)
+                exceed[seed, lag] = round(result.p_value * 201) - 1
+                assert result.p_value == (1 + exceed[seed, lag]) / 201
+        assert "tables" not in seen and len(seen) == 8
+        assert exceed == {(1, 1): 182, (1, 2): 2, (2, 1): 25, (2, 2): 17,
+                          (3, 1): 79, (3, 2): 125, (4, 1): 83, (4, 2): 9}
 
 
 class TestGazeTransitionEntropy:
