@@ -3,7 +3,9 @@
 Candidate lags in [1, k_max] are added one at a time: each iteration picks
 the candidate with maximal conditional mutual information (CMI) with the
 target given the already-selected lags, then tests it against surrogates in
-which the target column is permuted. The surrogate statistic is the maximum
+which the target column is permuted (for a target of two codes, drawn as
+its tallies per joint state of the lags, which permuting it would give;
+see `infocore._cmi_blocks`). The surrogate statistic is the maximum
 CMI over all remaining candidates, which controls the family-wise error
 rate across the repeated candidate tests; a non-significant maximum stops
 the search. Each step is one pass of the count kernel: the candidates'
@@ -103,7 +105,7 @@ def max_statistic_test(candidates, series: StateVectorSeries, n_perm: int,
 
     The observed CMIs are row 0 of the same `_cmi_blocks` stream as the
     surrogates, counted alike, so a surrogate that redraws the observed
-    target ties it exactly. Permutations come in order from one generator
+    tables ties it exactly. Surrogates come in order from one generator
     derived from (seed, "max-stat-surrogate"), so the result is a pure
     function of the arguments.
     """

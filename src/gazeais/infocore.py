@@ -17,10 +17,14 @@ H(X_t) = AIS({1}) + GTE hold exactly on plug-in values, not just
 asymptotically. Codes are ranked over the occupied states only, so memory
 grows with the rows, not as alphabet^(lags + 1).
 
-A permutation test of one candidate given nothing, such as the final AIS
-test, draws its surrogates' contingency tables directly, from the
-hypergeometric law that permuting the target induces on them, when the
-table has few cells for the rows (`_table_columns`, `TABLE_DRAW_ROWS`).
+A permutation test sees a permuted target only through its tables, and
+draws those directly where that is cheaper, from the hypergeometric law
+that permuting the target induces on them. A test of one candidate given
+nothing, such as the final AIS test, draws its contingency tables when
+they have few cells for the rows (`_table_columns`, `TABLE_DRAW_ROWS`).
+Any other test of a target of two codes, such as every selection step on
+a binary scanpath, draws the target's tally per joint state of all its
+columns (`_state_count_draws`) and sums the tallies into each table.
 Every other test permutes the target and counts its surrogate tables in
 one of three regimes, picked per test from the code space alone
 (`_counting_regime`): a matrix product of the target's indicator rows with
@@ -114,6 +118,18 @@ PRODUCT_MULTIPLIES = 1 << 19
 # call cost about as much as permuting TABLE_DRAW_ROWS rows of the target.
 TABLE_DRAW_ROWS = 22
 
+# A test whose target takes two codes, and that does not draw tables, draws
+# each surrogate as the count of code 1 in every joint state of its columns,
+# COUNT_DRAW_ROWS surrogates per `multivariate_hypergeometric` call
+# (`_state_count_draws`). numpy's count sampler carries its shuffled urn from
+# one surrogate to the next within a call, so the call size is fixed here and
+# never follows the block bound, which would then change the draws. Over
+# 88 binary trials of 300 symbols, 25 and 50 rows per call cost within 5 %
+# of each other, 10 rows about a fifth more and 200 rows 6-8 % more: small
+# calls pay the call's overhead, and large ones draw surrogates that a
+# step which stops early never reads.
+COUNT_DRAW_ROWS = 25
+
 
 @functools.lru_cache(maxsize=16)
 def _clogc(n: int):
@@ -140,12 +156,27 @@ def _ranks(codes: np.ndarray) -> np.ndarray:
     return np.unique(codes, return_inverse=True)[1]
 
 
-def _joint_ranks(code: np.ndarray, *columns) -> np.ndarray:
-    """Fold integer columns into `code`, most significant first, ranking after
-    each so codes stay below the row count and keep the tuples' order."""
+def _fold(code: np.ndarray, *columns):
+    """(codes, space): integer columns folded into `code`, most significant
+    first, as mixed-radix codes below `space`, which keep the tuples' order.
+    The codes are ranked before a fold that would take their space past 4
+    per row, so they stay small, and columns of few codes are folded
+    without ranking between."""
+    space = int(code.max()) + 1
     for col in columns:
-        code = _ranks(code * (int(col.max()) + 1) + col)
-    return code
+        radix = int(col.max()) + 1
+        if space * radix > 4 * code.size:
+            code = _ranks(code)
+            space = int(code.max()) + 1
+        code = code * radix + col
+        space *= radix
+    return code, space
+
+
+def _joint_ranks(code: np.ndarray, *columns) -> np.ndarray:
+    """Dense ranks of the tuples of `code` and integer columns, most
+    significant first (`_fold`); `code` itself without columns."""
+    return _ranks(_fold(code, *columns)[0]) if columns else code
 
 
 def _block_rows(row_elements: int) -> int:
@@ -203,6 +234,94 @@ def _table_blocks(rng, table: np.ndarray, count: int, clogc):
     if count:
         yield sum(clogc[column].sum(axis=1)
                   for column in _table_columns(rng, table, count))[:, None]
+
+
+def _state_count_draws(rng, sizes: np.ndarray, drawn: int, count: int):
+    """`count` random tallies, per state, of `drawn` rows taken without
+    replacement from states of `sizes` rows: int64 blocks of shape
+    (rows, len(sizes)), COUNT_DRAW_ROWS rows each but the last, drawn in
+    order from `rng`.
+
+    Permuting a target of two codes over rows whose states stay fixed
+    places its `drawn` rows of code 1 as one draw without replacement, so
+    their tally per state follows the multivariate hypergeometric law given
+    the state sizes, which is the law drawn here. numpy's count sampler
+    shuffles min(drawn, n - drawn) state labels per tally.
+    """
+    for start in range(0, count, COUNT_DRAW_ROWS):
+        yield rng.multivariate_hypergeometric(
+            sizes, drawn, size=min(COUNT_DRAW_ROWS, count - start), method="count")
+
+
+def _state_count_sums(t, s, full, cands, n_perm, rng, clogc):
+    """(static, blocks) of `_cmi_blocks` for a target `t` of codes 0 and 1,
+    conditioning state `s` and `full`, the joint state of `s` and every
+    candidate column.
+
+    Each group, the conditioning state and each candidate joined with it,
+    has a state that is a function of the full state. So a surrogate's
+    table of the target against any group is the sum, over the group
+    state's full states, of its tally of code 1 per full state
+    (`_state_count_draws`); code 0's counts follow by subtraction. Row 0 is
+    the observed tally. The group states are ranked over one row of each
+    full state, not over all rows. The tallies are summed into group states
+    by one product with the one-hot matrix of full states by group states
+    while a product of COUNT_DRAW_ROWS tallies stays below
+    PRODUCT_MULTIPLIES multiply-adds, and otherwise by a gather and one
+    `reduceat` over the full states sorted by group state, in blocks
+    bounded by SURROGATE_BLOCK_ELEMENTS, so memory stays linear in the
+    rows. Both sum the same integers. `static` and the blocks are those of
+    `_cmi_blocks`: int64 H(C,S) - H(S) sums, and per row
+    H(T,C,S) - H(T,S) sums, shape (rows, len(cands)).
+    """
+    sizes = np.bincount(full)
+    states = sizes.size
+    rep = np.empty(states, dtype=np.intp)
+    rep[full] = np.arange(full.size)  # one row of each full state
+    s_rep = s[rep]
+    folded = [(s_rep, int(s_rep.max()) + 1)] + [
+        _fold(s_rep, *(col[rep] for col in cols)) for cols in cands]
+    # Each group's state code per full state, group g's above every code of
+    # group g - 1: their ranks number the groups' states in group order.
+    spaces = np.array([space for _, space in folded])
+    cells = _ranks(np.concatenate([code for code, _ in folded])
+                   + np.repeat(np.cumsum(spaces) - spaces, states))
+    offsets = np.minimum.reduceat(cells, np.arange(0, cells.size, states))
+    n_cells = int(cells.max()) + 1
+    if COUNT_DRAW_ROWS * states * n_cells < PRODUCT_MULTIPLIES:
+        # A float64 sum of counts below 2**53 is exact.
+        onehot = np.zeros((states, n_cells))
+        onehot[np.arange(cells.size) % states, cells] = 1.0
+
+        def count(tallies):
+            return (tallies @ onehot).astype(np.intp)
+    else:
+        order = np.argsort(cells, kind="stable")
+        gather = order % states
+        starts = np.searchsorted(cells[order], np.arange(n_cells))
+
+        def count(tallies):
+            return np.add.reduceat(tallies[:, gather], starts, axis=1)
+    group_sizes = count(sizes[None])[0]
+    totals = np.add.reduceat(clogc[group_sizes], offsets)
+    # terms[base[v] + c] = clogc[c] + clogc[size - c], both codes' terms of
+    # group state v of `size` rows when c of them hold code 1.
+    spans = group_sizes + 1
+    base = np.cumsum(spans) - spans
+    c = np.arange(spans.sum()) - np.repeat(base, spans)
+    terms = clogc[c] + clogc[np.repeat(group_sizes, spans) - c]
+
+    def blocks():
+        ones = t == 1
+        observed = np.bincount(full[ones], minlength=states)[None]
+        rows = _block_rows(cells.size)
+        for tallies in itertools.chain([observed], _state_count_draws(
+                rng, sizes, int(np.count_nonzero(ones)), n_perm)):
+            for start in range(0, tallies.shape[0], rows):
+                counts = count(tallies[start:start + rows])
+                joint = np.add.reduceat(terms[counts + base], offsets, axis=1)
+                yield joint[:, 1:] - joint[:, :1]
+    return totals[0] - totals[1:], blocks()
 
 
 def _counting_regime(m: int, width: int, groups: np.ndarray):
@@ -291,7 +410,7 @@ def _cmi_blocks(target, cond, cands, n_perm=0, rng=None):
     Row 0 draws nothing from `rng`. Equal count tables give bit-equal
     values in every row, however they were drawn or counted.
 
-    The surrogates are drawn one of two ways, picked from the code space:
+    The surrogates are drawn one of three ways, picked from the code space:
 
     - As contingency tables, when nothing is conditioned on, there is one
       candidate with S states, and (m - 1)(S - 1) x TABLE_DRAW_ROWS <= n
@@ -300,45 +419,59 @@ def _cmi_blocks(target, cond, cands, n_perm=0, rng=None):
       margins `_table_columns` draws directly. Row 0 is the observed table.
       All `n_perm` tables come in one block, so the block bound never
       changes a draw.
+    - As tallies per full state, otherwise when the target takes two
+      codes: every group's table is a sum of the target's counts in the
+      joint states of all the test's columns, which `_state_count_draws`
+      draws COUNT_DRAW_ROWS surrogates at a time and `_state_count_sums`
+      sums. Row 0 is the observed tally.
     - As permutations otherwise, in row order, in blocks of at most
       `SURROGATE_BLOCK_ELEMENTS`. One `_clogc_blocks` stream counts every
-      row, row 0 included, and a consumer that stops early draws no
-      permutations past the block it stopped in.
+      row, row 0 included.
 
-    Both ways give the same exact null, the permutation distribution of the
-    statistic, but from different streams of `rng`.
+    A consumer that stops early draws nothing past the block it stopped in.
+    All three ways give the same exact null, the permutation distribution
+    of the statistic, but from different streams of `rng`.
     """
     n = target.size
     t = _ranks(target)
-    s = _joint_ranks(np.zeros(n, dtype=np.int64), *cond)
-    groups = np.stack([s] + [_joint_ranks(s, *cols) for cols in cands])
     m = int(t.max()) + 1
-    width = int(groups.max()) + 1
     clogc, scale = _clogc(n)
+    s = _joint_ranks(np.zeros(n, dtype=np.int64), *cond)
+    single = not cond and len(cands) == 1
+    # The joint state of every column: the one candidate's own state, or the
+    # state whose tallies a two-code target's surrogates are drawn as.
+    full = (_joint_ranks(s, *itertools.chain.from_iterable(cands))
+            if single or m == 2 else None)
+    tables = single and (m - 1) * int(full.max()) * TABLE_DRAW_ROWS <= n
     # I(T; C | S) = H(T,S) + H(C,S) - H(T,C,S) - H(S), with
     # H(X) = log2(n) - sum(c log2 c) / n over the counts of X. The sums for
     # H(C,S) and H(S) do not depend on the permutation; integer sums keep
     # every row exact whatever the order of the terms.
-    static = np.array([clogc[np.bincount(g)].sum() for g in groups])
-    static = static[0] - static[1:]
-    if not cond:
-        # With no conditioning, H(T, S) = H(T) in every permutation: its sum
-        # joins `static`, and only the candidates are counted.
-        static = static - clogc[np.bincount(t)].sum()
-    codes = t * width  # permuted as values: each row is a permuted target
-    if not cond and len(cands) == 1 and (
-            (m - 1) * (width - 1) * TABLE_DRAW_ROWS <= n):
-        table = np.bincount(codes + groups[1], minlength=m * width)
-        sums = _table_blocks(rng, table.reshape(m, width), n_perm, clogc)
+    if m == 2 and not tables:
+        static, sums = _state_count_sums(t, s, full, cands, n_perm, rng, clogc)
     else:
-        counted = groups if cond else groups[1:]
-        regime, row_elements = _counting_regime(m, width, counted)
-        blocks = itertools.chain(
-            [codes[None]], _permutation_blocks(rng, codes, n_perm, row_elements))
-        sums = _clogc_blocks(blocks, counted, m, width, clogc, regime)
+        groups = np.stack([s] + ([full] if single else
+                                 [_joint_ranks(s, *cols) for cols in cands]))
+        width = int(groups.max()) + 1
+        static = np.array([clogc[np.bincount(g)].sum() for g in groups])
+        static = static[0] - static[1:]
+        if not cond:
+            # With no conditioning, H(T, S) = H(T) in every permutation: its
+            # sum joins `static`, and only the candidates are counted.
+            static = static - clogc[np.bincount(t)].sum()
+        codes = t * width  # permuted as values: each row is a permuted target
+        if tables:
+            table = np.bincount(codes + groups[1], minlength=m * width)
+            sums = _table_blocks(rng, table.reshape(m, width), n_perm, clogc)
+        else:
+            counted = groups if cond else groups[1:]
+            regime, row_elements = _counting_regime(m, width, counted)
+            blocks = itertools.chain(
+                [codes[None]], _permutation_blocks(rng, codes, n_perm, row_elements))
+            sums = _clogc_blocks(blocks, counted, m, width, clogc, regime)
+            if cond:
+                sums = (joint[:, 1:] - joint[:, :1] for joint in sums)
     for joint in sums:
-        if cond:
-            joint = joint[:, 1:] - joint[:, :1]
         yield (joint + static) / (scale * n)
 
 

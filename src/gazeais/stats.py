@@ -7,9 +7,10 @@ of surrogate statistics.
 Each test derives one generator from (seed, tag) and draws its surrogates
 from it in order, evaluating them in blocks of rows; every p-value is a
 pure function of the test's arguments and does not depend on the block
-size. The surrogates are permutations, except where the final AIS test
-draws the contingency tables that permutations would give
-(`infocore._cmi_blocks`).
+size. The contrasts' surrogates are permutations. The information tests'
+surrogates are permutations of the target, or are drawn as the tables or
+the per-state tallies of the target that permutations would give
+(`infocore._cmi_blocks`): the same null from another stream.
 """
 
 from dataclasses import dataclass
@@ -74,7 +75,8 @@ def test_final_ais(series: StateVectorSeries, n_perm: int = 200,
     table has few cells for the rows (m - 1 codes by S - 1 states, times
     `infocore.TABLE_DRAW_ROWS`, at most the rows), the surrogates' tables
     are drawn directly from the law the permutations induce on them: the
-    same null, cheaper, from another stream than permuting would draw.
+    same null, cheaper, from another stream than permuting would draw. A
+    binary target with more past states draws its tally per state instead.
     A constant (zero-information) target yields p = 1 under the >=
     convention and the smallest attainable p is 1/(n_perm + 1).
     """

@@ -233,15 +233,17 @@ class TestEarlyStop:
         assert flagged > len(cases) // 2
 
     def test_rejected_step_stops_and_accepted_step_does_not(self, monkeypatch):
+        # Binary steps draw their surrogates as tallies per state,
+        # `infocore.COUNT_DRAW_ROWS` (25) at a time.
         drawn = []
-        blocks = infocore._permutation_blocks
+        draws = infocore._state_count_draws
 
-        def counted(rng, n, count, row_elements):
+        def counted(rng, sizes, ones, count):
             drawn.append(0)
-            for perms in blocks(rng, n, count, row_elements):
-                drawn[-1] += perms.shape[0]
-                yield perms
-        monkeypatch.setattr(infocore, "_permutation_blocks", counted)
+            for tallies in draws(rng, sizes, ones, count):
+                drawn[-1] += tallies.shape[0]
+                yield tallies
+        monkeypatch.setattr(infocore, "_state_count_draws", counted)
 
         iid = generate(uniform_iid_spec(2), 300, seed=11)
         _, trace = optimize_past_state(iid, EmbeddingConfig(k_max=5, n_perm=200, seed=1))

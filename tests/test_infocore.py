@@ -298,32 +298,82 @@ class TestLargeAlphabets:
                 pairs, ((0, 1), 1), ((1,), -1))
 
 
-def reference_cmi_rows(target, cond, cands, n_perm, rng):
-    """`_cmi_blocks` rows by the first algorithm: `np.unique` ranks, a tiled
-    `arange` of row indices permuted per surrogate, a gather of the target
-    and a dense bincount per (row, group)."""
+def reference_rows(codes, cond, cands):
+    """`_cmi_blocks` rows for each row of target codes in `codes` (ranks,
+    the observed target first) by the first algorithm: `np.unique` ranks of
+    the columns and a dense bincount per (row, group)."""
     def ranks(code, *columns):
         for col in columns:
             code = np.unique(code * (int(col.max()) + 1) + col,
                              return_inverse=True)[1]
         return code
 
-    n = target.size
-    t = ranks(np.zeros(n, dtype=np.int64), target)
+    codes = np.asarray(codes)
+    n = codes.shape[1]
     s = ranks(np.zeros(n, dtype=np.int64), *cond)
     groups = np.stack([s] + [ranks(s, *cols) for cols in cands])
     width = int(groups.max()) + 1
-    cells = (int(t.max()) + 1) * width
+    cells = (int(codes.max()) + 1) * width
     clogc, scale = infocore._clogc(n)
     static = np.array([clogc[np.bincount(g)].sum() for g in groups])
     static = static[0] - static[1:]
     rows = []
-    perms = rng.permuted(np.tile(np.arange(n), (n_perm, 1)), axis=1)
-    for perm in np.concatenate([np.arange(n)[None], perms]):
-        joint = np.array([clogc[np.bincount(t[perm] * width + g, minlength=cells)].sum()
+    for t in codes:
+        joint = np.array([clogc[np.bincount(t * width + g, minlength=cells)].sum()
                           for g in groups])
         rows.append((joint[1:] - joint[:1] + static) / (scale * n))
     return np.array(rows)
+
+
+def target_ranks(target):
+    return np.unique(target, return_inverse=True)[1]
+
+
+def reference_cmi_rows(target, cond, cands, n_perm, rng):
+    """`_cmi_blocks` rows of the target and of `n_perm` permutations of it,
+    each a tiled `arange` of row indices permuted in place, 1000 rows per
+    call, which draws the same stream as one call (`_permutation_blocks`)."""
+    t = target_ranks(target)
+    n = t.size
+    rows = [reference_rows(t[None], cond, cands)]
+    for start in range(0, n_perm, 1000):
+        perms = rng.permuted(np.tile(np.arange(n), (min(1000, n_perm - start), 1)),
+                             axis=1)
+        rows.append(reference_rows(t[perms], cond, cands))
+    return np.concatenate(rows)
+
+
+def reference_count_rows(target, cond, cands, n_perm, rng):
+    """`_cmi_blocks` rows of a two-code target and of `n_perm` targets laid
+    out from tallies of code 1 per joint state of all the columns, drawn
+    `infocore.COUNT_DRAW_ROWS` at a time with `np.unique`'s state order: in
+    each state, the first rows of the tally take code 1."""
+    t = target_ranks(target)
+    columns = np.column_stack(list(cond) + [col for cols in cands for col in cols])
+    _, full, sizes = np.unique(columns, axis=0, return_inverse=True,
+                               return_counts=True)
+    full = full.ravel()
+    order = np.argsort(full, kind="stable")
+    states = full[order]
+    within = np.arange(t.size) - np.searchsorted(states, states)  # rank in state
+    codes = [t]
+    for start in range(0, n_perm, infocore.COUNT_DRAW_ROWS):
+        for tally in rng.multivariate_hypergeometric(
+                sizes, int(t.sum()), method="count",
+                size=min(infocore.COUNT_DRAW_ROWS, n_perm - start)):
+            code = np.empty_like(t)
+            code[order] = within < tally[states]
+            codes.append(code)
+    return reference_rows(codes, cond, cands)
+
+
+def selection_step(m, step):
+    """(target, cond, cands) of selection step `step` over lags 1..5 of 300
+    iid symbols of m codes: the lags before `step` are conditioned on and
+    every other lag is a candidate."""
+    x = np.random.default_rng(10 * step + m).integers(0, m, size=300)
+    target, lags = x[5:], [x[5 - lag:-lag] for lag in range(1, 6)]
+    return target, lags[:step - 1], [(col,) for col in lags[step - 1:]]
 
 
 def record_regimes(monkeypatch):
@@ -340,27 +390,34 @@ def record_regimes(monkeypatch):
 
 def record_draws(monkeypatch):
     """How every `_cmi_blocks` stream gets its rows, in call order: "tables"
-    for drawn tables, else the regime that counts its permutations."""
+    for drawn tables, "counts" for drawn tallies per state, else the regime
+    that counts its permutations."""
     seen = record_regimes(monkeypatch)
     tables = infocore._table_blocks
+    counts = infocore._state_count_sums
 
-    def recorded(rng, table, count, clogc):
+    def recorded_tables(rng, table, count, clogc):
         seen.append("tables")
         return tables(rng, table, count, clogc)
-    monkeypatch.setattr(infocore, "_table_blocks", recorded)
+
+    def recorded_counts(*args):
+        seen.append("counts")
+        return counts(*args)
+    monkeypatch.setattr(infocore, "_table_blocks", recorded_tables)
+    monkeypatch.setattr(infocore, "_state_count_sums", recorded_counts)
     return seen
 
 
 def force_regime(monkeypatch, regime):
     """Force one counting regime through the module constants, keeping the
-    block bound for the product path; returns `record_regimes`' list."""
+    block bound for the product path; returns `record_draws`' list."""
     product = regime == "product"
     monkeypatch.setattr(infocore, "PRODUCT_CODES", 10 ** 9 if product else 0)
     monkeypatch.setattr(infocore, "PRODUCT_MULTIPLIES", 2 ** 62 if product else 0)
     if not product:
         monkeypatch.setattr(infocore, "SURROGATE_BLOCK_ELEMENTS",
                             10 ** 9 if regime == "dense" else 1)
-    return record_regimes(monkeypatch)
+    return record_draws(monkeypatch)
 
 
 class TestKernelAgainstReference:
@@ -387,20 +444,23 @@ class TestKernelAgainstReference:
     def test_cmi_rows_equal_reference(self, monkeypatch, m, n, n_perm,
                                       elements, conditioned):
         # Every row bit-equal, counted by product in blocks of one row (1)
-        # or of all rows (10**9), and densely (10**9) or by sort (1).
+        # or of all rows (10**9), and densely (10**9) or by sort (1). A
+        # binary target draws tallies per state in every regime and block
+        # size, and its rows are those of targets laid out from the tallies.
         monkeypatch.setattr(infocore, "SURROGATE_BLOCK_ELEMENTS", elements)
         rng = np.random.default_rng(m * n)
         x = rng.integers(0, m, size=n + 3)
         target, c1, c2, c3 = x[3:], x[2:-1], x[1:-2], x[:-3]
         cond = [c1] if conditioned else []
         cands = [(c2,), (c2, c3)]
-        expected = reference_cmi_rows(target, cond, cands, n_perm,
-                                      np.random.default_rng(5))
+        reference = reference_count_rows if m == 2 else reference_cmi_rows
+        expected = reference(target, cond, cands, n_perm, np.random.default_rng(5))
         for regime in ("product", "dense" if elements > 1 else "sort"):
             seen = force_regime(monkeypatch, regime)
             got = np.concatenate(list(_cmi_blocks(target, cond, cands, n_perm,
                                                   np.random.default_rng(5))))
-            assert seen == [regime]  # one count stream, row 0 included
+            # One stream per test, row 0 included.
+            assert seen == ["counts" if m == 2 else regime]
             assert got.shape == (n_perm + 1, 2)
             assert np.array_equal(got, expected)
 
@@ -409,16 +469,15 @@ class TestKernelAgainstReference:
     @pytest.mark.parametrize("step", [1, 2, 3])
     def test_selection_step_rows_equal_reference(self, monkeypatch, step, m, regime):
         # The shape of selection step `step` over lags 1..5: the lags chosen
-        # so far are conditioned on and every other lag is a candidate.
-        x = np.random.default_rng(10 * step + m).integers(0, m, size=300)
-        target, lags = x[5:], [x[5 - lag:-lag] for lag in range(1, 6)]
-        cond, cands = lags[:step - 1], [(col,) for col in lags[step - 1:]]
-        expected = reference_cmi_rows(target, cond, cands, 200,
-                                      np.random.default_rng(step))
+        # so far are conditioned on and every other lag is a candidate. A
+        # binary step draws tallies per state whatever the regime.
+        target, cond, cands = selection_step(m, step)
+        reference = reference_count_rows if m == 2 else reference_cmi_rows
+        expected = reference(target, cond, cands, 200, np.random.default_rng(step))
         seen = force_regime(monkeypatch, regime)
         got = np.concatenate(list(_cmi_blocks(target, cond, cands, 200,
                                               np.random.default_rng(step))))
-        assert seen == [regime]
+        assert seen == ["counts" if m == 2 else regime]
         assert np.array_equal(got, expected)
 
     @pytest.fixture
@@ -427,24 +486,29 @@ class TestKernelAgainstReference:
         return {m: generate(lagged_copy_spec(2, 0.7, m=m), 300, seed=m)
                 for m in (2, 16)}
 
-    def test_binary_tests_count_by_product(self, monkeypatch, sequences):
-        # Binary selection steps take the product path under the module's
-        # own constants; the final AIS test on the selected lags, one
-        # candidate of 4 states given nothing, draws tables instead.
+    def test_binary_tests_draw_state_counts(self, monkeypatch, sequences):
+        # Binary selection steps draw tallies per state and never permute;
+        # the final AIS test on the selected lags, one candidate of 4 states
+        # given nothing, draws tables, and on all five lags (32 states,
+        # 31 x 22 > 295 rows) draws tallies.
         seen = record_draws(monkeypatch)
         series = embed(sequences[2], (1, 2, 3, 4, 5), 5)
         max_statistic_test((1, 2, 3, 4, 5), series, 200, seed=1)
         max_statistic_test((2, 3, 4, 5), series, 200, seed=1, selected=(1,))
         final_ais_test(embed(sequences[2], (1, 2), 5), 200, seed=1)
+        final_ais_test(series, 200, seed=1)
         # One stream per test, row 0 included.
-        assert seen == ["product", "product", "tables"]
+        assert seen == ["counts", "counts", "tables", "counts"]
 
     def test_sixteen_symbols_never_count_by_product(self, monkeypatch, sequences):
-        seen = record_regimes(monkeypatch)
+        # Nor do they draw tallies per state, which only a binary target does.
+        seen = record_draws(monkeypatch)
         max_statistic_test((1, 2, 3, 4, 5),
                            embed(sequences[16], (1, 2, 3, 4, 5), 5), 200, seed=1)
+        max_statistic_test((2, 3, 4, 5), embed(sequences[16], (1, 2, 3, 4, 5), 5),
+                           200, seed=1, selected=(1,))
         final_ais_test(embed(sequences[16], (1,), 5), 200, seed=1)
-        assert len(seen) == 2 and "product" not in seen
+        assert len(seen) == 3 and not {"product", "counts", "tables"} & set(seen)
         # Not even where one block's product would stay below the bound:
         # one row of 16385 codes, 15 x 16385 x 2 multiply-adds.
         groups = np.zeros((1, 16385), dtype=np.int64)
@@ -540,7 +604,8 @@ class TestSurrogateKernel:
     def test_block_size_does_not_change_p_values(self, series, monkeypatch):
         seen = record_draws(monkeypatch)
         reference = self._p_values(series)
-        assert seen.count("tables") == 3 and len(seen) == 9  # both ways drawn
+        # All three ways drawn: tallies, tables and permutations.
+        assert seen.count("counts") == seen.count("tables") == 3 and len(seen) == 9
         for elements in (1, 10 ** 9):  # one row per block; all rows in one
             monkeypatch.setattr(infocore, "SURROGATE_BLOCK_ELEMENTS", elements)
             assert self._p_values(series) == reference
@@ -629,25 +694,29 @@ class TestTableDraws:
 
     def test_rule_reads_the_code_space(self, monkeypatch):
         # 295 rows of a binary target: (2 - 1)(S - 1) x 22 <= 295 up to
-        # S = 14 states. More codes, more candidates or a condition permute.
+        # S = 14 states. More states, more candidates or a condition draw
+        # tallies per state; so does no target of more codes.
         seen = record_draws(monkeypatch)
         assert infocore.TABLE_DRAW_ROWS == 22
         target = np.arange(295) % 2
-        for states, path in ((14, "tables"), (15, "product")):
+        for states, path in ((14, "tables"), (15, "counts")):
             past = np.arange(295) // 2 % states
             list(_cmi_blocks(target, [], [(past,)], 5, np.random.default_rng(0)))
             assert seen.pop() == path
         past = np.arange(295) // 2 % 3
         list(_cmi_blocks(target, [], [(past,), (past,)], 5, np.random.default_rng(0)))
         list(_cmi_blocks(target, [past], [(past,)], 5, np.random.default_rng(0)))
-        assert "tables" not in seen
+        assert seen == ["counts", "counts"]
+        list(_cmi_blocks(np.arange(295) % 3, [past], [(past,)], 5,
+                         np.random.default_rng(0)))
+        assert seen[-1] == "product"
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_row_zero_equals_the_permutation_path(self, monkeypatch, m):
         target, past = self.lag_one(m, seed=m)
         seen = record_draws(monkeypatch)
         rows = {}
-        for draw_rows in (0, 10 ** 9):  # tables; permutations
+        for draw_rows in (0, 10 ** 9):  # tables; tallies (m = 2) or permutations
             monkeypatch.setattr(infocore, "TABLE_DRAW_ROWS", draw_rows)
             rows[draw_rows] = next(_cmi_blocks(target, [], [(past,)], 200,
                                                np.random.default_rng(m)))
@@ -661,15 +730,15 @@ class TestTableDraws:
         # two-sample KS distance's 1 % critical value, 1.628 sqrt(2 / N). A
         # pilot of 200 chains and seed pairs per m read median distances of
         # 0.007-0.008 and exceeded the bound in 0, 2 and 1 of 200 pairs, as
-        # a 1 % test of a true null should.
+        # a 1 % test of a true null should. The permuted side is the
+        # reference, which draws the permutation path's stream.
         target, past = self.lag_one(m, seed=m)
-        draws = []
-        for draw_rows, seed in ((0, 11), (10 ** 9, 12)):
-            monkeypatch.setattr(infocore, "TABLE_DRAW_ROWS", draw_rows)
-            rows = np.concatenate(list(_cmi_blocks(target, [], [(past,)], 20000,
-                                                   np.random.default_rng(seed))))
-            draws.append(rows[1:, 0])
-        assert ks_distance(*draws) < 1.628 * math.sqrt(2 / 20000)
+        monkeypatch.setattr(infocore, "TABLE_DRAW_ROWS", 0)
+        tables = np.concatenate(list(_cmi_blocks(target, [], [(past,)], 20000,
+                                                 np.random.default_rng(11))))
+        permuted = reference_cmi_rows(target, [], [(past,)], 20000,
+                                      np.random.default_rng(12))
+        assert ks_distance(tables[1:, 0], permuted[1:, 0]) < 1.628 * math.sqrt(2 / 20000)
 
     def test_sixteen_aois_keep_permutations(self, monkeypatch):
         # (16 - 1)(16 - 1) x 22 > 295: the final test permutes, and its
@@ -686,6 +755,88 @@ class TestTableDraws:
         assert "tables" not in seen and len(seen) == 8
         assert exceed == {(1, 1): 182, (1, 2): 2, (2, 1): 25, (2, 2): 17,
                           (3, 1): 79, (3, 2): 125, (4, 1): 83, (4, 2): 9}
+
+
+class TestStateCountDraws:
+    """A test of a two-code target that does not draw tables draws each
+    surrogate as the tally of code 1 in every joint state of its columns."""
+
+    @pytest.mark.parametrize("sizes, ones", [
+        ([3, 1, 4, 1, 5, 9, 2, 6], 12), ([3, 1, 4, 1, 5, 9, 2, 6], 27),
+        ([10, 10], 1), ([7], 3), ([1] * 40, 20)])
+    def test_drawn_tallies_keep_the_margins(self, monkeypatch, sizes, ones):
+        # Code 1's tallies sum to its total and code 0's, the state sizes
+        # minus them, are never negative; blocks hold COUNT_DRAW_ROWS tallies
+        # whatever the block bound, and each state's mean is the
+        # hypergeometric mean within four standard errors.
+        sizes = np.array(sizes)
+        n, count = sizes.sum(), 5010
+        drawn = {}
+        for elements in (1, 10 ** 9):
+            monkeypatch.setattr(infocore, "SURROGATE_BLOCK_ELEMENTS", elements)
+            blocks = list(infocore._state_count_draws(np.random.default_rng(4),
+                                                      sizes, ones, count))
+            assert [len(b) for b in blocks] == [25] * 200 + [10]
+            drawn[elements] = np.concatenate(blocks)
+        tallies = drawn[1]
+        assert np.array_equal(tallies, drawn[10 ** 9])
+        assert (tallies.sum(axis=1) == ones).all()
+        assert tallies.min() >= 0 and (sizes - tallies).min() >= 0
+        if sizes.size > 1:
+            assert len(np.unique(tallies, axis=0)) > 1
+        mean = ones * sizes / n
+        var = ones * (sizes / n) * (1 - sizes / n) * (n - ones) / max(n - 1, 1)
+        assert (np.abs(tallies.mean(axis=0) - mean)
+                <= 4 * np.sqrt(var / count) + 1e-12).all()
+
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_row_zero_equals_the_permutation_reference(self, monkeypatch, step):
+        seen = record_draws(monkeypatch)
+        target, cond, cands = selection_step(2, step)
+        row = next(_cmi_blocks(target, cond, cands, 200, np.random.default_rng(0)))
+        expected = reference_cmi_rows(target, cond, cands, 0, None)
+        assert seen == ["counts"]
+        assert row.shape == (1, 6 - step) and row.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_count_null_matches_the_permutation_null(self, step):
+        # Surrogate maxima of a 5-candidate step 1 and of step 2 given lag 1
+        # on a lag-1 copy chain, 20 000 drawn as tallies and 20 000 permuted
+        # (reference) at pinned seeds (distances 0.0064 and 0.0142); the
+        # bound is the two-sample KS 1 % critical value, as for tables. A
+        # pilot of 200 chains and seed pairs per step read median distances
+        # of 0.0072 and 0.0083 and exceeded the bound in 1 and 2 of 200.
+        from gazeais import generate, lagged_copy_spec
+        series = embed(generate(lagged_copy_spec(1, 0.3), 300, seed=7),
+                       (1, 2, 3, 4, 5), 5)
+        lags = list(series.pasts.T)
+        cond, cands = lags[:step - 1], [(col,) for col in lags[step - 1:]]
+        drawn = np.concatenate(list(_cmi_blocks(series.targets, cond, cands, 20000,
+                                                np.random.default_rng(21))))
+        permuted = reference_cmi_rows(series.targets, cond, cands, 20000,
+                                      np.random.default_rng(22))
+        assert drawn[0].tobytes() == permuted[0].tobytes()
+        assert ks_distance(drawn[1:].max(axis=1), permuted[1:].max(axis=1)) < (
+            1.628 * math.sqrt(2 / 20000))
+
+    def test_memory_follows_the_rows(self, monkeypatch):
+        # 3000 binary symbols at k_max 12, given lags 1..6: about 2900 full
+        # states, and 7 groups of up to 128 states each. This peaked at
+        # 1.3 MiB; summing the tallies through the float64 one-hot matrix
+        # of full states by group states, which the product bound rules
+        # out here, peaked at 14.8 MiB.
+        seen = record_draws(monkeypatch)
+        seq = SymbolSequence(np.random.default_rng(12).integers(0, 2, 3000), 2)
+        series = embed(seq, range(1, 13), 12)
+        tracemalloc.start()
+        try:
+            max_statistic_test(range(7, 13), series, 200, seed=7,
+                               selected=range(1, 7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seen == ["counts"]
+        assert peak < 4 * 2 ** 20
 
 
 class TestGazeTransitionEntropy:
