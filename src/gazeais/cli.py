@@ -113,8 +113,8 @@ def _pipeline_params(args, collapse=False) -> PipelineParams:
 # ---------------------------------------------------------------------------
 
 def cmd_fixations(args) -> int:
-    trials = read_gaze_csv(args.input)
     params = _pipeline_params(args)
+    trials = read_gaze_csv(args.input)
     rows = []
     for trial in trials:
         for fix in trial_fixations(trial.samples, params):
@@ -128,9 +128,9 @@ def cmd_fixations(args) -> int:
 
 
 def cmd_scanpath(args) -> int:
+    params = _pipeline_params(args, collapse=_run_config(args).collapse_repeats)
     trials = read_gaze_csv(args.input)
     aois = load_aois(args.aois)
-    params = _pipeline_params(args, collapse=_run_config(args).collapse_repeats)
     records = [build_scanpath(trial, aois, params) for trial in trials]
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION,

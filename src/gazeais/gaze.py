@@ -18,6 +18,7 @@ import logging
 import math
 import warnings
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from numbers import Real
 from operator import itemgetter
@@ -130,6 +131,16 @@ class PipelineParams:
     max_duration_ms: float = 1500.0
     collapse_repeats: bool = False
 
+    def __post_init__(self):
+        # Every comparison with NaN is false, so a NaN threshold would
+        # silently drop every sample or fixation, or shrink every window
+        # to one sample.
+        for name in ("min_confidence", "dispersion_threshold",
+                     "min_duration_ms", "max_duration_ms"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"pipeline parameter {name} is NaN; "
+                                 f"give a number")
+
 
 @dataclass
 class ScanpathRecord:
@@ -199,9 +210,14 @@ def _finite(samples) -> np.ndarray:
             & np.isfinite(samples["confidence"]))
 
 
+def _retained(samples, finite: np.ndarray, min_confidence: float) -> np.ndarray:
+    """Mask of the samples in `finite` with confidence >= the threshold."""
+    return finite & (samples["confidence"] >= min_confidence)
+
+
 def filter_gaze(samples, min_confidence: float = 0.9) -> np.ndarray:
     """Keep the finite samples with confidence >= the threshold."""
-    return samples[_finite(samples) & (samples["confidence"] >= min_confidence)]
+    return samples[_retained(samples, _finite(samples), min_confidence)]
 
 
 def _window_ends(ts, min_duration: float) -> np.ndarray:
@@ -253,35 +269,77 @@ def _window_dispersion(rows: np.ndarray, ends: np.ndarray) -> np.ndarray:
         at = np.flatnonzero(levels == k)
         top = table[:, at]
         np.maximum(top, table[:, ends[at] - (1 << k) + 1], out=top)
-        # max - min == max + (-min) bit for bit
-        dispersion[at] = (top[0] + top[1]) + (top[2] + top[3])
+        dispersion[at] = _dispersion(top)
     return dispersion
 
 
-def _fixation_end(rows: np.ndarray, i: int, window_end: int,
-                  dispersion_threshold: float) -> int:
-    """Last sample of the fixation starting at i whose window ends at window_end.
+def _dispersion(top: np.ndarray) -> np.ndarray:
+    """The dispersion from maxima of x, -x, y and -y along the first axis.
 
-    The running dispersion from i never decreases, and the window is
-    within the threshold, so the fixation ends before the first sample
-    that takes it over. Running extremes are taken block by block: the
-    first block reaches 64 samples past the window, and each next one is
-    twice as long.
+    max - min == max + (-min) bit for bit.
+    """
+    return (top[0] + top[1]) + (top[2] + top[3])
+
+
+# Float elements of one gathered block in `_fixation_ends`. It bounds the
+# memory of growing many fixations at once, whatever their number.
+GROWTH_BLOCK_ELEMENTS = 1 << 16
+
+
+def _fixation_ends(rows: np.ndarray, starts: np.ndarray, window_ends: np.ndarray,
+                   dispersion_threshold: float) -> np.ndarray:
+    """Last sample of the fixation from each start, given its window's end.
+
+    Each window's dispersion is within the threshold, and the running
+    dispersion from a start never decreases, so its fixation ends before
+    the first later sample that takes it over, or on the last sample.
+
+    All starts grow at once, in blocks of (4, starts, span + 1) gathered
+    samples. Column 0 is the last sample already taken, the window's at
+    first, and holds the running maxima up to it; each window's come from
+    one reduction. Running maxima along the block give each sample's
+    dispersion. The first span is 64 samples. A start still within the
+    threshold at the end of its block takes a span twice as long next, up
+    to GROWTH_BLOCK_ELEMENTS / 4, and a block holds as many starts as that
+    bound allows.
     """
     n = rows.shape[1]
-    top = rows[:, i:i + 1]
-    start, size = i, window_end - i + 65
-    while start < n:
-        run = np.maximum(np.maximum.accumulate(rows[:, start:start + size],
-                                               axis=1), top)
-        over = np.flatnonzero((run[0] + run[1]) + (run[2] + run[3])
-                              > dispersion_threshold)
-        if over.size:
-            return start + int(over[0]) - 1
-        top = run[:, -1:]
-        start += size
-        size *= 2
-    return n - 1
+    last = np.full(len(starts), n - 1)
+    # A window that ends on the last sample is its whole fixation.
+    at = (window_ends < n - 1).nonzero()[0]
+    if not at.size:
+        return last
+    head = window_ends[at]
+    # Even segments are the windows; the odd ones are not read. The view
+    # ends one sample past the latest window, so no segment runs far.
+    marks = np.empty(2 * at.size, dtype=np.intp)
+    marks[0::2], marks[1::2] = starts[at], head + 1
+    top = np.maximum.reduceat(rows[:, :head.max() + 2], marks, axis=1)[:, ::2]
+    size = 64
+    while True:
+        per = max(GROWTH_BLOCK_ELEMENTS // (4 * (size + 1)), 1)
+        offsets = np.arange(size + 1)
+        within = np.empty(at.size, dtype=np.intp)
+        for lo in range(0, at.size, per):
+            span = slice(lo, lo + per)
+            # Past the last sample the clipped index repeats it, which
+            # leaves the running maxima as they are.
+            block = rows.take(head[span, None] + offsets, axis=1, mode="clip")
+            block[:, :, 0] = top[:, span]
+            np.maximum.accumulate(block, axis=2, out=block)
+            # The dispersion never decreases, so the columns within the
+            # threshold come first.
+            within[span] = np.add.reduce(
+                _dispersion(block) <= dispersion_threshold, axis=1)
+            top[:, span] = block[:, :, -1]
+        head += within - 1
+        last[at] = head
+        more = ((within > size) & (head < n - 1)).nonzero()[0]
+        if not more.size:
+            return np.minimum(last, n - 1)
+        at, head, top = at[more], head[more], top[:, more]
+        if 8 * size <= GROWTH_BLOCK_ELEMENTS:
+            size *= 2
 
 
 def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
@@ -296,8 +354,17 @@ def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
     `samples` is a `GAZE_DTYPE` array with finite x, y and timestamps, the
     timestamps strictly increasing; anything else raises ValueError.
 
-    Every start's window and its dispersion are computed at once, so the
-    Python loop runs once per fixation, not once per sample.
+    Every start's window and its dispersion are computed at once (a
+    `searchsorted` on the timestamps, a sparse table of running maxima),
+    which gives the candidate starts, those whose window is within the
+    threshold. A fixation's end depends only on its start, and the first
+    candidate after a fixation is either the next sample or a head: a
+    candidate whose previous sample is not one. So one batched
+    `_fixation_ends` call grows every head's fixation before the walk
+    along the chain of fixations, which runs on Python ints. The walk
+    grows a start on its own only where the previous fixation ended on
+    the sample before it, inside a run of candidates, as under steady
+    drift.
     """
     n = len(samples)
     if n == 0:
@@ -313,22 +380,37 @@ def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
     # last sample on, no window covers min_duration.
     starts = int(np.searchsorted(ends, n))
     rows = np.stack([xs, -xs, ys, -ys])
-    candidates = np.flatnonzero(
-        _window_dispersion(rows, ends[:starts]) <= dispersion_threshold)
-    fixations = []
-    pos = 0
-    while pos < len(candidates):
-        i = int(candidates[pos])
-        j = _fixation_end(rows, i, int(ends[i]), dispersion_threshold)
-        fixations.append(Fixation(
-            start_time=float(ts[i]),
-            duration=float((ts[j] - ts[i]) * 1000.0),
-            centroid_x=float(xs[i:j + 1].sum()) / (j - i + 1),
-            centroid_y=float(ys[i:j + 1].sum()) / (j - i + 1),
-            sample_count=int(j - i + 1),
-        ))
-        pos = int(np.searchsorted(candidates, j + 1))
-    return fixations
+    candidate = _window_dispersion(rows, ends[:starts]) <= dispersion_threshold
+    # A head is a candidate start whose previous sample is not one.
+    heads = np.flatnonzero(candidate & ~np.r_[False, candidate[:-1]])
+    grown = _fixation_ends(rows, heads, ends[heads], dispersion_threshold)
+    heads, grown = heads.tolist(), grown.tolist()
+    first, last = [], []
+    at = 0
+    while at < len(heads):
+        i, j = heads[at], grown[at]
+        first.append(i)
+        last.append(j)
+        # The first candidate after j is j + 1, grown here on its own,
+        # or else the first head after j.
+        while j + 1 < starts and candidate[j + 1]:
+            i = j + 1
+            j = int(_fixation_ends(rows, np.array([i]), ends[i:i + 1],
+                                   dispersion_threshold)[0])
+            first.append(i)
+            last.append(j)
+        at = bisect_right(heads, j, at)
+    begin, end = np.array(first, dtype=np.intp), np.array(last, dtype=np.intp)
+    # Each row of a slice of x and y is summed pairwise, as its own sum
+    # would be, so a centroid is bit for bit the per-sample loop's mean.
+    xy = rows[0::2]
+    sums = [np.add.reduce(xy[:, i:j + 1], axis=1).tolist()
+            for i, j in zip(first, last)]
+    return [Fixation(start_time=t, duration=d, centroid_x=sx / (j - i + 1),
+                     centroid_y=sy / (j - i + 1), sample_count=j - i + 1)
+            for t, d, i, j, (sx, sy) in zip(
+                ts[begin].tolist(), ((ts[end] - ts[begin]) * 1000.0).tolist(),
+                first, last, sums)]
 
 
 def filter_fixations(fixations, max_duration: float = 1500.0) -> List[Fixation]:
@@ -343,14 +425,15 @@ def _trial_stages(samples, params: PipelineParams):
     (non-finite) samples, finite samples below the confidence threshold,
     and fixations over the maximum duration.
     """
-    finite = int(np.count_nonzero(_finite(samples)))
-    kept = filter_gaze(samples, params.min_confidence)
+    finite = _finite(samples)
+    kept = samples[_retained(samples, finite, params.min_confidence)]
     detected = detect_fixations_idt(kept, params.dispersion_threshold,
                                     params.min_duration_ms)
     fixations = filter_fixations(detected, params.max_duration_ms)
+    valid = int(np.count_nonzero(finite))
     return fixations, {
-        "invalid_samples": len(samples) - finite,
-        "low_confidence_samples": finite - len(kept),
+        "invalid_samples": len(samples) - valid,
+        "low_confidence_samples": valid - len(kept),
         "long_fixations": len(detected) - len(fixations),
     }
 

@@ -226,6 +226,30 @@ class TestScanpathCommand:
         assert f"error: {aois}: {message}" in capsys.readouterr().err
 
 
+class TestPipelineFlags:
+    @pytest.mark.parametrize("command", ["fixations", "scanpath"])
+    @pytest.mark.parametrize("flag, field", [
+        ("--min-confidence", "min_confidence"),
+        ("--dispersion", "dispersion_threshold"),
+        ("--min-duration", "min_duration_ms"),
+        ("--max-duration", "max_duration_ms"),
+    ])
+    def test_nan_exit_2(self, tmp_path, capsys, command, flag, field):
+        # A NaN threshold compares false with everything, so it used to
+        # drop every fixation, or keep every one-window fixation.
+        gaze = tmp_path / "gaze.csv"
+        write_planted_gaze(gaze, [(400, 500), (1700, 300)])
+        aois = tmp_path / "aois.json"
+        aois.write_text(json.dumps(AOIS_JSON))
+        out = tmp_path / "out"
+        argv = [command, str(gaze), flag, "nan", "--out", str(out)]
+        if command == "scanpath":
+            argv += ["--aois", str(aois)]
+        assert main(argv) == 2
+        assert f"{field} is NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSimulateAndAis:
     def test_simulate_emits_oracle(self, tmp_path):
         spec = tmp_path / "spec.json"

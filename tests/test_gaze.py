@@ -291,6 +291,90 @@ class TestIdtMatchesReference:
         assert fixations[0].sample_count == (jump_at or n)
 
 
+def record_growth(monkeypatch):
+    """Record how many starts each `_fixation_ends` call grows."""
+    calls = []
+    grow = gaze_module._fixation_ends
+
+    def recorded(rows, starts, window_ends, dispersion_threshold):
+        calls.append(len(starts))
+        return grow(rows, starts, window_ends, dispersion_threshold)
+
+    monkeypatch.setattr(gaze_module, "_fixation_ends", recorded)
+    return calls
+
+
+def cluster_trace(dwells, rng=None):
+    """Stationary clusters at 120 Hz, 300 px apart along x, joined by
+    three saccade samples 75 px apart; `rng` adds up to 4 px of jitter."""
+    xs = []
+    for k, dwell in enumerate(dwells):
+        if k:
+            xs.extend(300.0 * k - 300.0 + step for step in (75.0, 150.0, 225.0))
+        xs.extend([300.0 * k] * dwell)
+    samples = np.zeros(len(xs), dtype=GAZE_DTYPE)
+    samples["timestamp"] = np.arange(len(xs)) / 120.0
+    samples["x"] = xs
+    samples["y"] = 200.0
+    if rng is not None:
+        samples["x"] += rng.uniform(-4, 4, len(xs))
+        samples["y"] += rng.uniform(-4, 4, len(xs))
+    samples["confidence"] = 1.0
+    return samples
+
+
+class TestIdtGrowth:
+    """Each head's fixation grows in one batched call; only a start that
+    follows a fixation within a run of candidates grows alone."""
+
+    check = staticmethod(TestIdtMatchesReference.check)
+
+    def test_drift_grows_each_chain_start_alone(self, monkeypatch):
+        # 1 px per sample: a fixation stops at 51 samples, 50 px, and the
+        # window from the next sample is within the threshold again.
+        samples = np.zeros(600, dtype=GAZE_DTYPE)
+        samples["timestamp"] = np.arange(600) / 120.0
+        samples["x"] = np.arange(600.0)
+        calls = record_growth(monkeypatch)
+        fixations = self.check(samples)
+        assert [f.sample_count for f in fixations] == [51] * 11 + [39]
+        assert calls == [1] * len(fixations)
+
+    @pytest.mark.parametrize("dwell", [30, 200])
+    def test_last_fixation_ends_on_last_sample(self, monkeypatch, dwell):
+        # The last cluster runs to the end of the trial, inside the first
+        # gathered block (30 samples) or a doubled one (200).
+        calls = record_growth(monkeypatch)
+        fixations = self.check(cluster_trace([40, dwell]))
+        assert [f.sample_count for f in fixations] == [40, dwell]
+        assert calls == [2]
+
+    @pytest.mark.parametrize("budget", [gaze_module.GROWTH_BLOCK_ELEMENTS, 600])
+    def test_batch_resolves_and_doubles(self, monkeypatch, budget):
+        # At 95 ms every window holds 13 samples, and with the 64 after it
+        # the first block covers a dwell of 77: a dwell of 76 ends there, on
+        # its saccade sample, and longer ones double their block. A budget
+        # of 600 elements puts two starts in a block and stops doubling at
+        # 128 samples.
+        monkeypatch.setattr(gaze_module, "GROWTH_BLOCK_ELEMENTS", budget)
+        dwells = [20, 300, 40, 150, 25, 700, 76, 77, 30]
+        calls = record_growth(monkeypatch)
+        fixations = self.check(cluster_trace(dwells, np.random.default_rng(3)),
+                               50.0, 95.0)
+        assert [f.sample_count for f in fixations] == dwells
+        assert calls == [len(dwells)]
+
+    def test_planted_clusters_grow_in_one_call(self, monkeypatch):
+        # Clusters joined by saccades start every fixation at a head, so
+        # no start grows alone: per-fixation growth would call once each.
+        rng = np.random.default_rng(17)
+        dwells = rng.integers(24, 72, 120).tolist()
+        calls = record_growth(monkeypatch)
+        fixations = self.check(cluster_trace(dwells, rng))
+        assert [f.sample_count for f in fixations] == dwells
+        assert calls == [len(dwells)]
+
+
 class TestIdtInputContract:
     @pytest.mark.parametrize("field", ["timestamp", "x", "y"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
