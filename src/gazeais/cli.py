@@ -24,7 +24,8 @@ from .experiment import (MEASURES, RunConfig, TrialResult, analyze_trial,
                          contrast_conditions, lag_histogram, read_run_config,
                          trial_seed)
 from .gaze import (PipelineParams, ScanpathRecord, _field, _json_list,
-                   build_scanpath, load_aois, read_gaze_csv, trial_fixations)
+                   _load_json, build_scanpath, load_aois, read_gaze_csv,
+                   trial_fixations)
 from .markov import analytic_ais, analytic_entropy, analytic_gte, generate, \
     load_markov_spec
 from .rng import derive_seed
@@ -69,11 +70,6 @@ def _write_csv(path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([_fmt(v) for v in row] for row in rows)
-
-
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _fmt(value) -> str:
@@ -139,20 +135,16 @@ def cmd_scanpath(args) -> int:
     return 0
 
 
-def _load_scanpath_records(path):
-    doc = _load_json(path)
-    try:
-        entries = _json_list(_field(doc, "trials", "scanpath file")
-                             if isinstance(doc, dict) else doc, "trials")
-        return [ScanpathRecord.from_dict(entry) for entry in entries]
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+def _scanpath_records(doc):
+    entries = _json_list(_field(doc, "trials", "scanpath file")
+                         if isinstance(doc, dict) else doc, "trials")
+    return [ScanpathRecord.from_dict(entry) for entry in entries]
 
 
 def cmd_ais(args) -> int:
     cfg = _run_config(args)
     ecfg = cfg.embedding_config()
-    records = _load_scanpath_records(args.input)
+    records = _load_json(args.input, _scanpath_records)
     records.sort(key=lambda r: (r.participant_id, r.trial_id))
     out_results = []
     for rec in records:
@@ -399,7 +391,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -68,6 +68,16 @@ def _trial_owner(doc) -> str:
     return " ".join(ids) or "trial entry"
 
 
+def _load_json(path, parse=lambda doc: doc):
+    """`parse` of the JSON document in the file `path`; malformed JSON, or
+    a ValueError from `parse`, is an error that names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _whole_number(value, what: str) -> int:
     """`value` as an int; a bool, a fraction or a non-number is an error."""
     if not _is_whole(value):
@@ -189,15 +199,18 @@ class ScanpathRecord:
             if bad is not None:
                 raise ValueError(f"{owner}: symbols[{bad}] must be a whole number, "
                                  f"got {symbols[bad]!r}")
+        alphabet_size = _whole_number(_field(doc, "alphabet_size", owner),
+                                      f"{owner}: alphabet_size")
+        try:  # an alphabet_size below 1, or a symbol outside the alphabet
+            seq = SymbolSequence(symbols, alphabet_size)
+        except ValueError as exc:
+            raise ValueError(f"{owner}: {exc}") from None
         counts = {key: _whole_number(doc.get(key, 0), f"{owner}: {key}")
                   for key in ("dropped_fixations", "invalid_samples",
                               "low_confidence_samples", "long_fixations")}
         return cls(trial_id=str(trial_id), participant_id=str(participant_id),
-                   condition=str(condition),
-                   symbols=np.asarray(symbols, dtype=np.int64),
-                   alphabet_size=_whole_number(_field(doc, "alphabet_size", owner),
-                                               f"{owner}: alphabet_size"),
-                   **counts)
+                   condition=str(condition), symbols=seq.symbols,
+                   alphabet_size=seq.alphabet_size, **counts)
 
 
 # ---------------------------------------------------------------------------
@@ -669,12 +682,7 @@ def load_aois(path) -> List[AOIRegion]:
     priorities, else the mapping would be ambiguous. Every error names the
     file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        return _aois_from_json(doc)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _load_json(path, _aois_from_json)
 
 
 def _aois_from_json(doc) -> List[AOIRegion]:

@@ -6,14 +6,13 @@ which the plug-in estimators are checked.
 """
 
 import itertools
-import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
 
-from .gaze import _field, _json_list, _whole_number
+from .gaze import _field, _json_list, _load_json, _whole_number
 from .sequences import SymbolSequence, _as_lag_tuple
 
 _PI_TOL = 1e-12
@@ -120,12 +119,7 @@ class MarkovSpec:
 
 
 def load_markov_spec(path) -> MarkovSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        return MarkovSpec.from_json_dict(doc)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _load_json(path, MarkovSpec.from_json_dict)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,9 @@ class CheckResult:
     detail: str
 
 
-def dense_entropy(rows, cols):
-    """Oracle: (plug-in entropy in bits, occupied cells) of the dense table
-    that tallies columns `cols` of the integer matrix `rows`.
+def dense_counts(rows, cols):
+    """Oracle: the occupied cells' counts of the dense table that tallies
+    columns `cols` of the integer matrix `rows`.
 
     The table spans every value tuple up to each column's maximum, so it is
     independent of the rank-compressed codes the estimators count.
@@ -41,8 +41,15 @@ def dense_entropy(rows, cols):
     sub = np.asarray(rows, dtype=np.int64)[:, list(cols)]
     counts = np.zeros(tuple(sub.max(axis=0) + 1), dtype=np.int64)
     np.add.at(counts, tuple(sub.T), 1)
-    p = counts[counts > 0] / float(len(sub))
-    return float(-(p * np.log2(p)).sum()), int(np.count_nonzero(counts))
+    return counts[counts > 0]
+
+
+def dense_entropy(rows, cols):
+    """Oracle: (float plug-in entropy in bits, occupied cells) of the
+    `dense_counts` tally."""
+    counts = dense_counts(rows, cols)
+    p = counts / float(len(rows))
+    return float(-(p * np.log2(p)).sum()), counts.size
 
 
 def dense_estimate(rows, *terms):

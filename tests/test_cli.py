@@ -429,6 +429,51 @@ class TestMissingFields:
         assert f"error: {results}: {message}" in capsys.readouterr().err
 
 
+class TestMalformedInputs:
+    """JSON that does not parse, and symbols outside the alphabet, name the
+    file (and the trial) in the error."""
+
+    @staticmethod
+    def results(tmp_path):
+        results = tmp_path / "results.json"
+        assert main(["ais", str(TestMissingFields.scanpaths(tmp_path)), "--nperm", "20",
+                     "--out", str(results)]) == 0
+        return results
+
+    @pytest.mark.parametrize("command", ["ais", "compare", "simulate", "scanpath"])
+    def test_truncated_json_exit_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"trials": [')
+        gaze = tmp_path / "gaze.csv"
+        write_planted_gaze(gaze, [(400, 500)])
+        argv = {"ais": ["ais", str(bad)],
+                # The broken file comes second, after one that parses.
+                "compare": ["compare", str(self.results(tmp_path)), str(bad)],
+                "simulate": ["simulate", str(bad), "--length", "10"],
+                "scanpath": ["scanpath", str(gaze), "--aois", str(bad)]}[command]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert (f"error: {bad}: Expecting value: line 1 column 13 (char 12)"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("symbols, alphabet_size, message", [
+        ([0, 1, 5], 4, "symbol ids must lie in [0, 4), found range [0, 5]"),
+        ([-1, 0, 1], 4, "symbol ids must lie in [0, 4), found range [-1, 1]"),
+        ([0, 0], 0, "alphabet_size must be >= 1"),
+    ], ids=["above", "negative", "no-alphabet"])
+    @pytest.mark.parametrize("command", ["ais", "compare"])
+    def test_symbols_outside_the_alphabet_exit_2(self, tmp_path, capsys, command,
+                                                 symbols, alphabet_size, message):
+        path = (TestMissingFields.scanpaths(tmp_path) if command == "ais"
+                else self.results(tmp_path))
+        doc = json.loads(path.read_text())
+        entry = doc["trials" if command == "ais" else "results"][1]
+        entry.update(symbols=symbols, alphabet_size=alphabet_size)
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        assert (f"error: {path}: participant 'p0' trial 't001': {message}"
+                in capsys.readouterr().err)
+
+
 class TestCompareCommand:
     def _make_results(self, tmp_path, n_trials=4, length=150):
         spec_a = tmp_path / "spec_a.json"

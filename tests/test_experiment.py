@@ -74,37 +74,32 @@ class TestAnalyzeTrial:
 
     @pytest.mark.parametrize("draw_rows, path", [(0, "tables"), (10 ** 9, "permutations")])
     def test_final_test_observes_the_reported_ais(self, monkeypatch, draw_rows, path):
-        # The final test's observed statistic is the plug-in AIS it reports
-        # on, whichever way its surrogates are drawn. The two are summed
-        # differently, so they agree to rounding, not always bit for bit.
+        # The final test's observed statistic is the reported plug-in AIS bit
+        # for bit, whichever way its surrogates are drawn: as tables, as
+        # tallies per state (a binary target) or as permutations. `path` is
+        # that of the 4-symbol trials.
         from gazeais import experiment, infocore, lagged_copy_spec
         monkeypatch.setattr(infocore, "TABLE_DRAW_ROWS", draw_rows)
-        paths, observed = [], []
-        draw, final = infocore._table_blocks, experiment.test_final_ais
-        monkeypatch.setattr(infocore, "_table_blocks",
-                            lambda *args: paths.append("tables") or draw(*args))
+        drawn, observed = [], []
+        for name, label in (("_table_blocks", "tables"), ("_state_count_sums", "tallies")):
+            monkeypatch.setattr(infocore, name, lambda *args, draw=getattr(infocore, name),
+                                label=label: drawn.append(label) or draw(*args))
+        final = experiment.test_final_ais
 
         def spied(*args, **kwargs):
+            drawn.clear()  # the selection's own draws
             result = final(*args, **kwargs)
-            observed.append(result.observed_statistic)
+            observed.append((result.observed_statistic, drawn or ["permutations"]))
             return result
         monkeypatch.setattr(experiment, "test_final_ais", spied)
         cfg = EmbeddingConfig(k_max=3, n_perm=50, seed=4)
-        for spec in (persistence_spec(0.8), lagged_copy_spec(2, 0.6, m=4)):
+        binary = "tallies" if draw_rows else "tables"
+        for spec, drew in ((persistence_spec(0.8), binary),
+                           (lagged_copy_spec(2, 0.6, m=4), path)):
             for seed in range(3):
-                paths.clear()
                 res = analyze_trial(generate(spec, 200, seed=seed), cfg)
                 assert res.selected_lags.lags and len(observed) == 1
-                assert (paths or ["permutations"]) == [path]
-                assert math.isclose(observed.pop(), res.ais.plugin_value,
-                                    rel_tol=1e-9, abs_tol=1e-12)
-
-        def shifted(*args, **kwargs):
-            result = final(*args, **kwargs)
-            return replace(result, observed_statistic=result.observed_statistic + 1e-6)
-        monkeypatch.setattr(experiment, "test_final_ais", shifted)
-        with pytest.raises(RuntimeError, match="trial t7: the final AIS test observed"):
-            analyze_trial(generate(persistence_spec(0.8), 200, seed=0), cfg, trial_id="t7")
+                assert observed.pop() == (res.ais.plugin_value, [drew])
 
 
 class TestTrialResultRoundTrip:

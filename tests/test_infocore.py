@@ -11,7 +11,7 @@ from gazeais import infocore
 from gazeais import test_final_ais as final_ais_test
 from gazeais.infocore import _cmi_blocks
 from gazeais.stats import TAILS, _permutation_p
-from gazeais.validate import dense_entropy, dense_estimate
+from gazeais.validate import dense_counts, dense_entropy, dense_estimate
 
 LN2 = math.log(2.0)
 TOL = 1e-12
@@ -268,15 +268,20 @@ class TestLargeAlphabets:
         assert result.p_value == 9 / 201  # the value dense counting gives
 
     def test_equals_table_estimator_bit_for_bit(self):
-        # AIS, H(X_t) and GTE against the dense-table oracle of `validate`:
-        # the same occupied cells in the same order give the same floats.
+        # AIS, H(X_t) and GTE against the dense tally of `validate`, each
+        # entropy summed as (n log2 n - sum c log2 c) / n in the fixed-point
+        # terms of `_clogc`: the same counts give the same floats.
         def fields(est):
             return (est.plugin_value, est.bias_correction, est.corrected_value,
                     est.sample_count)
 
         def oracle(rows, *terms):
-            plugin, corr = dense_estimate(rows, *terms)
-            return plugin, corr, plugin + corr, len(rows)
+            n = len(rows)
+            clogc, scale = infocore._clogc(n)
+            plugin = sum(sign * (int(clogc[n]) - int(clogc[dense_counts(rows, cols)].sum()))
+                         for cols, sign in terms) / (scale * n)
+            corr = dense_estimate(rows, *terms)[1]
+            return plugin, corr, plugin + corr, n
 
         rng = np.random.default_rng(17)
         for _ in range(60):
@@ -296,6 +301,26 @@ class TestLargeAlphabets:
             pairs = np.column_stack([seq.symbols[1:], seq.symbols[:-1]])
             assert fields(gaze_transition_entropy(seq)) == oracle(
                 pairs, ((0, 1), 1), ((1,), -1))
+
+    def test_fixed_point_bound_at_a_hundred_thousand_rows(self):
+        # Each c log2 c term is rounded to 1/scale, which moves an entropy
+        # by at most 0.5/scale bits, 4.5e-13 at n = 10^5. Over 16 symbols
+        # and lags {1, 2} only 1 + 16 + 256 + 4096 terms can round, so AIS
+        # stays far inside that bound too, as does the float oracle's own
+        # rounding.
+        n = 10 ** 5
+        bound = 0.5 / infocore._clogc(n)[1]
+        assert 4.5e-13 < bound < 4.6e-13
+        seq = SymbolSequence(np.random.default_rng(100).integers(0, 16, n + 2), 16)
+        series = embed(seq, (1, 2), 2)
+        rows = np.column_stack([series.targets, series.pasts])
+        pairs = np.column_stack([seq.symbols[1:], seq.symbols[:-1]])
+        for est, table, terms in (
+                (next_symbol_entropy(seq, 2), rows, [((0,), 1)]),
+                (active_information_storage(seq, (1, 2), 2), rows,
+                 [((0,), 1), ((1, 2), 1), ((0, 1, 2), -1)]),
+                (gaze_transition_entropy(seq), pairs, [((0, 1), 1), ((1,), -1)])):
+            assert abs(est.plugin_value - dense_estimate(table, *terms)[0]) <= bound
 
 
 def reference_rows(codes, cond, cands):
