@@ -33,6 +33,10 @@ from .validate import run_all
 
 SCHEMA_VERSION = 1
 
+# (flag, key) of the selection settings, which `ais` records for `compare`.
+_SELECTION_SETTINGS = (("kmax", "k_max"), ("alpha", "alpha"),
+                      ("nperm", "n_perm_selection"))
+
 
 def _round12(obj):
     """Round every float to 12 significant digits for stable output files."""
@@ -80,13 +84,18 @@ def _settings(args) -> dict:
     """The settings given for this run: the `--config` file's, overridden
     by flags."""
     settings = read_run_config(args.config) if getattr(args, "config", None) else {}
-    for flag, key in (("seed", "seed"), ("kmax", "k_max"), ("alpha", "alpha"),
-                      ("nperm", "n_perm_selection"), ("tail", "tail"),
-                      ("nperm_comparison", "n_perm_comparison"),
-                      ("collapse_repeats", "collapse_repeats")):
+    for flag, key in _SELECTION_SETTINGS + (
+            ("seed", "seed"), ("tail", "tail"),
+            ("nperm_comparison", "n_perm_comparison"),
+            ("collapse_repeats", "collapse_repeats")):
         if getattr(args, flag, None) is not None:
             settings[key] = getattr(args, flag)
     return settings
+
+
+def _selection(cfg: RunConfig) -> dict:
+    """The selection settings of `cfg`, by key."""
+    return {key: getattr(cfg, key) for _, key in _SELECTION_SETTINGS}
 
 
 def _run_config(args) -> RunConfig:
@@ -135,6 +144,16 @@ def cmd_scanpath(args) -> int:
     return 0
 
 
+def _add_trial(seen, rec, path):
+    """Note that `rec`'s trial was read from `path`; a trial read twice is
+    an error."""
+    key = (rec.participant_id, rec.condition, rec.trial_id)
+    if key in seen:
+        raise ValueError(f"{path}: duplicate trial (participant, condition, "
+                         f"trial) = {key}, first read from {seen[key]}")
+    seen[key] = path
+
+
 def _scanpath_records(doc):
     entries = _json_list(_field(doc, "trials", "scanpath file")
                          if isinstance(doc, dict) else doc, "trials")
@@ -145,6 +164,9 @@ def cmd_ais(args) -> int:
     cfg = _run_config(args)
     ecfg = cfg.embedding_config()
     records = _load_json(args.input, _scanpath_records)
+    seen = {}
+    for rec in records:
+        _add_trial(seen, rec, args.input)
     records.sort(key=lambda r: (r.participant_id, r.trial_id))
     out_results = []
     for rec in records:
@@ -158,9 +180,7 @@ def cmd_ais(args) -> int:
         out_results.append(entry)
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION,
-        "config": {"k_max": cfg.k_max, "alpha": cfg.alpha,
-                   "n_perm_selection": cfg.n_perm_selection,
-                   "seed": cfg.seed},
+        "config": {**_selection(cfg), "seed": cfg.seed},
         "results": out_results,
     })
     return 0
@@ -178,7 +198,7 @@ def _load_ais_results(paths):
                              f"`gazeais ais`")
         if config is None:
             config, config_path = doc["config"], path
-            for key in ("k_max", "alpha", "n_perm_selection"):
+            for _, key in _SELECTION_SETTINGS:
                 _field(config, key, f"{path}: config")
         elif doc["config"] != config:
             raise ValueError(f"{path}: `ais` config {doc['config']} differs "
@@ -194,12 +214,7 @@ def _load_ais_results(paths):
                 result = TrialResult.from_dict(entry)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
-            key = (rec.participant_id, rec.condition, rec.trial_id)
-            if key in seen:
-                raise ValueError(f"{path}: duplicate trial (participant, "
-                                 f"condition, trial) = {key}, first read "
-                                 f"from {seen[key]}")
-            seen[key] = path
+            _add_trial(seen, rec, path)
             by_participant.setdefault(rec.participant_id, []).append((rec, result))
     return by_participant, config
 
@@ -218,8 +233,7 @@ def cmd_compare(args) -> int:
     by_participant, recorded = _load_ais_results(args.inputs)
     # Selection settings come from `ais`; the `--config` file and flags may
     # only repeat them.
-    for flag, key in (("kmax", "k_max"), ("alpha", "alpha"),
-                      ("nperm", "n_perm_selection")):
+    for flag, key in _SELECTION_SETTINGS:
         given = settings.setdefault(key, recorded[key])
         if given != recorded[key]:
             source = f"--{flag}" if getattr(args, flag) is not None else args.config
@@ -239,8 +253,7 @@ def cmd_compare(args) -> int:
     hist = lag_histogram(all_results, cfg.k_max)
     _write_json(out_dir / "comparison.json", {
         "schema_version": SCHEMA_VERSION,
-        "config": {"k_max": cfg.k_max, "alpha": cfg.alpha,
-                   "n_perm_selection": cfg.n_perm_selection,
+        "config": {**_selection(cfg),
                    "n_perm_comparison": cfg.n_perm_comparison,
                    "tail": cfg.tail, "seed": cfg.seed},
         "lag_histogram": hist.to_dict(),
@@ -305,9 +318,9 @@ def cmd_validate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
+def _add_common(sub, seed_help="master seed for all randomness"):
     sub.add_argument("--config", help="run configuration file (key = value lines)")
-    sub.add_argument("--seed", type=int, help="master seed for all randomness")
+    sub.add_argument("--seed", type=int, help=seed_help)
     sub.add_argument("--out", required=True, help="output path")
 
 
@@ -341,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("scanpath", help="build AOI symbol sequences from a gaze CSV")
     p.add_argument("input", help="gaze CSV")
     p.add_argument("--aois", required=True, help="AOI definitions JSON")
-    _add_common(p)
+    _add_common(p, seed_help="unused: building scanpaths draws no randomness")
     _add_pipeline_flags(p)
     p.add_argument("--collapse-repeats", action="store_true", default=None,
                    dest="collapse_repeats",

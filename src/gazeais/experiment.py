@@ -60,13 +60,13 @@ def _parse_bool(value: str) -> bool:
 
 def read_run_config(path) -> dict:
     """The settings of a `key = value` file, converted, by key; '#' starts a
-    comment; unknown keys error."""
+    comment; an unknown key, or a key set twice, is an error."""
     converters = {
         "k_max": int, "alpha": float, "n_perm_selection": int,
         "n_perm_comparison": int, "seed": int, "tail": str,
         "collapse_repeats": _parse_bool,
     }
-    settings = {}
+    settings, set_on = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -77,6 +77,10 @@ def read_run_config(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in converters:
                 raise ValueError(f"config line {line_no}: unknown key {key!r}")
+            if key in set_on:
+                raise ValueError(f"config line {line_no}: key {key!r} is "
+                                 f"already set on line {set_on[key]}")
+            set_on[key] = line_no
             try:
                 settings[key] = converters[key](value)
             except ValueError as exc:

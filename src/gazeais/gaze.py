@@ -264,8 +264,8 @@ def _window_ends(ts, min_duration: float) -> np.ndarray:
     return ends
 
 
-def _window_dispersion(rows: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """(max x - min x) + (max y - min y) over samples i..ends[i], per i.
+def _window_extremes(rows: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Maxima of x, -x, y and -y over samples i..ends[i], as (4, starts).
 
     `rows` holds x, -x, y and -y, so a maximum gives every extreme. A
     sparse table answers each window from two overlapping blocks of 2**k
@@ -273,17 +273,17 @@ def _window_dispersion(rows: np.ndarray, ends: np.ndarray) -> np.ndarray:
     only up to the longest window, so memory stays linear in n.
     """
     levels = np.frexp(ends - np.arange(len(ends)) + 1)[1] - 1
-    dispersion = np.empty(len(ends))
+    extremes = np.empty((4, len(ends)))
     table = rows
     for k in range(int(levels.max(initial=-1)) + 1):
         if k:
             half = 1 << (k - 1)
             table = np.maximum(table[:, :-half], table[:, half:])
         at = np.flatnonzero(levels == k)
-        top = table[:, at]
-        np.maximum(top, table[:, ends[at] - (1 << k) + 1], out=top)
-        dispersion[at] = _dispersion(top)
-    return dispersion
+        top = table.take(at, axis=1)
+        np.maximum(top, table.take(ends[at] - (1 << k) + 1, axis=1), out=top)
+        extremes[:, at] = top
+    return extremes
 
 
 def _dispersion(top: np.ndarray) -> np.ndarray:
@@ -299,35 +299,26 @@ def _dispersion(top: np.ndarray) -> np.ndarray:
 GROWTH_BLOCK_ELEMENTS = 1 << 16
 
 
-def _fixation_ends(rows: np.ndarray, starts: np.ndarray, window_ends: np.ndarray,
+def _fixation_ends(rows: np.ndarray, top: np.ndarray, window_ends: np.ndarray,
                    dispersion_threshold: float) -> np.ndarray:
-    """Last sample of the fixation from each start, given its window's end.
+    """Last sample of each fixation, given its window's end and maxima.
 
-    Each window's dispersion is within the threshold, and the running
-    dispersion from a start never decreases, so its fixation ends before
-    the first later sample that takes it over, or on the last sample.
+    `top` holds the maxima of x, -x, y and -y over each window, whose
+    dispersion is within the threshold. The running dispersion from a
+    start never decreases, so its fixation ends before the first later
+    sample that takes it over, or on the last sample.
 
-    All starts grow at once, in blocks of (4, starts, span + 1) gathered
+    All fixations grow at once, in blocks of (4, starts, span + 1) gathered
     samples. Column 0 is the last sample already taken, the window's at
-    first, and holds the running maxima up to it; each window's come from
-    one reduction. Running maxima along the block give each sample's
-    dispersion. The first span is 64 samples. A start still within the
-    threshold at the end of its block takes a span twice as long next, up
-    to GROWTH_BLOCK_ELEMENTS / 4, and a block holds as many starts as that
-    bound allows.
+    first, and holds the running maxima up to it. Running maxima along the
+    block give each sample's dispersion. The first span is 64 samples. A
+    start still within the threshold at the end of its block takes a span
+    twice as long next, up to GROWTH_BLOCK_ELEMENTS / 4, and a block holds
+    as many starts as that bound allows.
     """
     n = rows.shape[1]
-    last = np.full(len(starts), n - 1)
-    # A window that ends on the last sample is its whole fixation.
-    at = (window_ends < n - 1).nonzero()[0]
-    if not at.size:
-        return last
-    head = window_ends[at]
-    # Even segments are the windows; the odd ones are not read. The view
-    # ends one sample past the latest window, so no segment runs far.
-    marks = np.empty(2 * at.size, dtype=np.intp)
-    marks[0::2], marks[1::2] = starts[at], head + 1
-    top = np.maximum.reduceat(rows[:, :head.max() + 2], marks, axis=1)[:, ::2]
+    last = np.empty(len(window_ends), dtype=np.intp)
+    at, head, top = np.arange(len(window_ends)), window_ends.copy(), top.copy()
     size = 64
     while True:
         per = max(GROWTH_BLOCK_ELEMENTS // (4 * (size + 1)), 1)
@@ -367,17 +358,17 @@ def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
     `samples` is a `GAZE_DTYPE` array with finite x, y and timestamps, the
     timestamps strictly increasing; anything else raises ValueError.
 
-    Every start's window and its dispersion are computed at once (a
+    Every start's window and its maxima are computed at once (a
     `searchsorted` on the timestamps, a sparse table of running maxima),
     which gives the candidate starts, those whose window is within the
     threshold. A fixation's end depends only on its start, and the first
     candidate after a fixation is either the next sample or a head: a
     candidate whose previous sample is not one. So one batched
-    `_fixation_ends` call grows every head's fixation before the walk
-    along the chain of fixations, which runs on Python ints. The walk
-    grows a start on its own only where the previous fixation ended on
-    the sample before it, inside a run of candidates, as under steady
-    drift.
+    `_fixation_ends` call grows every head's fixation from its window's
+    maxima before the walk along the chain of fixations, which runs on
+    Python ints. The walk grows a start on its own only where the
+    previous fixation ended on the sample before it, inside a run of
+    candidates, as under steady drift.
     """
     n = len(samples)
     if n == 0:
@@ -393,10 +384,12 @@ def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
     # last sample on, no window covers min_duration.
     starts = int(np.searchsorted(ends, n))
     rows = np.stack([xs, -xs, ys, -ys])
-    candidate = _window_dispersion(rows, ends[:starts]) <= dispersion_threshold
+    extremes = _window_extremes(rows, ends[:starts])
+    candidate = _dispersion(extremes) <= dispersion_threshold
     # A head is a candidate start whose previous sample is not one.
     heads = np.flatnonzero(candidate & ~np.r_[False, candidate[:-1]])
-    grown = _fixation_ends(rows, heads, ends[heads], dispersion_threshold)
+    grown = _fixation_ends(rows, extremes[:, heads], ends[heads],
+                           dispersion_threshold)
     heads, grown = heads.tolist(), grown.tolist()
     first, last = [], []
     at = 0
@@ -408,7 +401,7 @@ def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
         # or else the first head after j.
         while j + 1 < starts and candidate[j + 1]:
             i = j + 1
-            j = int(_fixation_ends(rows, np.array([i]), ends[i:i + 1],
+            j = int(_fixation_ends(rows, extremes[:, i:i + 1], ends[i:i + 1],
                                    dispersion_threshold)[0])
             first.append(i)
             last.append(j)

@@ -314,6 +314,20 @@ class TestSimulateAndAis:
         assert h == 0.0 and math.copysign(1.0, h) == 1.0
         assert "-0.0" not in text
 
+    def test_ais_rejects_duplicate_trials(self, tmp_path, capsys):
+        trial = {"trial_id": "t0", "participant_id": "p0", "condition": "TC",
+                 "symbols": [int(v) for v in np.arange(60) % 2],
+                 "alphabet_size": 2, "dropped_fixations": 0}
+        src = tmp_path / "scan.json"
+        src.write_text(json.dumps({"schema_version": 1,
+                                   "trials": [trial, dict(trial)]}))
+        out = tmp_path / "results.json"
+        assert main(["ais", str(src), "--seed", "3", "--out", str(out)]) == 2
+        assert (f"{src}: duplicate trial (participant, condition, trial) = "
+                f"('p0', 'TC', 't0'), first read from {src}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_short_trial_skip_record_exit_zero(self, tmp_path):
         doc = {"schema_version": 1, "trials": [{
             "trial_id": "t0", "participant_id": "p0", "condition": "TC",

@@ -280,6 +280,14 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown key"):
             parse_run_config(path)
 
+    def test_key_set_twice(self, tmp_path):
+        # The later value must not silently win.
+        path = tmp_path / "run.cfg"
+        path.write_text("k_max = 3\nalpha = 0.01\nk_max = 5\n")
+        with pytest.raises(ValueError, match=(
+                "config line 3: key 'k_max' is already set on line 1")):
+            parse_run_config(path)
+
     def test_boolean_words(self, tmp_path):
         path = tmp_path / "run.cfg"
         for word, value in (("YES", True), ("On", True), ("1", True),

@@ -296,9 +296,9 @@ def record_growth(monkeypatch):
     calls = []
     grow = gaze_module._fixation_ends
 
-    def recorded(rows, starts, window_ends, dispersion_threshold):
-        calls.append(len(starts))
-        return grow(rows, starts, window_ends, dispersion_threshold)
+    def recorded(rows, top, window_ends, dispersion_threshold):
+        calls.append(len(window_ends))
+        return grow(rows, top, window_ends, dispersion_threshold)
 
     monkeypatch.setattr(gaze_module, "_fixation_ends", recorded)
     return calls
