@@ -12,6 +12,7 @@ over `RunConfig` defaults. `compare` takes the selection settings that
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import replace
@@ -24,8 +25,8 @@ from .experiment import (MEASURES, RunConfig, TrialResult, analyze_trial,
                          contrast_conditions, lag_histogram, read_run_config,
                          trial_seed)
 from .gaze import (PipelineParams, ScanpathRecord, _field, _json_list,
-                   _load_json, build_scanpath, load_aois, read_gaze_csv,
-                   trial_fixations)
+                   _load_json, _trial_stages, build_scanpath, load_aois,
+                   read_gaze_csv)
 from .markov import analytic_ais, analytic_entropy, analytic_gte, generate, \
     load_markov_spec
 from .rng import derive_seed
@@ -69,11 +70,29 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, rows=(), runs=()):
+    """Write `header`, the `rows` with each value through `_fmt`, then the
+    `runs`.
+
+    A run is (fields, columns): rows that share their text fields, with
+    None in `fields` where a float column of `columns` goes. Its rows are
+    formatted in one step from a %-template, one line that csv.writer
+    quotes once, with each % of a text field doubled. '%.12g' formats a
+    float as `_fmt` does.
+    """
     with _open_out(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([_fmt(v) for v in row] for row in rows)
+        line = io.StringIO()
+        template = csv.writer(line)
+        for fields, columns in runs:
+            line.seek(0)
+            line.truncate()
+            template.writerow(["%.12g" if f is None else f.replace("%", "%%")
+                               for f in fields])
+            values = np.column_stack(columns).ravel().tolist()
+            fh.write(line.getvalue() * len(columns[0]) % tuple(values))
 
 
 def _fmt(value) -> str:
@@ -117,18 +136,23 @@ def _pipeline_params(args, collapse=False) -> PipelineParams:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _fixation_runs(trials, params):
+    """Each trial's fixations as one `_write_csv` run."""
+    for trial in trials:
+        fixations = _trial_stages(trial.samples, params)[0]
+        yield ((trial.trial_id, None, None, None, None, trial.participant_id),
+               (fixations.start_time, fixations.duration,
+                fixations.centroid_x, fixations.centroid_y))
+
+
 def cmd_fixations(args) -> int:
     params = _pipeline_params(args)
     trials = read_gaze_csv(args.input)
-    rows = []
-    for trial in trials:
-        for fix in trial_fixations(trial.samples, params):
-            rows.append((trial.trial_id, fix.start_time, fix.duration,
-                         fix.centroid_x, fix.centroid_y, trial.participant_id))
     # participant_id comes last, so readers that index the earlier columns
     # by position keep working.
     _write_csv(args.out, ["trial_id", "start_time", "duration_ms",
-                          "centroid_x", "centroid_y", "participant_id"], rows)
+                          "centroid_x", "centroid_y", "participant_id"],
+               runs=_fixation_runs(trials, params))
     return 0
 
 

@@ -60,12 +60,17 @@ def _parse_bool(value: str) -> bool:
 
 def read_run_config(path) -> dict:
     """The settings of a `key = value` file, converted, by key; '#' starts a
-    comment; an unknown key, or a key set twice, is an error."""
+    comment; an unknown key, or a key set twice, is an error that names the
+    file and the line."""
     converters = {
         "k_max": int, "alpha": float, "n_perm_selection": int,
         "n_perm_comparison": int, "seed": int, "tail": str,
         "collapse_repeats": _parse_bool,
     }
+
+    def error(line_no, what):
+        return ValueError(f"{path}: config line {line_no}: {what}")
+
     settings, set_on = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -73,18 +78,18 @@ def read_run_config(path) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"config line {line_no}: expected 'key = value'")
+                raise error(line_no, "expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in converters:
-                raise ValueError(f"config line {line_no}: unknown key {key!r}")
+                raise error(line_no, f"unknown key {key!r}")
             if key in set_on:
-                raise ValueError(f"config line {line_no}: key {key!r} is "
-                                 f"already set on line {set_on[key]}")
+                raise error(line_no, f"key {key!r} is already set on line "
+                                     f"{set_on[key]}")
             set_on[key] = line_no
             try:
                 settings[key] = converters[key](value)
             except ValueError as exc:
-                raise ValueError(f"config line {line_no}: {exc}") from None
+                raise error(line_no, exc) from None
     return settings
 
 

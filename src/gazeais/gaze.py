@@ -12,6 +12,7 @@ rectangles are half-open ([x_min, x_max) x [y_min, y_max)) so adjacent regions
 partition cleanly, and overlaps are resolved by explicit priority.
 """
 
+import codecs
 import csv
 import json
 import logging
@@ -20,9 +21,10 @@ import warnings
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from numbers import Real
 from operator import itemgetter
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -92,6 +94,20 @@ class Fixation:
     centroid_x: float
     centroid_y: float
     sample_count: int
+
+
+class _Fixations(NamedTuple):
+    """Fixations as columns: one array per field of `Fixation`."""
+
+    start_time: np.ndarray
+    duration: np.ndarray
+    centroid_x: np.ndarray
+    centroid_y: np.ndarray
+    sample_count: np.ndarray
+
+    def to_list(self) -> List[Fixation]:
+        return [Fixation(*fields)
+                for fields in zip(*(column.tolist() for column in self))]
 
 
 @dataclass(frozen=True)
@@ -357,6 +373,13 @@ def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
     it; otherwise slide forward by one sample. Fixations never overlap.
     `samples` is a `GAZE_DTYPE` array with finite x, y and timestamps, the
     timestamps strictly increasing; anything else raises ValueError.
+    """
+    return _idt_columns(samples, dispersion_threshold, min_duration).to_list()
+
+
+def _idt_columns(samples, dispersion_threshold: float,
+                 min_duration: float) -> _Fixations:
+    """`detect_fixations_idt`'s fixations as columns.
 
     Every start's window and its maxima are computed at once (a
     `searchsorted` on the timestamps, a sparse table of running maxima),
@@ -372,7 +395,8 @@ def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
     """
     n = len(samples)
     if n == 0:
-        return []
+        none = np.zeros(0)
+        return _Fixations(none, none, none, none, np.zeros(0, dtype=np.intp))
     ts, xs, ys = samples["timestamp"], samples["x"], samples["y"]
     if not (np.isfinite(ts).all() and np.isfinite(xs).all()
             and np.isfinite(ys).all()):
@@ -407,16 +431,14 @@ def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
             last.append(j)
         at = bisect_right(heads, j, at)
     begin, end = np.array(first, dtype=np.intp), np.array(last, dtype=np.intp)
+    count = end - begin + 1
     # Each row of a slice of x and y is summed pairwise, as its own sum
     # would be, so a centroid is bit for bit the per-sample loop's mean.
     xy = rows[0::2]
-    sums = [np.add.reduce(xy[:, i:j + 1], axis=1).tolist()
-            for i, j in zip(first, last)]
-    return [Fixation(start_time=t, duration=d, centroid_x=sx / (j - i + 1),
-                     centroid_y=sy / (j - i + 1), sample_count=j - i + 1)
-            for t, d, i, j, (sx, sy) in zip(
-                ts[begin].tolist(), ((ts[end] - ts[begin]) * 1000.0).tolist(),
-                first, last, sums)]
+    sums = np.array([np.add.reduce(xy[:, i:j + 1], axis=1)
+                     for i, j in zip(first, last)]).reshape(-1, 2)
+    return _Fixations(ts[begin], (ts[end] - ts[begin]) * 1000.0,
+                      sums[:, 0] / count, sums[:, 1] / count, count)
 
 
 def filter_fixations(fixations, max_duration: float = 1500.0) -> List[Fixation]:
@@ -425,7 +447,7 @@ def filter_fixations(fixations, max_duration: float = 1500.0) -> List[Fixation]:
 
 
 def _trial_stages(samples, params: PipelineParams):
-    """`trial_fixations` plus what each stage discarded.
+    """`trial_fixations` as columns, plus what each stage discarded.
 
     The counts are keyed by their `ScanpathRecord` field names: invalid
     (non-finite) samples, finite samples below the confidence threshold,
@@ -433,21 +455,21 @@ def _trial_stages(samples, params: PipelineParams):
     """
     finite = _finite(samples)
     kept = samples[_retained(samples, finite, params.min_confidence)]
-    detected = detect_fixations_idt(kept, params.dispersion_threshold,
-                                    params.min_duration_ms)
-    fixations = filter_fixations(detected, params.max_duration_ms)
+    detected = _idt_columns(kept, params.dispersion_threshold,
+                            params.min_duration_ms)
+    keep = detected.duration <= params.max_duration_ms  # `filter_fixations`
     valid = int(np.count_nonzero(finite))
-    return fixations, {
+    return _Fixations(*(column[keep] for column in detected)), {
         "invalid_samples": len(samples) - valid,
         "low_confidence_samples": valid - len(kept),
-        "long_fixations": len(detected) - len(fixations),
+        "long_fixations": len(keep) - int(np.count_nonzero(keep)),
     }
 
 
 def trial_fixations(samples, params: PipelineParams = PipelineParams()
                     ) -> List[Fixation]:
     """Confidence filter, IDT detection and maximum-duration filter."""
-    return _trial_stages(samples, params)[0]
+    return _trial_stages(samples, params)[0].to_list()
 
 
 def _aoi_positions(xs, ys, aois) -> np.ndarray:
@@ -506,8 +528,7 @@ def build_scanpath(trial: Trial, aois, params: PipelineParams = PipelineParams()
     if ids != list(range(len(aois))):
         raise ValueError("AOI ids must be exactly 0..n-1 to serve as symbols")
     fixations, counts = _trial_stages(trial.samples, params)
-    at = _aoi_positions([f.centroid_x for f in fixations],
-                        [f.centroid_y for f in fixations], aois)
+    at = _aoi_positions(fixations.centroid_x, fixations.centroid_y, aois)
     symbols = np.array([a.id for a in aois], dtype=np.int64)[at[at >= 0]]
     dropped = len(at) - len(symbols)
     if dropped or any(counts.values()):
@@ -537,12 +558,18 @@ GAZE_CSV_COLUMNS = ("trial_id", "participant_id", "condition",
                     "timestamp", "x", "y", "confidence")
 
 
-# Rows per `np.loadtxt` call in `read_gaze_csv`. Every row of a chunk
-# holds three id strings, so the chunk bounds how many are alive at once.
+# Bytes per id at the start of `read_gaze_csv`. Each id column is read as
+# bytes of one fixed width, a multiple of 8, which doubles while an id of
+# the column fills it.
+ID_BYTES = 8
+
+# Rows per `np.loadtxt` call in `read_gaze_csv` while every id column is
+# ID_BYTES wide. The rows shrink as the columns widen, so a chunk's id
+# fields stay within CHUNK_ROWS * 3 * ID_BYTES bytes.
 CHUNK_ROWS = 1 << 14
 
-_CSV_DTYPE = np.dtype([("trial_id", "O"), ("participant_id", "O"),
-                       ("condition", "O"), ("sample", GAZE_DTYPE)])
+# Bytes per block of the UTF-8 check in `_read_gaze_chunks`.
+CHECK_BLOCK = 1 << 16
 
 
 def read_gaze_csv(path) -> List[Trial]:
@@ -554,7 +581,7 @@ def read_gaze_csv(path) -> List[Trial]:
     not above the previous one of its trial and a row too short for its
     columns, raise with their physical line number.
 
-    The rows are tokenized by `np.loadtxt`, CHUNK_ROWS at a time, and
+    The rows are tokenized by `np.loadtxt`, in chunks of rows, and
     grouped with array operations. Where a check fails, the file is read
     again by the row reader, which words the error.
     """
@@ -567,16 +594,71 @@ def read_gaze_csv(path) -> List[Trial]:
     return _read_gaze_rows(path)
 
 
+def _check_utf8(path):
+    """Raise ValueError unless the file `path` is UTF-8 with no NUL byte."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(CHECK_BLOCK), b""):
+            if b"\0" in block:
+                raise ValueError("NUL byte")
+            # An ASCII block needs decoding only to end a character that
+            # the previous block began.
+            if not block.isascii() or decoder.getstate()[0]:
+                decoder.decode(block)
+        decoder.decode(b"", final=True)
+
+
 def _read_gaze_chunks(path) -> List[Trial]:
-    """`read_gaze_csv` through numpy's C tokenizer, CHUNK_ROWS rows at a time.
+    """`read_gaze_csv` through numpy's C tokenizer, in chunks of rows.
 
     Raises an unworded ValueError where the file holds anything the row
     reader would reject. A missing column and conflicting condition labels
     are checked here; `np.loadtxt` raises on a malformed row, and `Trial`
     on a non-finite or non-increasing timestamp.
+
+    The ids stay bytes until the trials are built. The file is opened as
+    latin-1, which maps each byte to one character, so each id column loads
+    as the raw UTF-8 bytes of its ids, in fixed-width fields (`S<width>`).
+    A row's three ids are then compared as whole uint64 words, and each
+    trial's ids are decoded once. Fixed-width fields drop trailing NULs, so
+    a file that holds a NUL, or is not UTF-8, is left to the row reader.
+    An id that fills its column's width may have been cut short: the file
+    is then read again with that width doubled.
     """
+    _check_utf8(path)
+    widths = (ID_BYTES,) * 3
+    while True:
+        groups, filled = _chunk_groups(path, widths)
+        if not any(filled):
+            break
+        widths = tuple(2 * w if f else w for w, f in zip(widths, filled))
+    # A trial within one chunk keeps its slice: no copy, so memory stays
+    # near one set of samples. UTF-8 bytes sort as their text does.
+    return [
+        Trial(participant_id=p.decode(), condition=c.decode(),
+              trial_id=t.decode(),
+              samples=blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
+        for (p, t), (c, blocks) in sorted(groups.items())
+    ]
+
+
+def _chunk_groups(path, widths):
+    """The file's rows grouped as (participant, trial) -> (condition, sample
+    blocks), the ids as bytes, read with id columns `widths` bytes wide;
+    and for each id column, whether an id fills it. A filled column stops
+    the read, and the groups are then None.
+    """
+    ends = list(accumulate(widths))  # of each id field, in a row's bytes
+    dtype = np.dtype([(name, f"S{w}") for name, w in
+                      zip(GAZE_CSV_COLUMNS, widths)] + [("sample", GAZE_DTYPE)])
+    full = max(CHUNK_ROWS * 3 * ID_BYTES // ends[-1], 1)
+    # Chunks start short and double, so that an id too wide for its column
+    # shows before much of the file is parsed.
+    rows = max(full // 64, 1)
     groups = {}  # (participant, trial) -> (condition, sample blocks)
-    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+    with open(path, "r", newline="", encoding="latin-1") as fh:
+        if fh.read(3) != "\xef\xbb\xbf":  # the UTF-8 byte order mark
+            fh.seek(0)
         header = next(csv.reader(fh), [])
         if not set(GAZE_CSV_COLUMNS) <= set(header):
             raise ValueError("missing column")
@@ -586,32 +668,38 @@ def _read_gaze_chunks(path) -> List[Trial]:
             # loadtxt warns on blank lines and on an input without rows
             warnings.simplefilter("ignore", UserWarning)
             while True:
-                chunk = np.loadtxt(fh, dtype=_CSV_DTYPE, delimiter=",",
+                chunk = np.loadtxt(fh, dtype=dtype, delimiter=",",
                                    quotechar='"', comments=None, ndmin=1,
-                                   usecols=usecols, max_rows=CHUNK_ROWS)
+                                   usecols=usecols, max_rows=rows)
                 if not len(chunk):
                     break
-                samples = np.ascontiguousarray(chunk["sample"])
-                pid, tid, cond = (chunk[c] for c in
-                                  ("participant_id", "trial_id", "condition"))
-                # Runs of rows with one participant, trial and condition.
-                changes = np.flatnonzero((pid[1:] != pid[:-1])
-                                         | (tid[1:] != tid[:-1])
-                                         | (cond[1:] != cond[:-1])) + 1
-                bounds = [0, *changes.tolist(), len(chunk)]
-                for start, stop in zip(bounds[:-1], bounds[1:]):
+                rows = min(2 * rows, full)
+                # An id that fills its field ends in a byte that is not NUL.
+                row_bytes = chunk.view(np.uint8).reshape(len(chunk), -1)
+                filled = [bool(row_bytes[:, end - 1].any()) for end in ends]
+                if any(filled):
+                    return None, filled
+                # The ids as uint64 words, transposed so that each word
+                # compares down the rows in contiguous memory; the samples,
+                # copied out as plain floats.
+                words = np.ascontiguousarray(
+                    row_bytes[:, :ends[-1]].view(np.uint64).T)
+                samples = row_bytes[:, ends[-1]:].view(np.float64).copy().view(
+                    GAZE_DTYPE)[:, 0]
+                # Runs of rows with one trial, participant and condition.
+                starts = np.flatnonzero(
+                    np.r_[True, (words[:, 1:] != words[:, :-1]).any(axis=0)])
+                bounds = [*starts.tolist(), len(chunk)]
+                for start, stop, tid, pid, cond in zip(
+                        bounds[:-1], bounds[1:],
+                        *(chunk[c][starts].tolist()
+                          for c in GAZE_CSV_COLUMNS[:3])):
                     condition, blocks = groups.setdefault(
-                        (pid[start], tid[start]), (cond[start], []))
-                    if condition != cond[start]:
+                        (pid, tid), (cond, []))
+                    if condition != cond:
                         raise ValueError("conflicting condition labels")
                     blocks.append(samples[start:stop])
-    # A trial within one chunk keeps its slice: no copy, so memory stays
-    # near one set of samples.
-    return [
-        Trial(participant_id=p, condition=c, trial_id=t,
-              samples=blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
-        for (p, t), (c, blocks) in sorted(groups.items())
-    ]
+    return groups, [False] * 3
 
 
 def _read_gaze_rows(path) -> List[Trial]:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -7,7 +9,8 @@ import pytest
 import gazeais.cli
 import gazeais.experiment
 from gazeais import (EmbeddingConfig, ScanpathRecord, compare_conditions,
-                     derive_seed, generate, persistence_spec)
+                     derive_seed, detect_fixations_idt, filter_fixations,
+                     filter_gaze, generate, persistence_spec, read_gaze_csv)
 from gazeais.cli import main
 
 GAZE_HEADER = "trial_id,participant_id,condition,timestamp,x,y,confidence\n"
@@ -124,6 +127,49 @@ class TestFixationsCommand:
         assert main(["fixations", str(gaze), "--max-duration", "2500",
                      "--out", str(fix)]) == 0
         assert len(fix.read_text().strip().splitlines()) == 3
+
+    def test_rows_as_csv_writer_formats_them(self, tmp_path):
+        # Ids that csv quotes, or that a %-template would read as its own,
+        # a trial without fixations, and a trial whose one fixation lasts
+        # exactly the maximum duration, which is kept.
+        odd = ['t%s,"1"\n%', "p%d \u00e9\u53c2 100%%"]
+        rows = []
+        for x, dwell in ((400.0, 40), (1700.0, 131), (700.5, 25)):
+            rows += [(x + i % 3, 500.0 - i % 2) for i in range(dwell)]
+            rows.append((x + 600.0, 900.0))
+        trials = {
+            tuple(odd): [(i / 120, x, y) for i, (x, y) in enumerate(rows)],
+            ("sweep", odd[1]): [(i / 120, 300.0 * i, 0.0) for i in range(40)],
+            ("edge", "p"): [(i / 8, 5.0, 6.0) for i in range(9)],
+        }
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(GAZE_HEADER.strip().split(","))
+        for (tid, pid), samples in trials.items():
+            writer.writerows([tid, pid, "TC", repr(t), x, y, 1.0]
+                             for t, x, y in samples)
+        gaze = tmp_path / "gaze.csv"
+        gaze.write_bytes(text.getvalue().encode("utf-8"))
+        out = tmp_path / "fix.csv"
+        assert main(["fixations", str(gaze), "--max-duration", "1000",
+                     "--out", str(out)]) == 0
+
+        # The rows as csv.writer writes them, through the list stages.
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["trial_id", "start_time", "duration_ms", "centroid_x",
+                         "centroid_y", "participant_id"])
+        counts = {}
+        for trial in read_gaze_csv(gaze):
+            fixations = filter_fixations(detect_fixations_idt(
+                filter_gaze(trial.samples)), max_duration=1000.0)
+            counts[trial.trial_id] = len(fixations)
+            writer.writerows(
+                [trial.trial_id, *(f"{v:.12g}" for v in (
+                    f.start_time, f.duration, f.centroid_x, f.centroid_y)),
+                 trial.participant_id] for f in fixations)
+        assert counts == {odd[0]: 2, "sweep": 0, "edge": 1}
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 class TestScanpathCommand:

@@ -288,6 +288,15 @@ class TestRunConfig:
                 "config line 3: key 'k_max' is already set on line 1")):
             parse_run_config(path)
 
+    @pytest.mark.parametrize("text", ["k_max 3\n", "bogus = 1\n",
+                                      "seed = 1\nseed = 2\n", "alpha = x\n"])
+    def test_errors_name_the_file(self, tmp_path, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            parse_run_config(path)
+        assert str(info.value).startswith(f"{path}: config line ")
+
     def test_boolean_words(self, tmp_path):
         path = tmp_path / "run.cfg"
         for word, value in (("YES", True), ("On", True), ("1", True),

@@ -838,6 +838,19 @@ def random_gaze_csv(rng, fault=None):
     return out.getvalue(), underscore
 
 
+def count_fallbacks(monkeypatch):
+    """A list that records each path `read_gaze_csv` hands to the row reader."""
+    rows_reader = gaze_module._read_gaze_rows
+    fallbacks = []
+
+    def counted(path):
+        fallbacks.append(path)
+        return rows_reader(path)
+
+    monkeypatch.setattr(gaze_module, "_read_gaze_rows", counted)
+    return fallbacks
+
+
 class TestGazeCsvChunks:
     """The chunked numpy reader against the row reader that words errors."""
 
@@ -845,14 +858,8 @@ class TestGazeCsvChunks:
     @pytest.mark.parametrize("fault", FAULTS)
     def test_same_as_row_reader(self, tmp_path, monkeypatch, chunk_rows, fault):
         rows_reader = gaze_module._read_gaze_rows
-        fallbacks = []
-
-        def counted(path):
-            fallbacks.append(path)
-            return rows_reader(path)
-
         monkeypatch.setattr(gaze_module, "CHUNK_ROWS", chunk_rows)
-        monkeypatch.setattr(gaze_module, "_read_gaze_rows", counted)
+        fallbacks = count_fallbacks(monkeypatch)
         rng = np.random.default_rng([FAULTS.index(fault), chunk_rows])
         path = tmp_path / "gaze.csv"
         for _ in range(12):
@@ -863,6 +870,96 @@ class TestGazeCsvChunks:
             assert got == read_outcome(rows_reader, path)
             # Only an error, or a value numpy does not parse, falls back.
             assert bool(fallbacks) == (isinstance(got, tuple) or underscore)
+
+    # Ids wider than the starting width of their column, ids outside
+    # latin-1, and ids that differ only by trailing NULs, which fixed-width
+    # bytes would drop: (trial ids, participant ids, condition).
+    ODD_IDS = {
+        "wide": (["t" * 7, "t" * 8, "\u00e9" * 9 + "t", "x" * 70],
+                 ["p", "p" * 33], "condition-" * 4),
+        "non-latin-1": (["\u53c2\u52a0\u8005", "\u20ac1", "t"],
+                        ["\u20ac1", "\u53c2\u52a0\u8005"], "\u6761\u4ef6"),
+        "nul": (["t", "t\0"], ["p\0\0", "p"], "c"),
+    }
+
+    # Small chunks and check blocks split the wide ids from the first
+    # rows, and split multi-byte characters between blocks.
+    @pytest.mark.parametrize("chunk_rows, block", [
+        (2, 3), (gaze_module.CHUNK_ROWS, gaze_module.CHECK_BLOCK)])
+    @pytest.mark.parametrize("case", ODD_IDS)
+    def test_odd_ids(self, tmp_path, monkeypatch, chunk_rows, block, case):
+        tids, pids, condition = self.ODD_IDS[case]
+        rows_reader = gaze_module._read_gaze_rows
+        monkeypatch.setattr(gaze_module, "CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(gaze_module, "CHECK_BLOCK", block)
+        fallbacks = count_fallbacks(monkeypatch)
+        out = io.StringIO(newline="")
+        out.write("\ufeff")
+        writer = csv.writer(out)
+        writer.writerow(gaze_module.GAZE_CSV_COLUMNS)
+        # One condition, and timestamps that increase down the file, so
+        # that merged trials would read without an error.
+        keys = [(p, t) for p in pids for t in tids]
+        for i in range(3):
+            for k, (pid, tid) in enumerate(keys):
+                writer.writerow([tid, pid, condition, i + k / 100, k, i, 1.0])
+        path = tmp_path / "gaze.csv"
+        path.write_bytes(out.getvalue().encode("utf-8"))
+        got = read_outcome(read_gaze_csv, path)
+        assert got == read_outcome(rows_reader, path)
+        assert [(p, t) for p, t, _, _ in got] == sorted(keys)
+        # Only the file with NULs goes to the row reader.
+        assert len(fallbacks) == (case == "nul")
+
+    @pytest.mark.parametrize("column", ["trial_id", "note"])
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3(", b"\xe2\x82"])
+    def test_invalid_utf8_raises_as_row_reader(self, tmp_path, column, bad):
+        # Even in a column that is not read, as the text reader raises
+        # wherever it meets such bytes.
+        path = tmp_path / "gaze.csv"
+        fields = {"trial_id": b"t", "note": b""}
+        fields[column] += bad
+        path.write_bytes(
+            b"trial_id,participant_id,condition,timestamp,x,y,confidence,note\n"
+            b"t,p,c,0.0,1,2,1,\n"
+            + b"%s,p,c,0.1,1,2,1,%s\n" % (fields["trial_id"], fields["note"]))
+        got = read_outcome(read_gaze_csv, path)
+        assert got[0] is UnicodeDecodeError
+        assert got == read_outcome(gaze_module._read_gaze_rows, path)
+
+    def test_character_split_by_an_ascii_block(self, tmp_path, monkeypatch):
+        # The check reads 3-byte blocks: a lead byte ends one, an ASCII
+        # block follows, and the continuation bytes start the next. Joined
+        # without the ASCII block they would read as a valid character. It
+        # is in a column that is not read, so no id decoding meets it.
+        monkeypatch.setattr(gaze_module, "CHECK_BLOCK", 3)
+        head = (b"trial_id,participant_id,condition,timestamp,x,y,confidence,"
+                b"note\nt,p,c,0.0,1,2,1,")
+        pad = b"n" * ((2 - len(head)) % 3)
+        path = tmp_path / "gaze.csv"
+        path.write_bytes(head + pad + b"\xe2abc\x82\xac\n")
+        got = read_outcome(read_gaze_csv, path)
+        assert got[0] is UnicodeDecodeError
+        assert got == read_outcome(gaze_module._read_gaze_rows, path)
+
+    def test_wide_id_memory(self, tmp_path):
+        # A 100 000-byte trial id widens its column to 2**17 bytes, and the
+        # chunks shrink to one row, so a few ids' bytes are alive at once.
+        wide = "t" * 100_000
+        path = tmp_path / "gaze.csv"
+        path.write_text(
+            "trial_id,participant_id,condition,timestamp,x,y,confidence\n"
+            + "".join(f"{tid},p0,TC,{i / 120:.6f},1,2,1\n"
+                      for i in range(20) for tid in ("t1", wide)))
+        tracemalloc.start()
+        try:
+            trials = read_gaze_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(t.trial_id, len(t.samples)) for t in trials] == [
+            ("t1", 20), (wide, 20)]
+        assert peak < 20 * len(wide)
 
     def test_interleaved_trials_across_chunks(self, tmp_path, monkeypatch):
         path = tmp_path / "gaze.csv"
