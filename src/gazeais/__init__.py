@@ -15,7 +15,7 @@ from .experiment import (ContrastResult, LagHistogram, ParticipantComparison,
                          compare_conditions, contrast_conditions,
                          equalize_samples, lag_histogram, parse_run_config,
                          trial_seed, union_past_state)
-from .gaze import (AOIRegion, Fixation, GAZE_DTYPE, PipelineParams,
+from .gaze import (AOIRegion, FIXATION_DTYPE, GAZE_DTYPE, PipelineParams,
                    ScanpathRecord, Trial, build_scanpath,
                    detect_fixations_idt, filter_fixations, filter_gaze,
                    load_aois, map_to_aoi, read_gaze_csv, trial_fixations)
@@ -31,9 +31,9 @@ from .stats import (PermutationTestResult,
                     independent_samples_permutation_test, test_final_ais)
 
 __all__ = [
-    "AOIRegion", "ContrastResult", "EmbeddingConfig", "Fixation", "GAZE_DTYPE",
-    "InfoEstimate", "LagHistogram", "MarkovSpec", "MIN_EMBEDDED_ROWS",
-    "ParticipantComparison", "PastState",
+    "AOIRegion", "ContrastResult", "EmbeddingConfig", "FIXATION_DTYPE",
+    "GAZE_DTYPE", "InfoEstimate", "LagHistogram", "MarkovSpec",
+    "MIN_EMBEDDED_ROWS", "ParticipantComparison", "PastState",
     "PermutationTestResult", "PipelineParams", "RunConfig", "ScanpathRecord",
     "SelectionStep",
     "SelectionTrace", "StateVectorSeries", "SymbolSequence", "Trial",

@@ -25,8 +25,8 @@ from .experiment import (MEASURES, RunConfig, TrialResult, analyze_trial,
                          contrast_conditions, lag_histogram, read_run_config,
                          trial_seed)
 from .gaze import (PipelineParams, ScanpathRecord, _field, _json_list,
-                   _load_json, _trial_stages, build_scanpath, load_aois,
-                   read_gaze_csv)
+                   _load_json, build_scanpath, load_aois, read_gaze_csv,
+                   trial_fixations)
 from .markov import analytic_ais, analytic_entropy, analytic_gte, generate, \
     load_markov_spec
 from .rng import derive_seed
@@ -139,10 +139,10 @@ def _pipeline_params(args, collapse=False) -> PipelineParams:
 def _fixation_runs(trials, params):
     """Each trial's fixations as one `_write_csv` run."""
     for trial in trials:
-        fixations = _trial_stages(trial.samples, params)[0]
+        fixations = trial_fixations(trial.samples, params)
         yield ((trial.trial_id, None, None, None, None, trial.participant_id),
-               (fixations.start_time, fixations.duration,
-                fixations.centroid_x, fixations.centroid_y))
+               [fixations[name] for name in ("start_time", "duration",
+                                             "centroid_x", "centroid_y")])
 
 
 def cmd_fixations(args) -> int:
@@ -297,6 +297,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     spec = load_markov_spec(args.spec)
     seed = _run_config(args).seed
     oracle_lags = tuple(range(1, max(spec.order, 1) + 1))

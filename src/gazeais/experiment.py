@@ -27,7 +27,7 @@ from .infocore import (InfoEstimate, active_information_storage,
                        next_symbol_entropy)
 from .rng import derive_seed
 from .sequences import PastState, SymbolSequence, embed
-from .stats import independent_samples_permutation_test, test_final_ais
+from .stats import TAILS, independent_samples_permutation_test, test_final_ais
 
 log = logging.getLogger(__name__)
 
@@ -58,13 +58,27 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected 1/0, true/false, yes/no or on/off, got {value!r}")
 
 
+def _tail(value: str) -> str:
+    if value not in TAILS:
+        raise ValueError(f"tail must be one of {TAILS}, got {value!r}")
+    return value
+
+
+def _n_perm_comparison(value: str) -> int:
+    n_perm = int(value)
+    if n_perm < 1:
+        raise ValueError(f"n_perm_comparison must be >= 1, got {n_perm}")
+    return n_perm
+
+
 def read_run_config(path) -> dict:
     """The settings of a `key = value` file, converted, by key; '#' starts a
-    comment; an unknown key, or a key set twice, is an error that names the
-    file and the line."""
+    comment; an unknown key, a key set twice, a value that does not convert,
+    a `tail` outside `TAILS` or an `n_perm_comparison` below 1 is an error
+    that names the file and the line."""
     converters = {
         "k_max": int, "alpha": float, "n_perm_selection": int,
-        "n_perm_comparison": int, "seed": int, "tail": str,
+        "n_perm_comparison": _n_perm_comparison, "seed": int, "tail": _tail,
         "collapse_repeats": _parse_bool,
     }
 

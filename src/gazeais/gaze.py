@@ -2,7 +2,8 @@
 
 Pipeline: confidence filter -> dispersion-threshold (IDT) fixation
 detection -> maximum-duration filter -> AOI mapping on fixation centroids.
-Each trial's samples are one numpy structured array of `GAZE_DTYPE`.
+Each trial's samples are one numpy structured array of `GAZE_DTYPE`, and
+its fixations one of `FIXATION_DTYPE`.
 Conventions (documented because every one of them is a boundary call):
 a sample whose x, y or confidence is not finite is invalid, dropped and
 counted; confidence >= threshold is retained, dispersion <= threshold is
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from numbers import Real
 from operator import itemgetter
-from typing import List, NamedTuple, Optional
+from typing import List
 
 import numpy as np
 
@@ -36,6 +37,12 @@ log = logging.getLogger(__name__)
 # One gaze sample: timestamp in seconds, x and y in pixels, confidence in [0, 1].
 GAZE_DTYPE = np.dtype([("timestamp", "f8"), ("x", "f8"), ("y", "f8"),
                        ("confidence", "f8")])
+
+# One fixation: start in seconds, duration in milliseconds, centroid in
+# pixels, and the number of samples it spans.
+FIXATION_DTYPE = np.dtype([("start_time", "f8"), ("duration", "f8"),
+                           ("centroid_x", "f8"), ("centroid_y", "f8"),
+                           ("sample_count", "i8")])
 
 
 def _is_whole(value) -> bool:
@@ -85,29 +92,6 @@ def _whole_number(value, what: str) -> int:
     if not _is_whole(value):
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return int(value)
-
-
-@dataclass(frozen=True)
-class Fixation:
-    start_time: float   # seconds
-    duration: float     # milliseconds
-    centroid_x: float
-    centroid_y: float
-    sample_count: int
-
-
-class _Fixations(NamedTuple):
-    """Fixations as columns: one array per field of `Fixation`."""
-
-    start_time: np.ndarray
-    duration: np.ndarray
-    centroid_x: np.ndarray
-    centroid_y: np.ndarray
-    sample_count: np.ndarray
-
-    def to_list(self) -> List[Fixation]:
-        return [Fixation(*fields)
-                for fields in zip(*(column.tolist() for column in self))]
 
 
 @dataclass(frozen=True)
@@ -363,8 +347,9 @@ def _fixation_ends(rows: np.ndarray, top: np.ndarray, window_ends: np.ndarray,
 
 
 def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
-                         min_duration: float = 100.0) -> List[Fixation]:
-    """Classic dispersion-threshold fixation detection.
+                         min_duration: float = 100.0) -> np.ndarray:
+    """Classic dispersion-threshold fixation detection, as a `FIXATION_DTYPE`
+    array in time order.
 
     Grow a window from the earliest unconsumed sample until it covers
     min_duration (ms). If its dispersion (max x - min x) + (max y - min y)
@@ -373,13 +358,6 @@ def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
     it; otherwise slide forward by one sample. Fixations never overlap.
     `samples` is a `GAZE_DTYPE` array with finite x, y and timestamps, the
     timestamps strictly increasing; anything else raises ValueError.
-    """
-    return _idt_columns(samples, dispersion_threshold, min_duration).to_list()
-
-
-def _idt_columns(samples, dispersion_threshold: float,
-                 min_duration: float) -> _Fixations:
-    """`detect_fixations_idt`'s fixations as columns.
 
     Every start's window and its maxima are computed at once (a
     `searchsorted` on the timestamps, a sparse table of running maxima),
@@ -395,8 +373,7 @@ def _idt_columns(samples, dispersion_threshold: float,
     """
     n = len(samples)
     if n == 0:
-        none = np.zeros(0)
-        return _Fixations(none, none, none, none, np.zeros(0, dtype=np.intp))
+        return np.zeros(0, dtype=FIXATION_DTYPE)
     ts, xs, ys = samples["timestamp"], samples["x"], samples["y"]
     if not (np.isfinite(ts).all() and np.isfinite(xs).all()
             and np.isfinite(ys).all()):
@@ -437,17 +414,22 @@ def _idt_columns(samples, dispersion_threshold: float,
     xy = rows[0::2]
     sums = np.array([np.add.reduce(xy[:, i:j + 1], axis=1)
                      for i, j in zip(first, last)]).reshape(-1, 2)
-    return _Fixations(ts[begin], (ts[end] - ts[begin]) * 1000.0,
-                      sums[:, 0] / count, sums[:, 1] / count, count)
+    fixations = np.empty(len(count), dtype=FIXATION_DTYPE)
+    fixations["start_time"] = ts[begin]
+    fixations["duration"] = (ts[end] - ts[begin]) * 1000.0
+    fixations["centroid_x"] = sums[:, 0] / count
+    fixations["centroid_y"] = sums[:, 1] / count
+    fixations["sample_count"] = count
+    return fixations
 
 
-def filter_fixations(fixations, max_duration: float = 1500.0) -> List[Fixation]:
+def filter_fixations(fixations, max_duration: float = 1500.0) -> np.ndarray:
     """Exclude fixations strictly above max_duration (ms); order preserved."""
-    return [f for f in fixations if f.duration <= max_duration]
+    return fixations[fixations["duration"] <= max_duration]
 
 
 def _trial_stages(samples, params: PipelineParams):
-    """`trial_fixations` as columns, plus what each stage discarded.
+    """`trial_fixations`, plus what each stage discarded.
 
     The counts are keyed by their `ScanpathRecord` field names: invalid
     (non-finite) samples, finite samples below the confidence threshold,
@@ -455,25 +437,25 @@ def _trial_stages(samples, params: PipelineParams):
     """
     finite = _finite(samples)
     kept = samples[_retained(samples, finite, params.min_confidence)]
-    detected = _idt_columns(kept, params.dispersion_threshold,
-                            params.min_duration_ms)
-    keep = detected.duration <= params.max_duration_ms  # `filter_fixations`
+    detected = detect_fixations_idt(kept, params.dispersion_threshold,
+                                    params.min_duration_ms)
+    fixations = filter_fixations(detected, params.max_duration_ms)
     valid = int(np.count_nonzero(finite))
-    return _Fixations(*(column[keep] for column in detected)), {
+    return fixations, {
         "invalid_samples": len(samples) - valid,
         "low_confidence_samples": valid - len(kept),
-        "long_fixations": len(keep) - int(np.count_nonzero(keep)),
+        "long_fixations": len(detected) - len(fixations),
     }
 
 
 def trial_fixations(samples, params: PipelineParams = PipelineParams()
-                    ) -> List[Fixation]:
+                    ) -> np.ndarray:
     """Confidence filter, IDT detection and maximum-duration filter."""
-    return _trial_stages(samples, params)[0].to_list()
+    return _trial_stages(samples, params)[0]
 
 
-def _aoi_positions(xs, ys, aois) -> np.ndarray:
-    """Per centroid (xs[i], ys[i]), the position in `aois` of its AOI, or -1.
+def map_to_aoi(fixations, aois) -> np.ndarray:
+    """Per fixation, the position in `aois` of the AOI holding its centroid.
 
     -1 marks a centroid outside every AOI (the fixation is dropped). Among
     containing regions the highest priority wins; an unresolved tie is an
@@ -483,7 +465,7 @@ def _aoi_positions(xs, ys, aois) -> np.ndarray:
     ids = [a.id for a in aois]
     if len(set(ids)) != len(ids):
         raise ValueError("AOI ids must be distinct")
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    xs, ys = fixations["centroid_x"], fixations["centroid_y"]
     x_min, y_min, x_max, y_max = (
         np.array([a.rect for a in aois], dtype=float).reshape(-1, 4, 1)
         .transpose(1, 0, 2))
@@ -505,16 +487,6 @@ def _aoi_positions(xs, ys, aois) -> np.ndarray:
     return positions
 
 
-def map_to_aoi(fix: Fixation, aois) -> Optional[int]:
-    """AOI id containing the fixation centroid, or None (fixation dropped).
-
-    Among containing regions the highest priority wins; an unresolved tie
-    is an error because the symbol would be ambiguous.
-    """
-    at = int(_aoi_positions([fix.centroid_x], [fix.centroid_y], aois)[0])
-    return None if at < 0 else aois[at].id
-
-
 def build_scanpath(trial: Trial, aois, params: PipelineParams = PipelineParams()
                    ) -> ScanpathRecord:
     """Full pipeline for one trial: gaze samples to an AOI symbol sequence.
@@ -528,7 +500,7 @@ def build_scanpath(trial: Trial, aois, params: PipelineParams = PipelineParams()
     if ids != list(range(len(aois))):
         raise ValueError("AOI ids must be exactly 0..n-1 to serve as symbols")
     fixations, counts = _trial_stages(trial.samples, params)
-    at = _aoi_positions(fixations.centroid_x, fixations.centroid_y, aois)
+    at = map_to_aoi(fixations, aois)
     symbols = np.array([a.id for a in aois], dtype=np.int64)[at[at >= 0]]
     dropped = len(at) - len(symbols)
     if dropped or any(counts.values()):

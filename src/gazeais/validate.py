@@ -13,7 +13,8 @@ from typing import List
 import numpy as np
 
 from .embedding import EmbeddingConfig, max_statistic_test, optimize_past_state
-from .gaze import GAZE_DTYPE, Fixation, detect_fixations_idt, filter_fixations
+from .gaze import (FIXATION_DTYPE, GAZE_DTYPE, detect_fixations_idt,
+                   filter_fixations)
 from .infocore import (_cmi_blocks, active_information_storage,
                        gaze_transition_entropy, next_symbol_entropy)
 from .markov import (analytic_ais, analytic_entropy, analytic_gte, cycle_spec,
@@ -163,17 +164,16 @@ def check_idt_planted(seed) -> CheckResult:
         t += 1 / 120.0
     fixations = detect_fixations_idt(gaze(rows), 50.0, 100.0)
     ok = (len(fixations) == 2
-          and abs(fixations[0].centroid_x - 100.0) < 1.0
-          and abs(fixations[1].centroid_x - 700.0) < 1.0)
+          and np.all(np.abs(fixations["centroid_x"] - (100.0, 700.0)) < 1.0))
     ok &= count([(i / 120.0, 300.0 + 50.0 * (i % 2), 100.0, 1.0)
                  for i in range(30)]) == 1
     ok &= count([(i / 120.0, 300.0 + 50.0001 * (i % 2), 100.0, 1.0)
                  for i in range(30)]) == 0
     ok &= count([(v, 0.0, 0.0, 1.0) for v in (0.0, 0.05, 0.100)]) == 1
     ok &= count([(v, 0.0, 0.0, 1.0) for v in (0.0, 0.05, 0.099)]) == 0
-    keep = Fixation(0.0, 1500.0, 0.0, 0.0, 5)
-    drop = Fixation(0.0, 1500.0001, 0.0, 0.0, 5)
-    ok &= filter_fixations([keep, drop]) == [keep]
+    durations = np.zeros(2, dtype=FIXATION_DTYPE)
+    durations["duration"] = 1500.0, 1500.0001
+    ok &= filter_fixations(durations).tolist() == durations[:1].tolist()
     return CheckResult("IDT planted fixations", bool(ok),
                        f"planted clusters -> {len(fixations)} fixations; "
                        f"dispersion 50 px inclusive; duration 100 ms inclusive; "

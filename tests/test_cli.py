@@ -154,7 +154,7 @@ class TestFixationsCommand:
         assert main(["fixations", str(gaze), "--max-duration", "1000",
                      "--out", str(out)]) == 0
 
-        # The rows as csv.writer writes them, through the list stages.
+        # The rows as csv.writer writes them, through the public stages.
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(["trial_id", "start_time", "duration_ms", "centroid_x",
@@ -166,10 +166,41 @@ class TestFixationsCommand:
             counts[trial.trial_id] = len(fixations)
             writer.writerows(
                 [trial.trial_id, *(f"{v:.12g}" for v in (
-                    f.start_time, f.duration, f.centroid_x, f.centroid_y)),
-                 trial.participant_id] for f in fixations)
+                    f["start_time"], f["duration"], f["centroid_x"],
+                    f["centroid_y"])), trial.participant_id]
+                for f in fixations)
         assert counts == {odd[0]: 2, "sweep": 0, "edge": 1}
         assert out.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+class TestPublicStages:
+    """`fixations` and `scanpath` run IDT through the public
+    `gaze.detect_fixations_idt`, once per trial."""
+
+    @pytest.mark.parametrize("command", ["fixations", "scanpath"])
+    def test_detect_fixations_idt_once_per_trial(self, tmp_path, monkeypatch,
+                                                 command):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_planted_gaze(first, [(400, 500), (1700, 300)], trial_id="t0")
+        write_planted_gaze(second, [(200, 900)], trial_id="t1")
+        gaze = tmp_path / "gaze.csv"
+        gaze.write_text(first.read_text()
+                        + "".join(second.read_text().splitlines(True)[1:]))
+        aois = tmp_path / "aois.json"
+        aois.write_text(json.dumps(AOIS_JSON))
+        detected = []
+        detect = gazeais.gaze.detect_fixations_idt
+
+        def counted(*args, **kwargs):
+            fixations = detect(*args, **kwargs)
+            detected.append(len(fixations))
+            return fixations
+
+        monkeypatch.setattr(gazeais.gaze, "detect_fixations_idt", counted)
+        flags = ["--aois", str(aois)] if command == "scanpath" else []
+        assert main([command, str(gaze), *flags,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert detected == [2, 1]
 
 
 class TestScanpathCommand:
@@ -317,6 +348,16 @@ class TestSimulateAndAis:
         main(["simulate", str(spec), "--length", "100", "--trials", "2",
               "--seed", "5", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_simulate_needs_a_trial(self, tmp_path, capsys, trials):
+        spec = tmp_path / "spec.json"
+        write_spec(spec)
+        out = tmp_path / "sims.json"
+        assert main(["simulate", str(spec), "--length", "50", "--trials",
+                     trials, "--out", str(out)]) == 2
+        assert f"--trials must be >= 1, got {trials}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ais_on_cycle(self, tmp_path):
         doc = {"schema_version": 1, "trials": [{
@@ -710,6 +751,21 @@ class TestCompareCommand:
         for name in ("comparison.json", "condition_summary.csv"):
             assert ((tmp_path / "same" / name).read_bytes()
                     == (tmp_path / "plain" / name).read_bytes())
+
+    @pytest.mark.parametrize("line, message", [
+        ("tail = both", "tail must be one of ('greater', 'less', 'two_sided'), "
+                        "got 'both'"),
+        ("n_perm_comparison = 0", "n_perm_comparison must be >= 1, got 0"),
+    ])
+    def test_config_checked_when_read(self, tmp_path, capsys, line, message):
+        # The file is checked before any result is loaded: the input here
+        # does not exist, and the error names the config file's line.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 7\n" + line + "\n")
+        assert main(["compare", str(tmp_path / "missing.json"), "--config",
+                     str(cfg), "--out", str(tmp_path / "cmp")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config line 2: {message}\n")
 
     def test_conflicting_input_configs(self, tmp_path, capsys):
         results = self._make_results(tmp_path, n_trials=3, length=120)

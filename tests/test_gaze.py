@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gazeais import gaze as gaze_module
-from gazeais import (GAZE_DTYPE, AOIRegion, Fixation, PipelineParams,
+from gazeais import (FIXATION_DTYPE, GAZE_DTYPE, AOIRegion, PipelineParams,
                      ScanpathRecord, Trial, build_scanpath,
                      detect_fixations_idt, filter_fixations, filter_gaze,
                      load_aois, map_to_aoi, read_gaze_csv, trial_fixations)
@@ -16,6 +16,12 @@ from gazeais import (GAZE_DTYPE, AOIRegion, Fixation, PipelineParams,
 def gaze(rows):
     """Samples from (timestamp, x, y, confidence) rows."""
     return np.array(rows, dtype=GAZE_DTYPE)
+
+
+def fixations_of(rows):
+    """Fixations from (start_time, duration, centroid_x, centroid_y,
+    sample_count) rows."""
+    return np.array(rows, dtype=FIXATION_DTYPE)
 
 
 def stationary_samples(x, y, t0, duration_s, rate_hz=120.0, confidence=1.0):
@@ -60,10 +66,10 @@ class TestIdt:
         fixations = detect_fixations_idt(samples)
         assert len(fixations) == 1
         fix = fixations[0]
-        assert fix.centroid_x == pytest.approx(400.0)
-        assert fix.centroid_y == pytest.approx(300.0)
-        assert fix.sample_count == 30
-        assert fix.duration == pytest.approx(250.0)
+        assert fix["centroid_x"] == pytest.approx(400.0)
+        assert fix["centroid_y"] == pytest.approx(300.0)
+        assert fix["sample_count"] == 30
+        assert fix["duration"] == pytest.approx(250.0)
 
     def test_two_clusters_with_transit(self):
         first = stationary_samples(100, 100, 0.0, 0.2)
@@ -75,8 +81,7 @@ class TestIdt:
             [first, transit, stationary_samples(600, 100, t + 1 / 120.0, 0.2)])
         fixations = detect_fixations_idt(samples)
         assert len(fixations) == 2
-        assert fixations[0].centroid_x == pytest.approx(100.0, abs=1.0)
-        assert fixations[1].centroid_x == pytest.approx(600.0, abs=1.0)
+        assert fixations["centroid_x"] == pytest.approx([100.0, 600.0], abs=1.0)
 
     def test_dispersion_boundary_inclusive(self):
         # Points spanning exactly 50 px stay one fixation.
@@ -84,27 +89,28 @@ class TestIdt:
                         for i in range(30)])
         fixations = detect_fixations_idt(samples, dispersion_threshold=50.0)
         assert len(fixations) == 1
-        assert fixations[0].centroid_x == pytest.approx(125.0)
+        assert fixations[0]["centroid_x"] == pytest.approx(125.0)
 
     def test_dispersion_just_over_splits(self):
         samples = gaze([(i / 120.0, 100.0 + 50.5 * (i % 2), 200.0, 1.0)
                         for i in range(30)])
-        assert detect_fixations_idt(samples, dispersion_threshold=50.0) == []
+        assert len(detect_fixations_idt(samples, dispersion_threshold=50.0)) == 0
 
     def test_min_duration_boundary(self):
         # A window spanning exactly 100 ms qualifies.
         samples = gaze([(t, 0.0, 0.0, 1.0) for t in (0.0, 0.05, 0.1)])
         fixations = detect_fixations_idt(samples, min_duration=100.0)
         assert len(fixations) == 1
-        assert fixations[0].duration == pytest.approx(100.0)
+        assert fixations[0]["duration"] == pytest.approx(100.0)
 
     def test_under_min_duration_yields_nothing(self):
         samples = gaze([(t, 0.0, 0.0, 1.0) for t in (0.0, 0.04, 0.099)])
-        assert detect_fixations_idt(samples, min_duration=100.0) == []
+        assert len(detect_fixations_idt(samples, min_duration=100.0)) == 0
 
     def test_empty_input(self):
-        assert detect_fixations_idt([]) == []
-        assert detect_fixations_idt(gaze([])) == []
+        for samples in ([], gaze([])):
+            fixations = detect_fixations_idt(samples)
+            assert fixations.dtype == FIXATION_DTYPE and len(fixations) == 0
 
     def test_no_overlap_and_internal_dispersion(self):
         rng = np.random.default_rng(12)
@@ -117,10 +123,9 @@ class TestIdt:
                 t += 1 / 120.0
             t += rng.uniform(0.05, 0.2)
         fixations = detect_fixations_idt(gaze(rows))
-        for a, b in zip(fixations, fixations[1:]):
-            assert a.start_time + a.duration / 1000.0 <= b.start_time
-        for fix in fixations:
-            assert fix.duration >= 100.0
+        ends = fixations["start_time"] + fixations["duration"] / 1000.0
+        assert np.all(ends[:-1] <= fixations["start_time"][1:])
+        assert np.all(fixations["duration"] >= 100.0)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(13)
@@ -132,15 +137,16 @@ class TestIdt:
         base = detect_fixations_idt(samples)
         moved = detect_fixations_idt(shifted)
         assert len(base) == len(moved)
-        for a, b in zip(base, moved):
-            assert b.centroid_x == pytest.approx(a.centroid_x + 123.0)
-            assert b.centroid_y == pytest.approx(a.centroid_y - 45.0)
-            assert b.duration == a.duration
-            assert b.sample_count == a.sample_count
+        assert moved["centroid_x"] == pytest.approx(base["centroid_x"] + 123.0)
+        assert moved["centroid_y"] == pytest.approx(base["centroid_y"] - 45.0)
+        assert moved["duration"].tolist() == base["duration"].tolist()
+        assert moved["sample_count"].tolist() == base["sample_count"].tolist()
 
 
 def _reference_idt(samples, dispersion_threshold=50.0, min_duration=100.0):
-    """The per-sample IDT loop that `detect_fixations_idt` replaced, as an oracle."""
+    """The per-sample IDT loop that `detect_fixations_idt` replaced, as an
+    oracle: one (start_time, duration, centroid_x, centroid_y, sample_count)
+    tuple per fixation."""
     n = len(samples)
     if n == 0:
         return []
@@ -165,12 +171,12 @@ def _reference_idt(samples, dispersion_threshold=50.0, min_duration=100.0):
                     break
                 min_x, max_x, min_y, max_y = nx_min, nx_max, ny_min, ny_max
                 j += 1
-            fixations.append(Fixation(
-                start_time=float(ts[i]),
-                duration=float((ts[j] - ts[i]) * 1000.0),
-                centroid_x=float(xs[i:j + 1].mean()),
-                centroid_y=float(ys[i:j + 1].mean()),
-                sample_count=int(j - i + 1),
+            fixations.append((
+                float(ts[i]),
+                float((ts[j] - ts[i]) * 1000.0),
+                float(xs[i:j + 1].mean()),
+                float(ys[i:j + 1].mean()),
+                int(j - i + 1),
             ))
             i = j + 1
         else:
@@ -222,12 +228,13 @@ class TestIdtMatchesReference:
         for _ in range(50):
             samples, threshold, min_duration = random_trial(rng)
             assert (detect_fixations_idt(samples, threshold, min_duration)
-                    == _reference_idt(samples, threshold, min_duration))
+                    .tolist() == _reference_idt(samples, threshold, min_duration))
 
     @staticmethod
     def check(samples, threshold=50.0, min_duration=100.0):
         fixations = detect_fixations_idt(samples, threshold, min_duration)
-        assert fixations == _reference_idt(samples, threshold, min_duration)
+        assert fixations.tolist() == _reference_idt(samples, threshold,
+                                                    min_duration)
         return fixations
 
     @pytest.mark.parametrize("min_duration", [0.0, -5.0])
@@ -236,24 +243,24 @@ class TestIdtMatchesReference:
         samples = gaze([(i * 0.01, x, 0.0, 1.0)
                         for i, x in enumerate((0, 0, 100, 100, 300))])
         fixations = self.check(samples, 50.0, min_duration)
-        assert [f.sample_count for f in fixations] == [2, 2, 1]
+        assert fixations["sample_count"].tolist() == [2, 2, 1]
 
     def test_negative_threshold(self):
-        assert self.check(stationary_samples(5, 5, 0.0, 0.5), -1.0) == []
-        assert self.check(stationary_samples(5, 5, 0.0, 0.5), -1.0, 0.0) == []
+        assert len(self.check(stationary_samples(5, 5, 0.0, 0.5), -1.0)) == 0
+        assert len(self.check(stationary_samples(5, 5, 0.0, 0.5), -1.0, 0.0)) == 0
 
     def test_single_sample(self):
         sample = gaze([(3.0, 1.0, 2.0, 1.0)])
-        assert self.check(sample) == []
-        assert self.check(sample, 50.0, 0.0) == [Fixation(3.0, 0.0, 1.0, 2.0, 1)]
+        assert len(self.check(sample)) == 0
+        assert self.check(sample, 50.0, 0.0).tolist() == [(3.0, 0.0, 1.0, 2.0, 1)]
 
     def test_window_ends_on_last_sample(self):
         # Start 0 fails the dispersion test; start 1's window covers
         # exactly 250 ms and ends on the last sample.
         samples = gaze([(t, x, 0.0, 1.0) for t, x in
                         ((0.0, 500.0), (0.125, 0.0), (0.25, 0.0), (0.375, 0.0))])
-        assert self.check(samples, 50.0, 250.0) == [
-            Fixation(0.125, 250.0, 0.0, 0.0, 3)]
+        assert self.check(samples, 50.0, 250.0).tolist() == [
+            (0.125, 250.0, 0.0, 0.0, 3)]
 
     def test_window_end_below_searchsorted(self):
         # On a 1 ms grid from 0, (ts[108] - ts[8]) * 1000 is exactly 100,
@@ -263,17 +270,17 @@ class TestIdtMatchesReference:
         samples["timestamp"] = np.arange(200) * 0.001
         samples["x"][:8] = 500.0
         samples["x"][109:] = 1000.0
-        assert self.check(samples) == [Fixation(0.008, 100.0, 0.0, 0.0, 101)]
+        assert self.check(samples).tolist() == [(0.008, 100.0, 0.0, 0.0, 101)]
 
     def test_dispersion_exactly_at_threshold(self):
         # x spans 20 px and y 30 px: 50 px in all, within the threshold.
         rows = [(i / 120.0, 100.0 + 20.0 * (i % 2), 200.0 + 30.0 * (i % 3 == 0),
                  1.0) for i in range(40)]
-        assert [f.sample_count for f in self.check(gaze(rows))] == [40]
+        assert self.check(gaze(rows))["sample_count"].tolist() == [40]
         # Half a pixel more at sample 17 ends the fixation before it, and
         # the window starting there fails; the next one starts at 18.
         rows[17] = (rows[17][0], 120.5, 200.0, 1.0)
-        assert [f.sample_count for f in self.check(gaze(rows))] == [17, 22]
+        assert self.check(gaze(rows))["sample_count"].tolist() == [17, 22]
 
     @pytest.mark.parametrize("jump_at", [165, 166, 7000, None])
     def test_fixation_spans_long_trial(self, jump_at):
@@ -288,7 +295,7 @@ class TestIdtMatchesReference:
         if jump_at is not None:
             samples["x"][jump_at:] += 200.0
         fixations = self.check(samples)
-        assert fixations[0].sample_count == (jump_at or n)
+        assert fixations[0]["sample_count"] == (jump_at or n)
 
 
 def record_growth(monkeypatch):
@@ -337,7 +344,7 @@ class TestIdtGrowth:
         samples["x"] = np.arange(600.0)
         calls = record_growth(monkeypatch)
         fixations = self.check(samples)
-        assert [f.sample_count for f in fixations] == [51] * 11 + [39]
+        assert fixations["sample_count"].tolist() == [51] * 11 + [39]
         assert calls == [1] * len(fixations)
 
     @pytest.mark.parametrize("dwell", [30, 200])
@@ -346,7 +353,7 @@ class TestIdtGrowth:
         # gathered block (30 samples) or a doubled one (200).
         calls = record_growth(monkeypatch)
         fixations = self.check(cluster_trace([40, dwell]))
-        assert [f.sample_count for f in fixations] == [40, dwell]
+        assert fixations["sample_count"].tolist() == [40, dwell]
         assert calls == [2]
 
     @pytest.mark.parametrize("budget", [gaze_module.GROWTH_BLOCK_ELEMENTS, 600])
@@ -361,7 +368,7 @@ class TestIdtGrowth:
         calls = record_growth(monkeypatch)
         fixations = self.check(cluster_trace(dwells, np.random.default_rng(3)),
                                50.0, 95.0)
-        assert [f.sample_count for f in fixations] == dwells
+        assert fixations["sample_count"].tolist() == dwells
         assert calls == [len(dwells)]
 
     def test_planted_clusters_grow_in_one_call(self, monkeypatch):
@@ -371,7 +378,7 @@ class TestIdtGrowth:
         dwells = rng.integers(24, 72, 120).tolist()
         calls = record_growth(monkeypatch)
         fixations = self.check(cluster_trace(dwells, rng))
-        assert [f.sample_count for f in fixations] == dwells
+        assert fixations["sample_count"].tolist() == dwells
         assert calls == [len(dwells)]
 
 
@@ -413,59 +420,66 @@ class TestIdtMemory:
             tracemalloc.stop()
         assert peak < 8 * samples.nbytes
         assert len(fixations) == 2442
-        for got, pinned in ((fixations[0], Fixation(
-                                 0.075, 138.0, -35.73473305315066,
-                                 -1.2107551439751485, 139)),
-                            (fixations[-1], Fixation(
-                                 499.891, 108.00000000000409, 842.2604232494833,
-                                 2064.7949283183143, 109))):
-            assert (got.start_time, got.duration, got.sample_count) == (
-                pinned.start_time, pinned.duration, pinned.sample_count)
-            assert got.centroid_x == pytest.approx(pinned.centroid_x, rel=1e-12)
-            assert got.centroid_y == pytest.approx(pinned.centroid_y, rel=1e-12)
+        pinned = fixations_of([
+            (0.075, 138.0, -35.73473305315066, -1.2107551439751485, 139),
+            (499.891, 108.00000000000409, 842.2604232494833,
+             2064.7949283183143, 109)])
+        for name in ("start_time", "duration", "sample_count"):
+            assert fixations[name][[0, -1]].tolist() == pinned[name].tolist()
+        for name in ("centroid_x", "centroid_y"):
+            assert fixations[name][[0, -1]] == pytest.approx(pinned[name],
+                                                             rel=1e-12)
 
 
 class TestFilterFixations:
     def test_boundary_retained(self):
-        fix = Fixation(0.0, 1500.0, 0.0, 0.0, 10)
-        assert filter_fixations([fix]) == [fix]
+        fixations = fixations_of([(0.0, 1500.0, 0.0, 0.0, 10)])
+        assert filter_fixations(fixations).tolist() == fixations.tolist()
 
     def test_above_removed(self):
-        fix = Fixation(0.0, 1501.0, 0.0, 0.0, 10)
-        assert filter_fixations([fix]) == []
+        fixations = fixations_of([(0.0, 1501.0, 0.0, 0.0, 10)])
+        assert filter_fixations(fixations).tolist() == []
 
     def test_empty(self):
-        assert filter_fixations([]) == []
+        fixations = filter_fixations(fixations_of([]))
+        assert fixations.dtype == FIXATION_DTYPE and len(fixations) == 0
+
+
+def fixations_at(xs, ys):
+    """Fixations with centroids (xs[i], ys[i]) and every other field 0."""
+    fixations = np.zeros(len(xs), dtype=FIXATION_DTYPE)
+    fixations["centroid_x"], fixations["centroid_y"] = xs, ys
+    return fixations
 
 
 class TestMapToAoi:
     def test_target_priority_wins(self):
-        fix = Fixation(0.0, 200.0, 400.0, 500.0, 10)  # inside left target box
-        assert map_to_aoi(fix, SEARCH_TASK_AOIS) == 2
+        # Inside the left target box.
+        assert map_to_aoi(fixations_at([400.0], [500.0]),
+                          SEARCH_TASK_AOIS).tolist() == [2]
 
     def test_half_outside_targets(self):
-        fix = Fixation(0.0, 200.0, 700.0, 200.0, 10)
-        assert map_to_aoi(fix, SEARCH_TASK_AOIS) == 0
+        assert map_to_aoi(fixations_at([700.0], [200.0]),
+                          SEARCH_TASK_AOIS).tolist() == [0]
 
-    def test_outside_screen_is_none(self):
-        fix = Fixation(0.0, 200.0, 2500.0, 500.0, 10)
-        assert map_to_aoi(fix, SEARCH_TASK_AOIS) is None
+    def test_outside_screen_is_minus_one(self):
+        assert map_to_aoi(fixations_at([2500.0], [500.0]),
+                          SEARCH_TASK_AOIS).tolist() == [-1]
 
     def test_duplicate_ids_rejected(self):
         aois = [AOIRegion(0, (0, 0, 10, 10)), AOIRegion(0, (20, 20, 30, 30))]
-        fix = Fixation(0.0, 200.0, 5.0, 5.0, 10)
         with pytest.raises(ValueError, match="distinct"):
-            map_to_aoi(fix, aois)
+            map_to_aoi(fixations_at([5.0], [5.0]), aois)
 
     def test_priority_tie_rejected(self):
         aois = [AOIRegion(0, (0, 0, 10, 10)), AOIRegion(1, (5, 0, 15, 10))]
-        fix = Fixation(0.0, 200.0, 7.0, 5.0, 10)
         with pytest.raises(ValueError, match="priorit"):
-            map_to_aoi(fix, aois)
+            map_to_aoi(fixations_at([7.0], [5.0]), aois)
 
 
 class TestAoiPositions:
-    """`build_scanpath` maps every centroid of a trial at once."""
+    """`map_to_aoi` maps every centroid of a trial at once, to positions in
+    the AOI list."""
 
     # Nested and overlapping regions with ids out of list order.
     AOIS = [AOIRegion(2, (0, 0, 10, 10), priority=0),
@@ -482,22 +496,18 @@ class TestAoiPositions:
             containing = [a for a in self.AOIS if a.contains(x, y)]
             top = max(containing, key=lambda a: a.priority, default=None)
             want.append(-1 if top is None else self.AOIS.index(top))
-        assert gaze_module._aoi_positions(xs, ys, self.AOIS).tolist() == want
-        for x, y, at in zip(xs, ys, want):
-            fix = Fixation(0.0, 200.0, float(x), float(y), 10)
-            assert map_to_aoi(fix, self.AOIS) == (
-                None if at < 0 else self.AOIS[at].id)
+        assert map_to_aoi(fixations_at(xs, ys), self.AOIS).tolist() == want
 
     def test_first_tied_centroid_named(self):
         aois = [AOIRegion(0, (0, 0, 10, 10)), AOIRegion(1, (5, 0, 15, 10)),
                 AOIRegion(2, (20, 0, 30, 10)), AOIRegion(3, (25, 0, 35, 10))]
         # The first centroid is unambiguous, the second ties 2 and 3.
         with pytest.raises(ValueError, match="overlapping AOIs 2, 3 share"):
-            gaze_module._aoi_positions([1.0, 27.0, 7.0], [5.0] * 3, aois)
+            map_to_aoi(fixations_at([1.0, 27.0, 7.0], [5.0] * 3), aois)
 
     def test_no_centroids_or_no_aois(self):
-        assert gaze_module._aoi_positions([], [], self.AOIS).tolist() == []
-        assert gaze_module._aoi_positions([1.0], [1.0], []).tolist() == [-1]
+        assert map_to_aoi(fixations_at([], []), self.AOIS).tolist() == []
+        assert map_to_aoi(fixations_at([1.0], [1.0]), []).tolist() == [-1]
 
 
 def planted_trial(centers, trial_id="t0", condition="TC", dwell_s=0.2):
@@ -577,7 +587,7 @@ class TestInvalidSamples:
         dirty, clean = self.dirty_and_clean()
         fixations = trial_fixations(dirty.samples)
         assert len(fixations) == 1
-        assert fixations == trial_fixations(clean.samples)
+        assert fixations.tolist() == trial_fixations(clean.samples).tolist()
         record = build_scanpath(dirty, SEARCH_TASK_AOIS)
         assert record.symbols.tolist() == [2]
         assert record.invalid_samples == 2
