@@ -8,8 +8,8 @@ per-participant condition-comparison protocol, plus a batch CLI.
 
 __version__ = "0.1.0"
 
-from .embedding import (EmbeddingConfig, MIN_EMBEDDED_ROWS, SelectionStep,
-                        SelectionTrace, max_statistic_test, optimize_past_state)
+from .embedding import (MIN_EMBEDDED_ROWS, SelectionStep, SelectionTrace,
+                        max_statistic_test, optimize_past_state)
 from .experiment import (ContrastResult, LagHistogram, ParticipantComparison,
                          RunConfig, TrialResult, analyze_trial,
                          compare_conditions, contrast_conditions,
@@ -31,11 +31,10 @@ from .stats import (PermutationTestResult,
                     independent_samples_permutation_test, test_final_ais)
 
 __all__ = [
-    "AOIRegion", "ContrastResult", "EmbeddingConfig", "FIXATION_DTYPE",
-    "GAZE_DTYPE", "InfoEstimate", "LagHistogram", "MarkovSpec",
-    "MIN_EMBEDDED_ROWS", "ParticipantComparison", "PastState",
-    "PermutationTestResult", "PipelineParams", "RunConfig", "ScanpathRecord",
-    "SelectionStep",
+    "AOIRegion", "ContrastResult", "FIXATION_DTYPE", "GAZE_DTYPE",
+    "InfoEstimate", "LagHistogram", "MarkovSpec", "MIN_EMBEDDED_ROWS",
+    "ParticipantComparison", "PastState", "PermutationTestResult",
+    "PipelineParams", "RunConfig", "ScanpathRecord", "SelectionStep",
     "SelectionTrace", "StateVectorSeries", "SymbolSequence", "Trial",
     "TrialResult", "active_information_storage", "analytic_ais",
     "analytic_entropy", "analytic_gte", "analyze_trial", "build_scanpath",

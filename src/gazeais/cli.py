@@ -6,8 +6,9 @@ subcommand runs on one thread and is deterministic given its inputs and
 `ais` selects each trial's past state once; `compare` contrasts those
 recorded selections and never selects again.
 Settings resolve in `_settings` alone: the `--config` file, then flags,
-over `RunConfig` defaults. `compare` takes the selection settings that
-`ais` recorded, and a given one must equal them.
+over `RunConfig` defaults, and every error names the file or the flag.
+`compare` takes the selection settings that `ais` recorded, and a given
+one must equal them.
 """
 
 import argparse
@@ -99,17 +100,24 @@ def _fmt(value) -> str:
     return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
-def _settings(args) -> dict:
-    """The settings given for this run: the `--config` file's, overridden
-    by flags."""
-    settings = read_run_config(args.config) if getattr(args, "config", None) else {}
+def _settings(args):
+    """(settings, sources) by key: the `--config` file's settings overridden
+    by flags, each checked, and where each came from."""
+    path = getattr(args, "config", None)
+    settings = read_run_config(path) if path else {}
+    sources = dict.fromkeys(settings, path)
     for flag, key in _SELECTION_SETTINGS + (
             ("seed", "seed"), ("tail", "tail"),
             ("nperm_comparison", "n_perm_comparison"),
             ("collapse_repeats", "collapse_repeats")):
-        if getattr(args, flag, None) is not None:
-            settings[key] = getattr(args, flag)
-    return settings
+        value = getattr(args, flag, None)
+        if value is not None:
+            sources[key] = "--" + flag.replace("_", "-")
+            try:
+                settings[key] = RunConfig.check_setting(key, value)
+            except ValueError as exc:
+                raise ValueError(f"{sources[key]}: {exc}") from None
+    return settings, sources
 
 
 def _selection(cfg: RunConfig) -> dict:
@@ -117,9 +125,15 @@ def _selection(cfg: RunConfig) -> dict:
     return {key: getattr(cfg, key) for _, key in _SELECTION_SETTINGS}
 
 
-def _run_config(args) -> RunConfig:
-    """`RunConfig` defaults, overridden by `--config`, overridden by flags."""
-    return replace(RunConfig(), **_settings(args))
+def _run_config(settings, sources) -> RunConfig:
+    """`RunConfig` defaults overridden by `settings`; an error names the
+    sources of alpha and n_perm_selection, which it checks together."""
+    try:
+        return RunConfig(**settings)
+    except ValueError as exc:
+        where = ", ".join(sorted({str(sources[key]) for key in
+                                  ("alpha", "n_perm_selection") if key in sources}))
+        raise ValueError(f"{where}: {exc}" if where else str(exc)) from None
 
 
 def _pipeline_params(args, collapse=False) -> PipelineParams:
@@ -157,7 +171,8 @@ def cmd_fixations(args) -> int:
 
 
 def cmd_scanpath(args) -> int:
-    params = _pipeline_params(args, collapse=_run_config(args).collapse_repeats)
+    params = _pipeline_params(
+        args, collapse=_run_config(*_settings(args)).collapse_repeats)
     trials = read_gaze_csv(args.input)
     aois = load_aois(args.aois)
     records = [build_scanpath(trial, aois, params) for trial in trials]
@@ -185,8 +200,7 @@ def _scanpath_records(doc):
 
 
 def cmd_ais(args) -> int:
-    cfg = _run_config(args)
-    ecfg = cfg.embedding_config()
+    cfg = _run_config(*_settings(args))
     records = _load_json(args.input, _scanpath_records)
     seen = {}
     for rec in records:
@@ -195,7 +209,7 @@ def cmd_ais(args) -> int:
     out_results = []
     for rec in records:
         entry = analyze_trial(
-            rec.sequence, replace(ecfg, seed=trial_seed(cfg.seed, rec)),
+            rec.sequence, replace(cfg, seed=trial_seed(cfg.seed, rec)),
             trial_id=rec.trial_id, participant_id=rec.participant_id,
             condition=rec.condition,
         ).to_dict()
@@ -253,24 +267,21 @@ def _summary_row(comp, cond):
 
 
 def cmd_compare(args) -> int:
-    settings = _settings(args)
+    settings, sources = _settings(args)
     by_participant, recorded = _load_ais_results(args.inputs)
     # Selection settings come from `ais`; the `--config` file and flags may
     # only repeat them.
-    for flag, key in _SELECTION_SETTINGS:
+    for _, key in _SELECTION_SETTINGS:
         given = settings.setdefault(key, recorded[key])
         if given != recorded[key]:
-            source = f"--{flag}" if getattr(args, flag) is not None else args.config
-            raise ValueError(f"{key} = {given} from {source} conflicts with "
-                             f"{key} = {recorded[key]} recorded by `ais`")
-    cfg = replace(RunConfig(), **settings)
+            raise ValueError(f"{key} = {given} from {sources[key]} conflicts "
+                             f"with {key} = {recorded[key]} recorded by `ais`")
+    cfg = _run_config(settings, sources)
 
     comparisons = []
     for pid in sorted(by_participant):
         records, results = zip(*by_participant[pid])
-        comparisons.append(contrast_conditions(
-            records, results, cfg.k_max, n_perm=cfg.n_perm_comparison,
-            tail=cfg.tail, seed=cfg.seed))
+        comparisons.append(contrast_conditions(records, results, cfg))
 
     out_dir = Path(args.out)
     all_results = [res for comp in comparisons for res in comp.trial_results]
@@ -300,7 +311,7 @@ def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     spec = load_markov_spec(args.spec)
-    seed = _run_config(args).seed
+    seed = _run_config(*_settings(args)).seed
     oracle_lags = tuple(range(1, max(spec.order, 1) + 1))
     trials = []
     for i in range(args.trials):

@@ -23,10 +23,10 @@ All embeddings within one optimization share offset = k_max, so every
 candidate comparison uses the identical row set and sample count. Plug-in
 CMI values are used as-is during selection: the permutation test absorbs
 estimator bias here, and bias correction is reserved for final reported
-estimates.
+estimates. Selection reads `k_max`, `alpha`, `n_perm_selection` and
+`seed` from the run's `experiment.RunConfig`, which checks them.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -36,34 +36,6 @@ from .sequences import PastState, StateVectorSeries, SymbolSequence, embed
 from .stats import PermutationTestResult, _permutation_p
 
 MIN_EMBEDDED_ROWS = 10
-
-
-@dataclass(frozen=True)
-class EmbeddingConfig:
-    """Knobs for past-state optimization.
-
-    n_perm must satisfy n_perm >= 1/alpha - 1, otherwise the minimum
-    attainable p-value 1/(n_perm + 1) can never reach alpha.
-    """
-
-    k_max: int = 5
-    alpha: float = 0.05
-    n_perm: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.n_perm < 1:
-            raise ValueError("n_perm must be >= 1")
-        min_nperm = math.ceil(1.0 / self.alpha - 1.0 - 1e-12)
-        if self.n_perm < min_nperm:
-            raise ValueError(
-                f"n_perm={self.n_perm} cannot reach alpha={self.alpha}; "
-                f"need at least {min_nperm}"
-            )
 
 
 @dataclass
@@ -125,13 +97,14 @@ def max_statistic_test(candidates, series: StateVectorSeries, n_perm: int,
         observed, (block.max(axis=1) for block in blocks), n_perm, alpha))
 
 
-def optimize_past_state(seq: SymbolSequence, cfg: EmbeddingConfig):
+def optimize_past_state(seq: SymbolSequence, cfg):
     """Greedy forward selection of the past state of a sequence.
 
-    Returns (PastState, SelectionTrace). The selected lag set may be empty
-    when no candidate carries significant information about the next value.
-    Deterministic given (sequence, config): iteration i uses a sub-seed
-    derived from (cfg.seed, i).
+    `cfg` is the run's `RunConfig`. Returns (PastState, SelectionTrace).
+    The selected lag set may be empty when no candidate carries
+    significant information about the next value. Deterministic given
+    (sequence, config): iteration i uses a sub-seed derived from
+    (cfg.seed, i).
     """
     n = len(seq) - cfg.k_max
     if n < MIN_EMBEDDED_ROWS:
@@ -147,7 +120,7 @@ def optimize_past_state(seq: SymbolSequence, cfg: EmbeddingConfig):
     for iteration in range(cfg.k_max):
         cmis, test = max_statistic_test(
             candidates, series,
-            n_perm=cfg.n_perm,
+            n_perm=cfg.n_perm_selection,
             seed=derive_seed(cfg.seed, "max-stat", iteration),
             selected=tuple(selected),
             alpha=cfg.alpha,
@@ -162,7 +135,7 @@ def optimize_past_state(seq: SymbolSequence, cfg: EmbeddingConfig):
             observed_cmi=test.observed_statistic,
             p_value=float(test.p_value),
             accepted=accepted,
-            p_is_lower_bound=test.evaluated < cfg.n_perm,
+            p_is_lower_bound=test.evaluated < cfg.n_perm_selection,
         ))
         if not accepted:
             break

@@ -1,27 +1,28 @@
 """End-to-end analysis protocol over trial scanpaths.
 
-Per trial (`analyze_trial`): optimize the past state, estimate
-bias-corrected AIS and the next-symbol entropy H(X_t), normalize, and test
-final AIS significance. Per participant (`contrast_conditions`): pool the
-trials' selected lags into a union past state, equalize trial lengths by
+Each protocol function takes the run's one `RunConfig`. Per trial
+(`analyze_trial`): optimize the past state, estimate bias-corrected AIS
+and the next-symbol entropy H(X_t), normalize, and test final AIS
+significance. Per participant (`contrast_conditions`): pool the trials'
+selected lags into a union past state, equalize trial lengths by
 discarding symbols from the beginning, re-estimate every trial with the
 shared past state and sample count (holding estimation bias constant
 across groups), and contrast the two conditions with independent samples
 permutation tests on AIS, entropy, and normalized AIS. `compare_conditions`
 runs both steps; each trial's past state is selected exactly once. Seeds
 derive here from one master seed: `trial_seed` per trial, (seed,
-"participant", id) per participant. So `compare_conditions` at `cfg.seed`
-equals `gazeais ais` followed by `gazeais compare` at `--seed`.
+"participant", id) per participant. So `compare_conditions(records, cfg)`
+equals `gazeais ais` followed by `gazeais compare` with its settings.
 """
 
 import logging
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .embedding import (EmbeddingConfig, MIN_EMBEDDED_ROWS, SelectionTrace,
-                        optimize_past_state)
+from .embedding import MIN_EMBEDDED_ROWS, SelectionTrace, optimize_past_state
 from .gaze import ScanpathRecord, _field, _trial_owner
 from .infocore import (InfoEstimate, active_information_storage,
                        next_symbol_entropy)
@@ -34,9 +35,11 @@ log = logging.getLogger(__name__)
 MEASURES = ("ais", "entropy", "normalized_ais")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Run-level settings, loadable from a plain key-value file."""
+    """Every setting of a run, loadable from a plain key-value file. Each
+    field is checked by `check_setting`, and n_perm_selection must reach
+    alpha: the least attainable p-value is 1/(n_perm_selection + 1)."""
 
     k_max: int = 5
     alpha: float = 0.05
@@ -46,9 +49,26 @@ class RunConfig:
     collapse_repeats: bool = False
     tail: str = "two_sided"
 
-    def embedding_config(self) -> EmbeddingConfig:
-        return EmbeddingConfig(k_max=self.k_max, alpha=self.alpha,
-                               n_perm=self.n_perm_selection, seed=self.seed)
+    def __post_init__(self):
+        for f in fields(self):
+            self.check_setting(f.name, getattr(self, f.name))
+        need = math.ceil(1.0 / self.alpha - 1.0 - 1e-12)
+        if self.n_perm_selection < need:
+            raise ValueError(
+                f"n_perm_selection = {self.n_perm_selection} cannot reach "
+                f"alpha = {self.alpha}; need at least {need}")
+
+    @staticmethod
+    def check_setting(key: str, value):
+        """`value`, if it lies in the range of the setting `key`; else a
+        ValueError that names the key and the value."""
+        if key in ("k_max", "n_perm_selection", "n_perm_comparison") and value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value!r}")
+        if key == "alpha" and not 0.0 < value < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {value!r}")
+        if key == "tail" and value not in TAILS:
+            raise ValueError(f"tail must be one of {TAILS}, got {value!r}")
+        return value
 
 
 def _parse_bool(value: str) -> bool:
@@ -58,29 +78,14 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected 1/0, true/false, yes/no or on/off, got {value!r}")
 
 
-def _tail(value: str) -> str:
-    if value not in TAILS:
-        raise ValueError(f"tail must be one of {TAILS}, got {value!r}")
-    return value
-
-
-def _n_perm_comparison(value: str) -> int:
-    n_perm = int(value)
-    if n_perm < 1:
-        raise ValueError(f"n_perm_comparison must be >= 1, got {n_perm}")
-    return n_perm
-
-
 def read_run_config(path) -> dict:
-    """The settings of a `key = value` file, converted, by key; '#' starts a
-    comment; an unknown key, a key set twice, a value that does not convert,
-    a `tail` outside `TAILS` or an `n_perm_comparison` below 1 is an error
-    that names the file and the line."""
-    converters = {
-        "k_max": int, "alpha": float, "n_perm_selection": int,
-        "n_perm_comparison": _n_perm_comparison, "seed": int, "tail": _tail,
-        "collapse_repeats": _parse_bool,
-    }
+    """The settings of a `key = value` file, converted and checked, by key;
+    '#' starts a comment. An unknown key, a key set twice, or a value that
+    does not convert or fails `RunConfig.check_setting` is an error that
+    names the file and the line. Alpha against n_perm_selection is left
+    to `RunConfig`, as flags may override either."""
+    converters = {f.name: _parse_bool if f.type is bool else f.type
+                  for f in fields(RunConfig)}
 
     def error(line_no, what):
         return ValueError(f"{path}: config line {line_no}: {what}")
@@ -101,15 +106,21 @@ def read_run_config(path) -> dict:
                                      f"{set_on[key]}")
             set_on[key] = line_no
             try:
-                settings[key] = converters[key](value)
+                settings[key] = RunConfig.check_setting(
+                    key, converters[key](value))
             except ValueError as exc:
                 raise error(line_no, exc) from None
     return settings
 
 
 def parse_run_config(path) -> RunConfig:
-    """`RunConfig` defaults overridden by the settings of the file `path`."""
-    return replace(RunConfig(), **read_run_config(path))
+    """`RunConfig` defaults overridden by the settings of the file `path`;
+    every error names the file."""
+    settings = read_run_config(path)
+    try:
+        return RunConfig(**settings)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -261,13 +272,13 @@ def trial_seed(seed: int, record: ScanpathRecord) -> int:
                        record.trial_id)
 
 
-def analyze_trial(scanpath: SymbolSequence, cfg: EmbeddingConfig, *,
+def analyze_trial(scanpath: SymbolSequence, cfg: RunConfig, *,
                   trial_id: str = "", participant_id: str = "",
                   condition: str = "") -> TrialResult:
     """Optimize the past state of one trial and estimate its AIS.
 
     `cfg.seed` seeds the selection and (cfg.seed, "final-ais") the final AIS
-    test, which draws `cfg.n_perm` surrogates; pass
+    test, which draws `cfg.n_perm_selection` surrogates; pass
     `replace(cfg, seed=trial_seed(...))` to reproduce a trial of a protocol
     run. Too-short scanpaths yield a skip record rather than an error. When
     the optimization selects no lags, AIS is reported as 0 with p = 1;
@@ -287,7 +298,8 @@ def analyze_trial(scanpath: SymbolSequence, cfg: EmbeddingConfig, *,
         scanpath, lags, cfg.k_max)
     p_value = 1.0
     if lags:
-        p_value = test_final_ais(embed(scanpath, lags, cfg.k_max), cfg.n_perm,
+        p_value = test_final_ais(embed(scanpath, lags, cfg.k_max),
+                                 cfg.n_perm_selection,
                                  seed=derive_seed(cfg.seed, "final-ais")).p_value
     if clamped:
         log.info("trial %s: normalized AIS clamped into [0, 1]", trial_id)
@@ -337,9 +349,8 @@ def _mean_sem(values):
     return mean, sem
 
 
-def compare_conditions(records: Sequence[ScanpathRecord], cfg: EmbeddingConfig,
-                       n_perm: int = 5000,
-                       tail: str = "two_sided") -> ParticipantComparison:
+def compare_conditions(records: Sequence[ScanpathRecord],
+                       cfg: RunConfig) -> ParticipantComparison:
     """`analyze_trial` on every record, then `contrast_conditions`.
 
     `cfg.seed` is the master seed: each trial is analysed once at
@@ -355,18 +366,17 @@ def compare_conditions(records: Sequence[ScanpathRecord], cfg: EmbeddingConfig,
         )
         for rec in records
     ]
-    return contrast_conditions(records, results, cfg.k_max, n_perm=n_perm,
-                               tail=tail, seed=cfg.seed)
+    return contrast_conditions(records, results, cfg)
 
 
 def contrast_conditions(records: Sequence[ScanpathRecord],
-                        results: Sequence[TrialResult], k_max: int,
-                        n_perm: int = 5000, tail: str = "two_sided",
-                        seed: int = 0) -> ParticipantComparison:
+                        results: Sequence[TrialResult],
+                        cfg: RunConfig) -> ParticipantComparison:
     """Contrast one participant's two conditions on equalized estimates.
 
-    `results[i]` is the per-trial analysis of `records[i]`, and `seed` the
-    master seed: the contrasts draw from (seed, "participant", participant),
+    `results[i]` is the per-trial analysis of `records[i]`, and `cfg.seed`
+    the master seed: each contrast draws `cfg.n_perm_comparison` surrogates,
+    tested on `cfg.tail`, from (cfg.seed, "participant", participant),
     which `ParticipantComparison.seed` records. Trials are taken, and
     `trial_results` listed, in (condition, trial id) order whatever the
     order of the arguments. All trials are
@@ -385,7 +395,8 @@ def contrast_conditions(records: Sequence[ScanpathRecord],
     if len(participants) > 1:
         raise ValueError(f"records span multiple participants: {participants}")
     participant_id = participants[0]
-    seed = derive_seed(seed, "participant", participant_id)
+    k_max = cfg.k_max
+    seed = derive_seed(cfg.seed, "participant", participant_id)
 
     pairs = sorted(zip(records, results),
                    key=lambda pair: (pair[0].condition, pair[0].trial_id))
@@ -444,7 +455,7 @@ def contrast_conditions(records: Sequence[ScanpathRecord],
         diff = p_value = direction = None
         if group_a and group_b:
             test = independent_samples_permutation_test(
-                group_a, group_b, n_perm=n_perm, tail=tail,
+                group_a, group_b, n_perm=cfg.n_perm_comparison, tail=cfg.tail,
                 seed=derive_seed(seed, "contrast", measure),
             )
             diff, p_value = test.observed_statistic, test.p_value
@@ -470,8 +481,8 @@ def contrast_conditions(records: Sequence[ScanpathRecord],
         sems=sems,
         contrasts=contrasts,
         excluded_normalized=excluded_normalized,
-        n_perm=n_perm,
-        tail=tail,
+        n_perm=cfg.n_perm_comparison,
+        tail=cfg.tail,
         seed=seed,
         trial_results=[res for _, res in pairs],
     )

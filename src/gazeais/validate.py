@@ -12,7 +12,8 @@ from typing import List
 
 import numpy as np
 
-from .embedding import EmbeddingConfig, max_statistic_test, optimize_past_state
+from .embedding import max_statistic_test, optimize_past_state
+from .experiment import RunConfig
 from .gaze import (FIXATION_DTYPE, GAZE_DTYPE, detect_fixations_idt,
                    filter_fixations)
 from .infocore import (_cmi_blocks, active_information_storage,
@@ -218,7 +219,7 @@ def check_bias_correction(seed, n_draws=300) -> CheckResult:
 def check_determinism(seed) -> CheckResult:
     """The same calls made twice at the same seed must agree bit for bit."""
     seq = generate(persistence_spec(0.85), 400, seed=seed)
-    cfg = EmbeddingConfig(k_max=3, alpha=0.05, n_perm=100, seed=seed)
+    cfg = RunConfig(k_max=3, alpha=0.05, n_perm_selection=100, seed=seed)
     lags1, trace1 = optimize_past_state(seq, cfg)
     lags2, trace2 = optimize_past_state(seq, cfg)
     series = embed(seq, (1, 2, 3), 3)

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gazeais import (EmbeddingConfig, ScanpathRecord,
+from gazeais import (RunConfig, ScanpathRecord,
                      active_information_storage, analytic_ais, analyze_trial,
                      compare_conditions, derive_seed, embed, generate,
                      independent_samples_permutation_test, lagged_copy_spec,
@@ -65,7 +65,7 @@ def test_criterion_2_oracle_convergence():
 
 
 def test_criterion_3_embedding_recovery():
-    cfg = EmbeddingConfig(k_max=5, alpha=0.05, n_perm=200, seed=0)
+    cfg = RunConfig(k_max=5, alpha=0.05, n_perm_selection=200, seed=0)
 
     order1_hits = 0
     for s in range(20):
@@ -107,15 +107,15 @@ def test_criterion_4_protocol_pipeline():
     spec_lo = persistence_spec(0.60)   # analytic AIS ~ 0.029 bits
     gap = analytic_ais(spec_hi, (1,)) - analytic_ais(spec_lo, (1,))
     assert gap >= 0.3
-    cfg = EmbeddingConfig(k_max=5, alpha=0.05, n_perm=200, seed=0)
+    cfg = RunConfig(k_max=5, alpha=0.05, n_perm_selection=200, seed=0)
 
     correct = 0
     for run in range(100):
         hi = _condition_records(spec_hi, "hi", 22, 300, derive_seed(41, run))
         lo = _condition_records(spec_lo, "lo", 22, 300, derive_seed(42, run))
         comp = compare_conditions(
-            hi + lo, replace(cfg, seed=derive_seed(43, run)),
-            n_perm=5000, tail="two_sided")
+            hi + lo, replace(cfg, seed=derive_seed(43, run),
+                             n_perm_comparison=5000, tail="two_sided"))
         contrast = comp.contrasts["ais"]
         if contrast.observed_diff > 0 and contrast.p_value <= 0.01:
             correct += 1
@@ -126,8 +126,8 @@ def test_criterion_4_protocol_pipeline():
         a = _condition_records(spec_null, "A", 22, 300, derive_seed(44, run))
         b = _condition_records(spec_null, "B", 22, 300, derive_seed(45, run))
         comp = compare_conditions(
-            a + b, replace(cfg, seed=derive_seed(46, run)),
-            n_perm=5000, tail="two_sided")
+            a + b, replace(cfg, seed=derive_seed(46, run),
+                           n_perm_comparison=5000, tail="two_sided"))
         if comp.contrasts["ais"].p_value <= 0.01:
             null_rejections += 1
 
@@ -155,7 +155,7 @@ def test_criterion_7_determinism(tmp_path):
     checks.append(np.array_equal(
         generate(persistence_spec(0.85), 2000, seed=71).symbols, seq.symbols))
 
-    cfg = EmbeddingConfig(k_max=5, n_perm=100, seed=72)
+    cfg = RunConfig(k_max=5, n_perm_selection=100, seed=72)
     out1 = optimize_past_state(seq, cfg)
     out2 = optimize_past_state(seq, cfg)
     checks.append(out1[0] == out2[0])

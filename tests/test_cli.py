@@ -2,13 +2,14 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import gazeais.cli
 import gazeais.experiment
-from gazeais import (EmbeddingConfig, ScanpathRecord, compare_conditions,
+from gazeais import (RunConfig, ScanpathRecord, compare_conditions,
                      derive_seed, detect_fixations_idt, filter_fixations,
                      filter_gaze, generate, persistence_spec, read_gaze_csv)
 from gazeais.cli import main
@@ -623,8 +624,9 @@ class TestCompareCommand:
         scans = json.loads((tmp_path / "scan.json").read_text())["trials"]
         records = sorted((ScanpathRecord.from_dict(t) for t in scans),
                          key=lambda r: (r.condition, r.trial_id))
-        cfg = EmbeddingConfig(k_max=5, alpha=0.05, n_perm=100, seed=7)
-        comp = compare_conditions(records, cfg, n_perm=400, tail="two_sided")
+        cfg = RunConfig(k_max=5, alpha=0.05, n_perm_selection=100, seed=7)
+        comp = compare_conditions(
+            records, replace(cfg, n_perm_comparison=400, tail="two_sided"))
         assert doc["participants"] == [gazeais.cli._round12(comp.to_dict())]
 
     def test_library_matches_cli_in_any_order(self, tmp_path):
@@ -640,9 +642,10 @@ class TestCompareCommand:
         shuffled = [records[i] for i in
                     np.random.default_rng(3).permutation(len(records))]
         assert [r.trial_id for r in shuffled] != [r.trial_id for r in records]
-        cfg = EmbeddingConfig(k_max=5, alpha=0.05, n_perm=100, seed=7)
-        comp = compare_conditions(shuffled, cfg, n_perm=400)
-        assert comp.to_dict() == compare_conditions(records, cfg, n_perm=400).to_dict()
+        cfg = RunConfig(k_max=5, alpha=0.05, n_perm_selection=100, seed=7)
+        comp = compare_conditions(shuffled, replace(cfg, n_perm_comparison=400))
+        assert comp.to_dict() == compare_conditions(
+            records, replace(cfg, n_perm_comparison=400)).to_dict()
         assert gazeais.cli._round12(comp.to_dict()) == entry
         assert [(t.condition, t.trial_id) for t in comp.trial_results] == \
             sorted((r.condition, r.trial_id) for r in records)
@@ -840,6 +843,76 @@ class TestConfigFile:
         assert main(["simulate", str(spec), "--length", "50", "--seed", "5",
                      "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("line, message", [
+        ("k_max = 0", "k_max must be >= 1, got 0"),
+        ("alpha = 2", "alpha must lie in (0, 1), got 2.0"),
+        ("n_perm_selection = 0", "n_perm_selection must be >= 1, got 0"),
+    ])
+    def test_range_checked_when_read(self, tmp_path, capsys, line, message):
+        # The input does not exist, so the file's error must come first.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 7\n" + line + "\n")
+        assert main(["ais", str(tmp_path / "missing.json"), "--config",
+                     str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config line 2: {message}\n")
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("compare", "--nperm-comparison", "0",
+         "n_perm_comparison must be >= 1, got 0"),
+        ("compare", "--kmax", "0", "k_max must be >= 1, got 0"),
+        ("ais", "--kmax", "0", "k_max must be >= 1, got 0"),
+        ("ais", "--alpha", "2", "alpha must lie in (0, 1), got 2.0"),
+        ("ais", "--nperm", "0", "n_perm_selection must be >= 1, got 0"),
+    ])
+    def test_flag_out_of_range_named(self, tmp_path, capsys, command, flag,
+                                     value, message):
+        # Checked before any input is opened: the input does not exist.
+        assert main([command, str(tmp_path / "missing.json"), flag, value,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {flag}: {message}\n"
+
+    def _sims(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        write_spec(spec)
+        sims = tmp_path / "sims.json"
+        assert main(["simulate", str(spec), "--length", "60", "--trials", "2",
+                     "--out", str(sims)]) == 0
+        return sims
+
+    def test_alpha_and_nperm_read_together(self, tmp_path):
+        # Either line alone fails against the other's default.
+        sims = self._sims(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        outputs = []
+        for text in ("alpha = 0.1\nn_perm_selection = 10\n",
+                     "n_perm_selection = 10\nalpha = 0.1\n"):
+            cfg.write_text(text)
+            results = tmp_path / f"results{len(outputs)}.json"
+            assert main(["ais", str(sims), "--config", str(cfg),
+                         "--out", str(results)]) == 0
+            outputs.append(results.read_bytes())
+        assert outputs[0] == outputs[1]
+        config = json.loads(outputs[0])["config"]
+        assert (config["alpha"], config["n_perm_selection"]) == (0.1, 10)
+
+    def test_nperm_that_cannot_reach_alpha_names_its_source(self, tmp_path,
+                                                             capsys):
+        sims = self._sims(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_perm_selection = 10\n")
+        rule = "n_perm_selection = 10 cannot reach alpha = 0.05; need at least 19"
+        for given, source in ((["--config", str(cfg)], str(cfg)),
+                              (["--nperm", "10"], "--nperm"),
+                              (["--config", str(cfg), "--alpha", "0.05"],
+                               f"--alpha, {cfg}")):
+            assert main(["ais", str(sims), *given,
+                         "--out", str(tmp_path / "r.json")]) == 2
+            assert capsys.readouterr().err == f"error: {source}: {rule}\n"
+        # A flag may supply the alpha that the file's n_perm_selection needs.
+        assert main(["ais", str(sims), "--config", str(cfg), "--alpha", "0.1",
+                     "--out", str(tmp_path / "r.json")]) == 0
 
     def test_fixations_takes_no_config(self, tmp_path):
         gaze = tmp_path / "gaze.csv"

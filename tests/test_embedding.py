@@ -3,27 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gazeais import (EmbeddingConfig, SymbolSequence, derive_seed, embed,
+from gazeais import (RunConfig, SymbolSequence, derive_seed, embed,
                      generate, lagged_copy_spec, max_statistic_test,
                      optimize_past_state, persistence_spec, uniform_iid_spec)
 from gazeais import derive_rng, embedding, infocore
 from gazeais.validate import dense_estimate
-
-
-class TestEmbeddingConfig:
-    def test_defaults(self):
-        cfg = EmbeddingConfig()
-        assert cfg.k_max == 5 and cfg.alpha == 0.05 and cfg.n_perm == 200
-
-    def test_nperm_must_reach_alpha(self):
-        # Minimum attainable p is 1/(n_perm + 1), so n_perm >= 1/alpha - 1.
-        with pytest.raises(ValueError, match="cannot reach"):
-            EmbeddingConfig(alpha=0.05, n_perm=10)
-        EmbeddingConfig(alpha=0.05, n_perm=19)  # boundary is fine
-
-    def test_alpha_range(self):
-        with pytest.raises(ValueError, match="alpha"):
-            EmbeddingConfig(alpha=1.5)
 
 
 class TestCandidateCmis:
@@ -80,7 +64,7 @@ class TestLargeAlphabets:
         series = embed(seq, range(1, 6), 5)
         tracemalloc.start()
         try:
-            optimize_past_state(seq, EmbeddingConfig(k_max=5, n_perm=200, seed=1))
+            optimize_past_state(seq, RunConfig(k_max=5, n_perm_selection=200, seed=1))
             max_statistic_test((5,), series, 200, seed=1, selected=(1, 2, 3, 4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -90,20 +74,21 @@ class TestLargeAlphabets:
     def test_selection_at_three_hundred_symbols(self):
         # 300^5 joint cells: no dense table, and no int64 mixed-radix code.
         seq = SymbolSequence(np.random.default_rng(300).integers(0, 300, 400), 300)
-        lags, trace = optimize_past_state(seq, EmbeddingConfig(k_max=4, n_perm=100, seed=1))
+        lags, trace = optimize_past_state(
+            seq, RunConfig(k_max=4, n_perm_selection=100, seed=1))
         assert set(lags.lags) <= {1, 2, 3, 4}
         assert all(np.isfinite(v) for v in trace.steps[0].cmi_values.values())
 
 
 class TestOptimizePastState:
     def test_too_short(self):
-        cfg = EmbeddingConfig(seed=0)
+        cfg = RunConfig(seed=0)
         with pytest.raises(ValueError, match="at least 10"):
             optimize_past_state(SymbolSequence([0, 1] * 7, 2), cfg)
 
     def test_deterministic_cycle_selects_lag_one(self):
         seq = SymbolSequence(np.arange(200) % 4, 4)
-        cfg = EmbeddingConfig(k_max=5, n_perm=100, seed=3)
+        cfg = RunConfig(k_max=5, n_perm_selection=100, seed=3)
         lags, trace = optimize_past_state(seq, cfg)
         assert lags.lags == (1,)
         assert trace.steps[0].accepted and not trace.steps[-1].accepted
@@ -111,7 +96,7 @@ class TestOptimizePastState:
 
     def test_trace_is_bounded(self):
         seq = generate(persistence_spec(0.9), 1500, seed=5)
-        cfg = EmbeddingConfig(k_max=5, n_perm=100, seed=5)
+        cfg = RunConfig(k_max=5, n_perm_selection=100, seed=5)
         lags, trace = optimize_past_state(seq, cfg)
         assert len(trace.steps) <= cfg.k_max + 1
         assert set(lags.lags) <= set(range(1, cfg.k_max + 1))
@@ -130,19 +115,20 @@ class TestOptimizePastState:
             return blocks(*args)
         monkeypatch.setattr(embedding, "_cmi_blocks", counted)
         seq = generate(lagged_copy_spec(2, 0.9), 300, seed=12)
-        _, trace = optimize_past_state(seq, EmbeddingConfig(k_max=5, n_perm=200, seed=1))
+        _, trace = optimize_past_state(
+            seq, RunConfig(k_max=5, n_perm_selection=200, seed=1))
         assert len(trace.steps) >= 2 and len(calls) == len(trace.steps)
 
     def test_identical_inputs_identical_outputs(self):
         seq = generate(persistence_spec(0.8), 800, seed=9)
-        cfg = EmbeddingConfig(k_max=4, n_perm=60, seed=21)
+        cfg = RunConfig(k_max=4, n_perm_selection=60, seed=21)
         out1 = optimize_past_state(seq, cfg)
         out2 = optimize_past_state(seq, cfg)
         assert out1[0] == out2[0]
         assert [s.p_value for s in out1[1].steps] == [s.p_value for s in out2[1].steps]
 
     def test_recovers_order_one_memory(self):
-        cfg = EmbeddingConfig(k_max=5, n_perm=200, seed=0)
+        cfg = RunConfig(k_max=5, n_perm_selection=200, seed=0)
         hits = 0
         for s in range(5):
             seq = generate(persistence_spec(0.9), 5000,
@@ -152,7 +138,7 @@ class TestOptimizePastState:
         assert hits >= 4
 
     def test_recovers_planted_lag_two(self):
-        cfg = EmbeddingConfig(k_max=5, n_perm=200, seed=0)
+        cfg = RunConfig(k_max=5, n_perm_selection=200, seed=0)
         hits = 0
         for s in range(5):
             seq = generate(lagged_copy_spec(2, 0.9), 5000,
@@ -162,7 +148,7 @@ class TestOptimizePastState:
         assert hits >= 4
 
     def test_memoryless_mostly_empty(self):
-        cfg = EmbeddingConfig(k_max=5, n_perm=200, seed=0)
+        cfg = RunConfig(k_max=5, n_perm_selection=200, seed=0)
         nonempty = 0
         for s in range(10):
             seq = generate(uniform_iid_spec(4), 3000, seed=derive_seed(303, s))
@@ -189,8 +175,8 @@ class TestEarlyStop:
                 spec = uniform_iid_spec(m)
             seq = generate(spec, int(rng.integers(60, 301)), seed=derive_seed(2026, i))
             alpha = (0.05, 0.1)[i % 2]
-            cfg = EmbeddingConfig(k_max=k_max, alpha=alpha,
-                                  n_perm=int(rng.integers(19, 201)), seed=i)
+            cfg = RunConfig(k_max=k_max, alpha=alpha,
+                            n_perm_selection=int(rng.integers(19, 201)), seed=i)
             yield seq, cfg
 
     @staticmethod
@@ -224,9 +210,9 @@ class TestEarlyStop:
                 else:
                     assert cfg.alpha < step.p_value <= full.p_value
                     # p is (1 + b*) / (n_perm + 1), b* the first count past alpha.
-                    b = round(step.p_value * (cfg.n_perm + 1)) - 1
-                    assert (1.0 + b) / (cfg.n_perm + 1.0) == step.p_value
-                    assert b / (cfg.n_perm + 1.0) <= cfg.alpha
+                    b = round(step.p_value * (cfg.n_perm_selection + 1)) - 1
+                    assert (1.0 + b) / (cfg.n_perm_selection + 1.0) == step.p_value
+                    assert b / (cfg.n_perm_selection + 1.0) <= cfg.alpha
                     if not step.p_is_lower_bound:
                         assert step.p_value == full.p_value
                 flagged += step.p_is_lower_bound
@@ -246,14 +232,16 @@ class TestEarlyStop:
         monkeypatch.setattr(infocore, "_state_count_draws", counted)
 
         iid = generate(uniform_iid_spec(2), 300, seed=11)
-        _, trace = optimize_past_state(iid, EmbeddingConfig(k_max=5, n_perm=200, seed=1))
+        _, trace = optimize_past_state(
+            iid, RunConfig(k_max=5, n_perm_selection=200, seed=1))
         assert [s.accepted for s in trace.steps] == [False]
         assert trace.steps[0].p_is_lower_bound
         assert len(drawn) == 1 and drawn[0] < 200
 
         drawn.clear()
         copy = generate(lagged_copy_spec(2, 0.9), 300, seed=12)
-        _, trace = optimize_past_state(copy, EmbeddingConfig(k_max=5, n_perm=200, seed=1))
+        _, trace = optimize_past_state(
+            copy, RunConfig(k_max=5, n_perm_selection=200, seed=1))
         assert trace.steps[0].accepted and not trace.steps[0].p_is_lower_bound
         assert drawn[0] == 200
 

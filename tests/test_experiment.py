@@ -5,8 +5,8 @@ import pytest
 
 from dataclasses import replace
 
-from gazeais import (EmbeddingConfig, PastState, ScanpathRecord,
-                     SymbolSequence, analyze_trial, compare_conditions,
+from gazeais import (PastState, RunConfig, ScanpathRecord, SymbolSequence,
+                     analyze_trial, compare_conditions,
                      contrast_conditions, cycle_spec, derive_seed, equalize_samples, generate,
                      lag_histogram, parse_run_config, persistence_spec,
                      uniform_iid_spec, union_past_state)
@@ -27,7 +27,7 @@ def make_records(spec, condition, n_trials, length, seed, participant="p0"):
 class TestAnalyzeTrial:
     def test_deterministic_cycle(self):
         seq = SymbolSequence(np.arange(160) % 4, 4)
-        cfg = EmbeddingConfig(k_max=5, n_perm=100, seed=1)
+        cfg = RunConfig(k_max=5, n_perm_selection=100, seed=1)
         res = analyze_trial(seq, cfg, trial_id="cyc")
         assert not res.skipped
         assert res.selected_lags.lags == (1,)
@@ -37,14 +37,14 @@ class TestAnalyzeTrial:
 
     def test_short_trial_skipped(self):
         seq = SymbolSequence([0, 1] * 6, 2)
-        cfg = EmbeddingConfig(k_max=5, n_perm=100, seed=1)
+        cfg = RunConfig(k_max=5, n_perm_selection=100, seed=1)
         res = analyze_trial(seq, cfg, trial_id="short")
         assert res.skipped
         assert "need at least" in res.skip_reason
         assert res.ais is None
 
     def test_iid_trial_usually_empty(self):
-        cfg = EmbeddingConfig(k_max=5, n_perm=100, seed=2)
+        cfg = RunConfig(k_max=5, n_perm_selection=100, seed=2)
         empty = 0
         for s in range(5):
             seq = generate(uniform_iid_spec(4), 2000, seed=derive_seed(44, s))
@@ -59,14 +59,14 @@ class TestAnalyzeTrial:
         from gazeais import analytic_ais
         spec = persistence_spec(0.9)
         seq = generate(spec, 10_000, seed=7)
-        cfg = EmbeddingConfig(k_max=5, n_perm=200, seed=7)
+        cfg = RunConfig(k_max=5, n_perm_selection=200, seed=7)
         res = analyze_trial(seq, cfg)
         assert res.ais.corrected_value == pytest.approx(
             analytic_ais(spec, (1,)), abs=0.02)
 
     def test_constant_sequence_normalized_undefined(self):
         seq = SymbolSequence(np.zeros(100, dtype=int), 2)
-        cfg = EmbeddingConfig(k_max=5, n_perm=100, seed=3)
+        cfg = RunConfig(k_max=5, n_perm_selection=100, seed=3)
         res = analyze_trial(seq, cfg)
         assert res.entropy_next.plugin_value == 0.0
         assert math.copysign(1.0, res.entropy_next.plugin_value) == 1.0
@@ -92,7 +92,7 @@ class TestAnalyzeTrial:
             observed.append((result.observed_statistic, drawn or ["permutations"]))
             return result
         monkeypatch.setattr(experiment, "test_final_ais", spied)
-        cfg = EmbeddingConfig(k_max=3, n_perm=50, seed=4)
+        cfg = RunConfig(k_max=3, n_perm_selection=50, seed=4)
         binary = "tallies" if draw_rows else "tables"
         for spec, drew in ((persistence_spec(0.8), binary),
                            (lagged_copy_spec(2, 0.6, m=4), path)):
@@ -109,7 +109,7 @@ class TestTrialResultRoundTrip:
         np.zeros(100, dtype=int),       # analysed, no lag selected
     ], ids=["analysed", "skipped", "no-lags"])
     def test_from_dict_inverts_to_dict(self, symbols):
-        cfg = EmbeddingConfig(k_max=5, n_perm=100, seed=1)
+        cfg = RunConfig(k_max=5, n_perm_selection=100, seed=1)
         res = analyze_trial(SymbolSequence(symbols, 4), cfg, trial_id="t",
                             participant_id="p", condition="c")
         doc = res.to_dict()
@@ -188,8 +188,9 @@ class TestCompareConditions:
                 trial_id=rec.trial_id.replace("A", "B"),
                 participant_id=rec.participant_id, condition="B",
                 symbols=rec.symbols.copy(), alphabet_size=rec.alphabet_size))
-        cfg = EmbeddingConfig(k_max=5, n_perm=100, seed=5)
-        comp = compare_conditions(base + mirrored, cfg, n_perm=300)
+        cfg = RunConfig(k_max=5, n_perm_selection=100, seed=5)
+        comp = compare_conditions(base + mirrored,
+                                  replace(cfg, n_perm_comparison=300))
         for measure in ("ais", "entropy"):
             assert comp.contrasts[measure].observed_diff == pytest.approx(0.0, abs=1e-15)
         assert comp.contrasts["ais"].p_value == 1.0
@@ -197,8 +198,8 @@ class TestCompareConditions:
     def test_separated_conditions(self):
         a = make_records(cycle_spec(4), "A", 4, 120, seed=6)
         b = make_records(uniform_iid_spec(4), "B", 4, 120, seed=7)
-        cfg = EmbeddingConfig(k_max=5, n_perm=100, seed=8)
-        comp = compare_conditions(a + b, cfg, n_perm=400)
+        cfg = RunConfig(k_max=5, n_perm_selection=100, seed=8)
+        comp = compare_conditions(a + b, replace(cfg, n_perm_comparison=400))
         assert comp.contrasts["ais"].observed_diff > 0
         assert comp.contrasts["ais"].direction == "A>B"
         # 4v4 split: the minimum attainable two-sided mass is 2/C(8,4).
@@ -207,8 +208,8 @@ class TestCompareConditions:
     def test_equalization_and_union_shared(self):
         a = make_records(persistence_spec(0.9), "A", 3, 150, seed=9)
         b = make_records(persistence_spec(0.9), "B", 3, 110, seed=10)
-        cfg = EmbeddingConfig(k_max=5, n_perm=100, seed=11)
-        comp = compare_conditions(a + b, cfg, n_perm=200)
+        cfg = RunConfig(k_max=5, n_perm_selection=100, seed=11)
+        comp = compare_conditions(a + b, replace(cfg, n_perm_comparison=200))
         assert comp.equalized_length == 110
         assert comp.equalized_sample_count == 105
         assert set(comp.union_lags.lags) >= set(
@@ -218,43 +219,115 @@ class TestCompareConditions:
     def test_deterministic(self):
         a = make_records(persistence_spec(0.8), "A", 3, 100, seed=12)
         b = make_records(persistence_spec(0.6), "B", 3, 100, seed=13)
-        cfg = EmbeddingConfig(k_max=5, n_perm=60, seed=14)
-        c1 = compare_conditions(a + b, cfg, n_perm=100)
-        c2 = compare_conditions(a + b, cfg, n_perm=100)
+        cfg = RunConfig(k_max=5, n_perm_selection=60, seed=14)
+        c1 = compare_conditions(a + b, replace(cfg, n_perm_comparison=100))
+        c2 = compare_conditions(a + b, replace(cfg, n_perm_comparison=100))
         assert c1.contrasts["ais"].p_value == c2.contrasts["ais"].p_value
         assert c1.means == c2.means
 
     def test_insufficient_trials_names_condition(self):
         a = make_records(persistence_spec(0.8), "A", 1, 100, seed=15)
         b = make_records(persistence_spec(0.8), "B", 3, 100, seed=16)
-        cfg = EmbeddingConfig(k_max=5, n_perm=60, seed=17)
+        cfg = RunConfig(k_max=5, n_perm_selection=60, seed=17)
         with pytest.raises(ValueError, match="'A'"):
             compare_conditions(a + b, cfg)
 
     def test_contrast_uses_given_selections(self):
         a = make_records(persistence_spec(0.9), "A", 3, 120, seed=21)
         b = make_records(persistence_spec(0.9), "B", 3, 120, seed=22)
-        cfg = EmbeddingConfig(k_max=5, n_perm=60, seed=23)
-        comp = compare_conditions(a + b, cfg, n_perm=100)
+        cfg = replace(RunConfig(k_max=5, n_perm_selection=60, seed=23),
+                      n_perm_comparison=100)
+        comp = compare_conditions(a + b, cfg)
         results = list(comp.trial_results)
-        again = contrast_conditions(a + b, results, 5, n_perm=100, seed=23)
+        again = contrast_conditions(a + b, results, cfg)
         assert again.to_dict() == comp.to_dict()
         results[0] = replace(results[0], selected_lags=PastState((4,), 5))
-        planted = contrast_conditions(a + b, results, 5, n_perm=100, seed=23)
+        planted = contrast_conditions(a + b, results, cfg)
         assert 4 in planted.union_lags.lags
         with pytest.raises(ValueError, match="trial result"):
-            contrast_conditions(a + b, results[1:], 5, n_perm=100, seed=23)
+            contrast_conditions(a + b, results[1:], cfg)
 
     def test_mixed_participants_rejected(self):
         a = make_records(persistence_spec(0.8), "A", 2, 100, seed=18)
         b = make_records(persistence_spec(0.8), "B", 2, 100, seed=19,
                          participant="p1")
-        cfg = EmbeddingConfig(k_max=5, n_perm=60, seed=20)
+        cfg = RunConfig(k_max=5, n_perm_selection=60, seed=20)
         with pytest.raises(ValueError, match="participants"):
             compare_conditions(a + b, cfg)
 
 
 class TestRunConfig:
+    def test_defaults(self):
+        cfg = RunConfig()
+        assert (cfg.k_max, cfg.alpha, cfg.n_perm_selection, cfg.n_perm_comparison,
+                cfg.seed, cfg.collapse_repeats, cfg.tail) == (
+                    5, 0.05, 200, 5000, 0, False, "two_sided")
+
+    def test_nperm_must_reach_alpha(self):
+        # Minimum attainable p is 1/(n_perm + 1), so n_perm >= 1/alpha - 1.
+        with pytest.raises(ValueError, match=(
+                "n_perm_selection = 10 cannot reach alpha = 0.05; "
+                "need at least 19")):
+            RunConfig(alpha=0.05, n_perm_selection=10)
+        RunConfig(alpha=0.05, n_perm_selection=19)  # boundary is fine
+
+    def test_alpha_range(self):
+        with pytest.raises(ValueError, match="alpha"):
+            RunConfig(alpha=1.5)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("k_max", 0, "k_max must be >= 1, got 0"),
+        ("alpha", 0.0, "alpha must lie in (0, 1), got 0.0"),
+        ("alpha", 1.5, "alpha must lie in (0, 1), got 1.5"),
+        ("n_perm_selection", 0, "n_perm_selection must be >= 1, got 0"),
+        ("n_perm_comparison", 0, "n_perm_comparison must be >= 1, got 0"),
+        ("tail", "both", "tail must be one of ('greater', 'less', "
+                         "'two_sided'), got 'both'"),
+    ])
+    def test_each_field_named_in_its_error(self, key, value, message):
+        with pytest.raises(ValueError) as info:
+            RunConfig(**{key: value})
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            replace(RunConfig(), **{key: value})
+        assert str(info.value) == message
+
+    def test_frozen(self):
+        cfg = RunConfig()
+        with pytest.raises(AttributeError):
+            cfg.k_max = 0
+
+    @pytest.mark.parametrize("line, message", [
+        ("k_max = 0", "k_max must be >= 1, got 0"),
+        ("alpha = 2", "alpha must lie in (0, 1), got 2.0"),
+        ("n_perm_selection = 0", "n_perm_selection must be >= 1, got 0"),
+    ])
+    def test_range_checked_per_line(self, tmp_path, line, message):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\n" + line + "\n")
+        with pytest.raises(ValueError) as info:
+            parse_run_config(path)
+        assert str(info.value) == f"{path}: config line 2: {message}"
+
+    @pytest.mark.parametrize("text", [
+        "alpha = 0.1\nn_perm_selection = 10\n",
+        "n_perm_selection = 10\nalpha = 0.1\n",
+    ])
+    def test_alpha_and_nperm_read_together(self, tmp_path, text):
+        # Either line alone fails against the other's default.
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        cfg = parse_run_config(path)
+        assert (cfg.alpha, cfg.n_perm_selection) == (0.1, 10)
+
+    def test_nperm_that_cannot_reach_alpha_names_the_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("n_perm_selection = 10\nalpha = 0.05\n")
+        with pytest.raises(ValueError) as info:
+            parse_run_config(path)
+        assert str(info.value) == (f"{path}: n_perm_selection = 10 cannot "
+                                   f"reach alpha = 0.05; need at least 19")
+
     def test_parse(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -271,8 +344,6 @@ class TestRunConfig:
         assert cfg.k_max == 4 and cfg.alpha == 0.01
         assert cfg.n_perm_selection == 300 and cfg.n_perm_comparison == 2000
         assert cfg.seed == 99 and cfg.collapse_repeats and cfg.tail == "greater"
-        ecfg = cfg.embedding_config()
-        assert ecfg.k_max == 4 and ecfg.n_perm == 300
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"

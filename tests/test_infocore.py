@@ -656,9 +656,10 @@ class TestSurrogateKernel:
                 assert blocked.bit_generator.state == per_row.bit_generator.state
 
     def test_row_zero_is_the_reported_observation(self):
-        from gazeais import EmbeddingConfig, generate, optimize_past_state, persistence_spec
+        from gazeais import RunConfig, generate, optimize_past_state, persistence_spec
         seq = generate(persistence_spec(0.8), 500, seed=6)
-        _, trace = optimize_past_state(seq, EmbeddingConfig(k_max=4, n_perm=50, seed=6))
+        _, trace = optimize_past_state(
+            seq, RunConfig(k_max=4, n_perm_selection=50, seed=6))
         series = embed(seq, range(1, 5), 4)
         cols = {lag: series.pasts[:, lag - 1] for lag in range(1, 5)}
         selected = []
