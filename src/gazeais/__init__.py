@@ -14,7 +14,7 @@ from .experiment import (ContrastResult, LagHistogram, ParticipantComparison,
                          RunConfig, TrialResult, analyze_trial,
                          compare_conditions, contrast_conditions,
                          equalize_samples, lag_histogram, parse_run_config,
-                         trial_seed, union_past_state)
+                         union_past_state)
 from .gaze import (AOIRegion, FIXATION_DTYPE, GAZE_DTYPE, PipelineParams,
                    ScanpathRecord, Trial, build_scanpath,
                    detect_fixations_idt, filter_fixations, filter_gaze,
@@ -46,5 +46,5 @@ __all__ = [
     "map_to_aoi", "max_statistic_test", "next_symbol_entropy",
     "optimize_past_state", "parse_run_config", "persistence_spec",
     "read_gaze_csv", "stationary_distribution", "test_final_ais",
-    "trial_fixations", "trial_seed", "uniform_iid_spec", "union_past_state",
+    "trial_fixations", "uniform_iid_spec", "union_past_state",
 ]

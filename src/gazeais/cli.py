@@ -3,12 +3,13 @@
 Subcommands: fixations, scanpath, ais, compare, simulate, validate. Every
 subcommand runs on one thread and is deterministic given its inputs and
 --seed; reruns produce byte-identical files (outputs carry no timestamps).
-`ais` selects each trial's past state once; `compare` contrasts those
-recorded selections and never selects again.
+`ais` runs `analyze_trial` once per trial at the master seed; `compare`
+reads each entry back as a `TrialResult` and its `ScanpathRecord`, and
+contrasts those recorded selections without selecting again.
 Settings resolve in `_settings` alone: the `--config` file, then flags,
 over `RunConfig` defaults, and every error names the file or the flag.
-`compare` takes the selection settings that `ais` recorded, and a given
-one must equal them.
+`compare` takes the selection settings that `ais` recorded, checked as
+flags are, and a given one must equal them.
 """
 
 import argparse
@@ -16,21 +17,20 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .experiment import (MEASURES, RunConfig, TrialResult, analyze_trial,
-                         contrast_conditions, lag_histogram, read_run_config,
-                         trial_seed)
+                         contrast_conditions, lag_histogram, read_run_config)
 from .gaze import (PipelineParams, ScanpathRecord, _field, _json_list,
-                   _load_json, build_scanpath, load_aois, read_gaze_csv,
-                   trial_fixations)
+                   _load_json, _whole_number, build_scanpath, load_aois,
+                   read_gaze_csv, trial_fixations)
 from .markov import analytic_ais, analytic_entropy, analytic_gte, generate, \
     load_markov_spec
 from .rng import derive_seed
+from .stats import TAILS
 from .validate import run_all
 
 SCHEMA_VERSION = 1
@@ -206,27 +206,38 @@ def cmd_ais(args) -> int:
     for rec in records:
         _add_trial(seen, rec, args.input)
     records.sort(key=lambda r: (r.participant_id, r.trial_id))
-    out_results = []
-    for rec in records:
-        entry = analyze_trial(
-            rec.sequence, replace(cfg, seed=trial_seed(cfg.seed, rec)),
-            trial_id=rec.trial_id, participant_id=rec.participant_id,
-            condition=rec.condition,
-        ).to_dict()
-        entry["symbols"] = rec.symbols.tolist()
-        entry["alphabet_size"] = int(rec.alphabet_size)
-        out_results.append(entry)
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION,
         "config": {**_selection(cfg), "seed": cfg.seed},
-        "results": out_results,
+        "results": [{**analyze_trial(rec, cfg).to_dict(),
+                     "symbols": rec.symbols.tolist(),
+                     "alphabet_size": int(rec.alphabet_size)}
+                    for rec in records],
     })
     return 0
 
 
+def _recorded_selection(config, path) -> dict:
+    """The selection settings that `ais` recorded in the file `path`, by
+    key, each a number (whole but for alpha) in its `check_setting` range."""
+    selection = {}
+    for _, key in _SELECTION_SETTINGS:
+        value = _field(config, key, f"{path}: config")
+        try:
+            if key != "alpha":
+                value = _whole_number(value, key)
+            elif type(value) not in (int, float):  # a bool is no number
+                raise ValueError(f"alpha must be a number, got {value!r}")
+            selection[key] = RunConfig.check_setting(key, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: config: {exc}") from None
+    return selection
+
+
 def _load_ais_results(paths):
-    """Records and trial results from `ais` files, plus their shared config."""
-    config = None
+    """Trial results from `ais` files by participant, the selection
+    settings that they share, and the source that names them."""
+    config = selection = None
     by_participant = {}
     seen = {}
     for path in paths:
@@ -236,8 +247,7 @@ def _load_ais_results(paths):
                              f"`gazeais ais`")
         if config is None:
             config, config_path = doc["config"], path
-            for _, key in _SELECTION_SETTINGS:
-                _field(config, key, f"{path}: config")
+            selection = _recorded_selection(config, path)
         elif doc["config"] != config:
             raise ValueError(f"{path}: `ais` config {doc['config']} differs "
                              f"from {config_path}: {config}")
@@ -248,13 +258,13 @@ def _load_ais_results(paths):
                     f"produce comparable input"
                 )
             try:
-                rec = ScanpathRecord.from_dict(entry)
                 result = TrialResult.from_dict(entry)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
-            _add_trial(seen, rec, path)
-            by_participant.setdefault(rec.participant_id, []).append((rec, result))
-    return by_participant, config
+            _add_trial(seen, result.record, path)
+            by_participant.setdefault(result.record.participant_id,
+                                      []).append(result)
+    return by_participant, selection, f"{config_path} (recorded by ais)"
 
 
 def _summary_row(comp, cond):
@@ -268,20 +278,19 @@ def _summary_row(comp, cond):
 
 def cmd_compare(args) -> int:
     settings, sources = _settings(args)
-    by_participant, recorded = _load_ais_results(args.inputs)
+    by_participant, recorded, recorded_by = _load_ais_results(args.inputs)
     # Selection settings come from `ais`; the `--config` file and flags may
     # only repeat them.
     for _, key in _SELECTION_SETTINGS:
         given = settings.setdefault(key, recorded[key])
+        sources.setdefault(key, recorded_by)
         if given != recorded[key]:
             raise ValueError(f"{key} = {given} from {sources[key]} conflicts "
                              f"with {key} = {recorded[key]} recorded by `ais`")
     cfg = _run_config(settings, sources)
 
-    comparisons = []
-    for pid in sorted(by_participant):
-        records, results = zip(*by_participant[pid])
-        comparisons.append(contrast_conditions(records, results, cfg))
+    comparisons = [contrast_conditions(by_participant[pid], cfg)
+                   for pid in sorted(by_participant)]
 
     out_dir = Path(args.out)
     all_results = [res for comp in comparisons for res in comp.trial_results]
@@ -362,13 +371,14 @@ def _add_common(sub, seed_help="master seed for all randomness"):
 
 
 def _add_pipeline_flags(sub):
-    sub.add_argument("--min-confidence", type=float, default=0.9,
+    p = PipelineParams  # its field defaults are the flags' defaults
+    sub.add_argument("--min-confidence", type=float, default=p.min_confidence,
                      dest="min_confidence")
-    sub.add_argument("--dispersion", type=float, default=50.0,
+    sub.add_argument("--dispersion", type=float, default=p.dispersion_threshold,
                      help="IDT dispersion threshold in pixels")
-    sub.add_argument("--min-duration", type=float, default=100.0,
+    sub.add_argument("--min-duration", type=float, default=p.min_duration_ms,
                      dest="min_duration", help="minimum fixation duration (ms)")
-    sub.add_argument("--max-duration", type=float, default=1500.0,
+    sub.add_argument("--max-duration", type=float, default=p.max_duration_ms,
                      dest="max_duration", help="maximum fixation duration (ms)")
 
 
@@ -414,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nperm", type=int, help="must match the `ais` run")
     p.add_argument("--nperm-comparison", type=int, dest="nperm_comparison",
                    help="surrogate count for the condition contrasts")
-    p.add_argument("--tail", choices=("two_sided", "greater", "less"))
+    p.add_argument("--tail", choices=TAILS)
     p.set_defaults(func=cmd_compare)
 
     p = subs.add_parser("simulate", help="generate synthetic trials with oracle values")

@@ -1,18 +1,19 @@
 """End-to-end analysis protocol over trial scanpaths.
 
-Each protocol function takes the run's one `RunConfig`. Per trial
-(`analyze_trial`): optimize the past state, estimate bias-corrected AIS
-and the next-symbol entropy H(X_t), normalize, and test final AIS
-significance. Per participant (`contrast_conditions`): pool the trials'
-selected lags into a union past state, equalize trial lengths by
+Each protocol function takes the run's one `RunConfig`, whose seed is the
+master seed. Per trial (`analyze_trial`, on a `ScanpathRecord`): optimize
+the past state, estimate bias-corrected AIS and the next-symbol entropy
+H(X_t), normalize, and test final AIS significance; the `TrialResult`
+carries its record. Per participant (`contrast_conditions`): pool the
+trials' selected lags into a union past state, equalize trial lengths by
 discarding symbols from the beginning, re-estimate every trial with the
 shared past state and sample count (holding estimation bias constant
 across groups), and contrast the two conditions with independent samples
-permutation tests on AIS, entropy, and normalized AIS. `compare_conditions`
-runs both steps; each trial's past state is selected exactly once. Seeds
-derive here from one master seed: `trial_seed` per trial, (seed,
-"participant", id) per participant. So `compare_conditions(records, cfg)`
-equals `gazeais ais` followed by `gazeais compare` with its settings.
+permutation tests on AIS, entropy, and normalized AIS. Seeds derive here:
+(seed, "trial", participant, condition, id) per trial, (seed,
+"participant", id) per participant. So `analyze_trial` gives a trial's
+`gazeais ais` entry, and `compare_conditions`, which selects each past
+state once, gives `gazeais ais` then `gazeais compare`.
 """
 
 import logging
@@ -125,9 +126,9 @@ def parse_run_config(path) -> RunConfig:
 
 @dataclass
 class TrialResult:
-    trial_id: str
-    participant_id: str
-    condition: str
+    """The analysis of one trial, which `record` holds."""
+
+    record: ScanpathRecord
     sample_count: int
     skipped: bool = False
     skip_reason: Optional[str] = None
@@ -150,9 +151,9 @@ class TrialResult:
                     "kind": e.kind}
 
         return {
-            "trial_id": self.trial_id,
-            "participant_id": self.participant_id,
-            "condition": self.condition,
+            "trial_id": self.record.trial_id,
+            "participant_id": self.record.participant_id,
+            "condition": self.record.condition,
             "sample_count": self.sample_count,
             "skipped": self.skipped,
             "skip_reason": self.skip_reason,
@@ -167,12 +168,14 @@ class TrialResult:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrialResult":
-        """Inverse of `to_dict`; the selection trace is not serialized. A
-        missing field is an error that names it and the trial."""
+        """An `ais` results entry (`to_dict` plus `symbols` and
+        `alphabet_size`) with its record; the selection trace is not
+        serialized. A missing field is an error that names it and the trial."""
+        record = ScanpathRecord.from_dict(doc)
         owner = _trial_owner(doc)
         fields = {k: _field(doc, k, owner) for k in (
-            "trial_id", "participant_id", "condition", "sample_count", "skipped",
-            "skip_reason", "normalized_ais", "normalized_clamped",
+            "sample_count", "skipped", "skip_reason", "normalized_ais",
+            "normalized_clamped",
             "ais_p_value", "ais", "entropy_next", "selected_lags")}
         for k in ("ais", "entropy_next"):
             if fields[k] is not None:
@@ -181,7 +184,7 @@ class TrialResult:
                         "plugin_value", "bias_correction", "corrected_value",
                         "sample_count", "kind")})
         lags = fields.pop("selected_lags")
-        return cls(**fields, selected_lags=None if lags is None
+        return cls(record, **fields, selected_lags=None if lags is None
                    else PastState(lags, _field(doc, "k_max", owner)))
 
 
@@ -266,46 +269,40 @@ def _trial_estimates(seq: SymbolSequence, lags: PastState, k_max: int):
     return entropy, ais, _normalize(ais, entropy)
 
 
-def trial_seed(seed: int, record: ScanpathRecord) -> int:
-    """Selection seed of one trial: (seed, "trial", participant, condition, id)."""
-    return derive_seed(seed, "trial", record.participant_id, record.condition,
-                       record.trial_id)
-
-
-def analyze_trial(scanpath: SymbolSequence, cfg: RunConfig, *,
-                  trial_id: str = "", participant_id: str = "",
-                  condition: str = "") -> TrialResult:
+def analyze_trial(record: ScanpathRecord, cfg: RunConfig) -> TrialResult:
     """Optimize the past state of one trial and estimate its AIS.
 
-    `cfg.seed` seeds the selection and (cfg.seed, "final-ais") the final AIS
-    test, which draws `cfg.n_perm_selection` surrogates; pass
-    `replace(cfg, seed=trial_seed(...))` to reproduce a trial of a protocol
-    run. Too-short scanpaths yield a skip record rather than an error. When
-    the optimization selects no lags, AIS is reported as 0 with p = 1;
-    otherwise the final test's observed statistic is the reported plug-in
-    AIS, bit for bit.
+    `cfg.seed` is the master seed. The selection is seeded by
+    (cfg.seed, "trial", participant, condition, trial id), and the final
+    AIS test, which draws `cfg.n_perm_selection` surrogates, by (that seed,
+    "final-ais"), as in a protocol run. Too-short scanpaths yield a skip
+    record rather than an error. When the optimization selects no lags,
+    AIS is reported as 0 with p = 1; otherwise the final test's observed
+    statistic is the reported plug-in AIS, bit for bit.
     """
+    seed = derive_seed(cfg.seed, "trial", record.participant_id,
+                       record.condition, record.trial_id)
+    scanpath = record.sequence
     n = len(scanpath) - cfg.k_max
     if n < MIN_EMBEDDED_ROWS:
         return TrialResult(
-            trial_id=trial_id, participant_id=participant_id,
-            condition=condition, sample_count=max(n, 0), skipped=True,
+            record, sample_count=max(n, 0), skipped=True,
             skip_reason=(f"{max(n, 0)} embedded rows at k_max={cfg.k_max}; "
                          f"need at least {MIN_EMBEDDED_ROWS}"),
         )
-    lags, trace = optimize_past_state(scanpath, cfg)
+    lags, trace = optimize_past_state(scanpath, replace(cfg, seed=seed))
     entropy_next, ais, (normalized, clamped) = _trial_estimates(
         scanpath, lags, cfg.k_max)
     p_value = 1.0
     if lags:
         p_value = test_final_ais(embed(scanpath, lags, cfg.k_max),
                                  cfg.n_perm_selection,
-                                 seed=derive_seed(cfg.seed, "final-ais")).p_value
+                                 seed=derive_seed(seed, "final-ais")).p_value
     if clamped:
-        log.info("trial %s: normalized AIS clamped into [0, 1]", trial_id)
+        log.info("trial %s: normalized AIS clamped into [0, 1]",
+                 record.trial_id)
     return TrialResult(
-        trial_id=trial_id, participant_id=participant_id, condition=condition,
-        sample_count=n, selected_lags=lags, ais=ais,
+        record, sample_count=n, selected_lags=lags, ais=ais,
         entropy_next=entropy_next, normalized_ais=normalized,
         normalized_clamped=clamped, ais_p_value=p_value, trace=trace,
     )
@@ -351,75 +348,58 @@ def _mean_sem(values):
 
 def compare_conditions(records: Sequence[ScanpathRecord],
                        cfg: RunConfig) -> ParticipantComparison:
-    """`analyze_trial` on every record, then `contrast_conditions`.
-
-    `cfg.seed` is the master seed: each trial is analysed once at
-    `trial_seed(cfg.seed, record)`, as `gazeais ais --seed` does, and the
-    contrasts are seeded as `gazeais compare --seed` seeds them. The records
-    may come in any order.
-    """
-    results = [
-        analyze_trial(
-            rec.sequence, replace(cfg, seed=trial_seed(cfg.seed, rec)),
-            trial_id=rec.trial_id, participant_id=rec.participant_id,
-            condition=rec.condition,
-        )
-        for rec in records
-    ]
-    return contrast_conditions(records, results, cfg)
+    """`analyze_trial` on every record, in any order, then
+    `contrast_conditions`: `gazeais ais` then `gazeais compare`."""
+    return contrast_conditions([analyze_trial(rec, cfg) for rec in records],
+                               cfg)
 
 
-def contrast_conditions(records: Sequence[ScanpathRecord],
-                        results: Sequence[TrialResult],
+def contrast_conditions(results: Sequence[TrialResult],
                         cfg: RunConfig) -> ParticipantComparison:
     """Contrast one participant's two conditions on equalized estimates.
 
-    `results[i]` is the per-trial analysis of `records[i]`, and `cfg.seed`
-    the master seed: each contrast draws `cfg.n_perm_comparison` surrogates,
-    tested on `cfg.tail`, from (cfg.seed, "participant", participant),
-    which `ParticipantComparison.seed` records. Trials are taken, and
-    `trial_results` listed, in (condition, trial id) order whatever the
-    order of the arguments. All trials are
-    re-estimated with the union of their selected past states on
-    length-equalized scanpaths, so every value entering a contrast shares
-    the same sample count and past-state dimensionality. Skipped trials are
-    left out; trials with H(X_t) = 0 are excluded from the normalized-AIS
-    contrast only.
+    `cfg.seed` is the master seed: each contrast draws `cfg.n_perm_comparison`
+    surrogates, tested on `cfg.tail`, from (cfg.seed, "participant",
+    participant), which `ParticipantComparison.seed` records. Trials are
+    taken, and `trial_results` listed, in (condition, trial id) order
+    whatever the order of `results`. All trials are re-estimated with the
+    union of their selected past states on length-equalized scanpaths, so
+    every value entering a contrast shares the same sample count and
+    past-state dimensionality. Skipped trials are left out; trials with
+    H(X_t) = 0 are excluded from the normalized-AIS contrast only. A count
+    error names the participant.
     """
-    if not records:
-        raise ValueError("need at least one trial record")
-    if len(results) != len(records):
-        raise ValueError(f"{len(results)} trial result(s) for "
-                         f"{len(records)} trial record(s)")
-    participants = sorted({r.participant_id for r in records})
+    if not results:
+        raise ValueError("need at least one trial result")
+    participants = sorted({res.record.participant_id for res in results})
     if len(participants) > 1:
-        raise ValueError(f"records span multiple participants: {participants}")
+        raise ValueError(f"trials span multiple participants: {participants}")
     participant_id = participants[0]
     k_max = cfg.k_max
     seed = derive_seed(cfg.seed, "participant", participant_id)
 
-    pairs = sorted(zip(records, results),
-                   key=lambda pair: (pair[0].condition, pair[0].trial_id))
-    analyzable = [(rec, res) for rec, res in pairs if not res.skipped]
-    for rec, res in pairs:
+    results = sorted(results, key=lambda res: (res.record.condition,
+                                               res.record.trial_id))
+    analyzable = [res for res in results if not res.skipped]
+    for res in results:
         if res.skipped:
-            log.info("trial %s excluded: %s", rec.trial_id, res.skip_reason)
+            log.info("trial %s excluded: %s", res.record.trial_id,
+                     res.skip_reason)
 
-    conditions = tuple(sorted({rec.condition for rec, _ in analyzable}))
+    conditions = tuple(sorted({res.record.condition for res in analyzable}))
+    who = f"participant {participant_id!r}"
     if len(conditions) != 2:
-        raise ValueError(
-            f"expected exactly 2 conditions, found {list(conditions)}"
-        )
-    counts = {c: sum(1 for rec, _ in analyzable if rec.condition == c)
+        raise ValueError(f"{who}: expected exactly 2 conditions, found "
+                         f"{list(conditions)}")
+    counts = {c: sum(1 for res in analyzable if res.record.condition == c)
               for c in conditions}
     for c in conditions:
         if counts[c] < 2:
-            raise ValueError(
-                f"condition {c!r} has {counts[c]} analyzable trial(s); need >= 2"
-            )
+            raise ValueError(f"{who}: condition {c!r} has {counts[c]} "
+                             f"analyzable trial(s); need >= 2")
 
-    union = union_past_state([res for _, res in analyzable], k_max)
-    eq_seqs = equalize_samples([rec.sequence for rec, _ in analyzable])
+    union = union_past_state(analyzable, k_max)
+    eq_seqs = equalize_samples([res.record.sequence for res in analyzable])
     eq_length = len(eq_seqs[0])
     eq_rows = eq_length - k_max
     if eq_rows < MIN_EMBEDDED_ROWS:
@@ -429,15 +409,15 @@ def contrast_conditions(records: Sequence[ScanpathRecord],
 
     values = {m: {c: [] for c in conditions} for m in MEASURES}
     excluded_normalized = {c: 0 for c in conditions}
-    for (rec, _), seq in zip(analyzable, eq_seqs):
+    for res, seq in zip(analyzable, eq_seqs):
         h_est, ais_est, (normalized, _) = _trial_estimates(seq, union, k_max)
-        cond = rec.condition
+        cond = res.record.condition
         values["ais"][cond].append(ais_est.corrected_value)
         values["entropy"][cond].append(h_est.corrected_value)
         if normalized is None:
             excluded_normalized[cond] += 1
             log.info("trial %s: H(X_t)=0, excluded from normalized contrast",
-                     rec.trial_id)
+                     res.record.trial_id)
         else:
             values["normalized_ais"][cond].append(normalized)
 
@@ -484,7 +464,7 @@ def contrast_conditions(records: Sequence[ScanpathRecord],
         n_perm=cfg.n_perm_comparison,
         tail=cfg.tail,
         seed=seed,
-        trial_results=[res for _, res in pairs],
+        trial_results=results,
     )
 
 

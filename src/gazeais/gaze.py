@@ -228,7 +228,8 @@ def _retained(samples, finite: np.ndarray, min_confidence: float) -> np.ndarray:
     return finite & (samples["confidence"] >= min_confidence)
 
 
-def filter_gaze(samples, min_confidence: float = 0.9) -> np.ndarray:
+def filter_gaze(samples,
+                min_confidence=PipelineParams.min_confidence) -> np.ndarray:
     """Keep the finite samples with confidence >= the threshold."""
     return samples[_retained(samples, _finite(samples), min_confidence)]
 
@@ -346,8 +347,9 @@ def _fixation_ends(rows: np.ndarray, top: np.ndarray, window_ends: np.ndarray,
             size *= 2
 
 
-def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
-                         min_duration: float = 100.0) -> np.ndarray:
+def detect_fixations_idt(
+        samples, dispersion_threshold=PipelineParams.dispersion_threshold,
+        min_duration=PipelineParams.min_duration_ms) -> np.ndarray:
     """Classic dispersion-threshold fixation detection, as a `FIXATION_DTYPE`
     array in time order.
 
@@ -423,7 +425,8 @@ def detect_fixations_idt(samples, dispersion_threshold: float = 50.0,
     return fixations
 
 
-def filter_fixations(fixations, max_duration: float = 1500.0) -> np.ndarray:
+def filter_fixations(
+        fixations, max_duration=PipelineParams.max_duration_ms) -> np.ndarray:
     """Exclude fixations strictly above max_duration (ms); order preserved."""
     return fixations[fixations["duration"] <= max_duration]
 
@@ -548,9 +551,10 @@ def read_gaze_csv(path) -> List[Trial]:
     """Parse a gaze CSV (one row per sample) into trials.
 
     Rows are grouped by (participant_id, trial_id); the returned list is
-    sorted by those keys. Columns are found by header name; blank lines and
-    a UTF-8 byte order mark are skipped. Malformed rows, including a non-finite timestamp, a timestamp
-    not above the previous one of its trial and a row too short for its
+    sorted by those keys. Columns are found by header name, which must
+    name each once; blank lines and a UTF-8 byte order mark are skipped.
+    Malformed rows, including a non-finite timestamp, a timestamp not
+    above the previous one of its trial and a row too short for its
     columns, raise with their physical line number.
 
     The rows are tokenized by `np.loadtxt`, in chunks of rows, and
@@ -584,9 +588,9 @@ def _read_gaze_chunks(path) -> List[Trial]:
     """`read_gaze_csv` through numpy's C tokenizer, in chunks of rows.
 
     Raises an unworded ValueError where the file holds anything the row
-    reader would reject. A missing column and conflicting condition labels
-    are checked here; `np.loadtxt` raises on a malformed row, and `Trial`
-    on a non-finite or non-increasing timestamp.
+    reader would reject. A missing or repeated column and conflicting
+    condition labels are checked here; `np.loadtxt` raises on a malformed
+    row, and `Trial` on a non-finite or non-increasing timestamp.
 
     The ids stay bytes until the trials are built. The file is opened as
     latin-1, which maps each byte to one character, so each id column loads
@@ -632,8 +636,8 @@ def _chunk_groups(path, widths):
         if fh.read(3) != "\xef\xbb\xbf":  # the UTF-8 byte order mark
             fh.seek(0)
         header = next(csv.reader(fh), [])
-        if not set(GAZE_CSV_COLUMNS) <= set(header):
-            raise ValueError("missing column")
+        if any(header.count(c) != 1 for c in GAZE_CSV_COLUMNS):
+            raise ValueError("missing or repeated column")
         col = {name: i for i, name in enumerate(header)}
         usecols = [col[c] for c in GAZE_CSV_COLUMNS]
         with warnings.catch_warnings():
@@ -687,6 +691,9 @@ def _read_gaze_rows(path) -> List[Trial]:
         missing = [c for c in GAZE_CSV_COLUMNS if c not in header]
         if missing:
             raise ValueError(f"gaze CSV missing column(s): {', '.join(missing)}")
+        for c in GAZE_CSV_COLUMNS:
+            if header.count(c) > 1:
+                raise ValueError(f"gaze CSV header names column {c!r} twice")
         col = {name: i for i, name in enumerate(header)}
         tid, pid, cond = (col[c] for c in GAZE_CSV_COLUMNS[:3])
         values = itemgetter(*(col[c] for c in GAZE_DTYPE.names))

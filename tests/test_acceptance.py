@@ -175,8 +175,9 @@ def test_criterion_7_determinism(tmp_path):
         independent_samples_permutation_test(a, b, 500, "two_sided", 76)
         == independent_samples_permutation_test(a, b, 500, "two_sided", 76))
 
-    res1 = analyze_trial(seq, cfg, trial_id="d")
-    res2 = analyze_trial(seq, cfg, trial_id="d")
+    record = ScanpathRecord("d", "", "", seq.symbols, seq.alphabet_size)
+    res1 = analyze_trial(record, cfg)
+    res2 = analyze_trial(record, cfg)
     checks.append(res1.ais == res2.ais and res1.ais_p_value == res2.ais_p_value)
 
     # CLI: simulate -> ais -> compare, each run twice, byte identical

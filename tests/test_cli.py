@@ -9,9 +9,10 @@ import pytest
 
 import gazeais.cli
 import gazeais.experiment
-from gazeais import (RunConfig, ScanpathRecord, compare_conditions,
-                     derive_seed, detect_fixations_idt, filter_fixations,
-                     filter_gaze, generate, persistence_spec, read_gaze_csv)
+from gazeais import (RunConfig, ScanpathRecord, analyze_trial,
+                     compare_conditions, derive_seed, detect_fixations_idt,
+                     filter_fixations, filter_gaze, generate, lagged_copy_spec,
+                     persistence_spec, read_gaze_csv)
 from gazeais.cli import main
 
 GAZE_HEADER = "trial_id,participant_id,condition,timestamp,x,y,confidence\n"
@@ -428,6 +429,33 @@ class TestSimulateAndAis:
         result = json.loads(out.read_text())["results"][0]
         assert result["skipped"] is True
 
+    def test_library_reproduces_each_trial(self, tmp_path):
+        # `analyze_trial(record, cfg)` is the trial's entry of `ais --seed
+        # cfg.seed`, less the echoed symbols: binary and 4-AOI trials whose
+        # selections depend on their seeds, and a skipped trial.
+        records = [ScanpathRecord("short", "p0", "A", np.array([0, 1] * 4), 2)]
+        for i in range(2):
+            for name, spec in (("bin", persistence_spec(0.58)),
+                               ("aoi4", lagged_copy_spec(2, 0.35, m=4))):
+                seq = generate(spec, 300, seed=derive_seed(9, name, i))
+                records.append(ScanpathRecord(f"{name}{i}", f"p{i}", name,
+                                              seq.symbols, seq.alphabet_size))
+        scan, out = tmp_path / "scan.json", tmp_path / "results.json"
+        scan.write_text(json.dumps(
+            {"schema_version": 1, "trials": [r.to_dict() for r in records]}))
+        assert main(["ais", str(scan), "--seed", "9", "--kmax", "3",
+                     "--nperm", "50", "--out", str(out)]) == 0
+        entries = {e["trial_id"]: e for e in json.loads(out.read_text())["results"]}
+        cfg = RunConfig(k_max=3, n_perm_selection=50, seed=9)
+        moved = 0
+        for rec in records:
+            entry = {k: v for k, v in entries[rec.trial_id].items()
+                     if k not in ("symbols", "alphabet_size")}
+            assert gazeais.cli._round12(analyze_trial(rec, cfg).to_dict()) == entry
+            other = analyze_trial(rec, replace(cfg, seed=10)).to_dict()
+            moved += gazeais.cli._round12(other) != entry
+        assert entries["short"]["skipped"] and moved > 0
+
 
 class TestMalformedSpec:
     """`simulate` on a malformed Markov spec exits 2 with a worded error."""
@@ -647,7 +675,8 @@ class TestCompareCommand:
         assert comp.to_dict() == compare_conditions(
             records, replace(cfg, n_perm_comparison=400)).to_dict()
         assert gazeais.cli._round12(comp.to_dict()) == entry
-        assert [(t.condition, t.trial_id) for t in comp.trial_results] == \
+        assert [(t.record.condition, t.record.trial_id)
+                for t in comp.trial_results] == \
             sorted((r.condition, r.trial_id) for r in records)
 
     @pytest.mark.parametrize("producer", ["simulate", "scanpath"])
@@ -769,6 +798,45 @@ class TestCompareCommand:
                      str(cfg), "--out", str(tmp_path / "cmp")]) == 2
         assert capsys.readouterr().err == (
             f"error: {cfg}: config line 2: {message}\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"k_max": 0}, "{path}: config: k_max must be >= 1, got 0"),
+        ({"k_max": "5"}, "{path}: config: k_max must be a whole number, "
+                         "got '5'"),
+        ({"alpha": 0.01, "n_perm_selection": 20},
+         "{path} (recorded by ais): n_perm_selection = 20 cannot reach "
+         "alpha = 0.01; need at least 99"),
+    ], ids=["k_max-0", "k_max-text", "alpha-nperm"])
+    def test_recorded_config_checked_when_read(self, tmp_path, capsys, edit,
+                                               message):
+        results = self._make_results(tmp_path, n_trials=3, length=120)
+        doc = json.loads(results.read_text())
+        doc["config"].update(edit)
+        results.write_text(json.dumps(doc))
+        assert main(["compare", str(results), "--seed", "7",
+                     "--out", str(tmp_path / "cmp")]) == 2
+        assert capsys.readouterr().err == (
+            "error: " + message.format(path=results) + "\n")
+
+    def test_contrast_error_names_the_participant(self, tmp_path, capsys):
+        # p0 has both conditions; p1 has only A.
+        trials = []
+        for pid, cond, i in (("p0", "A", 0), ("p0", "A", 1), ("p0", "B", 2),
+                             ("p0", "B", 3), ("p1", "A", 4), ("p1", "A", 5)):
+            seq = generate(persistence_spec(0.8), 60, seed=derive_seed(12, i))
+            trials.append({"trial_id": f"t{i}", "participant_id": pid,
+                           "condition": cond, "symbols": seq.symbols.tolist(),
+                           "alphabet_size": 2})
+        scan, results = tmp_path / "scan.json", tmp_path / "results.json"
+        scan.write_text(json.dumps({"schema_version": 1, "trials": trials}))
+        assert main(["ais", str(scan), "--seed", "7", "--nperm", "20",
+                     "--out", str(results)]) == 0
+        assert main(["compare", str(results), "--seed", "7",
+                     "--nperm-comparison", "50",
+                     "--out", str(tmp_path / "cmp")]) == 2
+        assert capsys.readouterr().err == (
+            "error: participant 'p1': expected exactly 2 conditions, "
+            "found ['A']\n")
 
     def test_conflicting_input_configs(self, tmp_path, capsys):
         results = self._make_results(tmp_path, n_trials=3, length=120)

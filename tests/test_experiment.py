@@ -24,11 +24,17 @@ def make_records(spec, condition, n_trials, length, seed, participant="p0"):
     return records
 
 
+def as_record(seq, trial_id="", participant_id="", condition=""):
+    """`seq` as the record of one trial with the given ids."""
+    return ScanpathRecord(trial_id, participant_id, condition, seq.symbols,
+                          seq.alphabet_size)
+
+
 class TestAnalyzeTrial:
     def test_deterministic_cycle(self):
         seq = SymbolSequence(np.arange(160) % 4, 4)
         cfg = RunConfig(k_max=5, n_perm_selection=100, seed=1)
-        res = analyze_trial(seq, cfg, trial_id="cyc")
+        res = analyze_trial(as_record(seq, "cyc"), cfg)
         assert not res.skipped
         assert res.selected_lags.lags == (1,)
         assert res.normalized_ais == pytest.approx(1.0, abs=1e-6)
@@ -38,7 +44,7 @@ class TestAnalyzeTrial:
     def test_short_trial_skipped(self):
         seq = SymbolSequence([0, 1] * 6, 2)
         cfg = RunConfig(k_max=5, n_perm_selection=100, seed=1)
-        res = analyze_trial(seq, cfg, trial_id="short")
+        res = analyze_trial(as_record(seq, "short"), cfg)
         assert res.skipped
         assert "need at least" in res.skip_reason
         assert res.ais is None
@@ -48,7 +54,7 @@ class TestAnalyzeTrial:
         empty = 0
         for s in range(5):
             seq = generate(uniform_iid_spec(4), 2000, seed=derive_seed(44, s))
-            res = analyze_trial(seq, replace(cfg, seed=derive_seed(45, s)))
+            res = analyze_trial(as_record(seq), replace(cfg, seed=derive_seed(45, s)))
             if not res.selected_lags:
                 assert res.ais.plugin_value == 0.0
                 assert res.ais_p_value == 1.0
@@ -60,14 +66,14 @@ class TestAnalyzeTrial:
         spec = persistence_spec(0.9)
         seq = generate(spec, 10_000, seed=7)
         cfg = RunConfig(k_max=5, n_perm_selection=200, seed=7)
-        res = analyze_trial(seq, cfg)
+        res = analyze_trial(as_record(seq), cfg)
         assert res.ais.corrected_value == pytest.approx(
             analytic_ais(spec, (1,)), abs=0.02)
 
     def test_constant_sequence_normalized_undefined(self):
         seq = SymbolSequence(np.zeros(100, dtype=int), 2)
         cfg = RunConfig(k_max=5, n_perm_selection=100, seed=3)
-        res = analyze_trial(seq, cfg)
+        res = analyze_trial(as_record(seq), cfg)
         assert res.entropy_next.plugin_value == 0.0
         assert math.copysign(1.0, res.entropy_next.plugin_value) == 1.0
         assert res.normalized_ais is None
@@ -97,7 +103,7 @@ class TestAnalyzeTrial:
         for spec, drew in ((persistence_spec(0.8), binary),
                            (lagged_copy_spec(2, 0.6, m=4), path)):
             for seed in range(3):
-                res = analyze_trial(generate(spec, 200, seed=seed), cfg)
+                res = analyze_trial(as_record(generate(spec, 200, seed=seed)), cfg)
                 assert res.selected_lags.lags and len(observed) == 1
                 assert observed.pop() == (res.ais.plugin_value, [drew])
 
@@ -110,16 +116,21 @@ class TestTrialResultRoundTrip:
     ], ids=["analysed", "skipped", "no-lags"])
     def test_from_dict_inverts_to_dict(self, symbols):
         cfg = RunConfig(k_max=5, n_perm_selection=100, seed=1)
-        res = analyze_trial(SymbolSequence(symbols, 4), cfg, trial_id="t",
-                            participant_id="p", condition="c")
+        record = as_record(SymbolSequence(symbols, 4), "t", "p", "c")
+        res = analyze_trial(record, cfg)
         doc = res.to_dict()
-        assert TrialResult.from_dict(doc).to_dict() == doc
+        entry = {**doc, "symbols": record.symbols.tolist(), "alphabet_size": 4}
+        again = TrialResult.from_dict(entry)
+        assert again.to_dict() == doc
+        assert again.record.to_dict() == record.to_dict()
+
+
+RECORD = as_record(SymbolSequence([0], 2), "t", "p", "c")
 
 
 class TestUnionPastState:
     def _result(self, lags, k_max=5):
-        return TrialResult("t", "p", "c", 100,
-                           selected_lags=PastState(lags, k_max))
+        return TrialResult(RECORD, 100, selected_lags=PastState(lags, k_max))
 
     def test_union(self):
         results = [self._result((1,)), self._result((1, 3)), self._result((2,))]
@@ -157,8 +168,8 @@ class TestEqualizeSamples:
 class TestLagHistogram:
     def _result(self, lags, skipped=False):
         if skipped:
-            return TrialResult("t", "p", "c", 0, skipped=True)
-        return TrialResult("t", "p", "c", 100, selected_lags=PastState(lags, 5))
+            return TrialResult(RECORD, 0, skipped=True)
+        return TrialResult(RECORD, 100, selected_lags=PastState(lags, 5))
 
     def test_tally_and_fractions(self):
         results = [self._result((1,)), self._result((1, 2)), self._result(())]
@@ -239,13 +250,11 @@ class TestCompareConditions:
                       n_perm_comparison=100)
         comp = compare_conditions(a + b, cfg)
         results = list(comp.trial_results)
-        again = contrast_conditions(a + b, results, cfg)
+        again = contrast_conditions(results, cfg)
         assert again.to_dict() == comp.to_dict()
         results[0] = replace(results[0], selected_lags=PastState((4,), 5))
-        planted = contrast_conditions(a + b, results, cfg)
+        planted = contrast_conditions(results, cfg)
         assert 4 in planted.union_lags.lags
-        with pytest.raises(ValueError, match="trial result"):
-            contrast_conditions(a + b, results[1:], cfg)
 
     def test_mixed_participants_rejected(self):
         a = make_records(persistence_spec(0.8), "A", 2, 100, seed=18)

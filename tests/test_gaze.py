@@ -707,6 +707,22 @@ class TestGazeCsv:
         with pytest.raises(ValueError, match="confidence"):
             read_gaze_csv(path)
 
+    def test_column_named_twice(self, tmp_path, monkeypatch):
+        # Each reader would silently take the second `x`; both refuse the
+        # header, and the fast one leaves the wording to the row reader. An
+        # unused column may repeat.
+        header = "trial_id,participant_id,condition,timestamp,x,y,confidence"
+        path = tmp_path / "gaze.csv"
+        path.write_text(f"{header},x\nt1,p1,TC,0.0,10,20,1.0,999\n")
+        fallbacks = count_fallbacks(monkeypatch)
+        with pytest.raises(ValueError,
+                           match="gaze CSV header names column 'x' twice"):
+            read_gaze_csv(path)
+        assert fallbacks == [path]
+        path.write_text(f"{header},note,note\nt1,p1,TC,0.0,10,20,1.0,a,b\n")
+        [trial] = read_gaze_csv(path)
+        assert np.array_equal(trial.samples, gaze([(0.0, 10, 20, 1.0)]))
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_timestamp_reports_line(self, tmp_path, value):
         path = tmp_path / "gaze.csv"
