@@ -15,8 +15,9 @@ flags are, and a given one must equal them.
 import argparse
 import csv
 import io
-import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -65,10 +66,65 @@ def _open_out(path):
     return open(path, "w", newline="", encoding="utf-8")
 
 
+def _json_text(obj, out, pad="\n"):
+    """Append to `out` the chunks of `obj` as `json.dump(obj, indent=2,
+    sort_keys=True)` writes them, `pad` being the newline and indent of the
+    line `obj` starts on.
+
+    Only `str` keys and values of the types `json` writes natively are
+    taken: dicts, lists, tuples, str, int, bool, None and float (NaN and
+    infinities spelled as `json` spells them); anything else raises
+    TypeError. A list of plain ints is joined in one step."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else
+                   "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            out.append("{")
+            for key in sorted(obj):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                out.append(inner + encode_basestring_ascii(key) + ": ")
+                _json_text(obj[key], out, inner)
+                out.append(",")
+            out[-1] = pad + "}"
+        elif set(map(type, obj)) <= {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj))
+                       + pad + "]")
+        else:
+            out.append("[")
+            for value in obj:
+                out.append(inner)
+                _json_text(value, out, inner)
+                out.append(",")
+            out[-1] = pad + "]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} "
+                        f"is not JSON serializable")
+
+
 def _write_json(path, doc):
+    """Write `_round12(doc)` as `json.dump(..., indent=2, sort_keys=True)`
+    writes it, plus a newline, without `json`'s pure-Python encoder."""
+    out = []
+    _json_text(_round12(doc), out)
+    out.append("\n")
     with _open_out(path) as fh:
-        json.dump(_round12(doc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write("".join(out))
 
 
 def _write_csv(path, header, rows=(), runs=()):
@@ -236,7 +292,9 @@ def _recorded_selection(config, path) -> dict:
 
 def _load_ais_results(paths):
     """Trial results from `ais` files by participant, the selection
-    settings that they share, and the source that names them."""
+    settings that they share, and the source that names them. An entry
+    whose k_max differs from the recorded one is an error that names the
+    file and the trial."""
     config = selection = None
     by_participant = {}
     seen = {}
@@ -262,6 +320,14 @@ def _load_ais_results(paths):
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
             _add_trial(seen, result.record, path)
+            lags = result.selected_lags
+            if lags is not None and lags.k_max != selection["k_max"]:
+                rec = result.record
+                raise ValueError(
+                    f"{path}: trial (participant, condition, trial) = "
+                    f"{(rec.participant_id, rec.condition, rec.trial_id)}: "
+                    f"k_max = {lags.k_max} differs from k_max = "
+                    f"{selection['k_max']} recorded in {config_path}")
             by_participant.setdefault(result.record.participant_id,
                                       []).append(result)
     return by_participant, selection, f"{config_path} (recorded by ais)"

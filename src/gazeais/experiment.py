@@ -8,8 +8,10 @@ carries its record. Per participant (`contrast_conditions`): pool the
 trials' selected lags into a union past state, equalize trial lengths by
 discarding symbols from the beginning, re-estimate every trial with the
 shared past state and sample count (holding estimation bias constant
-across groups), and contrast the two conditions with independent samples
-permutation tests on AIS, entropy, and normalized AIS. Seeds derive here:
+across groups) in one row-wise call over the matrix of equalized trials
+(`infocore.row_estimates`), and contrast the two conditions with
+independent samples permutation tests on AIS, entropy, and normalized
+AIS. Seeds derive here:
 (seed, "trial", participant, condition, id) per trial, (seed,
 "participant", id) per participant. So `analyze_trial` gives a trial's
 `gazeais ais` entry, and `compare_conditions`, which selects each past
@@ -25,8 +27,7 @@ import numpy as np
 
 from .embedding import MIN_EMBEDDED_ROWS, SelectionTrace, optimize_past_state
 from .gaze import ScanpathRecord, _field, _trial_owner
-from .infocore import (InfoEstimate, active_information_storage,
-                       next_symbol_entropy)
+from .infocore import InfoEstimate, row_estimates
 from .rng import derive_seed
 from .sequences import PastState, SymbolSequence, embed
 from .stats import TAILS, independent_samples_permutation_test, test_final_ais
@@ -257,16 +258,15 @@ def _normalize(ais_est, entropy_est):
     return clamped, clamped != raw
 
 
-def _trial_estimates(seq: SymbolSequence, lags: PastState, k_max: int):
-    """H(X_t), AIS on `lags` and normalized AIS of one trial at offset
-    `k_max`; with no lags AIS is 0 on the same rows."""
-    entropy = next_symbol_entropy(seq, k_max)
-    if lags:
-        ais = active_information_storage(seq, lags, k_max)
-    else:
-        ais = InfoEstimate(0.0, 0.0, 0.0, len(seq) - k_max,
-                           kind="active_information_storage")
-    return entropy, ais, _normalize(ais, entropy)
+def _trial_estimates(symbols: np.ndarray, lags: PastState, k_max: int):
+    """(H(X_t), AIS on `lags`, normalized AIS) of each row of the
+    (trials, length) symbol matrix at offset `k_max`, in one
+    `row_estimates` call; with no lags AIS is 0 on the same rows."""
+    entropies, ais = row_estimates(symbols, lags, k_max)
+    if ais is None:
+        ais = [InfoEstimate(0.0, 0.0, 0.0, symbols.shape[1] - k_max,
+                            kind="active_information_storage")] * len(entropies)
+    return [(h, a, _normalize(a, h)) for h, a in zip(entropies, ais)]
 
 
 def analyze_trial(record: ScanpathRecord, cfg: RunConfig) -> TrialResult:
@@ -291,8 +291,8 @@ def analyze_trial(record: ScanpathRecord, cfg: RunConfig) -> TrialResult:
                          f"need at least {MIN_EMBEDDED_ROWS}"),
         )
     lags, trace = optimize_past_state(scanpath, replace(cfg, seed=seed))
-    entropy_next, ais, (normalized, clamped) = _trial_estimates(
-        scanpath, lags, cfg.k_max)
+    [(entropy_next, ais, (normalized, clamped))] = _trial_estimates(
+        scanpath.symbols[None], lags, cfg.k_max)
     p_value = 1.0
     if lags:
         p_value = test_final_ais(embed(scanpath, lags, cfg.k_max),
@@ -399,8 +399,11 @@ def contrast_conditions(results: Sequence[TrialResult],
                              f"analyzable trial(s); need >= 2")
 
     union = union_past_state(analyzable, k_max)
-    eq_seqs = equalize_samples([res.record.sequence for res in analyzable])
-    eq_length = len(eq_seqs[0])
+    # Each trial's suffix of the shortest trial's length, as in
+    # `equalize_samples`, one row per trial.
+    symbols = [np.asarray(res.record.symbols, dtype=np.int64)
+               for res in analyzable]
+    eq_length = min(s.size for s in symbols)
     eq_rows = eq_length - k_max
     if eq_rows < MIN_EMBEDDED_ROWS:
         # Cannot happen when every analyzable trial met the minimum, since
@@ -409,8 +412,9 @@ def contrast_conditions(results: Sequence[TrialResult],
 
     values = {m: {c: [] for c in conditions} for m in MEASURES}
     excluded_normalized = {c: 0 for c in conditions}
-    for res, seq in zip(analyzable, eq_seqs):
-        h_est, ais_est, (normalized, _) = _trial_estimates(seq, union, k_max)
+    estimates = _trial_estimates(
+        np.stack([s[s.size - eq_length:] for s in symbols]), union, k_max)
+    for res, (h_est, ais_est, (normalized, _)) in zip(analyzable, estimates):
         cond = res.record.condition
         values["ais"][cond].append(ais_est.corrected_value)
         values["entropy"][cond].append(h_est.corrected_value)

@@ -25,6 +25,15 @@ signed sum of k entropies by k times that, before the one float division;
 over the occupied states only, so memory grows with the rows, not as
 alphabet^(lags + 1).
 
+H(X_t), AIS and GTE are estimated row-wise (`row_estimates`): the rows of
+a (trials, length) symbol matrix are embedded at one offset with one lag
+set, and the trial is the most significant column of every state code
+(`_fold`). So one bincount per entropy counts every trial's cells, each
+trial's cells form one run of codes, and `np.add.reduceat` over those
+runs gives each trial's exact integer numerator and its occupied cells.
+Each trial's values are those of its row alone, bit for bit; one
+sequence is a one-row matrix.
+
 A permutation test sees a permuted target only through its tables, and
 draws those directly where that is cheaper, from the hypergeometric law
 that permuting the target induces on them. A test of one candidate given
@@ -52,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import SymbolSequence, embed
+from .sequences import SymbolSequence, _embedding
 
 LN2 = math.log(2.0)
 
@@ -71,27 +80,6 @@ class InfoEstimate:
     corrected_value: float
     sample_count: int
     kind: str = "entropy"
-
-
-# ---------------------------------------------------------------------------
-# internal helpers
-# ---------------------------------------------------------------------------
-
-def _signed_estimate(kind: str, *terms) -> InfoEstimate:
-    """Sum of sign * H(codes) over `(codes, sign)` terms of equal length,
-    with the same signed sum of Miller-Madow corrections (R - 1) / (2 n ln 2)
-    for R occupied cells. H(codes) is (clogc[n] - the sum of clogc over its
-    counts) / (scale * n), so the plug-in value is one integer over
-    scale * n, as `_cmi_blocks`' rows are."""
-    n = terms[0][0].size
-    clogc, scale = _clogc(n)
-    numerator, corr = 0, 0.0
-    for codes, sign in terms:
-        counts = np.bincount(codes)
-        numerator += sign * int(clogc[n] - clogc[counts].sum())
-        corr += sign * (int(np.count_nonzero(counts)) - 1.0) / (2.0 * n * LN2)
-    plugin = numerator / (scale * n)
-    return InfoEstimate(plugin, corr, plugin + corr, n, kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -476,23 +464,85 @@ def _cmi_blocks(target, cond, cands, n_perm=0, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# sequence operations
+# row-wise estimates
 # ---------------------------------------------------------------------------
 
-def _ais_codes(seq: SymbolSequence, lags, k_max_offset: int):
-    """Embedded (target, past, joint) codes; ranks keep the table's order."""
-    series = embed(seq, lags, k_max_offset)
-    if not series.lags:
-        raise ValueError("AIS needs a nonempty past state; "
-                         "with no memory the caller should report AIS = 0")
-    t = series.targets
-    past = _joint_ranks(np.zeros_like(t), *series.pasts.T)
-    return t, past, _joint_ranks(t, past)
+def _row_entropy_terms(folded, n: int):
+    """(sums, occupied): per trial of n rows, the int64 sum of `_clogc(n)`
+    over the counts of its cells and the number of cells it occupies.
+
+    `folded` is `_fold`'s (codes, space) of columns whose most significant
+    is the trial of each row, so one bincount counts every trial's cells
+    and each trial's cells lie between its least code and the next trial's,
+    where one `reduceat` sums them. A space past 4 codes per row is ranked
+    first, so memory follows the rows."""
+    codes, space = folded
+    if space > 4 * codes.size:
+        codes = _ranks(codes)
+    counts = np.bincount(codes)
+    starts = np.minimum.reduceat(codes, np.arange(0, codes.size, n))
+    return (np.add.reduceat(_clogc(n)[0][counts], starts),
+            np.add.reduceat(counts > 0, starts, dtype=np.intp))
+
+
+def _signed_rows(kind: str, n: int, *terms):
+    """Per trial, the `InfoEstimate` of the sum of sign * H over
+    `(entropy terms, sign)` pairs (`_row_entropy_terms`) of n rows each,
+    with the same signed sum of Miller-Madow corrections (R - 1) / (2 n ln 2)
+    for R occupied cells, added in the order of the terms.
+
+    H is (clogc[n] - the sum of clogc over its counts) / (scale * n), so
+    the plug-in value is one exact integer over scale * n, as
+    `_cmi_blocks`' rows are."""
+    clogc, scale = _clogc(n)
+    numerator, corr = 0, 0.0
+    for (sums, occupied), sign in terms:
+        numerator = numerator + sign * (clogc[n] - sums)
+        corr = corr + sign * (occupied - 1.0) / (2.0 * n * LN2)
+    plugin = numerator / (scale * n)
+    return [InfoEstimate(p, c, p + c, n, kind=kind)
+            for p, c in zip(plugin.tolist(), corr.tolist())]
+
+
+def _row_terms(symbols: np.ndarray, lags, k_max_offset: int):
+    """(n, target, past, joint): every row of the (trials, length) symbol
+    matrix embedded at `k_max_offset` with `lags`, n rows per trial, and
+    per trial the entropy terms (`_row_entropy_terms`) of the targets, the
+    past states and their joint states; past and joint are None without
+    lags."""
+    lags, offset, n = _embedding(symbols.shape[1], lags, k_max_offset)
+    trials, length = symbols.shape
+    trial = np.repeat(np.arange(trials), n)
+    t = symbols[:, offset:].ravel()
+    target = _row_entropy_terms(_fold(trial, t), n)
+    if not lags:
+        return n, target, None, None
+    past = _fold(trial, *(symbols[:, offset - lag:length - lag].ravel()
+                          for lag in lags))
+    return (n, target, _row_entropy_terms(past, n),
+            _row_entropy_terms(_fold(past[0], t), n))
+
+
+def row_estimates(symbols: np.ndarray, lags, k_max_offset: int):
+    """(entropies, ais): H(X_t) and the AIS of every row of the
+    (trials, length) symbol matrix, each row embedded at `k_max_offset`
+    with `lags`, as lists of `InfoEstimate` by row; `ais` is None without
+    lags.
+
+    The trial is the most significant column of every state code, so one
+    bincount per entropy counts the cells of all trials, and each trial's
+    values equal those of its row alone, bit for bit."""
+    n, target, past, joint = _row_terms(symbols, lags, k_max_offset)
+    entropies = _signed_rows("entropy", n, (target, 1))
+    if past is None:
+        return entropies, None
+    return entropies, _signed_rows("active_information_storage", n,
+                                   (target, 1), (past, 1), (joint, -1))
 
 
 def next_symbol_entropy(seq: SymbolSequence, k_max_offset: int) -> InfoEstimate:
     """H(X_t) over the targets of the rows embedded at `k_max_offset`."""
-    return _signed_estimate("entropy", (embed(seq, (), k_max_offset).targets, 1))
+    return row_estimates(seq.symbols[None], (), k_max_offset)[0][0]
 
 
 def active_information_storage(seq: SymbolSequence, lags, k_max_offset: int) -> InfoEstimate:
@@ -505,9 +555,11 @@ def active_information_storage(seq: SymbolSequence, lags, k_max_offset: int) -> 
     count. Zero for memoryless processes, bounded above by both H(next
     value) and H(past state).
     """
-    t, past, joint = _ais_codes(seq, lags, k_max_offset)
-    return _signed_estimate("active_information_storage",
-                            (t, 1), (past, 1), (joint, -1))
+    ais = row_estimates(seq.symbols[None], lags, k_max_offset)[1]
+    if ais is None:
+        raise ValueError("AIS needs a nonempty past state; "
+                         "with no memory the caller should report AIS = 0")
+    return ais[0]
 
 
 def gaze_transition_entropy(seq: SymbolSequence) -> InfoEstimate:
@@ -519,5 +571,5 @@ def gaze_transition_entropy(seq: SymbolSequence) -> InfoEstimate:
     """
     if len(seq) < 2:
         raise ValueError("GTE needs a sequence of length >= 2")
-    _, past, joint = _ais_codes(seq, (1,), 1)
-    return _signed_estimate("gaze_transition_entropy", (joint, 1), (past, -1))
+    n, _, past, joint = _row_terms(seq.symbols[None], (1,), 1)
+    return _signed_rows("gaze_transition_entropy", n, (joint, 1), (past, -1))[0]

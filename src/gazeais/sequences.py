@@ -92,6 +92,24 @@ def _as_lag_tuple(lags: Union[PastState, Iterable[int]]) -> tuple:
     return out
 
 
+def _embedding(length: int, lags, k_max_offset: int):
+    """(lags, offset, rows) of an embedding of `length` symbols: the sorted
+    lag tuple, the offset and the row count, each checked."""
+    lag_t = _as_lag_tuple(lags)
+    offset = int(k_max_offset)
+    if offset < 0:
+        raise ValueError("k_max_offset must be >= 0")
+    if lag_t and lag_t[-1] > offset:
+        raise ValueError(
+            f"max lag {lag_t[-1]} exceeds embedding offset {offset}"
+        )
+    if length - offset < 1:
+        raise ValueError(
+            f"sequence of length {length} too short for offset {offset}"
+        )
+    return lag_t, offset, length - offset
+
+
 def embed(seq: SymbolSequence, lags, k_max_offset: int) -> StateVectorSeries:
     """Embed a sequence at a fixed offset, one row per target position.
 
@@ -101,19 +119,7 @@ def embed(seq: SymbolSequence, lags, k_max_offset: int) -> StateVectorSeries:
     identical across candidates, which is what makes their information
     estimates comparable.
     """
-    lag_t = _as_lag_tuple(lags)
-    offset = int(k_max_offset)
-    if offset < 0:
-        raise ValueError("k_max_offset must be >= 0")
-    if lag_t and lag_t[-1] > offset:
-        raise ValueError(
-            f"max lag {lag_t[-1]} exceeds embedding offset {offset}"
-        )
-    n = len(seq) - offset
-    if n < 1:
-        raise ValueError(
-            f"sequence of length {len(seq)} too short for offset {offset}"
-        )
+    lag_t, offset, n = _embedding(len(seq), lags, k_max_offset)
     targets = seq.symbols[offset:].copy()
     pasts = np.empty((n, len(lag_t)), dtype=np.int64)
     for j, lag in enumerate(lag_t):

@@ -7,7 +7,10 @@ of surrogate statistics.
 Each test derives one generator from (seed, tag) and draws its surrogates
 from it in order, evaluating them in blocks of rows; every p-value is a
 pure function of the test's arguments and does not depend on the block
-size. The contrasts' surrogates are permutations. The information tests'
+size. The contrasts' surrogates are permutations, each valued by one
+matrix-vector product and recomputed on its sorted parts, the
+statistic's definition, only where that product lies within its rounding
+bound of the observed value. The information tests'
 surrogates are permutations of the target, or are drawn as the tables or
 the per-state tallies of the target that permutations would give
 (`infocore._cmi_blocks`): the same null from another stream.
@@ -108,6 +111,28 @@ def independent_samples_permutation_test(group_a, group_b, n_perm: int = 5000,
     subsets of size min(len(a), len(b)); by the complement bijection this
     leaves the null distribution of |statistic| unchanged while making the
     two-sided p exactly invariant under swapping the groups.
+
+    The statistic is defined on ascending-sorted parts, so that a surrogate
+    that redraws the observed split reproduces the observed value bit for
+    bit and ties are counted exactly. Only a surrogate near the observed
+    value needs that: each row's value is first taken as one matrix-vector
+    product of the shuffled pool with weights 1/k and -1/(n - k), for parts
+    of k and n - k values, which differs from the sorted-parts value by at
+    most
+
+        slack = (n + 2) * (4 eps sum|pooled| / min(k, n - k) + tiny),
+
+    eps the float64 epsilon and tiny its least subnormal. Both values are
+    sums of at most n rounded terms, whose error stays below gamma_n = n eps/2
+    over (1 - n eps/2) times the sum of magnitudes whatever the summation
+    order, BLAS and fused multiply-adds included (Higham 2002, Accuracy and
+    Stability of Numerical Algorithms, ch. 3-4); the sorted means, their
+    difference and the rounded weights add a few eps more, and underflow
+    at most one subnormal per operation. So a row whose product lies more
+    than `slack` from the observed value lies on the same side of it as its
+    sorted-parts value, and only the other rows, NaN ones included, are
+    sorted and recomputed. Every row is then counted as the sorted-parts
+    value would be, so p and the observed difference do not change.
     """
     a = np.asarray(group_a, dtype=np.float64)
     b = np.asarray(group_b, dtype=np.float64)
@@ -115,20 +140,29 @@ def independent_samples_permutation_test(group_a, group_b, n_perm: int = 5000,
         raise ValueError("both groups must be nonempty")
     if tail not in TAILS:
         raise ValueError(f"tail must be one of {TAILS}")
-    # Statistics are evaluated on ascending-sorted subsets, so any surrogate
-    # that redraws the observed split reproduces the observed statistic bit
-    # for bit and ties are counted exactly.
     observed = float(_mean_difference(np.sort(a)[None], np.sort(b)[None])[0])
     pooled = np.sort(np.concatenate([a, b]))
     n = pooled.size
     k = min(a.size, b.size) if tail == "two_sided" else a.size
     oriented = {"greater": np.positive, "less": np.negative,
                 "two_sided": np.abs}[tail]
-    # Each row is the pool permuted; its two parts, sorted, are the values
-    # the ascending pool holds at the sorted permutation indices.
-    blocks = (oriented(_mean_difference(np.sort(shuffled[:, :k], axis=1),
-                                        np.sort(shuffled[:, k:], axis=1)))
-              for shuffled in _permutation_blocks(
-                  derive_rng(seed, "ind-samples-surrogate"), pooled, n_perm, n))
-    return PermutationTestResult(
-        observed, *_permutation_p(oriented(observed), blocks, n_perm))
+    target = oriented(observed)
+    weights = np.concatenate([np.full(k, 1.0 / k), np.full(n - k, -1.0 / (n - k))])
+    float64 = np.finfo(np.float64)
+    slack = (n + 2) * (4.0 * float64.eps * np.abs(pooled).sum() / min(k, n - k)
+                       + float64.smallest_subnormal)
+
+    def statistics(shuffled):
+        values = oriented(shuffled @ weights)
+        near = ~(np.abs(values - target) > slack)
+        if near.any():
+            # Each part of a row, sorted, holds the values that the ascending
+            # pool holds at its sorted permutation indices.
+            rows = shuffled[near]
+            values[near] = oriented(_mean_difference(np.sort(rows[:, :k], axis=1),
+                                                     np.sort(rows[:, k:], axis=1)))
+        return values
+
+    blocks = map(statistics, _permutation_blocks(
+        derive_rng(seed, "ind-samples-surrogate"), pooled, n_perm, n))
+    return PermutationTestResult(observed, *_permutation_p(target, blocks, n_perm))

@@ -3,6 +3,7 @@ import io
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -818,6 +819,23 @@ class TestCompareCommand:
         assert capsys.readouterr().err == (
             "error: " + message.format(path=results) + "\n")
 
+    @pytest.mark.parametrize("lags", [[1, 7], [1]], ids=["lag-7", "lag-1"])
+    def test_entry_k_max_must_equal_recorded_config(self, tmp_path, capsys,
+                                                    lags):
+        results = self._make_results(tmp_path, n_trials=3, length=120)
+        doc = json.loads(results.read_text())
+        entry = next(e for e in doc["results"] if not e["skipped"])
+        entry.update(k_max=7, selected_lags=lags)
+        results.write_text(json.dumps(doc))
+        out = tmp_path / "cmp"
+        assert main(["compare", str(results), "--seed", "7",
+                     "--out", str(out)]) == 2
+        key = (entry["participant_id"], entry["condition"], entry["trial_id"])
+        assert capsys.readouterr().err == (
+            f"error: {results}: trial (participant, condition, trial) = "
+            f"{key}: k_max = 7 differs from k_max = 5 recorded in {results}\n")
+        assert not (out / "comparison.json").exists()
+
     def test_contrast_error_names_the_participant(self, tmp_path, capsys):
         # p0 has both conditions; p1 has only A.
         trials = []
@@ -865,6 +883,61 @@ class TestCompareCommand:
               "--nperm-comparison", "200", "--out", str(out2)])
         assert (out1 / "comparison.json").read_bytes() == \
             (out2 / "comparison.json").read_bytes()
+
+
+class TestJsonWriter:
+    """`_write_json` writes the bytes of `json.dump(..., indent=2,
+    sort_keys=True)` and a newline."""
+
+    @staticmethod
+    def json_dump_bytes(doc):
+        text = io.StringIO()
+        json.dump(gazeais.cli._round12(doc), text, indent=2, sort_keys=True)
+        return (text.getvalue() + "\n").encode("utf-8")
+
+    def test_golden_documents(self, tmp_path, monkeypatch):
+        from test_golden import golden_outputs
+        written, write = [], gazeais.cli._write_json
+
+        def record(path, doc):
+            write(path, doc)
+            written.append((path, doc))
+        monkeypatch.setattr(gazeais.cli, "_write_json", record)
+        golden_outputs(tmp_path)
+        # results.json and comparison.json of three designs, scanpaths.json
+        assert len(written) == 7
+        for path, doc in written:
+            assert Path(path).read_bytes() == self.json_dump_bytes(doc), path
+
+    def test_edge_document(self, tmp_path):
+        doc = {
+            "empty": [[], {}, (), ""],
+            "nested": {"b": [1, [2, [3, {}]], (4, 5), {"z": None, "a": True}],
+                       "a": [[], {"deep": {"er": [{"est": []}]}}]},
+            "text": ["ascii", "\u00e9 \u00fc", "\u2603", "\U0001f600",
+                     "quote \" backslash \\ tab \t newline \n", "\x00\x1f\x7f"],
+            "non-ascii key \u00e9": "value",
+            "": "empty key",
+            "floats": [float("nan"), float("inf"), -float("inf"), 0.0, -0.0,
+                       0.1, 1e-310, 1e300, 1 / 3, -2.5, 123456789.123456789],
+            "ints": [0, -1, 2 ** 70, 7],
+            "mixed": [1, 2.0, True, False, None, "s", (1, "two")],
+            "bools": [True, False],
+            "tuple": ("a", 1.5, None),
+            "numpy": [np.int64(3), np.float64(0.25), np.float32(1.5)],
+            "scalars": {"t": True, "f": False, "n": None, "i": -3, "x": 2.0},
+        }
+        path = tmp_path / "edge.json"
+        gazeais.cli._write_json(path, doc)
+        assert path.read_bytes() == self.json_dump_bytes(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {1: "an int key"}, {"a": {1, 2}}, {"a": np.bool_(True)},
+        {"a": b"bytes"}, [object()]],
+        ids=["int-key", "set", "numpy-bool", "bytes", "object"])
+    def test_other_types_raise(self, tmp_path, doc):
+        with pytest.raises(TypeError):
+            gazeais.cli._write_json(tmp_path / "out.json", doc)
 
 
 class TestConfigFile:

@@ -264,6 +264,42 @@ class TestCompareConditions:
         with pytest.raises(ValueError, match="participants"):
             compare_conditions(a + b, cfg)
 
+    def test_constant_trial_values_pinned(self):
+        # Trials of unequal lengths, one of them constant (H(X_t) = 0, so it
+        # leaves the normalized contrast), on the union of the given lags.
+        # The values are those the per-trial estimators gave before the
+        # participant's trials were estimated in one call.
+        rng = np.random.default_rng(71)
+        results = []
+        for cond, lags, lengths in (("A", (1,), (90, 100, 95)),
+                                    ("B", (2, 4), (120, 88, 110))):
+            for i, length in enumerate(lengths):
+                symbols = rng.integers(0, 3, length)
+                if cond == "A" and i == 1:
+                    symbols[:] = 2
+                results.append(TrialResult(
+                    ScanpathRecord(f"{cond}{i}", "p", cond, symbols, 3),
+                    length - 5, selected_lags=PastState(lags, 5)))
+        comp = contrast_conditions(results, RunConfig(n_perm_comparison=500,
+                                                      seed=3))
+        assert comp.union_lags.lags == (1, 2, 4)
+        assert (comp.equalized_length, comp.equalized_sample_count) == (88, 83)
+        assert comp.excluded_normalized == {"A": 1, "B": 0}
+        assert comp.contrasts["normalized_ais"].n_a == 2
+        assert comp.means == {
+            "ais": {"A": 0.14421020212085822, "B": 0.3547665315146431},
+            "entropy": {"A": 1.065801861094826, "B": 1.5783042776536471},
+            "normalized_ais": {"A": 0.13528064413930876, "B": 0.2253683950017872}}
+        assert comp.sems == {
+            "ais": {"A": 0.07430836424690641, "B": 0.05171616223754974},
+            "entropy": {"A": 0.5329023984794928, "B": 0.01740296449600165},
+            "normalized_ais": {"A": 0.019275499812149592, "B": 0.03470324993293556}}
+        assert {m: (c.observed_diff, c.p_value)
+                for m, c in comp.contrasts.items()} == {
+            "ais": (-0.21055632939378488, 0.0998003992015968),
+            "entropy": (-0.512502416558821, 1.0),
+            "normalized_ais": (-0.09008775086247844, 0.20159680638722555)}
+
 
 class TestRunConfig:
     def test_defaults(self):

@@ -9,7 +9,7 @@ from gazeais import (SymbolSequence, active_information_storage, embed,
                      max_statistic_test, next_symbol_entropy)
 from gazeais import infocore
 from gazeais import test_final_ais as final_ais_test
-from gazeais.infocore import _cmi_blocks
+from gazeais.infocore import _cmi_blocks, row_estimates
 from gazeais.stats import TAILS, _permutation_p
 from gazeais.validate import dense_counts, dense_entropy, dense_estimate
 
@@ -948,3 +948,104 @@ class TestInvariants:
             ).plugin_value - target) for s in range(8)]
             medians.append(np.median(errs))
         assert medians[1] <= medians[0]
+
+
+def copy_chain_matrix(m, seed, rows=3, length=80):
+    """`rows` trials of `length` symbols below `m`; each symbol repeats the
+    one before with probability 1/2 and is uniform otherwise."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, m, (rows, length))
+    for t in range(1, length):
+        copy = rng.random(rows) < 0.5
+        x[copy, t] = x[copy, t - 1]
+    return x
+
+
+def pinned_matrix(m):
+    x = copy_chain_matrix(m, {2: 1, 4: 2, 16: 3}[m])
+    if m == 2:
+        x[1] = 1  # a constant trial: H(X_t) = 0
+    return x
+
+
+# Per row of `pinned_matrix(m)`, (plug-in value, bias correction) of H(X_t)
+# at offset 5, AIS on lags (1,) and on (1, ..., 5) at offset 5, and GTE, as
+# the per-sequence estimators gave them before they were computed row-wise.
+PINNED = {
+    2: [
+        ((0.953197172543056, 0.009617966939259757), (0.0881274774853434, -0.009617966939259755), (0.33853229960825765, -0.11541560327111705), (0.8742165635534195, 0.018261962542898275)),
+        ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)),
+        ((0.9426831892554917, 0.009617966939259757), (0.29452243832167474, -0.009617966939259755), (0.4908637386444663, -0.048089834696298794), (0.6665390448247217, 0.018261962542898275)),
+    ],
+    4: [
+        ((1.9707368442613817, 0.02885390081777927), (0.46614071851790556, -0.08656170245333782), (1.7320683838628468, -0.038471867757039035), (1.493163649568857, 0.10957177525738963)),
+        ((1.9533697828994585, 0.02885390081777927), (0.6066971893032964, -0.07694373551407806), (1.7251109098492756, -0.038471867757039035), (1.3574746954526191, 0.10044079398594048)),
+        ((1.8696030435691005, 0.02885390081777927), (0.3697562111553221, -0.08656170245333782), (1.6829363769024337, -0.028853900817779166), (1.5140806716675845, 0.10957177525738963)),
+    ],
+    16: [
+        ((3.8099373191990646, 0.14426950408889636), (2.2247802814086604, -0.1731234049066756), (3.7832706525323982, 0.13465153714963662), (1.6247431501093783, 0.3195843445007197)),
+        ((3.3901514064608778, 0.12503357021037684), (2.0326383395193286, -0.1250335702103768), (3.2633544064031854, 0.0961796693925977), (1.352968634768164, 0.24653649432912667)),
+        ((3.587367220451594, 0.1346515371496366), (2.145241031907001, -0.14426950408889633), (3.5440990538137735, 0.12503357021037687), (1.5148004955084986, 0.29219140068637234)),
+    ],
+}
+
+
+def bits(est):
+    return (est.plugin_value.hex(), est.bias_correction.hex(),
+            est.corrected_value.hex(), est.sample_count, est.kind)
+
+
+class TestRowEstimates:
+    """Every trial's values from one call over the matrix of trials."""
+
+    @pytest.mark.parametrize("m", [2, 4, 16])
+    def test_rows_equal_pinned_values(self, m):
+        x = pinned_matrix(m)
+        entropies, no_ais = row_estimates(x, (), 5)
+        ais_1 = row_estimates(x, (1,), 5)[1]
+        ais_5 = row_estimates(x, (1, 2, 3, 4, 5), 5)[1]
+        assert no_ais is None
+        for i, row in enumerate(x):
+            gte = gaze_transition_entropy(SymbolSequence(row, m))
+            for est, (plugin, corr), n in zip(
+                    (entropies[i], ais_1[i], ais_5[i], gte), PINNED[m][i],
+                    (75, 75, 75, 79)):
+                assert (est.plugin_value.hex(), est.bias_correction.hex(),
+                        est.corrected_value.hex(), est.sample_count) == (
+                    plugin.hex(), corr.hex(), (plugin + corr).hex(), n)
+
+    @pytest.mark.parametrize("lags", [(), (1,), (1, 2, 3, 4, 5)])
+    @pytest.mark.parametrize("symbols", ["binary", "4-aoi", "16-aoi", "mixed"])
+    def test_each_row_equals_a_one_row_call(self, symbols, lags):
+        x = {"binary": pinned_matrix(2), "4-aoi": pinned_matrix(4),
+             "16-aoi": pinned_matrix(16),
+             # Rows of different code spaces share one count.
+             "mixed": np.stack([pinned_matrix(16)[0], pinned_matrix(2)[1],
+                                pinned_matrix(2)[0], pinned_matrix(4)[2]])}[symbols]
+        entropies, ais = row_estimates(x, lags, 5)
+        assert len(entropies) == len(x) and (ais is None) == (not lags)
+        for i, row in enumerate(x):
+            one_h, one_ais = row_estimates(x[i:i + 1], lags, 5)
+            seq = SymbolSequence(row, int(x.max()) + 1)
+            assert bits(entropies[i]) == bits(one_h[0]) == bits(
+                next_symbol_entropy(seq, 5))
+            if lags:
+                assert bits(ais[i]) == bits(one_ais[0]) == bits(
+                    active_information_storage(seq, lags, 5))
+
+    def test_constant_trial(self):
+        h, ais = row_estimates(np.full((1, 40), 3), (1, 2), 2)
+        zero = ((0.0).hex(), (0.0).hex(), (0.0).hex(), 38)
+        assert bits(h[0]) == zero + ("entropy",)
+        assert bits(ais[0]) == zero + ("active_information_storage",)
+
+    def test_single_trial_of_one_row(self):
+        h, ais = row_estimates(np.array([[0, 1, 1, 0]]), (1, 3), 3)
+        assert bits(h[0]) == ((0.0).hex(), (0.0).hex(), (0.0).hex(), 1, "entropy")
+        assert ais[0].sample_count == 1 and ais[0].corrected_value == 0.0
+
+    def test_embedding_errors(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            row_estimates(np.zeros((2, 10), dtype=np.int64), (4,), 3)
+        with pytest.raises(ValueError, match="too short"):
+            row_estimates(np.zeros((2, 3), dtype=np.int64), (1,), 3)

@@ -5,6 +5,9 @@ import pytest
 
 from gazeais import SymbolSequence, embed, independent_samples_permutation_test
 from gazeais import test_final_ais as final_ais_test
+from gazeais.infocore import _permutation_blocks
+from gazeais.rng import derive_rng
+from gazeais.stats import TAILS, _permutation_p
 
 
 class TestFinalAis:
@@ -136,3 +139,79 @@ class TestIndependentSamples:
         exact = exceed / len(splits)
         mc = independent_samples_permutation_test(a, b, 10_000, "two_sided", seed=9)
         assert mc.p_value == pytest.approx(exact, abs=0.02)
+
+
+def sorted_parts_test(group_a, group_b, n_perm, tail, seed):
+    """(observed, p): the contrast with every surrogate row's two parts
+    sorted and averaged, the statistic's definition, as a reference for
+    the filtered test."""
+    a = np.asarray(group_a, dtype=np.float64)
+    b = np.asarray(group_b, dtype=np.float64)
+
+    def statistic(first, second):
+        return np.sort(first, axis=1).mean(axis=1) - np.sort(second, axis=1).mean(axis=1)
+
+    observed = float(statistic(a[None], b[None])[0])
+    pooled = np.sort(np.concatenate([a, b]))
+    k = min(a.size, b.size) if tail == "two_sided" else a.size
+    oriented = {"greater": np.positive, "less": np.negative,
+                "two_sided": np.abs}[tail]
+    blocks = (oriented(statistic(shuffled[:, :k], shuffled[:, k:]))
+              for shuffled in _permutation_blocks(
+                  derive_rng(seed, "ind-samples-surrogate"), pooled, n_perm,
+                  pooled.size))
+    return observed, _permutation_p(oriented(observed), blocks, n_perm)[0]
+
+
+def _groups(case):
+    rng = np.random.default_rng(61)
+    normal = rng.normal(size=30)
+    return {
+        # Values on a 0.1 grid: many surrogates tie the observed difference.
+        "rounded-ties": (np.round(normal[:9], 1), np.round(normal[9:16], 1)),
+        "rounded-equal-sizes": (np.round(normal[:8], 1), np.round(normal[8:16], 1)),
+        "constant-pool": ([2.5] * 5, [2.5] * 6),
+        "n-2": ([1.0], [3.0]),
+        "one-against-many": ([0.3], normal[:20]),
+        "many-against-one": (normal[:20], [0.3]),
+        "signed-zeros": ([0.0, -0.0, 0.0], [-0.0, 0.0, -0.0, 0.0]),
+        "near-1e300": (normal[:7] * 1e300, normal[7:15] * 1e300),
+        "ties-near-1e300": (np.round(normal[:6]) * 1e300,
+                            np.round(normal[6:12]) * 1e300),
+        "subnormal": (normal[:7] * 1e-310, normal[7:15] * 1e-310),
+        "subnormal-ties": (np.round(normal[:6]) * 1e-310,
+                           np.round(normal[6:12]) * 1e-310),
+    }[case]
+
+
+class TestNearObservedFilter:
+    """Rows far from the observed value are decided by one product and the
+    rest by the sorted parts; p and the observed difference must equal
+    those of sorting every row."""
+
+    @pytest.mark.parametrize("tail", TAILS)
+    @pytest.mark.parametrize("case", [
+        "rounded-ties", "rounded-equal-sizes", "constant-pool", "n-2",
+        "one-against-many", "many-against-one", "signed-zeros", "near-1e300",
+        "ties-near-1e300", "subnormal", "subnormal-ties"])
+    def test_equals_sorting_every_row(self, case, tail):
+        a, b = _groups(case)
+        for seed in range(3):
+            result = independent_samples_permutation_test(a, b, 2000, tail, seed)
+            observed, p = sorted_parts_test(a, b, 2000, tail, seed)
+            assert result.observed_statistic.hex() == observed.hex()
+            assert result.p_value == p
+            assert result.evaluated == 2000
+
+    def test_random_groups_equal_sorting_every_row(self):
+        rng = np.random.default_rng(62)
+        for i in range(150):
+            sizes = rng.integers(1, 25, size=2)
+            scale = 10.0 ** rng.choice([-310, -3, 0, 300])
+            a, b = (rng.normal(size=size) * scale for size in sizes)
+            if i % 2:
+                a, b = np.round(a / scale, 1) * scale, np.round(b / scale, 1) * scale
+            tail = TAILS[i % 3]
+            result = independent_samples_permutation_test(a, b, 300, tail, i)
+            observed, p = sorted_parts_test(a, b, 300, tail, i)
+            assert (result.observed_statistic.hex(), result.p_value) == (observed.hex(), p)
