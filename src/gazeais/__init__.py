@@ -12,8 +12,8 @@ from .embedding import (MIN_EMBEDDED_ROWS, SelectionStep, SelectionTrace,
                         max_statistic_test, optimize_past_state)
 from .experiment import (ContrastResult, LagHistogram, ParticipantComparison,
                          RunConfig, TrialResult, analyze_trial,
-                         compare_conditions, contrast_conditions,
-                         equalize_samples, lag_histogram, parse_run_config,
+                         analyze_trials, compare_conditions,
+                         contrast_conditions, lag_histogram, parse_run_config,
                          union_past_state)
 from .gaze import (AOIRegion, FIXATION_DTYPE, GAZE_DTYPE, PipelineParams,
                    ScanpathRecord, Trial, build_scanpath,
@@ -37,14 +37,14 @@ __all__ = [
     "PipelineParams", "RunConfig", "ScanpathRecord", "SelectionStep",
     "SelectionTrace", "StateVectorSeries", "SymbolSequence", "Trial",
     "TrialResult", "active_information_storage", "analytic_ais",
-    "analytic_entropy", "analytic_gte", "analyze_trial", "build_scanpath",
-    "compare_conditions", "contrast_conditions", "cycle_spec", "derive_rng",
-    "derive_seed", "detect_fixations_idt", "embed", "equalize_samples",
+    "analytic_entropy", "analytic_gte", "analyze_trial", "analyze_trials",
+    "build_scanpath", "compare_conditions", "contrast_conditions",
+    "cycle_spec", "derive_rng", "derive_seed", "detect_fixations_idt", "embed",
     "filter_fixations", "filter_gaze", "gaze_transition_entropy", "generate",
     "independent_samples_permutation_test", "lag_histogram",
-    "lagged_copy_spec", "load_aois", "load_markov_spec",
-    "map_to_aoi", "max_statistic_test", "next_symbol_entropy",
-    "optimize_past_state", "parse_run_config", "persistence_spec",
-    "read_gaze_csv", "stationary_distribution", "test_final_ais",
-    "trial_fixations", "uniform_iid_spec", "union_past_state",
+    "lagged_copy_spec", "load_aois", "load_markov_spec", "map_to_aoi",
+    "max_statistic_test", "next_symbol_entropy", "optimize_past_state",
+    "parse_run_config", "persistence_spec", "read_gaze_csv",
+    "stationary_distribution", "test_final_ais", "trial_fixations",
+    "uniform_iid_spec", "union_past_state"
 ]

@@ -3,7 +3,8 @@
 Subcommands: fixations, scanpath, ais, compare, simulate, validate. Every
 subcommand runs on one thread and is deterministic given its inputs and
 --seed; reruns produce byte-identical files (outputs carry no timestamps).
-`ais` runs `analyze_trial` once per trial at the master seed; `compare`
+`ais` runs `analyze_trials` once over all trials at the master seed, which
+gives each trial the entry `analyze_trial` gives it alone; `compare`
 reads each entry back as a `TrialResult` and its `ScanpathRecord`, and
 contrasts those recorded selections without selecting again.
 Settings resolve in `_settings` alone: the `--config` file, then flags,
@@ -24,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .experiment import (MEASURES, RunConfig, TrialResult, analyze_trial,
-                         contrast_conditions, lag_histogram, read_run_config)
+                         analyze_trials, contrast_conditions, lag_histogram,
+                         read_run_config)
 from .gaze import (PipelineParams, ScanpathRecord, _field, _json_list,
                    _load_json, _whole_number, build_scanpath, load_aois,
                    read_gaze_csv, trial_fixations)
@@ -265,10 +267,10 @@ def cmd_ais(args) -> int:
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION,
         "config": {**_selection(cfg), "seed": cfg.seed},
-        "results": [{**analyze_trial(rec, cfg).to_dict(),
+        "results": [{**res.to_dict(),
                      "symbols": rec.symbols.tolist(),
                      "alphabet_size": int(rec.alphabet_size)}
-                    for rec in records],
+                    for rec, res in zip(records, analyze_trials(records, cfg))],
     })
     return 0
 

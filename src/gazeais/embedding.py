@@ -5,18 +5,25 @@ the candidate with maximal conditional mutual information (CMI) with the
 target given the already-selected lags, then tests it against surrogates in
 which the target column is permuted (for a target of two codes, drawn as
 its tallies per joint state of the lags, which permuting it would give;
-see `infocore._cmi_blocks`). The surrogate statistic is the maximum
-CMI over all remaining candidates, which controls the family-wise error
-rate across the repeated candidate tests; a non-significant maximum stops
-the search. Each step is one pass of the count kernel: the candidates'
-observed CMIs are row 0 of the `_cmi_blocks` stream whose later rows are
-the step's surrogates.
+see `infocore._CmiTests`). The surrogate statistic is the maximum CMI over
+all remaining candidates, which controls the family-wise error rate across
+the repeated candidate tests; a non-significant maximum stops the search.
+Each step is one test of a `_CmiTests` batch: its observed CMIs are row 0
+of the batch and its surrogates the rounds that follow.
+
+The trials of a run select in lockstep (`_select_past_states`): iteration
+j of every trial still selecting is one batch, whose tests each conditions
+on j - 1 lags and weighs the other k_max - j + 1, and the batch's rounds
+advance them all until each has its p-value. Each test keeps its own
+generator, seeded as it was alone, and draws its blocks in the same order
+and sizes, so a trial's selection does not depend on the others.
+`optimize_past_state` and `max_statistic_test` are batches of one.
 
 A step is accepted exactly when its p-value, from the shared rule
-`stats._permutation_p`, is at most alpha. Selection alone passes alpha to
-the test, which then stops at the first surrogate row where that bound
-fails: a rejected step reports a lower bound on its p-value, flagged in
-its `SelectionStep`. An accepted step always sees every surrogate, so its
+`stats._PValues`, is at most alpha. Selection alone passes alpha to the
+test, which then stops at the first surrogate row where that bound fails:
+a rejected step reports a lower bound on its p-value, flagged in its
+`SelectionStep`. An accepted step always sees every surrogate, so its
 p-value and the selected lags equal those of a full evaluation.
 
 All embeddings within one optimization share offset = k_max, so every
@@ -30,10 +37,12 @@ estimates. Selection reads `k_max`, `alpha`, `n_perm_selection` and
 from dataclasses import dataclass, field
 from typing import List
 
-from .infocore import _cmi_blocks
+import numpy as np
+
+from .infocore import _CmiTests
 from .rng import derive_rng, derive_seed
-from .sequences import PastState, StateVectorSeries, SymbolSequence, embed
-from .stats import PermutationTestResult, _permutation_p
+from .sequences import PastState, StateVectorSeries, SymbolSequence, _embed_rows
+from .stats import PermutationTestResult, _run_tests
 
 MIN_EMBEDDED_ROWS = 10
 
@@ -71,15 +80,15 @@ def max_statistic_test(candidates, series: StateVectorSeries, n_perm: int,
     `PermutationTestResult` of the largest. Each surrogate permutes the
     target column (past vectors fixed, so the joint structure of the past
     survives under the null), recomputes the CMI of every candidate given
-    the selected set, and records the maximum; `_permutation_p` counts the
+    the selected set, and records the maximum; `stats._PValues` counts the
     maxima >= the observed value. With `alpha` the test stops once it has
     failed for certain, and `evaluated` is then below `n_perm`.
 
-    The observed CMIs are row 0 of the same `_cmi_blocks` stream as the
-    surrogates, counted alike, so a surrogate that redraws the observed
-    tables ties it exactly. Surrogates come in order from one generator
-    derived from (seed, "max-stat-surrogate"), so the result is a pure
-    function of the arguments.
+    The observed CMIs are row 0 of the same `infocore._CmiTests` batch, of
+    one test here, as the surrogates, counted alike, so a surrogate that
+    redraws the observed tables ties it exactly. Surrogates come in order
+    from one generator derived from (seed, "max-stat-surrogate"), so the
+    result is a pure function of the arguments.
     """
     candidates = tuple(candidates)
     if not candidates:
@@ -87,14 +96,83 @@ def max_statistic_test(candidates, series: StateVectorSeries, n_perm: int,
     for lag in tuple(selected) + candidates:
         if lag not in series.lags:
             raise ValueError(f"lag {lag} not present in the embedded series")
-    cols = {lag: series.pasts[:, j] for j, lag in enumerate(series.lags)}
-    blocks = _cmi_blocks(series.targets, [cols[lag] for lag in selected],
-                         [(cols[lag],) for lag in candidates], n_perm,
-                         derive_rng(seed, "max-stat-surrogate"))
-    cmis = dict(zip(candidates, next(blocks)[0].tolist()))
-    observed = max(cmis.values())
-    return cmis, PermutationTestResult(observed, *_permutation_p(
-        observed, (block.max(axis=1) for block in blocks), n_perm, alpha))
+    column = {lag: j for j, lag in enumerate(series.lags)}
+    tests = _CmiTests([series.n_rows], series.targets,
+                      series.pasts[:, [column[lag] for lag in selected]],
+                      [series.pasts[:, [column[lag]]] for lag in candidates],
+                      n_perm, [derive_rng(seed, "max-stat-surrogate")])
+    (observed,), (p,), (evaluated,) = (x.tolist() for x in _run_tests(
+        tests, n_perm, alpha))
+    return (dict(zip(candidates, tests.observed[0].tolist())),
+            PermutationTestResult(observed, p, evaluated))
+
+
+def _select_past_states(n, flat, position, seeds, cfg):
+    """(PastState, SelectionTrace) of every trial of a batch, selected in
+    lockstep: trial i owns the n[i] rows of `position` after those of the
+    trials before it, embedded at offset k_max (`sequences._embed_rows`),
+    and iteration j of its selection is seeded by (seeds[i], "max-stat", j).
+
+    Each iteration is one `_CmiTests` batch of the trials still selecting,
+    all with the same number of selected lags and of candidates, run to
+    its p-values by `stats._run_tests`.
+    """
+    n = np.asarray(n, dtype=np.intp)
+    trial = np.repeat(np.arange(n.size), n)
+    traces = [SelectionTrace(n_rows=int(rows)) for rows in n]
+    selected = [[] for _ in traces]  # in the order chosen
+    candidates = [list(range(1, cfg.k_max + 1)) for _ in traces]
+    active = np.arange(n.size)
+    for iteration in range(cfg.k_max):
+        if not active.size:
+            break
+        rows = np.zeros(n.size, dtype=bool)
+        rows[active] = True
+        at = position[rows[trial]]
+        owner = np.repeat(np.arange(active.size), n[active])
+
+        def columns(lags):
+            """Each row's symbols at the lags of its trial, one row of lags
+            per trial."""
+            lags = np.asarray(lags, dtype=np.intp).reshape(active.size, -1)
+            return flat[at[:, None] - lags[owner]]
+        lags = np.array([candidates[i] for i in active], dtype=np.intp)
+        tests = _CmiTests(
+            n[active], flat[at], columns([selected[i] for i in active]),
+            [columns(lags[:, [k]]) for k in range(lags.shape[1])],
+            cfg.n_perm_selection,
+            [derive_rng(derive_seed(seeds[i], "max-stat", iteration),
+                        "max-stat-surrogate") for i in active])
+        observed, p, evaluated = (x.tolist() for x in _run_tests(
+            tests, cfg.n_perm_selection, cfg.alpha))
+        still = []
+        for a, i in enumerate(active):
+            cmis = dict(zip(candidates[i], tests.observed[a].tolist()))
+            # Ties go to the smaller lag; candidates stay sorted ascending.
+            chosen = max(candidates[i], key=cmis.__getitem__)
+            accepted = p[a] <= cfg.alpha
+            traces[i].steps.append(SelectionStep(
+                candidates=tuple(candidates[i]),
+                cmi_values=cmis,
+                chosen_lag=chosen,
+                observed_cmi=observed[a],
+                p_value=p[a],
+                accepted=accepted,
+                p_is_lower_bound=evaluated[a] < cfg.n_perm_selection,
+            ))
+            if accepted:
+                selected[i].append(chosen)
+                candidates[i].remove(chosen)
+                if candidates[i]:
+                    still.append(i)
+        active = np.array(still, dtype=np.intp)
+
+    out = []
+    for lags, trace in zip(selected, traces):
+        state = PastState(tuple(sorted(lags)), cfg.k_max)
+        trace.selected = state.lags
+        out.append((state, trace))
+    return out
 
 
 def optimize_past_state(seq: SymbolSequence, cfg):
@@ -104,7 +182,7 @@ def optimize_past_state(seq: SymbolSequence, cfg):
     The selected lag set may be empty when no candidate carries
     significant information about the next value. Deterministic given
     (sequence, config): iteration i uses a sub-seed derived from
-    (cfg.seed, i).
+    (cfg.seed, i). The selection is a batch of one (`_select_past_states`).
     """
     n = len(seq) - cfg.k_max
     if n < MIN_EMBEDDED_ROWS:
@@ -112,38 +190,5 @@ def optimize_past_state(seq: SymbolSequence, cfg):
             f"sequence of length {len(seq)} leaves {max(n, 0)} embedded rows "
             f"at k_max={cfg.k_max}; need at least {MIN_EMBEDDED_ROWS}"
         )
-    series = embed(seq, tuple(range(1, cfg.k_max + 1)), cfg.k_max)
-
-    trace = SelectionTrace(n_rows=series.n_rows)
-    selected: List[int] = []
-    candidates = list(range(1, cfg.k_max + 1))
-    for iteration in range(cfg.k_max):
-        cmis, test = max_statistic_test(
-            candidates, series,
-            n_perm=cfg.n_perm_selection,
-            seed=derive_seed(cfg.seed, "max-stat", iteration),
-            selected=tuple(selected),
-            alpha=cfg.alpha,
-        )
-        # Ties go to the smaller lag; candidates stay sorted ascending.
-        chosen = max(candidates, key=cmis.__getitem__)
-        accepted = test.p_value <= cfg.alpha
-        trace.steps.append(SelectionStep(
-            candidates=tuple(candidates),
-            cmi_values=cmis,
-            chosen_lag=chosen,
-            observed_cmi=test.observed_statistic,
-            p_value=float(test.p_value),
-            accepted=accepted,
-            p_is_lower_bound=test.evaluated < cfg.n_perm_selection,
-        ))
-        if not accepted:
-            break
-        selected.append(chosen)
-        candidates.remove(chosen)
-        if not candidates:
-            break
-
-    state = PastState(tuple(sorted(selected)), cfg.k_max)
-    trace.selected = state.lags
-    return state, trace
+    return _select_past_states(*_embed_rows([seq.symbols], cfg.k_max),
+                               [cfg.seed], cfg)[0]

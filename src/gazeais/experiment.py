@@ -4,7 +4,13 @@ Each protocol function takes the run's one `RunConfig`, whose seed is the
 master seed. Per trial (`analyze_trial`, on a `ScanpathRecord`): optimize
 the past state, estimate bias-corrected AIS and the next-symbol entropy
 H(X_t), normalize, and test final AIS significance; the `TrialResult`
-carries its record. Per participant (`contrast_conditions`): pool the
+carries its record. A run analyses all its trials at once
+(`analyze_trials`): each selection iteration of every trial still
+selecting, and then every final AIS test, is one batch of tests advanced
+round by round, the trial index folded in as the most significant column
+of every state code. Each test draws from its own seeds, in the order and
+sizes it would alone, so every result is the one its trial gets alone.
+Per participant (`contrast_conditions`): pool the
 trials' selected lags into a union past state, equalize trial lengths by
 discarding symbols from the beginning, re-estimate every trial with the
 shared past state and sample count (holding estimation bias constant
@@ -13,24 +19,25 @@ across groups) in one row-wise call over the matrix of equalized trials
 independent samples permutation tests on AIS, entropy, and normalized
 AIS. Seeds derive here:
 (seed, "trial", participant, condition, id) per trial, (seed,
-"participant", id) per participant. So `analyze_trial` gives a trial's
-`gazeais ais` entry, and `compare_conditions`, which selects each past
+"participant", id) per participant. So `analyze_trials` gives the
+entries of `gazeais ais`, and `compare_conditions`, which selects each past
 state once, gives `gazeais ais` then `gazeais compare`.
 """
 
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .embedding import MIN_EMBEDDED_ROWS, SelectionTrace, optimize_past_state
+from .embedding import MIN_EMBEDDED_ROWS, SelectionTrace, _select_past_states
 from .gaze import ScanpathRecord, _field, _trial_owner
+from . import infocore
 from .infocore import InfoEstimate, row_estimates
 from .rng import derive_seed
-from .sequences import PastState, SymbolSequence, embed
-from .stats import TAILS, independent_samples_permutation_test, test_final_ais
+from .sequences import PastState, _embed_rows
+from .stats import TAILS, _final_ais_tests, independent_samples_permutation_test
 
 log = logging.getLogger(__name__)
 
@@ -270,7 +277,8 @@ def _trial_estimates(symbols: np.ndarray, lags: PastState, k_max: int):
 
 
 def analyze_trial(record: ScanpathRecord, cfg: RunConfig) -> TrialResult:
-    """Optimize the past state of one trial and estimate its AIS.
+    """Optimize the past state of one trial and estimate its AIS: the
+    analysis of a batch of one (`analyze_trials`).
 
     `cfg.seed` is the master seed. The selection is seeded by
     (cfg.seed, "trial", participant, condition, trial id), and the final
@@ -280,32 +288,95 @@ def analyze_trial(record: ScanpathRecord, cfg: RunConfig) -> TrialResult:
     AIS is reported as 0 with p = 1; otherwise the final test's observed
     statistic is the reported plug-in AIS, bit for bit.
     """
-    seed = derive_seed(cfg.seed, "trial", record.participant_id,
-                       record.condition, record.trial_id)
-    scanpath = record.sequence
-    n = len(scanpath) - cfg.k_max
-    if n < MIN_EMBEDDED_ROWS:
-        return TrialResult(
-            record, sample_count=max(n, 0), skipped=True,
-            skip_reason=(f"{max(n, 0)} embedded rows at k_max={cfg.k_max}; "
-                         f"need at least {MIN_EMBEDDED_ROWS}"),
+    return analyze_trials([record], cfg)[0]
+
+
+def analyze_trials(records: Sequence[ScanpathRecord],
+                   cfg: RunConfig) -> List[TrialResult]:
+    """`analyze_trial` of every record, in order, with every trial's tests
+    run in lockstep.
+
+    Each selection iteration of all trials still selecting is one batch
+    (`embedding._select_past_states`), and so are the final AIS tests of
+    all trials with lags (`stats._final_ais_tests`). Every test draws from
+    its own seeds, in the order and sizes it would alone, so each result
+    is the one its trial gets alone, whatever the other records. H(X_t)
+    and AIS come from one `row_estimates` call per group of trials that
+    share a length and lags. Consecutive records are taken in batches of
+    at most `infocore.SURROGATE_BLOCK_ELEMENTS` embedded rows, or one
+    record, so memory follows the batch, not the run.
+    """
+    results, batch, rows = [], [], 0
+    for rec in records:
+        n = max(len(rec.symbols) - cfg.k_max, 0)
+        if batch and rows + n > infocore.SURROGATE_BLOCK_ELEMENTS:
+            results += _analyze_batch(batch, cfg)
+            batch, rows = [], 0
+        batch.append(rec)
+        rows += n
+    return results + _analyze_batch(batch, cfg) if batch else results
+
+
+def _analyze_batch(records, cfg):
+    """`analyze_trials` of one batch of records."""
+    seeds = [derive_seed(cfg.seed, "trial", rec.participant_id, rec.condition,
+                         rec.trial_id) for rec in records]
+    results: List[Optional[TrialResult]] = [None] * len(records)
+    kept = []
+    for i, rec in enumerate(records):
+        n = len(rec.sequence) - cfg.k_max
+        if n < MIN_EMBEDDED_ROWS:
+            results[i] = TrialResult(
+                rec, sample_count=max(n, 0), skipped=True,
+                skip_reason=(f"{max(n, 0)} embedded rows at k_max={cfg.k_max}; "
+                             f"need at least {MIN_EMBEDDED_ROWS}"))
+        else:
+            kept.append(i)
+    if not kept:
+        return results
+    symbols = [np.asarray(records[i].symbols, dtype=np.int64) for i in kept]
+    n, flat, position = _embed_rows(symbols, cfg.k_max)
+    selections = _select_past_states(n, flat, position,
+                                     [seeds[i] for i in kept], cfg)
+
+    estimates = [None] * len(kept)
+    shared = {}
+    for a, (lags, _) in enumerate(selections):
+        shared.setdefault((symbols[a].size, lags), []).append(a)
+    for (_, lags), members in shared.items():
+        for a, est in zip(members, _trial_estimates(
+                np.stack([symbols[a] for a in members]), lags, cfg.k_max)):
+            estimates[a] = est
+
+    final = [a for a, (lags, _) in enumerate(selections) if lags]
+    p_values = [1.0] * len(kept)
+    if final:
+        # Each final test's past state at its lags, padded by repeating its
+        # first lag, which changes none of its states.
+        past = [selections[a][0].lags for a in final]
+        width = max(map(len, past))
+        lags = np.array([p + p[:1] * (width - len(p)) for p in past], dtype=np.intp)
+        at = position[np.isin(np.repeat(np.arange(len(kept)), n), final)]
+        tests = _final_ais_tests(
+            n[final], flat[at], flat[at[:, None] - lags[np.repeat(
+                np.arange(len(final)), n[final])]],
+            cfg.n_perm_selection,
+            [derive_seed(seeds[kept[a]], "final-ais") for a in final])
+        for a, test in zip(final, tests):
+            p_values[a] = test.p_value
+
+    for a, i in enumerate(kept):
+        lags, trace = selections[a]
+        entropy_next, ais, (normalized, clamped) = estimates[a]
+        if clamped:
+            log.info("trial %s: normalized AIS clamped into [0, 1]",
+                     records[i].trial_id)
+        results[i] = TrialResult(
+            records[i], sample_count=int(n[a]), selected_lags=lags, ais=ais,
+            entropy_next=entropy_next, normalized_ais=normalized,
+            normalized_clamped=clamped, ais_p_value=p_values[a], trace=trace,
         )
-    lags, trace = optimize_past_state(scanpath, replace(cfg, seed=seed))
-    [(entropy_next, ais, (normalized, clamped))] = _trial_estimates(
-        scanpath.symbols[None], lags, cfg.k_max)
-    p_value = 1.0
-    if lags:
-        p_value = test_final_ais(embed(scanpath, lags, cfg.k_max),
-                                 cfg.n_perm_selection,
-                                 seed=derive_seed(seed, "final-ais")).p_value
-    if clamped:
-        log.info("trial %s: normalized AIS clamped into [0, 1]",
-                 record.trial_id)
-    return TrialResult(
-        record, sample_count=n, selected_lags=lags, ais=ais,
-        entropy_next=entropy_next, normalized_ais=normalized,
-        normalized_clamped=clamped, ais_p_value=p_value, trace=trace,
-    )
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -323,19 +394,6 @@ def union_past_state(results: Sequence[TrialResult], k_max: int) -> PastState:
     return PastState(tuple(sorted(lags)), k_max)
 
 
-def equalize_samples(scanpaths: Sequence[SymbolSequence]) -> List[SymbolSequence]:
-    """Truncate every scanpath to the minimum length, keeping suffixes.
-
-    Discarding from the beginning of a trial fixes the sample count, which
-    keeps estimation bias comparable across the trials being contrasted.
-    """
-    if not scanpaths:
-        raise ValueError("need at least one scanpath")
-    target = min(len(s) for s in scanpaths)
-    return [SymbolSequence(s.symbols[len(s) - target:], s.alphabet_size)
-            for s in scanpaths]
-
-
 def _mean_sem(values):
     vals = [v for v in values if v is not None]
     if not vals:
@@ -348,10 +406,9 @@ def _mean_sem(values):
 
 def compare_conditions(records: Sequence[ScanpathRecord],
                        cfg: RunConfig) -> ParticipantComparison:
-    """`analyze_trial` on every record, in any order, then
+    """`analyze_trials` on the records, in any order, then
     `contrast_conditions`: `gazeais ais` then `gazeais compare`."""
-    return contrast_conditions([analyze_trial(rec, cfg) for rec in records],
-                               cfg)
+    return contrast_conditions(analyze_trials(records, cfg), cfg)
 
 
 def contrast_conditions(results: Sequence[TrialResult],
@@ -366,8 +423,10 @@ def contrast_conditions(results: Sequence[TrialResult],
     union of their selected past states on length-equalized scanpaths, so
     every value entering a contrast shares the same sample count and
     past-state dimensionality. Skipped trials are left out; trials with
-    H(X_t) = 0 are excluded from the normalized-AIS contrast only. A count
-    error names the participant.
+    H(X_t) = 0 are excluded from the normalized-AIS contrast only. The
+    conditions are counted over all trials, skipped ones included, and a
+    count error names the participant, and a condition short of analyzable
+    trials how many were skipped and why.
     """
     if not results:
         raise ValueError("need at least one trial result")
@@ -386,7 +445,7 @@ def contrast_conditions(results: Sequence[TrialResult],
             log.info("trial %s excluded: %s", res.record.trial_id,
                      res.skip_reason)
 
-    conditions = tuple(sorted({res.record.condition for res in analyzable}))
+    conditions = tuple(sorted({res.record.condition for res in results}))
     who = f"participant {participant_id!r}"
     if len(conditions) != 2:
         raise ValueError(f"{who}: expected exactly 2 conditions, found "
@@ -395,12 +454,17 @@ def contrast_conditions(results: Sequence[TrialResult],
               for c in conditions}
     for c in conditions:
         if counts[c] < 2:
+            skipped = [res.skip_reason for res in results
+                       if res.skipped and res.record.condition == c]
+            why = (f", {len(skipped)} skipped "
+                   f"({', '.join(dict.fromkeys(skipped))})" if skipped else "")
             raise ValueError(f"{who}: condition {c!r} has {counts[c]} "
-                             f"analyzable trial(s); need >= 2")
+                             f"analyzable trial(s){why}; need >= 2")
 
     union = union_past_state(analyzable, k_max)
-    # Each trial's suffix of the shortest trial's length, as in
-    # `equalize_samples`, one row per trial.
+    # Each trial's suffix of the shortest trial's length, one row per trial:
+    # dropping symbols from the beginning fixes the sample count, which keeps
+    # estimation bias comparable across the contrasted trials.
     symbols = [np.asarray(res.record.symbols, dtype=np.int64)
                for res in analyzable]
     eq_length = min(s.size for s in symbols)

@@ -52,6 +52,17 @@ otherwise a sort and run-length count per row. All three count the same
 integers, and the sums over them are integer sums, so the regime never
 changes a value, and an observed table gives the same value drawn or
 permuted.
+
+Permutation tests run in batches (`_CmiTests`), such as one selection
+step of every trial of a run, with the test index folded in as the most
+significant column of every state code, as the trial is in
+`row_estimates`. The observed CMIs of all tests come from one count per
+entropy. Their surrogates advance round by round: each round every open
+test draws its next block from its own generator, in the order and sizes
+it would alone, and one pass per chunk of tests sums the tallies of all
+open two-code tests into their tables (`_TallyChunk`); the tests that
+permute or draw tables count their blocks one by one. So every value and
+every draw of a test is the one it has alone.
 """
 
 import functools
@@ -103,7 +114,7 @@ PRODUCT_MULTIPLIES = 1 << 19
 
 # A test of one candidate given nothing draws its surrogates as contingency
 # tables, not permutations, when (m - 1) x (S - 1) x TABLE_DRAW_ROWS <= n for
-# m target codes, S past states and n rows (`_table_blocks`). Each table cell
+# m target codes, S past states and n rows (`_table_sums`). Each table cell
 # costs one hypergeometric call over all surrogates; at 200 surrogates one
 # call cost about as much as permuting TABLE_DRAW_ROWS rows of the target.
 TABLE_DRAW_ROWS = 22
@@ -216,14 +227,12 @@ def _table_columns(rng, table: np.ndarray, count: int):
     yield left
 
 
-def _table_blocks(rng, table: np.ndarray, count: int, clogc):
-    """Sums of `clogc` over the cells of the (m, S) `table`, then over those of
-    `count` random tables with its margins (`_table_columns`): int64 blocks
-    of shape (1, 1) and (count, 1); nothing is drawn before the second."""
-    yield clogc[table].sum()[None, None]
-    if count:
-        yield sum(clogc[column].sum(axis=1)
-                  for column in _table_columns(rng, table, count))[:, None]
+def _table_sums(rng, table: np.ndarray, count: int, clogc):
+    """The sums of `clogc` over the cells of `count` random tables with the
+    margins of the (m, S) `table` (`_table_columns`), as one int64 block of
+    shape (count, 1), drawn when it is asked for."""
+    yield sum(clogc[column].sum(axis=1)
+              for column in _table_columns(rng, table, count))[:, None]
 
 
 def _state_count_draws(rng, sizes: np.ndarray, drawn: int, count: int):
@@ -243,75 +252,137 @@ def _state_count_draws(rng, sizes: np.ndarray, drawn: int, count: int):
             sizes, drawn, size=min(COUNT_DRAW_ROWS, count - start), method="count")
 
 
-def _state_count_sums(t, s, full, cands, n_perm, rng, clogc):
-    """(static, blocks) of `_cmi_blocks` for a target `t` of codes 0 and 1,
-    conditioning state `s` and `full`, the joint state of `s` and every
-    candidate column.
+def _clogc_tables(n: np.ndarray):
+    """(table, offsets, scales): `_clogc` of every test's row count n[i] in
+    one table, where test i reads c log2 c of a count c at offsets[i] + c,
+    and each test's scale."""
+    sizes, which = np.unique(n, return_inverse=True)
+    tables = [_clogc(int(size)) for size in sizes]
+    table = (tables[0][0] if len(tables) == 1
+             else np.concatenate([values for values, _ in tables]))
+    lengths = sizes + 1
+    return (table, (np.cumsum(lengths) - lengths)[which],
+            np.array([scale for _, scale in tables])[which])
 
-    Each group, the conditioning state and each candidate joined with it,
-    has a state that is a function of the full state. So a surrogate's
-    table of the target against any group is the sum, over the group
-    state's full states, of its tally of code 1 per full state
-    (`_state_count_draws`); code 0's counts follow by subtraction. Row 0 is
-    the observed tally. The group states are ranked over one row of each
-    full state, not over all rows. The tallies are summed into group states
-    by one product with the one-hot matrix of full states by group states
-    while a product of COUNT_DRAW_ROWS tallies stays below
-    PRODUCT_MULTIPLIES multiply-adds, and otherwise by a gather and one
-    `reduceat` over the full states sorted by group state, in blocks
-    bounded by SURROGATE_BLOCK_ELEMENTS, so memory stays linear in the
-    rows. Both sum the same integers. `static` and the blocks are those of
-    `_cmi_blocks`: int64 H(C,S) - H(S) sums, and per row
-    H(T,C,S) - H(T,S) sums, shape (rows, len(cands)).
+
+class _TallyChunk:
+    """Tests of two-code targets whose tallies are summed into their group
+    states together, each round (`_tally_chunks`).
+
+    Each test's cells are laid out as `groups` rows of `width` cells, its
+    conditioning state's first, then each candidate's; `width` is a power
+    of two, so a row's terms sum by halving. When c of a cell's
+    rows hold code 1, both codes' terms are clogc[offset + c] +
+    clogc[sizes - c], `offsets` the test's offset into the clogc table
+    (`_clogc_tables`) and `sizes` the cell's rows plus that offset; a cell
+    the test does not have has no rows and adds 0. With `onehot`, the
+    (tests, states, groups x width) one-hot matrices of full states by
+    cells, a round's tallies are summed by one stacked product; without,
+    the chunk is one test, summed by a gather and one `reduceat` over its
+    full states sorted by cell, in blocks of SURROGATE_BLOCK_ELEMENTS.
     """
-    sizes = np.bincount(full)
-    states = sizes.size
-    rep = np.empty(states, dtype=np.intp)
-    rep[full] = np.arange(full.size)  # one row of each full state
-    s_rep = s[rep]
-    folded = [(s_rep, int(s_rep.max()) + 1)] + [
-        _fold(s_rep, *(col[rep] for col in cols)) for cols in cands]
-    # Each group's state code per full state, group g's above every code of
-    # group g - 1: their ranks number the groups' states in group order.
-    spaces = np.array([space for _, space in folded])
-    cells = _ranks(np.concatenate([code for code, _ in folded])
-                   + np.repeat(np.cumsum(spaces) - spaces, states))
-    offsets = np.minimum.reduceat(cells, np.arange(0, cells.size, states))
-    n_cells = int(cells.max()) + 1
-    if COUNT_DRAW_ROWS * states * n_cells < PRODUCT_MULTIPLIES:
-        # A float64 sum of counts below 2**53 is exact.
-        onehot = np.zeros((states, n_cells))
-        onehot[np.arange(cells.size) % states, cells] = 1.0
 
-        def count(tallies):
-            return (tallies @ onehot).astype(np.intp)
-    else:
-        order = np.argsort(cells, kind="stable")
-        gather = order % states
-        starts = np.searchsorted(cells[order], np.arange(n_cells))
+    def __init__(self, tests, states, groups, width, sizes, offsets,
+                 onehot=None, gather=None):
+        self.tests, self.states, self.groups, self.width = (
+            tests, states, groups, width)
+        self.sizes, self.offsets = sizes, offsets
+        self.onehot, self.gather = onehot, gather
 
-        def count(tallies):
-            return np.add.reduceat(tallies[:, gather], starts, axis=1)
-    group_sizes = count(sizes[None])[0]
-    totals = np.add.reduceat(clogc[group_sizes], offsets)
-    # terms[base[v] + c] = clogc[c] + clogc[size - c], both codes' terms of
-    # group state v of `size` rows when c of them hold code 1.
-    spans = group_sizes + 1
-    base = np.cumsum(spans) - spans
-    c = np.arange(spans.sum()) - np.repeat(base, spans)
-    terms = clogc[c] + clogc[np.repeat(group_sizes, spans) - c]
-
-    def blocks():
-        ones = t == 1
-        observed = np.bincount(full[ones], minlength=states)[None]
-        rows = _block_rows(cells.size)
-        for tallies in itertools.chain([observed], _state_count_draws(
-                rng, sizes, int(np.count_nonzero(ones)), n_perm)):
+    def joint(self, tallies, sel, clogc):
+        """Per (test, tally, group), the int64 sum of both codes' terms over
+        the group's states: shape (len(sel), rows, groups) for the chunk's
+        tests `sel` and their tallies of code 1 per full state."""
+        if self.onehot is None:
+            (tallies,) = tallies
+            occupied, gather, starts = self.gather
+            rows = _block_rows(self.groups * max(self.states, self.width))
+            joint = []
             for start in range(0, tallies.shape[0], rows):
-                counts = count(tallies[start:start + rows])
-                joint = np.add.reduceat(terms[counts + base], offsets, axis=1)
-                yield joint[:, 1:] - joint[:, :1]
-    return totals[0] - totals[1:], blocks()
+                block = tallies[start:start + rows]
+                counts = np.zeros((1, block.shape[0], self.groups * self.width),
+                                  dtype=np.intp)
+                counts[0][:, occupied] = np.add.reduceat(block[:, gather], starts, axis=1)
+                joint.append(self._sums(counts, sel, clogc))
+            return np.concatenate(joint, axis=1)
+        x = np.zeros((sel.size, tallies[0].shape[0], self.states))
+        for block, tally in zip(x, tallies):
+            block[:, :tally.shape[1]] = tally
+        onehot = self.onehot if sel.size == self.tests.size else self.onehot[sel]
+        # A float64 sum of counts below 2**53 is exact.
+        return self._sums((x @ onehot).astype(np.intp), sel, clogc)
+
+    def _sums(self, counts, sel, clogc):
+        terms = (clogc[counts + self.offsets[sel, None, None]]
+                 + clogc[self.sizes[sel, None] - counts])
+        terms = terms.reshape(*counts.shape[:2], self.groups, self.width)
+        while terms.shape[3] > 1:  # a power of two, halved in strided adds
+            terms = terms[..., ::2] + terms[..., 1::2]
+        return terms[..., 0]
+
+
+def _tally_chunks(tests, n_perm, groups, first_full, states, offsets):
+    """The `_TallyChunk`s of the two-code `tests` of a `_CmiTests` batch.
+
+    `groups` holds, for the conditioning state and then each candidate,
+    (firsts, cells, codes, sizes): each test's least state and its number
+    of states, and for each full state, the joint state of all columns,
+    its state in the group and that state's rows. `first_full` and
+    `states` are each test's least full state and number of them. The
+    tests are sorted by their states and cells and cut into chunks whose
+    arrays of one round, at min(COUNT_DRAW_ROWS, n_perm) tallies, hold at
+    most SURROGATE_BLOCK_ELEMENTS elements each. A test whose product of
+    COUNT_DRAW_ROWS tallies would reach PRODUCT_MULTIPLIES multiply-adds is
+    a chunk of its own, summed by gathering, so memory stays linear in the
+    rows.
+    """
+    # Each test's most states in one group, to the next power of two.
+    width = 1 << np.ceil(np.log2(np.max([cells[tests] for _, cells, _, _ in groups],
+                                        axis=0))).astype(np.intp)
+    n_groups, rows = len(groups), min(COUNT_DRAW_ROWS, n_perm)
+    chunks, members, limit = [], [], (0, 0)
+    for j in np.lexsort((width, states[tests])):
+        need = (states[tests[j]], n_groups * width[j])
+        if COUNT_DRAW_ROWS * need[0] * need[1] >= PRODUCT_MULTIPLIES:
+            chunks.append(([tests[j]], False))
+            continue
+        grown = (max(limit[0], need[0]), max(limit[1], need[1]))
+        if members and (len(members) + 1) * max(rows * grown[0], grown[0] * grown[1],
+                                                rows * grown[1]) > SURROGATE_BLOCK_ELEMENTS:
+            chunks.append((members, True))
+            members, grown = [], need
+        members.append(tests[j])
+        limit = grown
+    if members:
+        chunks.append((members, True))
+
+    out = []
+    for members, product in chunks:
+        members = np.array(members)
+        count = states[members]
+        test = np.repeat(np.arange(members.size), count)
+        state = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        full = first_full[members][test] + state
+        cell_width = int(width[np.searchsorted(tests, members)].max())
+        columns = [g * cell_width + codes[full] - firsts[members][test]
+                   for g, (firsts, _, codes, _) in enumerate(groups)]
+        cell_sizes = np.zeros((members.size, n_groups * cell_width), dtype=np.intp)
+        for column, (_, _, _, sizes) in zip(columns, groups):
+            cell_sizes[test, column] = sizes[full]
+        args = (members, int(count.max()), n_groups, cell_width,
+                cell_sizes + offsets[members, None], offsets[members])
+        if product:
+            onehot = np.zeros((members.size, int(count.max()), n_groups * cell_width))
+            for column in columns:
+                onehot[test, state, column] = 1.0
+            out.append(_TallyChunk(*args, onehot=onehot))
+            continue
+        column = np.concatenate(columns)
+        order = np.argsort(column, kind="stable")
+        occupied, first_entry = np.unique(column[order], return_index=True)
+        out.append(_TallyChunk(*args, gather=(
+            occupied, np.tile(state, n_groups)[order], first_entry)))
+    return out
 
 
 def _counting_regime(m: int, width: int, groups: np.ndarray):
@@ -390,110 +461,217 @@ def _clogc_blocks(blocks, groups: np.ndarray, m: int, width: int, clogc, regime:
         yield np.add.reduceat(clogc[runs], segments).reshape(rows, -1)
 
 
-def _cmi_blocks(target, cond, cands, n_perm=0, rng=None):
-    """Plug-in CMI(target; cand | cond) under permutations of the target,
-    yielded in blocks of rows.
+class _CmiTests:
+    """Plug-in CMI(target; cand | cond) of a batch of permutation tests: row
+    0 of every test, then its surrogates, drawn round by round.
 
-    `cond` is a list of columns, `cands` a list of candidates, each a tuple
-    of columns. The first block is row 0, the unpermuted target, with shape
-    (1, len(cands)); then come the `n_perm` surrogates drawn from `rng`.
-    Row 0 draws nothing from `rng`. Equal count tables give bit-equal
-    values in every row, however they were drawn or counted.
+    Test i owns n[i] consecutive rows of the 1-D `target`, of the (rows, C)
+    matrix `cond` and of each (rows, W) matrix in `cands`, one per
+    candidate: every test conditions on C columns and weighs the same
+    number of candidates. A candidate of fewer columns in some test is
+    padded with constant columns or copies of its own, which change none
+    of its states. The
+    test index is the most significant column of every state code
+    (`_fold`), so one bincount per entropy counts every test's cells, and
+    `np.add.reduceat` from each test's least code gives its exact integer
+    sums, each over c log2 c of its own row count (`_clogc_tables`).
+    `observed` holds row 0, shape (tests, candidates): each test's values
+    are those it has alone, bit for bit.
 
-    The surrogates are drawn one of three ways, picked from the code space:
+    With `n_perm`, test i draws `n_perm` surrogates from `rngs[i]`, in one
+    of three ways picked from its code space:
 
-    - As contingency tables, when nothing is conditioned on, there is one
-      candidate with S states, and (m - 1)(S - 1) x TABLE_DRAW_ROWS <= n
-      for the target's m codes: the MI depends on a permuted target only
-      through its m x S table of codes against states, whose law given the
-      margins `_table_columns` draws directly. Row 0 is the observed table.
-      All `n_perm` tables come in one block, so the block bound never
-      changes a draw.
-    - As tallies per full state, otherwise when the target takes two
-      codes: every group's table is a sum of the target's counts in the
-      joint states of all the test's columns, which `_state_count_draws`
-      draws COUNT_DRAW_ROWS surrogates at a time and `_state_count_sums`
-      sums. Row 0 is the observed tally.
+    - As contingency tables (`_table_sums`), when nothing is conditioned
+      on, there is one candidate with S states, and (m - 1)(S - 1) x
+      TABLE_DRAW_ROWS <= n for the target's m codes: the MI depends on a
+      permuted target only through its m x S table of codes against
+      states, whose law given the margins `_table_columns` draws directly.
+      All `n_perm` tables come in one round.
+    - As tallies per full state, otherwise when the target takes two codes:
+      every group's table is a sum of the target's counts in the joint
+      states of all the test's columns, which `_state_count_draws` draws
+      COUNT_DRAW_ROWS surrogates a round. The tests are cut into chunks
+      (`_tally_chunks`); each round, one pass per chunk sums every test's
+      tallies into its group states and their terms.
     - As permutations otherwise, in row order, in blocks of at most
-      `SURROGATE_BLOCK_ELEMENTS`. One `_clogc_blocks` stream counts every
-      row, row 0 included.
+      `SURROGATE_BLOCK_ELEMENTS`, one block a round, each counted by its
+      test's own `_clogc_blocks` stream in the regime that its code space
+      picks (`_counting_regime`), since that cost is per row.
 
-    A consumer that stops early draws nothing past the block it stopped in.
     All three ways give the same exact null, the permutation distribution
-    of the statistic, but from different streams of `rng`.
+    of the statistic, but from different streams. Each round (`draw`)
+    advances the open tests; a test the consumer closes draws nothing
+    more, so it draws nothing past the block it stopped in. A test's draws, in their order and sizes, do not
+    depend on the other tests of its batch.
     """
-    n = target.size
-    t = _ranks(target)
-    m = int(t.max()) + 1
-    clogc, scale = _clogc(n)
-    s = _joint_ranks(np.zeros(n, dtype=np.int64), *cond)
-    single = not cond and len(cands) == 1
-    # The joint state of every column: the one candidate's own state, or the
-    # state whose tallies a two-code target's surrogates are drawn as.
-    full = (_joint_ranks(s, *itertools.chain.from_iterable(cands))
-            if single or m == 2 else None)
-    tables = single and (m - 1) * int(full.max()) * TABLE_DRAW_ROWS <= n
-    # I(T; C | S) = H(T,S) + H(C,S) - H(T,C,S) - H(S), whose log2(n) terms
-    # cancel; the sums for H(C,S) and H(S) do not depend on the permutation.
-    if m == 2 and not tables:
-        static, sums = _state_count_sums(t, s, full, cands, n_perm, rng, clogc)
-    else:
-        groups = np.stack([s] + ([full] if single else
-                                 [_joint_ranks(s, *cols) for cols in cands]))
-        width = int(groups.max()) + 1
-        static = np.array([clogc[np.bincount(g)].sum() for g in groups])
-        static = static[0] - static[1:]
-        if not cond:
-            # With no conditioning, H(T, S) = H(T) in every permutation: its
-            # sum joins `static`, and only the candidates are counted.
-            static = static - clogc[np.bincount(t)].sum()
-        codes = t * width  # permuted as values: each row is a permuted target
-        if tables:
-            table = np.bincount(codes + groups[1], minlength=m * width)
-            sums = _table_blocks(rng, table.reshape(m, width), n_perm, clogc)
-        else:
-            counted = groups if cond else groups[1:]
-            regime, row_elements = _counting_regime(m, width, counted)
-            blocks = itertools.chain(
-                [codes[None]], _permutation_blocks(rng, codes, n_perm, row_elements))
-            sums = _clogc_blocks(blocks, counted, m, width, clogc, regime)
-            if cond:
-                sums = (joint[:, 1:] - joint[:, :1] for joint in sums)
-    for joint in sums:
-        yield (joint + static) / (scale * n)
+
+    def __init__(self, n, target, cond, cands, n_perm=0, rngs=()):
+        n = np.asarray(n, dtype=np.intp)
+        starts = np.cumsum(n) - n
+        trial = np.repeat(np.arange(n.size), n)
+        clogc, offsets, scales = _clogc_tables(n)
+        self.denom = scales * n
+        t = _ranks(_fold(trial, target)[0])
+        t -= np.minimum.reduceat(t, starts)[trial]
+        s = _joint_ranks(trial, *cond.T)
+        conditioned = cond.shape[1] > 0
+        self._tally = np.zeros(n.size, dtype=bool)
+        self._streams, self._chunks = {}, []
+        full = None
+        if n_perm:
+            # The joint state of all columns, which fixes every group's state.
+            full = _joint_ranks(s, *(col for cols in cands for col in cols.T))
+            first_full = np.minimum.reduceat(full, starts)
+            states = np.diff(first_full, append=int(full.max()) + 1)
+            m = np.maximum.reduceat(t, starts) + 1
+            tables = ((not conditioned and len(cands) == 1)
+                      & ((m - 1) * (states - 1) * TABLE_DRAW_ROWS <= n))
+            self._tally = (m == 2) & ~tables
+            rep = np.empty(states.sum(), dtype=np.intp)
+            rep[full] = np.arange(full.size)  # one row of each full state
+            # The rows of the tests counted alone, in order.
+            apart = np.flatnonzero(~self._tally[trial])
+        shared = offsets if offsets.any() else None
+
+        def sums(*columns):
+            return _entropy_terms(_fold(*columns), starts, clogc, shared)[0]
+        # I(T; C | S) = H(T,S) + H(C,S) - H(T,C,S) - H(S), whose log2(n)
+        # terms cancel, over the c log2 c sums of every group, the
+        # conditioning state's and each candidate's, with and without the
+        # target. A group's rows are dropped once counted, so memory holds
+        # one group's at a time.
+        alone, joint, groups = [], [], []
+        for code in itertools.chain([s], (
+                full if full is not None and len(cands) == 1
+                else _joint_ranks(s, *cols.T) for cols in cands)):
+            alone.append(sums(code))
+            joint.append(sums(code, t))
+            if n_perm:
+                first = np.minimum.reduceat(code, starts)
+                groups.append((first, np.diff(first, append=int(code.max()) + 1),
+                               code[rep], np.bincount(code)[code[rep]], code[apart]))
+        alone, joint = np.stack(alone, axis=1), np.stack(joint, axis=1)
+        self.static = alone[:, :1] - alone[:, 1:]
+        self.observed = ((joint[:, 1:] - joint[:, :1]) + self.static) / self.denom[:, None]
+        if not n_perm:
+            return
+
+        t_apart, full_apart = t[apart], full[apart]
+        at = np.cumsum(n * ~self._tally) - n
+        for i in np.flatnonzero(~self._tally):
+            rows = slice(at[i], at[i] + n[i])
+            codes, clogc_i = int(m[i]), _clogc(int(n[i]))[0]
+            # Without conditioning, H(T, S) = H(T) in every permutation: its
+            # sum joins the static part, and only the candidates are counted.
+            static = self.static[i] - (0 if conditioned else joint[i, 0])
+            if tables[i]:
+                width = int(states[i])
+                table = np.bincount(t_apart[rows] * width + full_apart[rows]
+                                    - first_full[i], minlength=codes * width)
+                blocks = _table_sums(rngs[i], table.reshape(codes, width), n_perm,
+                                     clogc_i)
+            else:
+                local = np.stack([code[rows] - first[i]
+                                  for first, _, _, _, code in groups])
+                width = int(local.max()) + 1
+                counted = local if conditioned else local[1:]
+                regime, row_elements = _counting_regime(codes, width, counted)
+                blocks = _clogc_blocks(
+                    _permutation_blocks(rngs[i], t_apart[rows] * width, n_perm,
+                                        row_elements),
+                    counted, codes, width, clogc_i, regime)
+                if conditioned:
+                    blocks = (sums[:, 1:] - sums[:, :1] for sums in blocks)
+            self._streams[i] = _cmi_rows(blocks, static, self.denom[i])
+        tests = np.flatnonzero(self._tally)
+        if tests.size:
+            sizes = np.bincount(full)
+            ones = np.add.reduceat(t == 1, starts, dtype=np.intp)
+            for i in tests:
+                self._streams[i] = _state_count_draws(
+                    rngs[i], sizes[first_full[i]:first_full[i] + states[i]],
+                    int(ones[i]), n_perm)
+            self._clogc = clogc
+            self._chunks = _tally_chunks(tests, n_perm, [g[:4] for g in groups],
+                                         first_full, states, offsets)
+
+    @classmethod
+    def single(cls, target, cond, cands, n_perm=0, rng=None):
+        """One test: `cond` a list of columns, `cands` a list of candidates,
+        each a tuple of columns."""
+        def matrix(columns):
+            return np.column_stack(columns) if len(columns) else np.zeros(
+                (target.size, 0), dtype=np.int64)
+        return cls([target.size], target, matrix(cond),
+                   [matrix(cols) for cols in cands], n_perm, [rng])
+
+    def draw(self, is_open):
+        """One round of the open tests, `is_open` the caller's mask of them,
+        which the caller updates as it counts each block: yields (tests,
+        cmis) pairs, `cmis` the CMIs of each test's next block of
+        surrogates, shape (len(tests), rows, candidates). A test counted
+        alone yields its blocks one after another while it stays open, and
+        then drops its stream, so one such test at a time holds its arrays;
+        then each chunk of two-code tests yields one block of every open
+        test it holds."""
+        for i in np.flatnonzero(is_open & ~self._tally):
+            stream = self._streams.pop(i)
+            while is_open[i]:
+                yield np.array([i]), next(stream)[None]
+        for chunk in self._chunks:
+            sel = np.flatnonzero(is_open[chunk.tests])
+            if not sel.size:
+                continue
+            tests = chunk.tests[sel]
+            joint = chunk.joint([next(self._streams[i]) for i in tests], sel,
+                                self._clogc)
+            yield tests, (((joint[..., 1:] - joint[..., :1]) + self.static[tests, None])
+                          / self.denom[tests, None, None])
+
+
+def _cmi_rows(blocks, static, denom):
+    """The CMIs (sums + static) / denom of int64 blocks of sums."""
+    for sums in blocks:
+        yield (sums + static) / denom
 
 
 # ---------------------------------------------------------------------------
 # row-wise estimates
 # ---------------------------------------------------------------------------
 
-def _row_entropy_terms(folded, n: int):
-    """(sums, occupied): per trial of n rows, the int64 sum of `_clogc(n)`
-    over the counts of its cells and the number of cells it occupies.
+def _entropy_terms(folded, starts, clogc, offsets=None):
+    """(sums, occupied): per trial, the int64 sum of c log2 c over the
+    counts of its cells (`_clogc`) and the number of cells it occupies.
 
     `folded` is `_fold`'s (codes, space) of columns whose most significant
-    is the trial of each row, so one bincount counts every trial's cells
-    and each trial's cells lie between its least code and the next trial's,
-    where one `reduceat` sums them. A space past 4 codes per row is ranked
+    is the trial of each row, and trial i's rows begin at starts[i]. So one
+    bincount counts every trial's cells, and each trial's cells lie between
+    its least code and the next trial's, where one `reduceat` sums them. A
+    trial reads count c at clogc[offsets[i] + c] (`_clogc_tables`), or at
+    clogc[c] without `offsets`. A space past 4 codes per row is ranked
     first, so memory follows the rows."""
     codes, space = folded
     if space > 4 * codes.size:
         codes = _ranks(codes)
-    counts = np.bincount(codes)
-    starts = np.minimum.reduceat(codes, np.arange(0, codes.size, n))
-    return (np.add.reduceat(_clogc(n)[0][counts], starts),
-            np.add.reduceat(counts > 0, starts, dtype=np.intp))
+    firsts = np.minimum.reduceat(codes, starts)
+    counts = np.bincount(codes)[firsts[0]:]
+    firsts -= firsts[0]
+    index = counts
+    if offsets is not None:
+        index = counts + np.repeat(offsets, np.diff(firsts, append=counts.size))
+    return (np.add.reduceat(clogc[index], firsts),
+            np.add.reduceat(counts > 0, firsts, dtype=np.intp))
 
 
 def _signed_rows(kind: str, n: int, *terms):
     """Per trial, the `InfoEstimate` of the sum of sign * H over
-    `(entropy terms, sign)` pairs (`_row_entropy_terms`) of n rows each,
+    `(entropy terms, sign)` pairs (`_entropy_terms`) of n rows each,
     with the same signed sum of Miller-Madow corrections (R - 1) / (2 n ln 2)
     for R occupied cells, added in the order of the terms.
 
     H is (clogc[n] - the sum of clogc over its counts) / (scale * n), so
     the plug-in value is one exact integer over scale * n, as
-    `_cmi_blocks`' rows are."""
+    the rows of `_CmiTests` are."""
     clogc, scale = _clogc(n)
     numerator, corr = 0, 0.0
     for (sums, occupied), sign in terms:
@@ -507,20 +685,21 @@ def _signed_rows(kind: str, n: int, *terms):
 def _row_terms(symbols: np.ndarray, lags, k_max_offset: int):
     """(n, target, past, joint): every row of the (trials, length) symbol
     matrix embedded at `k_max_offset` with `lags`, n rows per trial, and
-    per trial the entropy terms (`_row_entropy_terms`) of the targets, the
+    per trial the entropy terms (`_entropy_terms`) of the targets, the
     past states and their joint states; past and joint are None without
     lags."""
     lags, offset, n = _embedding(symbols.shape[1], lags, k_max_offset)
     trials, length = symbols.shape
     trial = np.repeat(np.arange(trials), n)
+    starts, clogc = np.arange(0, trials * n, n), _clogc(n)[0]
     t = symbols[:, offset:].ravel()
-    target = _row_entropy_terms(_fold(trial, t), n)
+    target = _entropy_terms(_fold(trial, t), starts, clogc)
     if not lags:
         return n, target, None, None
     past = _fold(trial, *(symbols[:, offset - lag:length - lag].ravel()
                           for lag in lags))
-    return (n, target, _row_entropy_terms(past, n),
-            _row_entropy_terms(_fold(past[0], t), n))
+    return (n, target, _entropy_terms(past, starts, clogc),
+            _entropy_terms(_fold(past[0], t), starts, clogc))
 
 
 def row_estimates(symbols: np.ndarray, lags, k_max_offset: int):

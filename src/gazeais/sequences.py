@@ -125,3 +125,17 @@ def embed(seq: SymbolSequence, lags, k_max_offset: int) -> StateVectorSeries:
     for j, lag in enumerate(lag_t):
         pasts[:, j] = seq.symbols[offset - lag : len(seq) - lag]
     return StateVectorSeries(targets=targets, pasts=pasts, lags=lag_t)
+
+
+def _embed_rows(symbols, k_max: int):
+    """(n, flat, position): the 1-D symbol arrays `symbols` concatenated
+    into `flat`, and the rows of their embeddings at offset k_max, the n[i]
+    rows of array i after those of the arrays before it, each as the index
+    in `flat` of its target. A row's symbol at lag l is flat[position - l],
+    as in `embed`. `flat` takes the least unsigned type that holds every
+    symbol, so the columns taken from it stay small. Each array must be
+    longer than k_max."""
+    n = np.array([len(s) for s in symbols], dtype=np.intp) - k_max
+    position = np.arange(n.sum()) + np.repeat(k_max * np.arange(1, n.size + 1), n)
+    flat = np.concatenate(symbols)
+    return n, flat.astype(np.min_scalar_type(int(flat.max()))), position

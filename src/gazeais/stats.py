@@ -1,26 +1,30 @@
 """Permutation tests and the one p-value rule they share.
 
-`_permutation_p` forms every p-value: selection's max-statistic test
-(`embedding`), the final AIS test and the group contrasts feed it blocks
-of surrogate statistics.
+`_PValues` forms every p-value, round by round and for many tests at
+once: selection's max-statistic tests (`embedding`), the final AIS tests
+and the group contrasts feed it blocks of surrogate statistics.
 
 Each test derives one generator from (seed, tag) and draws its surrogates
 from it in order, evaluating them in blocks of rows; every p-value is a
 pure function of the test's arguments and does not depend on the block
-size. The contrasts' surrogates are permutations, each valued by one
-matrix-vector product and recomputed on its sorted parts, the
+size, nor on the other tests of its batch. The information tests run in
+batches (`infocore._CmiTests`, `_run_tests`): each round, every open test
+draws its next block, and the stop rule is applied to all of them at
+once. Their surrogates are permutations of the target, or are drawn as
+the tables or the per-state tallies of the target that permutations would
+give: the same null from another stream. The final AIS tests of all
+trials of a run are one batch (`_final_ais_tests`); `test_final_ais` is a
+batch of one. The contrasts' surrogates are permutations, each valued by
+one matrix-vector product and recomputed on its sorted parts, the
 statistic's definition, only where that product lies within its rounding
-bound of the observed value. The information tests'
-surrogates are permutations of the target, or are drawn as the tables or
-the per-state tallies of the target that permutations would give
-(`infocore._cmi_blocks`): the same null from another stream.
+bound of the observed value.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .infocore import _cmi_blocks, _permutation_blocks
+from .infocore import _CmiTests, _permutation_blocks
 from .rng import derive_rng
 from .sequences import StateVectorSeries
 
@@ -40,32 +44,90 @@ class PermutationTestResult:
     evaluated: int
 
 
-def _permutation_p(observed, blocks, n_perm: int, alpha=None):
-    """(p, evaluated): p = (1 + b) / (n_perm + 1), b the surrogates >= observed.
+class _PValues:
+    """The running p-values (1 + b) / (n_perm + 1) of a set of tests, b the
+    surrogates at or above each test's observed statistic, fed block by
+    block (`add`).
 
-    `blocks` yields 1-D arrays of surrogate statistics, `n_perm` values in
-    all. Without `alpha` every row is counted. With `alpha` counting stops
-    at the first row whose running count b makes (1 + b) / (n_perm + 1) >
-    alpha, and that value is returned: a lower bound on the full p, on the
-    same side of alpha (Besag & Clifford 1991, Biometrika 78:301). The stop
-    is decided row by row, so neither it nor p depends on the block size.
+    Without `alpha` every row is counted. With `alpha` a test stops at the
+    first row whose running count b makes (1 + b) / (n_perm + 1) > alpha,
+    and keeps that value: a lower bound on the full p, on the same side of
+    alpha (Besag & Clifford 1991, Biometrika 78:301). The stop is decided
+    row by row, so neither it nor p depends on the block size. A test is
+    open until it stops or has counted `n_perm` rows.
     """
-    if n_perm < 1:
-        raise ValueError("n_perm must be >= 1")
-    if not np.isfinite(observed):
-        raise ValueError("observed statistic must be finite")
-    exceed = evaluated = 0
+
+    def __init__(self, observed, n_perm: int, alpha=None):
+        if n_perm < 1:
+            raise ValueError("n_perm must be >= 1")
+        if not np.isfinite(observed).all():
+            raise ValueError("observed statistic must be finite")
+        self.observed, self.n_perm, self.alpha = observed, n_perm, alpha
+        self.exceed = np.zeros(observed.size, dtype=np.int64)
+        self.evaluated = np.zeros(observed.size, dtype=np.int64)
+        self.open = np.ones(observed.size, dtype=bool)
+
+    def add(self, tests, values):
+        """Count the (len(tests), rows) surrogate statistics of the open
+        `tests`, an index array."""
+        hits = values >= self.observed[tests, None]
+        exceed = self.exceed[tests] + np.count_nonzero(hits, axis=1)
+        rows = np.full(tests.size, hits.shape[1])
+        if self.alpha is not None:
+            # Counts only grow, so a test past the bound at the end of the
+            # block passed it first in this block.
+            stopped = np.flatnonzero((1.0 + exceed) / (self.n_perm + 1.0) > self.alpha)
+            if stopped.size:
+                counts = (self.exceed[tests[stopped]][:, None]
+                          + np.cumsum(hits[stopped], axis=1))
+                row = np.argmax((1.0 + counts) / (self.n_perm + 1.0) > self.alpha,
+                                axis=1)
+                exceed[stopped] = counts[np.arange(stopped.size), row]
+                rows[stopped] = row + 1
+                self.open[tests[stopped]] = False
+        self.exceed[tests] = exceed
+        self.evaluated[tests] += rows
+        self.open[tests[self.evaluated[tests] >= self.n_perm]] = False
+
+    def p_values(self):
+        return (1.0 + self.exceed) / (self.n_perm + 1.0)
+
+
+def _permutation_p(observed, blocks, n_perm: int, alpha=None):
+    """(p, evaluated) of one test (`_PValues`): p = (1 + b) / (n_perm + 1),
+    b the surrogates >= observed, over `blocks` of 1-D arrays of surrogate
+    statistics, `n_perm` values in all."""
+    counts = _PValues(np.array([float(observed)]), n_perm, alpha)
+    test = np.zeros(1, dtype=np.intp)
     for block in blocks:
-        hits = block >= observed
-        if (alpha is not None and (1.0 + exceed + np.count_nonzero(hits))
-                / (n_perm + 1.0) > alpha):
-            # Counts only grow, so the first row past the bound is in here.
-            p = (1.0 + exceed + np.cumsum(hits)) / (n_perm + 1.0)
-            row = int(np.argmax(p > alpha))
-            return float(p[row]), evaluated + row + 1
-        exceed += int(np.count_nonzero(hits))
-        evaluated += hits.size
-    return (1.0 + exceed) / (n_perm + 1.0), evaluated
+        counts.add(test, block[None])
+        if not counts.open[0]:
+            break
+    return float(counts.p_values()[0]), int(counts.evaluated[0])
+
+
+def _run_tests(tests, n_perm: int, alpha=None):
+    """(observed, p, evaluated) of every test of the `infocore._CmiTests`
+    batch `tests`, each the maximum of its candidates' CMIs: rounds of
+    every open test's surrogates, counted by `_PValues`, until none is
+    open."""
+    observed = tests.observed.max(axis=1)
+    counts = _PValues(observed, n_perm, alpha)
+    while counts.open.any():
+        for ids, cmis in tests.draw(counts.open):
+            counts.add(ids, cmis.max(axis=2))
+    return observed, counts.p_values(), counts.evaluated
+
+
+def _final_ais_tests(n, targets, pasts, n_perm: int, seeds):
+    """`test_final_ais` of every test of a batch: test i owns n[i]
+    consecutive rows of `targets` and of the past states `pasts`, padded
+    with constant columns, and draws from (seeds[i], "final-ais-surrogate")."""
+    tests = _CmiTests(n, targets, np.zeros((targets.size, 0), dtype=np.int64),
+                      [pasts], n_perm,
+                      [derive_rng(seed, "final-ais-surrogate") for seed in seeds])
+    return [PermutationTestResult(*result)
+            for result in zip(*(x.tolist() for x in _run_tests(tests, n_perm)))]
 
 
 def test_final_ais(series: StateVectorSeries, n_perm: int = 200,
@@ -81,15 +143,13 @@ def test_final_ais(series: StateVectorSeries, n_perm: int = 200,
     same null, cheaper, from another stream than permuting would draw. A
     binary target with more past states draws its tally per state instead.
     A constant (zero-information) target yields p = 1 under the >=
-    convention and the smallest attainable p is 1/(n_perm + 1).
+    convention and the smallest attainable p is 1/(n_perm + 1). The test is
+    a batch of one (`_final_ais_tests`).
     """
     if series.n_rows < 1:
         raise ValueError("series must be nonempty")
-    blocks = _cmi_blocks(series.targets, [], [tuple(series.pasts.T)], n_perm,
-                         derive_rng(seed, "final-ais-surrogate"))
-    observed = float(next(blocks)[0, 0])
-    return PermutationTestResult(
-        observed, *_permutation_p(observed, (b[:, 0] for b in blocks), n_perm))
+    return _final_ais_tests([series.n_rows], series.targets, series.pasts,
+                            n_perm, [seed])[0]
 
 
 def _mean_difference(first, second):

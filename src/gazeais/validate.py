@@ -16,7 +16,7 @@ from .embedding import max_statistic_test, optimize_past_state
 from .experiment import RunConfig
 from .gaze import (FIXATION_DTYPE, GAZE_DTYPE, detect_fixations_idt,
                    filter_fixations)
-from .infocore import (_cmi_blocks, active_information_storage,
+from .infocore import (_CmiTests, active_information_storage,
                        gaze_transition_entropy, next_symbol_entropy)
 from .markov import (analytic_ais, analytic_entropy, analytic_gte, cycle_spec,
                      generate, persistence_spec, uniform_iid_spec)
@@ -88,8 +88,8 @@ def check_algebraic_identities(seed, n_cases=200) -> CheckResult:
         mi, _ = dense_estimate(rows, ((0,), 1), ((3,), 1), ((0, 3), -1))
         cmi, _ = dense_estimate(rows, ((0, 1), 1), ((1, 3), 1), ((0, 1, 3), -1),
                                 ((1,), -1))
-        devs.append(next(_cmi_blocks(t, [], [(lag3,)]))[0, 0] - mi)
-        devs.append(next(_cmi_blocks(t, [lag1], [(lag3,)]))[0, 0] - cmi)
+        devs.append(_CmiTests.single(t, [], [(lag3,)]).observed[0, 0] - mi)
+        devs.append(_CmiTests.single(t, [lag1], [(lag3,)]).observed[0, 0] - cmi)
         ais = active_information_storage(seq, (1, 3), 3)
         agree(ais, *dense_estimate(rows, ((0,), 1), ((1, 3), 1), ((0, 1, 3), -1)))
         agree(next_symbol_entropy(seq, 3), *dense_estimate(rows, ((0,), 1)))

@@ -745,9 +745,12 @@ class TestCompareCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("compare must not select past states")
 
-        monkeypatch.setattr(gazeais.cli, "analyze_trial", refuse)
-        monkeypatch.setattr(gazeais.experiment, "analyze_trial", refuse)
-        monkeypatch.setattr(gazeais.experiment, "optimize_past_state", refuse)
+        for module, name in ((gazeais.cli, "analyze_trial"),
+                             (gazeais.cli, "analyze_trials"),
+                             (gazeais.experiment, "analyze_trial"),
+                             (gazeais.experiment, "analyze_trials"),
+                             (gazeais.experiment, "_select_past_states")):
+            monkeypatch.setattr(module, name, refuse)
         assert main(["compare", str(results), "--seed", "7",
                      "--nperm-comparison", "200",
                      "--out", str(tmp_path / "cmp")]) == 0

@@ -106,14 +106,14 @@ class TestOptimizePastState:
                 assert step.observed_cmi > 0.0
 
     def test_one_kernel_pass_per_step(self, monkeypatch):
-        # Each step's observed CMIs and its surrogates come from one stream.
+        # Each step's observed CMIs and its surrogates come from one batch.
         calls = []
-        blocks = embedding._cmi_blocks
+        batch = embedding._CmiTests
 
         def counted(*args):
             calls.append(args)
-            return blocks(*args)
-        monkeypatch.setattr(embedding, "_cmi_blocks", counted)
+            return batch(*args)
+        monkeypatch.setattr(embedding, "_CmiTests", counted)
         seq = generate(lagged_copy_spec(2, 0.9), 300, seed=12)
         _, trace = optimize_past_state(
             seq, RunConfig(k_max=5, n_perm_selection=200, seed=1))
@@ -182,11 +182,11 @@ class TestEarlyStop:
     @staticmethod
     def _full_evaluation(monkeypatch):
         """Make selection evaluate every surrogate, as a direct call does."""
-        test = embedding.max_statistic_test
+        run = embedding._run_tests
 
-        def full(*args, alpha=None, **kwargs):
-            return test(*args, **kwargs)
-        monkeypatch.setattr(embedding, "max_statistic_test", full)
+        def full(tests, n_perm, alpha=None):
+            return run(tests, n_perm)
+        monkeypatch.setattr(embedding, "_run_tests", full)
 
     def test_same_selections_as_full_evaluation(self, monkeypatch):
         cases = list(self._cases())
@@ -247,9 +247,15 @@ class TestEarlyStop:
 
     def test_direct_call_without_alpha_evaluates_everything(self):
         series = embed(generate(uniform_iid_spec(2), 300, seed=11), (1, 2, 3), 3)
-        rows = np.concatenate(list(infocore._cmi_blocks(
+        tests = infocore._CmiTests.single(
             series.targets, [], [(col,) for col in series.pasts.T], 200,
-            derive_rng(5, "max-stat-surrogate"))))
+            derive_rng(5, "max-stat-surrogate"))
+        rows = [tests.observed]
+        for _ in range(8):  # COUNT_DRAW_ROWS tallies a round
+            [(_, cmis)] = tests.draw(np.ones(1, dtype=bool))
+            rows.append(cmis[0])
+        rows = np.concatenate(rows)
+        assert rows.shape == (201, 3)
         p_rows = (1.0 + np.cumsum(rows[1:].max(axis=1) >= rows[0].max())) / 201.0
         stop = int(np.argmax(p_rows > 0.05))  # the first row past alpha
         assert 0 < stop < 199

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 from gazeais import (PastState, RunConfig, ScanpathRecord, SymbolSequence,
                      analyze_trial, compare_conditions,
-                     contrast_conditions, cycle_spec, derive_seed, equalize_samples, generate,
+                     contrast_conditions, cycle_spec, derive_seed, generate,
                      lag_histogram, parse_run_config, persistence_spec,
                      uniform_iid_spec, union_past_state)
 from gazeais.experiment import TrialResult
@@ -87,17 +87,17 @@ class TestAnalyzeTrial:
         from gazeais import experiment, infocore, lagged_copy_spec
         monkeypatch.setattr(infocore, "TABLE_DRAW_ROWS", draw_rows)
         drawn, observed = [], []
-        for name, label in (("_table_blocks", "tables"), ("_state_count_sums", "tallies")):
+        for name, label in (("_table_sums", "tables"), ("_state_count_draws", "tallies")):
             monkeypatch.setattr(infocore, name, lambda *args, draw=getattr(infocore, name),
                                 label=label: drawn.append(label) or draw(*args))
-        final = experiment.test_final_ais
+        final = experiment._final_ais_tests
 
         def spied(*args, **kwargs):
             drawn.clear()  # the selection's own draws
-            result = final(*args, **kwargs)
+            [result] = final(*args, **kwargs)
             observed.append((result.observed_statistic, drawn or ["permutations"]))
-            return result
-        monkeypatch.setattr(experiment, "test_final_ais", spied)
+            return [result]
+        monkeypatch.setattr(experiment, "_final_ais_tests", spied)
         cfg = RunConfig(k_max=3, n_perm_selection=50, seed=4)
         binary = "tallies" if draw_rows else "tables"
         for spec, drew in ((persistence_spec(0.8), binary),
@@ -146,23 +146,6 @@ class TestUnionPastState:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             union_past_state([], 5)
-
-
-class TestEqualizeSamples:
-    def test_truncates_to_min(self):
-        seqs = [SymbolSequence(np.zeros(n, dtype=int), 2) for n in (30, 25, 40)]
-        out = equalize_samples(seqs)
-        assert [len(s) for s in out] == [25, 25, 25]
-
-    def test_equal_lengths_unchanged(self):
-        seqs = [SymbolSequence([0, 1, 0], 2), SymbolSequence([1, 1, 0], 2)]
-        out = equalize_samples(seqs)
-        assert [s.symbols.tolist() for s in out] == [[0, 1, 0], [1, 1, 0]]
-
-    def test_suffix_semantics(self):
-        seqs = [SymbolSequence([0, 1, 2, 3], 4), SymbolSequence([3, 2], 4)]
-        out = equalize_samples(seqs)
-        assert out[0].symbols.tolist() == [2, 3]
 
 
 class TestLagHistogram:
@@ -242,6 +225,31 @@ class TestCompareConditions:
         cfg = RunConfig(k_max=5, n_perm_selection=60, seed=17)
         with pytest.raises(ValueError, match="'A'"):
             compare_conditions(a + b, cfg)
+
+    def test_all_skipped_trials_still_count_their_condition(self):
+        # One 8-symbol trial in each condition: both are skipped at k_max 5,
+        # and the error names the first condition and why, not "found []".
+        records = [ScanpathRecord(f"{c}0", "p", c, np.array([0, 1] * 4), 2)
+                   for c in "AB"]
+        with pytest.raises(ValueError) as info:
+            compare_conditions(records, RunConfig(k_max=5, n_perm_selection=60,
+                                                  seed=1))
+        assert str(info.value) == (
+            "participant 'p': condition 'A' has 0 analyzable trial(s), 1 skipped "
+            "(3 embedded rows at k_max=5; need at least 10); need >= 2")
+
+    def test_skipped_condition_names_its_skips(self):
+        a = make_records(persistence_spec(0.8), "A", 2, 100, seed=15)
+        b = make_records(persistence_spec(0.8), "B", 1, 100, seed=16)
+        b += [ScanpathRecord(f"B-short{n}", "p0", "B", np.arange(n) % 2, 2)
+              for n in (12, 9, 12)]
+        cfg = RunConfig(k_max=5, n_perm_selection=60, seed=17)
+        with pytest.raises(ValueError) as info:
+            compare_conditions(a + b, cfg)
+        assert str(info.value) == (
+            "participant 'p0': condition 'B' has 1 analyzable trial(s), 3 skipped "
+            "(7 embedded rows at k_max=5; need at least 10, 4 embedded rows at "
+            "k_max=5; need at least 10); need >= 2")
 
     def test_contrast_uses_given_selections(self):
         a = make_records(persistence_spec(0.9), "A", 3, 120, seed=21)

@@ -9,7 +9,7 @@ from gazeais import (SymbolSequence, active_information_storage, embed,
                      max_statistic_test, next_symbol_entropy)
 from gazeais import infocore
 from gazeais import test_final_ais as final_ais_test
-from gazeais.infocore import _cmi_blocks, row_estimates
+from gazeais.infocore import _CmiTests, row_estimates
 from gazeais.stats import TAILS, _permutation_p
 from gazeais.validate import dense_counts, dense_entropy, dense_estimate
 
@@ -36,11 +36,25 @@ def h_next(symbols, alphabet_size=None):
 
 
 def mi(a, b):
-    return next(_cmi_blocks(a, [], [(b,)]))[0, 0]
+    return _CmiTests.single(a, [], [(b,)]).observed[0, 0]
 
 
 def cmi(a, b, c):
-    return next(_cmi_blocks(a, [c], [(b,)]))[0, 0]
+    return _CmiTests.single(a, [c], [(b,)]).observed[0, 0]
+
+
+def cmi_rows(target, cond, cands, n_perm=0, rng=None):
+    """Row 0 and then every surrogate row of one `_CmiTests` test, drawn
+    round by round to its last: shape (n_perm + 1, candidates)."""
+    tests = _CmiTests.single(target, cond, cands, n_perm, rng)
+    rows = [tests.observed]
+    is_open = np.array([n_perm > 0])
+    while is_open[0]:
+        for ids, cmis in tests.draw(is_open):
+            assert ids.tolist() == [0]
+            rows.append(cmis[0])
+            is_open[0] = sum(map(len, rows)) <= n_perm
+    return np.concatenate(rows)
 
 
 class TestEmpiricalDistribution:
@@ -324,7 +338,7 @@ class TestLargeAlphabets:
 
 
 def reference_rows(codes, cond, cands):
-    """`_cmi_blocks` rows for each row of target codes in `codes` (ranks,
+    """`cmi_rows` rows for each row of target codes in `codes` (ranks,
     the observed target first) by the first algorithm: `np.unique` ranks of
     the columns and a dense bincount per (row, group)."""
     def ranks(code, *columns):
@@ -355,7 +369,7 @@ def target_ranks(target):
 
 
 def reference_cmi_rows(target, cond, cands, n_perm, rng):
-    """`_cmi_blocks` rows of the target and of `n_perm` permutations of it,
+    """`cmi_rows` rows of the target and of `n_perm` permutations of it,
     each a tiled `arange` of row indices permuted in place, 1000 rows per
     call, which draws the same stream as one call (`_permutation_blocks`)."""
     t = target_ranks(target)
@@ -369,7 +383,7 @@ def reference_cmi_rows(target, cond, cands, n_perm, rng):
 
 
 def reference_count_rows(target, cond, cands, n_perm, rng):
-    """`_cmi_blocks` rows of a two-code target and of `n_perm` targets laid
+    """`cmi_rows` rows of a two-code target and of `n_perm` targets laid
     out from tallies of code 1 per joint state of all the columns, drawn
     `infocore.COUNT_DRAW_ROWS` at a time with `np.unique`'s state order: in
     each state, the first rows of the tally take code 1."""
@@ -414,12 +428,12 @@ def record_regimes(monkeypatch):
 
 
 def record_draws(monkeypatch):
-    """How every `_cmi_blocks` stream gets its rows, in call order: "tables"
-    for drawn tables, "counts" for drawn tallies per state, else the regime
-    that counts its permutations."""
+    """How every test gets its surrogates, in the order its batch sets them
+    up: "tables" for drawn tables, "counts" for drawn tallies per state,
+    else the regime that counts its permutations."""
     seen = record_regimes(monkeypatch)
-    tables = infocore._table_blocks
-    counts = infocore._state_count_sums
+    tables = infocore._table_sums
+    counts = infocore._state_count_draws
 
     def recorded_tables(rng, table, count, clogc):
         seen.append("tables")
@@ -428,8 +442,8 @@ def record_draws(monkeypatch):
     def recorded_counts(*args):
         seen.append("counts")
         return counts(*args)
-    monkeypatch.setattr(infocore, "_table_blocks", recorded_tables)
-    monkeypatch.setattr(infocore, "_state_count_sums", recorded_counts)
+    monkeypatch.setattr(infocore, "_table_sums", recorded_tables)
+    monkeypatch.setattr(infocore, "_state_count_draws", recorded_counts)
     return seen
 
 
@@ -482,8 +496,7 @@ class TestKernelAgainstReference:
         expected = reference(target, cond, cands, n_perm, np.random.default_rng(5))
         for regime in ("product", "dense" if elements > 1 else "sort"):
             seen = force_regime(monkeypatch, regime)
-            got = np.concatenate(list(_cmi_blocks(target, cond, cands, n_perm,
-                                                  np.random.default_rng(5))))
+            got = cmi_rows(target, cond, cands, n_perm, np.random.default_rng(5))
             # One stream per test, row 0 included.
             assert seen == ["counts" if m == 2 else regime]
             assert got.shape == (n_perm + 1, 2)
@@ -500,8 +513,7 @@ class TestKernelAgainstReference:
         reference = reference_count_rows if m == 2 else reference_cmi_rows
         expected = reference(target, cond, cands, 200, np.random.default_rng(step))
         seen = force_regime(monkeypatch, regime)
-        got = np.concatenate(list(_cmi_blocks(target, cond, cands, 200,
-                                              np.random.default_rng(step))))
+        got = cmi_rows(target, cond, cands, 200, np.random.default_rng(step))
         assert seen == ["counts" if m == 2 else regime]
         assert np.array_equal(got, expected)
 
@@ -664,9 +676,9 @@ class TestSurrogateKernel:
         cols = {lag: series.pasts[:, lag - 1] for lag in range(1, 5)}
         selected = []
         for step in trace.steps:
-            rows = next(_cmi_blocks(series.targets, [cols[l] for l in selected],
+            rows = _CmiTests.single(series.targets, [cols[l] for l in selected],
                                     [(cols[l],) for l in step.candidates], 30,
-                                    np.random.default_rng(0)))
+                                    np.random.default_rng(0)).observed
             assert dict(zip(step.candidates, rows[0].tolist())) == step.cmi_values
             assert rows[0].max() == step.observed_cmi
             cmis, result = max_statistic_test(step.candidates, series, 30, seed=0,
@@ -675,8 +687,8 @@ class TestSurrogateKernel:
             assert result.observed_statistic == step.observed_cmi
             selected.append(step.chosen_lag)
         final = embed(seq, (1,), 4)
-        rows = next(_cmi_blocks(final.targets, [], [tuple(final.pasts.T)], 30,
-                                np.random.default_rng(0)))
+        rows = _CmiTests.single(final.targets, [], [tuple(final.pasts.T)], 30,
+                                np.random.default_rng(0)).observed
         assert final_ais_test(final, 30, seed=0).observed_statistic == rows[0, 0]
 
 
@@ -712,11 +724,11 @@ class TestTableDraws:
         assert (tables.sum(axis=1) == table.sum(axis=0)).all()
         if min(shape) > 1:
             assert len(np.unique(tables.reshape(500, -1), axis=0)) > 1
-        # `_table_blocks` sums c log2 c over these very tables.
+        # `_table_sums` sums c log2 c over these very tables, in one block.
         clogc, _ = infocore._clogc(int(table.sum()))
-        blocks = list(infocore._table_blocks(np.random.default_rng(1), table, 500, clogc))
-        assert blocks[0].tolist() == [[clogc[table].sum()]]
-        assert np.array_equal(blocks[1][:, 0], clogc[tables].sum(axis=(1, 2)))
+        blocks = list(infocore._table_sums(np.random.default_rng(1), table, 500, clogc))
+        assert len(blocks) == 1 and blocks[0].shape == (500, 1)
+        assert np.array_equal(blocks[0][:, 0], clogc[tables].sum(axis=(1, 2)))
 
     def test_rule_reads_the_code_space(self, monkeypatch):
         # 295 rows of a binary target: (2 - 1)(S - 1) x 22 <= 295 up to
@@ -727,14 +739,13 @@ class TestTableDraws:
         target = np.arange(295) % 2
         for states, path in ((14, "tables"), (15, "counts")):
             past = np.arange(295) // 2 % states
-            list(_cmi_blocks(target, [], [(past,)], 5, np.random.default_rng(0)))
+            cmi_rows(target, [], [(past,)], 5, np.random.default_rng(0))
             assert seen.pop() == path
         past = np.arange(295) // 2 % 3
-        list(_cmi_blocks(target, [], [(past,), (past,)], 5, np.random.default_rng(0)))
-        list(_cmi_blocks(target, [past], [(past,)], 5, np.random.default_rng(0)))
+        cmi_rows(target, [], [(past,), (past,)], 5, np.random.default_rng(0))
+        cmi_rows(target, [past], [(past,)], 5, np.random.default_rng(0))
         assert seen == ["counts", "counts"]
-        list(_cmi_blocks(np.arange(295) % 3, [past], [(past,)], 5,
-                         np.random.default_rng(0)))
+        cmi_rows(np.arange(295) % 3, [past], [(past,)], 5, np.random.default_rng(0))
         assert seen[-1] == "product"
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -744,8 +755,8 @@ class TestTableDraws:
         rows = {}
         for draw_rows in (0, 10 ** 9):  # tables; tallies (m = 2) or permutations
             monkeypatch.setattr(infocore, "TABLE_DRAW_ROWS", draw_rows)
-            rows[draw_rows] = next(_cmi_blocks(target, [], [(past,)], 200,
-                                               np.random.default_rng(m)))
+            rows[draw_rows] = _CmiTests.single(target, [], [(past,)], 200,
+                                               np.random.default_rng(m)).observed
         assert seen[0] == "tables" and seen[1] != "tables"
         assert rows[0].shape == (1, 1) and rows[0].tobytes() == rows[10 ** 9].tobytes()
 
@@ -760,8 +771,7 @@ class TestTableDraws:
         # reference, which draws the permutation path's stream.
         target, past = self.lag_one(m, seed=m)
         monkeypatch.setattr(infocore, "TABLE_DRAW_ROWS", 0)
-        tables = np.concatenate(list(_cmi_blocks(target, [], [(past,)], 20000,
-                                                 np.random.default_rng(11))))
+        tables = cmi_rows(target, [], [(past,)], 20000, np.random.default_rng(11))
         permuted = reference_cmi_rows(target, [], [(past,)], 20000,
                                       np.random.default_rng(12))
         assert ks_distance(tables[1:, 0], permuted[1:, 0]) < 1.628 * math.sqrt(2 / 20000)
@@ -819,7 +829,8 @@ class TestStateCountDraws:
     def test_row_zero_equals_the_permutation_reference(self, monkeypatch, step):
         seen = record_draws(monkeypatch)
         target, cond, cands = selection_step(2, step)
-        row = next(_cmi_blocks(target, cond, cands, 200, np.random.default_rng(0)))
+        row = _CmiTests.single(target, cond, cands, 200,
+                               np.random.default_rng(0)).observed
         expected = reference_cmi_rows(target, cond, cands, 0, None)
         assert seen == ["counts"]
         assert row.shape == (1, 6 - step) and row.tobytes() == expected.tobytes()
@@ -837,8 +848,7 @@ class TestStateCountDraws:
                        (1, 2, 3, 4, 5), 5)
         lags = list(series.pasts.T)
         cond, cands = lags[:step - 1], [(col,) for col in lags[step - 1:]]
-        drawn = np.concatenate(list(_cmi_blocks(series.targets, cond, cands, 20000,
-                                                np.random.default_rng(21))))
+        drawn = cmi_rows(series.targets, cond, cands, 20000, np.random.default_rng(21))
         permuted = reference_cmi_rows(series.targets, cond, cands, 20000,
                                       np.random.default_rng(22))
         assert drawn[0].tobytes() == permuted[0].tobytes()
