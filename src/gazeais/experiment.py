@@ -17,7 +17,8 @@ shared past state and sample count (holding estimation bias constant
 across groups) in one row-wise call over the matrix of equalized trials
 (`infocore.row_estimates`), and contrast the two conditions with
 independent samples permutation tests on AIS, entropy, and normalized
-AIS. Seeds derive here:
+AIS, the measures whose groups have the same sizes on one shared stream
+of permutations. Seeds derive here:
 (seed, "trial", participant, condition, id) per trial, (seed,
 "participant", id) per participant. So `analyze_trials` gives the
 entries of `gazeais ais`, and `compare_conditions`, which selects each past
@@ -37,7 +38,7 @@ from . import infocore
 from .infocore import InfoEstimate, row_estimates
 from .rng import derive_seed
 from .sequences import PastState, _embed_rows
-from .stats import TAILS, _final_ais_tests, independent_samples_permutation_test
+from .stats import TAILS, _contrast_tests, _final_ais_tests
 
 log = logging.getLogger(__name__)
 
@@ -415,11 +416,18 @@ def contrast_conditions(results: Sequence[TrialResult],
                         cfg: RunConfig) -> ParticipantComparison:
     """Contrast one participant's two conditions on equalized estimates.
 
-    `cfg.seed` is the master seed: each contrast draws `cfg.n_perm_comparison`
+    `cfg.seed` is the master seed: the contrasts draw `cfg.n_perm_comparison`
     surrogates, tested on `cfg.tail`, from (cfg.seed, "participant",
-    participant), which `ParticipantComparison.seed` records. Trials are
-    taken, and `trial_results` listed, in (condition, trial id) order
-    whatever the order of `results`. All trials are re-estimated with the
+    participant), which `ParticipantComparison.seed` records. The measures
+    whose groups have the same sizes are one batch (`stats._contrast_tests`)
+    and share one stream of permutations, seeded by (that seed, "contrast",
+    m), m the batch's first measure in `MEASURES` order. So the AIS contrast
+    always draws from (that seed, "contrast", "ais"), and the entropy
+    contrast, whose groups are those of AIS, shares its stream; so does the
+    normalized-AIS contrast unless a trial with H(X_t) = 0 left it smaller,
+    when it draws alone from (that seed, "contrast", "normalized_ais").
+    Trials are taken, and `trial_results` listed, in (condition, trial id)
+    order whatever the order of `results`. All trials are re-estimated with the
     union of their selected past states on length-equalized scanpaths, so
     every value entering a contrast shares the same sample count and
     past-state dimensionality. Skipped trials are left out; trials with
@@ -490,23 +498,28 @@ def contrast_conditions(results: Sequence[TrialResult],
             values["normalized_ais"][cond].append(normalized)
 
     cond_a, cond_b = conditions
+    groups = {m: (values[m][cond_a], values[m][cond_b]) for m in MEASURES}
+    # One batch, and one stream, per pair of group sizes.
+    batches = {}
+    for measure, (group_a, group_b) in groups.items():
+        if group_a and group_b:
+            batches.setdefault((len(group_a), len(group_b)), []).append(measure)
+    tests = {}
+    for batch in batches.values():
+        tests.update(zip(batch, _contrast_tests(
+            [groups[m] for m in batch], cfg.n_perm_comparison, cfg.tail,
+            derive_seed(seed, "contrast", batch[0]))))
     means = {}
     sems = {}
     contrasts = {}
-    for measure in MEASURES:
-        group_a = values[measure][cond_a]
-        group_b = values[measure][cond_b]
+    for measure, (group_a, group_b) in groups.items():
         mean_a, sem_a = _mean_sem(group_a)
         mean_b, sem_b = _mean_sem(group_b)
         means[measure] = {cond_a: mean_a, cond_b: mean_b}
         sems[measure] = {cond_a: sem_a, cond_b: sem_b}
         diff = p_value = direction = None
-        if group_a and group_b:
-            test = independent_samples_permutation_test(
-                group_a, group_b, n_perm=cfg.n_perm_comparison, tail=cfg.tail,
-                seed=derive_seed(seed, "contrast", measure),
-            )
-            diff, p_value = test.observed_statistic, test.p_value
+        if measure in tests:
+            diff, p_value = tests[measure].observed_statistic, tests[measure].p_value
             if diff > 0:
                 direction = f"{cond_a}>{cond_b}"
             elif diff < 0:

@@ -14,10 +14,13 @@ once. Their surrogates are permutations of the target, or are drawn as
 the tables or the per-state tallies of the target that permutations would
 give: the same null from another stream. The final AIS tests of all
 trials of a run are one batch (`_final_ais_tests`); `test_final_ais` is a
-batch of one. The contrasts' surrogates are permutations, each valued by
-one matrix-vector product and recomputed on its sorted parts, the
-statistic's definition, only where that product lies within its rounding
-bound of the observed value.
+batch of one. The group contrasts run in batches too (`_contrast_tests`):
+contrasts whose groups have the same sizes share one generator and one
+stream of index permutations, each applied to every contrast's sorted
+pool, and one product per block values the rows of every contrast. A row
+is recomputed on its sorted parts, the statistic's definition, only where
+that product lies within its contrast's rounding bound of the observed
+value. `independent_samples_permutation_test` is a batch of one.
 """
 
 from dataclasses import dataclass
@@ -157,6 +160,67 @@ def _mean_difference(first, second):
     return first.mean(axis=1) - second.mean(axis=1)
 
 
+def _contrast_tests(pairs, n_perm: int, tail: str, seed: int):
+    """`independent_samples_permutation_test` of every (group_a, group_b)
+    of `pairs`, a batch of contrasts whose groups all have the same sizes,
+    on one stream of permutations: one `PermutationTestResult` per pair.
+
+    Each block of n_perm index permutations of the n pooled positions is
+    drawn once, from (seed, "ind-samples-surrogate"), and applied to every
+    contrast's ascending-sorted pool. A uniform permutation of a sorted
+    pool is a uniform permutation of the pool, so each p-value is still an
+    exact permutation p-value; the contrasts share their draws (Westfall &
+    Young 1993, Resampling-Based Multiple Testing). `rng.permuted` makes
+    the same draws whatever it shuffles, so a batch of one permutes its
+    pool exactly as shuffling the pool itself would.
+
+    A block scores every contrast with one product: a (rows, n) matrix
+    puts weight 1/k at each row's first k permuted positions and
+    -1/(n - k) at the others, and multiplies the (n, contrasts) matrix of
+    sorted pools. Each contrast keeps its own `slack` (see
+    `independent_samples_permutation_test`), from its own sum|pooled|; its
+    rows within that slack of the observed value are sorted and
+    recomputed on their parts. One `_PValues` counts every contrast.
+    """
+    if tail not in TAILS:
+        raise ValueError(f"tail must be one of {TAILS}")
+    groups = [(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+              for a, b in pairs]
+    if any(a.size == 0 or b.size == 0 for a, b in groups):
+        raise ValueError("both groups must be nonempty")
+    sizes = {(a.size, b.size) for a, b in groups}
+    if len(sizes) != 1:
+        raise ValueError(f"contrasts of one batch need equal group sizes, got "
+                         f"{sorted(sizes)}")
+    (n_a, n_b), = sizes
+    observed = np.array([_mean_difference(np.sort(a)[None], np.sort(b)[None])[0]
+                         for a, b in groups])
+    pools = np.sort(np.stack([np.concatenate(group) for group in groups]), axis=1)
+    n = n_a + n_b
+    k = min(n_a, n_b) if tail == "two_sided" else n_a
+    oriented = {"greater": np.positive, "less": np.negative,
+                "two_sided": np.abs}[tail]
+    targets = oriented(observed)
+    counts = _PValues(targets, n_perm)
+    float64 = np.finfo(np.float64)
+    slack = (n + 2) * (4.0 * float64.eps * np.abs(pools).sum(axis=1) / min(k, n - k)
+                       + float64.smallest_subnormal)
+    tests = np.arange(len(groups))
+    for perms in _permutation_blocks(derive_rng(seed, "ind-samples-surrogate"),
+                                     np.arange(n), n_perm, n):
+        weights = np.full(perms.shape, -1.0 / (n - k))
+        np.put_along_axis(weights, perms[:, :k], 1.0 / k, axis=1)
+        values = oriented(pools @ weights.T)
+        near = ~(np.abs(values - targets[:, None]) > slack[:, None])
+        for i in np.flatnonzero(near.any(axis=1)):
+            rows = pools[i][perms[near[i]]]
+            values[i, near[i]] = oriented(_mean_difference(
+                np.sort(rows[:, :k], axis=1), np.sort(rows[:, k:], axis=1)))
+        counts.add(tests, values)
+    return [PermutationTestResult(*result) for result in zip(
+        observed.tolist(), counts.p_values().tolist(), counts.evaluated.tolist())]
+
+
 def independent_samples_permutation_test(group_a, group_b, n_perm: int = 5000,
                                          tail: str = "two_sided",
                                          seed: int = 0) -> PermutationTestResult:
@@ -175,10 +239,10 @@ def independent_samples_permutation_test(group_a, group_b, n_perm: int = 5000,
     The statistic is defined on ascending-sorted parts, so that a surrogate
     that redraws the observed split reproduces the observed value bit for
     bit and ties are counted exactly. Only a surrogate near the observed
-    value needs that: each row's value is first taken as one matrix-vector
-    product of the shuffled pool with weights 1/k and -1/(n - k), for parts
-    of k and n - k values, which differs from the sorted-parts value by at
-    most
+    value needs that: each row's value is first taken as one product of
+    the pool with weights 1/k and -1/(n - k) at the row's permuted
+    positions, for parts of k and n - k values, which differs from the
+    sorted-parts value by at most
 
         slack = (n + 2) * (4 eps sum|pooled| / min(k, n - k) + tiny),
 
@@ -193,36 +257,7 @@ def independent_samples_permutation_test(group_a, group_b, n_perm: int = 5000,
     sorted-parts value, and only the other rows, NaN ones included, are
     sorted and recomputed. Every row is then counted as the sorted-parts
     value would be, so p and the observed difference do not change.
+
+    The test is a batch of one (`_contrast_tests`).
     """
-    a = np.asarray(group_a, dtype=np.float64)
-    b = np.asarray(group_b, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both groups must be nonempty")
-    if tail not in TAILS:
-        raise ValueError(f"tail must be one of {TAILS}")
-    observed = float(_mean_difference(np.sort(a)[None], np.sort(b)[None])[0])
-    pooled = np.sort(np.concatenate([a, b]))
-    n = pooled.size
-    k = min(a.size, b.size) if tail == "two_sided" else a.size
-    oriented = {"greater": np.positive, "less": np.negative,
-                "two_sided": np.abs}[tail]
-    target = oriented(observed)
-    weights = np.concatenate([np.full(k, 1.0 / k), np.full(n - k, -1.0 / (n - k))])
-    float64 = np.finfo(np.float64)
-    slack = (n + 2) * (4.0 * float64.eps * np.abs(pooled).sum() / min(k, n - k)
-                       + float64.smallest_subnormal)
-
-    def statistics(shuffled):
-        values = oriented(shuffled @ weights)
-        near = ~(np.abs(values - target) > slack)
-        if near.any():
-            # Each part of a row, sorted, holds the values that the ascending
-            # pool holds at its sorted permutation indices.
-            rows = shuffled[near]
-            values[near] = oriented(_mean_difference(np.sort(rows[:, :k], axis=1),
-                                                     np.sort(rows[:, k:], axis=1)))
-        return values
-
-    blocks = map(statistics, _permutation_blocks(
-        derive_rng(seed, "ind-samples-surrogate"), pooled, n_perm, n))
-    return PermutationTestResult(observed, *_permutation_p(target, blocks, n_perm))
+    return _contrast_tests([(group_a, group_b)], n_perm, tail, seed)[0]

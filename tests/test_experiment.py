@@ -6,11 +6,15 @@ import pytest
 from dataclasses import replace
 
 from gazeais import (PastState, RunConfig, ScanpathRecord, SymbolSequence,
-                     analyze_trial, compare_conditions,
-                     contrast_conditions, cycle_spec, derive_seed, generate,
-                     lag_histogram, parse_run_config, persistence_spec,
-                     uniform_iid_spec, union_past_state)
-from gazeais.experiment import TrialResult
+                     active_information_storage, analyze_trial,
+                     compare_conditions, contrast_conditions, cycle_spec,
+                     derive_seed, generate, independent_samples_permutation_test,
+                     lag_histogram, next_symbol_entropy, parse_run_config,
+                     persistence_spec, uniform_iid_spec, union_past_state)
+from gazeais.experiment import MEASURES, TrialResult
+from gazeais.stats import _contrast_tests
+
+import test_batch
 
 
 def make_records(spec, condition, n_trials, length, seed, participant="p0"):
@@ -173,6 +177,82 @@ class TestLagHistogram:
         assert hist.fraction_multi_all == 1.0
 
 
+def constant_trial_comparison():
+    """Trials of unequal lengths, one of them constant (H(X_t) = 0, so it
+    leaves the normalized contrast), contrasted on the union of the given
+    lags."""
+    rng = np.random.default_rng(71)
+    results = []
+    for cond, lags, lengths in (("A", (1,), (90, 100, 95)),
+                                ("B", (2, 4), (120, 88, 110))):
+        for i, length in enumerate(lengths):
+            symbols = rng.integers(0, 3, length)
+            if cond == "A" and i == 1:
+                symbols[:] = 2
+            results.append(TrialResult(
+                ScanpathRecord(f"{cond}{i}", "p", cond, symbols, 3),
+                length - 5, selected_lags=PastState(lags, 5)))
+    return contrast_conditions(results, RunConfig(n_perm_comparison=500, seed=3))
+
+
+def contrast_groups(comp):
+    """{measure: (group_a, group_b)} of a comparison, each trial's values
+    estimated alone on its equalized suffix with the union past state."""
+    groups = {m: ([], []) for m in MEASURES}
+    k_max = comp.union_lags.k_max
+    for res in comp.trial_results:
+        if res.skipped:
+            continue
+        seq = SymbolSequence(res.record.symbols[-comp.equalized_length:],
+                             res.record.alphabet_size)
+        h = next_symbol_entropy(seq, k_max)
+        ais = (active_information_storage(seq, comp.union_lags, k_max).corrected_value
+               if comp.union_lags.lags else 0.0)
+        side = comp.conditions.index(res.record.condition)
+        groups["ais"][side].append(ais)
+        groups["entropy"][side].append(h.corrected_value)
+        if h.plugin_value != 0.0:
+            groups["normalized_ais"][side].append(
+                min(1.0, max(0.0, ais / h.corrected_value)))
+    return groups
+
+
+class TestContrastStreams:
+    """The measures of a participant whose groups have the same sizes share
+    one permutation stream, that of the first of them; the AIS contrast
+    always draws from its own seed."""
+
+    # A batch of one measure is its standalone test at its own seed: the
+    # normalized pool, left smaller by a constant trial, draws alone.
+    @pytest.mark.parametrize("design, batches", [
+        ("mixed", [("ais", "entropy"), ("normalized_ais",)]),
+        ("mixed-without-constant", [("ais", "entropy", "normalized_ais")]),
+        ("constant-trial", [("ais", "entropy"), ("normalized_ais",)])])
+    def test_measures_of_equal_sizes_share_a_stream(self, design, batches):
+        if design == "constant-trial":
+            comp = constant_trial_comparison()
+        else:
+            records = [r for r in test_batch.mixed_records()
+                       if design == "mixed" or r.trial_id != "constant"]
+            comp = compare_conditions(records, test_batch.CFG)
+        groups = contrast_groups(comp)
+        for m, (a, b) in groups.items():
+            assert comp.means[m] == {comp.conditions[0]: float(np.mean(a)),
+                                     comp.conditions[1]: float(np.mean(b))}
+        ais = independent_samples_permutation_test(
+            *groups["ais"], comp.n_perm, comp.tail,
+            derive_seed(comp.seed, "contrast", "ais"))
+        assert (comp.contrasts["ais"].observed_diff,
+                comp.contrasts["ais"].p_value) == (ais.observed_statistic, ais.p_value)
+        for batch in batches:
+            tests = _contrast_tests([groups[m] for m in batch], comp.n_perm,
+                                    comp.tail, derive_seed(comp.seed, "contrast",
+                                                           batch[0]))
+            assert [(comp.contrasts[m].observed_diff, comp.contrasts[m].p_value)
+                    for m in batch] == [(t.observed_statistic, t.p_value)
+                                        for t in tests]
+
+
 class TestCompareConditions:
     def test_duplicated_group_zero_differences(self):
         base = make_records(persistence_spec(0.85), "A", 4, 120, seed=5)
@@ -273,23 +353,9 @@ class TestCompareConditions:
             compare_conditions(a + b, cfg)
 
     def test_constant_trial_values_pinned(self):
-        # Trials of unequal lengths, one of them constant (H(X_t) = 0, so it
-        # leaves the normalized contrast), on the union of the given lags.
         # The values are those the per-trial estimators gave before the
         # participant's trials were estimated in one call.
-        rng = np.random.default_rng(71)
-        results = []
-        for cond, lags, lengths in (("A", (1,), (90, 100, 95)),
-                                    ("B", (2, 4), (120, 88, 110))):
-            for i, length in enumerate(lengths):
-                symbols = rng.integers(0, 3, length)
-                if cond == "A" and i == 1:
-                    symbols[:] = 2
-                results.append(TrialResult(
-                    ScanpathRecord(f"{cond}{i}", "p", cond, symbols, 3),
-                    length - 5, selected_lags=PastState(lags, 5)))
-        comp = contrast_conditions(results, RunConfig(n_perm_comparison=500,
-                                                      seed=3))
+        comp = constant_trial_comparison()
         assert comp.union_lags.lags == (1, 2, 4)
         assert (comp.equalized_length, comp.equalized_sample_count) == (88, 83)
         assert comp.excluded_normalized == {"A": 1, "B": 0}

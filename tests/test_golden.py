@@ -145,3 +145,9 @@ def test_outputs_match_golden(tmp_path):
     moved = sorted(name for name in outputs.keys() | golden["sha256"].keys()
                    if outputs.get(name) != golden["sha256"].get(name))
     assert not moved, f"outputs differ from golden.json: {moved}"
+
+
+def test_repin_names_what_moved():
+    from repin_golden import moved
+    assert moved({"a": "1", "b": "2", "c": "3"}, {"a": "1", "b": "9", "d": "4"}) == [
+        ("changed", "b"), ("disappeared", "c"), ("appeared", "d")]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from gazeais import SymbolSequence, embed, independent_samples_permutation_test
 from gazeais import test_final_ais as final_ais_test
 from gazeais.infocore import _permutation_blocks
-from gazeais.rng import derive_rng
-from gazeais.stats import TAILS, _permutation_p
+from gazeais.rng import derive_rng, derive_seed
+from gazeais.stats import TAILS, _contrast_tests, _permutation_p
 
 
 class TestFinalAis:
@@ -184,16 +185,18 @@ def _groups(case):
     }[case]
 
 
+FILTER_CASES = ["rounded-ties", "rounded-equal-sizes", "constant-pool", "n-2",
+                "one-against-many", "many-against-one", "signed-zeros",
+                "near-1e300", "ties-near-1e300", "subnormal", "subnormal-ties"]
+
+
 class TestNearObservedFilter:
     """Rows far from the observed value are decided by one product and the
     rest by the sorted parts; p and the observed difference must equal
     those of sorting every row."""
 
     @pytest.mark.parametrize("tail", TAILS)
-    @pytest.mark.parametrize("case", [
-        "rounded-ties", "rounded-equal-sizes", "constant-pool", "n-2",
-        "one-against-many", "many-against-one", "signed-zeros", "near-1e300",
-        "ties-near-1e300", "subnormal", "subnormal-ties"])
+    @pytest.mark.parametrize("case", FILTER_CASES)
     def test_equals_sorting_every_row(self, case, tail):
         a, b = _groups(case)
         for seed in range(3):
@@ -215,3 +218,145 @@ class TestNearObservedFilter:
             result = independent_samples_permutation_test(a, b, 300, tail, i)
             observed, p = sorted_parts_test(a, b, 300, tail, i)
             assert (result.observed_statistic.hex(), result.p_value) == (observed.hex(), p)
+
+
+def shared_sorted_parts_tests(pairs, n_perm, tail, seed):
+    """[(observed, p)] of each pair: the same index permutations, drawn from
+    (seed, "ind-samples-surrogate"), applied to each pair's sorted pool,
+    and every row scored on its sorted parts; the reference for a batch."""
+    n = len(pairs[0][0]) + len(pairs[0][1])
+    perms = np.concatenate(list(_permutation_blocks(
+        derive_rng(seed, "ind-samples-surrogate"), np.arange(n), n_perm, n)))
+    results = []
+    for group_a, group_b in pairs:
+        a = np.asarray(group_a, dtype=np.float64)
+        b = np.asarray(group_b, dtype=np.float64)
+        observed = float(np.sort(a).mean() - np.sort(b).mean())
+        shuffled = np.sort(np.concatenate([a, b]))[perms]
+        k = min(a.size, b.size) if tail == "two_sided" else a.size
+        oriented = {"greater": np.positive, "less": np.negative,
+                    "two_sided": np.abs}[tail]
+        rows = oriented(np.sort(shuffled[:, :k], axis=1).mean(axis=1)
+                        - np.sort(shuffled[:, k:], axis=1).mean(axis=1))
+        results.append((observed, _permutation_p(oriented(observed), [rows],
+                                                 n_perm)[0]))
+    return results
+
+
+def _batches():
+    rng = np.random.default_rng(63)
+    normal = rng.normal(size=40)
+    return {
+        # Unequal sizes, each measure at its own scale: every measure's
+        # filter must use its own slack.
+        "unequal-scales": [(normal[:9] * 1e300, normal[9:16] * 1e300),
+                           (normal[16:25] * 1e-310, normal[25:32] * 1e-310),
+                           (np.round(normal[:9], 1), np.round(normal[9:16], 1))],
+        "ties": [(np.round(normal[:8], 1), np.round(normal[8:16], 1)),
+                 ([2.5] * 8, [2.5] * 8),
+                 (np.round(normal[16:24]), np.round(normal[24:32]))],
+        "signed-zeros": [([0.0, -0.0, 0.0], [-0.0, 0.0, -0.0, 0.0]),
+                         ([-0.0, -0.0, 0.0], [0.0, 0.0, 1.0, -0.0]),
+                         (normal[:3], normal[3:7])],
+        "n-2": [([1.0], [3.0]), ([0.0], [-0.0]), ([5.0], [5.0])],
+        "one-against-many": [([0.3], normal[:20]), ([-1.0], normal[20:40]),
+                             ([0.0], np.round(normal[:20]))],
+    }
+
+
+# The (observed.hex(), p) that shuffling each pool's values itself gave,
+# before contrasts shared index permutations, for every FILTER_CASES case,
+# tail and seed 0-2 at 2000 permutations, in that order: a contrast alone
+# keeps its stream.
+SINGLE_DIGEST = "4f5611c5e402c621b51223f6f1ad88380ce2572d024fd64a39672a51138f141e"
+
+
+class TestContrastBatch:
+    """A batch of contrasts shares one stream of index permutations."""
+
+    def test_batch_of_one_reproduces_the_single_test(self):
+        record = []
+        for case in FILTER_CASES:
+            a, b = _groups(case)
+            for tail in TAILS:
+                for seed in range(3):
+                    result, = _contrast_tests([(a, b)], 2000, tail, seed)
+                    record.append((result.observed_statistic.hex(), result.p_value))
+        assert hashlib.sha256(repr(record).encode()).hexdigest() == SINGLE_DIGEST
+
+    @pytest.mark.parametrize("tail", TAILS)
+    @pytest.mark.parametrize("case", ["unequal-scales", "ties", "signed-zeros",
+                                      "n-2", "one-against-many"])
+    def test_each_measure_equals_its_sorted_parts(self, case, tail):
+        pairs = _batches()[case]
+        for seed in range(3):
+            results = _contrast_tests(pairs, 1500, tail, seed)
+            expected = shared_sorted_parts_tests(pairs, 1500, tail, seed)
+            assert [(r.observed_statistic.hex(), r.p_value, r.evaluated)
+                    for r in results] == [(o.hex(), p, 1500) for o, p in expected]
+
+    def test_random_batches_equal_sorting_every_row(self):
+        rng = np.random.default_rng(64)
+        for i in range(60):
+            sizes = rng.integers(1, 20, size=2)
+            pairs = []
+            for _ in range(int(rng.integers(1, 5))):
+                scale = 10.0 ** rng.choice([-310, -3, 0, 300])
+                a, b = (rng.normal(size=size) * scale for size in sizes)
+                if rng.random() < 0.5:
+                    a, b = (np.round(x / scale, 1) * scale for x in (a, b))
+                pairs.append((a, b))
+            tail = TAILS[i % 3]
+            results = _contrast_tests(pairs, 300, tail, i)
+            assert [(r.observed_statistic.hex(), r.p_value) for r in results] == [
+                (o.hex(), p) for o, p in shared_sorted_parts_tests(pairs, 300, tail, i)]
+
+    def test_unequal_sizes_in_one_batch_rejected(self):
+        with pytest.raises(ValueError, match="equal group sizes"):
+            _contrast_tests([([1.0, 2.0], [3.0]), ([1.0], [2.0, 3.0])], 10,
+                            "two_sided", 0)
+
+
+def exact_p(group_a, group_b, tail):
+    """The exact permutation p of the contrast: every split of the sorted
+    pool into parts of len(group_a) and len(group_b) values, each part
+    sorted, counted as the test counts a surrogate."""
+    a = np.asarray(group_a, dtype=np.float64)
+    b = np.asarray(group_b, dtype=np.float64)
+    pooled = np.sort(np.concatenate([a, b]))
+    n = pooled.size
+    first = np.array(list(itertools.combinations(range(n), a.size)))
+    chosen = np.zeros((len(first), n), dtype=bool)
+    np.put_along_axis(chosen, first, True, axis=1)
+    rest = np.nonzero(~chosen)[1].reshape(len(first), b.size)
+    oriented = {"greater": np.positive, "less": np.negative,
+                "two_sided": np.abs}[tail]
+    splits = oriented(pooled[first].mean(axis=1) - pooled[rest].mean(axis=1))
+    observed = oriented(np.sort(a)[None].mean(axis=1) - np.sort(b)[None].mean(axis=1))
+    return float(np.mean(splits >= observed))
+
+
+# b of the n_perm surrogates at or above the observed value is
+# Binomial(n_perm, exact p); a Monte Carlo p = (1 + b) / (n_perm + 1) must
+# lie within EXACT_Z standard deviations of it, plus the 1 / (n_perm + 1)
+# the observed value adds.
+EXACT_Z = 4.0
+
+
+class TestExactOracle:
+    """Each measure of a batch against every split of pools of <= 12."""
+
+    @pytest.mark.parametrize("tail", TAILS)
+    @pytest.mark.parametrize("n_a, n_b", [(6, 6), (4, 8), (8, 4)])
+    def test_batch_within_binomial_bound_of_exact(self, n_a, n_b, tail):
+        rng = np.random.default_rng([65, n_a])
+        pairs = [(rng.normal(0.6, 1.0, n_a), rng.normal(0.0, 1.0, n_b)),
+                 (np.round(rng.normal(0.0, 1.0, n_a)),  # ties
+                  np.round(rng.normal(0.0, 1.0, n_b))),
+                 (rng.exponential(1.0, n_a), rng.exponential(2.0, n_b))]
+        n_perm = 2000
+        results = _contrast_tests(pairs, n_perm, tail, derive_seed(66, n_a, tail))
+        for (a, b), result in zip(pairs, results):
+            p = exact_p(a, b, tail)
+            bound = EXACT_Z * np.sqrt(p * (1 - p) / n_perm) + 1.0 / (n_perm + 1)
+            assert abs(result.p_value - p) <= bound, (p, result.p_value)
